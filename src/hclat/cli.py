@@ -5,9 +5,6 @@ are emitted as JSON (default), CSV, or an aligned text table; every
 number is an exact string, never a decimal float.  Exit status: 0 on
 success, 1 on a domain error (as a machine-readable error object in JSON
 mode), 2 on a usage error.
-
-The environment variable HCLAT_SEED is reserved and currently unused;
-randomized property tests take explicit seeds.
 """
 
 from __future__ import annotations
@@ -26,26 +23,6 @@ from .scalars import LAURENT_RING, POLY, QQ, ZZ, Laurent
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-_VALUE_FLAGS = {
-    "--window",
-    "--mu",
-    "--eps",
-    "--lambda",
-    "--q",
-    "--n",
-    "--m",
-    "--table",
-    "--suite",
-    "--kind",
-    "--parabolic",
-    "--variant",
-    "--ring",
-    "--op",
-    "--format",
-    "--out",
-}
-
 
 class UsageError(Exception):
     """Invalid flag combination; reported with exit status 2."""
@@ -192,6 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _value_flags(parser: argparse.ArgumentParser) -> frozenset:
+    """The option strings that take a value, over every subcommand."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.option_strings and action.nargs != 0:
+            flags.update(action.option_strings)
+    return frozenset(flags)
+
+
+_VALUE_FLAGS = _value_flags(build_parser())
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -240,19 +232,24 @@ def _run_module(args) -> dict:
         chi = weightmods.CharacterModule(args.eps, args.mu, args.parabolic)
         M = weightmods.principal_series(g, args.parabolic, chi, QQ)
         heading = {"parabolic": args.parabolic, "eps": str(args.eps), "mu": str(args.mu)}
-    rows = [
-        [p, w, str(e), str(f), str(h)]
-        for p, w, e, f, h in weightmods.module_rows(M, lo, hi)
-    ]
-    return {
-        "kind": args.kind,
-        "n": args.n,
-        "m": args.m,
-        **heading,
+    header = {"kind": args.kind, "n": args.n, "m": args.m, **heading}
+    return _table_doc(M, header, lo, hi)
+
+
+def _table_doc(M, header: dict, lo: int, hi: int) -> dict:
+    """The windowed coefficient table of a module, after its header keys."""
+    doc = {
+        **header,
         "window": [lo, hi],
-        "columns": ["index", "weight", "E", "F", "H"],
-        "rows": rows,
+        "columns": ["index", "weight", *M.generators],
+        "rows": [
+            row[:2] + [str(c) for c in row[2:]]
+            for row in weightmods.module_rows(M, lo, hi)
+        ],
     }
+    if M.vanishing_reason is not None:
+        doc["vanishing_reason"] = M.vanishing_reason
+    return doc
 
 
 def _run_lattice(args) -> dict:
@@ -283,22 +280,8 @@ def _run_contract(args) -> dict:
         _check_eps_residue(args.eps, args.n)
         M = contraction.contracted_ps(args.eps, args.mu, ring, n=args.n)
         heading = {"eps": str(args.eps), "mu": str(args.mu)}
-    rows = [
-        [p, w, str(e), str(f), str(h)]
-        for p, w, e, f, h in contraction.contraction_rows(M, lo, hi)
-    ]
-    doc = {
-        "kind": args.kind,
-        "n": args.n,
-        **heading,
-        "ring": ring.name,
-        "window": [lo, hi],
-        "columns": ["index", "weight", "e", "f", "h"],
-        "rows": rows,
-    }
-    if M.vanishing_reason is not None:
-        doc["vanishing_reason"] = M.vanishing_reason
-    return doc
+    header = {"kind": args.kind, "n": args.n, **heading, "ring": ring.name}
+    return _table_doc(M, header, lo, hi)
 
 
 def _run_bw(args) -> dict:
@@ -333,7 +316,7 @@ def _run_bw(args) -> dict:
             "failures": [list(pair) for pair in report["failures"]],
             "primes": report["primes"],
         }
-    witness = borelweil.counit_fraction_witness(lam, args.n if args.n else 1)
+    witness = borelweil.counit_fraction_witness(lam, args.n if args.n is not None else 1)
     return {
         "op": op,
         "lambda": lam,

@@ -9,19 +9,26 @@ weight modules via the dictionary E = e, F = (n/2)f, H = (n/2)h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
     LAURENT_RING,
     POLY,
+    QQ,
     CoefficientRing,
     Laurent,
     as_laurent,
     in_ring,
     rat,
 )
-from .weightmods import Support, WeightModule, _exact_weight
+from .weightmods import (
+    Support,
+    WeightModule,
+    check_module_axioms,
+    gnm_relations,
+    module_rows,
+)
 from .zforms import make_zform
 
 GENERATORS = ("e", "f", "h")
@@ -126,79 +133,73 @@ def phi_preserves_bracket() -> list:
 # -- contracted modules -------------------------------------------------------
 
 
-@dataclass
-class ContractionModule:
-    """A weight module for the contraction, with Laurent coefficients."""
-
-    ring: CoefficientRing
-    support: Support
-    weight_fn: object
-    actions: dict
-    family: str
-    params: dict = field(default_factory=dict)
-    vanishing_reason: str = None
-
-    def weight(self, p: int):
-        return self.weight_fn(p)
-
-    def act_gen(self, gen: str, p: int):
-        if self.vanishing_reason is not None or not self.support.contains(p):
-            return []
-        shift, fn = self.actions[gen]
-        target = p + shift
-        if not self.support.contains(target):
-            return []
-        c = as_laurent(fn(p))
-        if c.is_zero():
-            return []
-        return [(target, c)]
-
-    def coefficient(self, gen: str, p: int) -> Laurent:
-        hits = self.act_gen(gen, p)
-        return hits[0][1] if hits else Laurent.const(0)
+CONTRACTION_RELATIONS = (
+    ("[h,e]=2e", "h", "e", "e", 2),
+    ("[h,f]=-2f", "h", "f", "f", -2),
+    ("[e,f]=z*h", "e", "f", "h", Laurent.z_power(1)),
+)
 
 
-def contracted_induced(lam: int, n: int, ring: CoefficientRing = POLY) -> ContractionModule:
+def _contracted(family, n, ring, support, weight_fn, e, f, params, vanishing_reason=None):
+    """A contracted module from its e- and f-actions, each (shift, fn).
+
+    h acts on the weight-w vector by 2w/n, so that H = (n/2)h acts by w.
+    """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n}")
+    actions = {
+        "e": e,
+        "f": f,
+        "h": (0, lambda p: Laurent.const(Fraction(2 * weight_fn(p), n))),
+    }
+    return WeightModule(
+        None,
+        CONTRACTION_RELATIONS,
+        ring,
+        support,
+        weight_fn,
+        actions,
+        family,
+        params,
+        vanishing_reason=vanishing_reason,
+    )
+
+
+def contracted_induced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
     """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z."""
     def f_coeff(p):
         return Laurent.z_power(1, -Fraction(p, n) * (n * p - n + 2 * lam))
 
-    actions = {
-        "e": (1, lambda p: Laurent.const(1)),
-        "f": (-1, f_coeff),
-        "h": (0, lambda p: Laurent.const(Fraction(2 * (lam + n * p), n))),
-    }
-    return ContractionModule(
+    return _contracted(
+        "contracted-induced",
+        n,
         ring,
         Support("ge", 0),
         lambda p: lam + n * p,
-        actions,
-        "contracted-induced",
+        (1, lambda p: Laurent.const(1)),
+        (-1, f_coeff),
         {"lam": lam, "n": n},
     )
 
 
-def contracted_produced(lam: int, n: int, ring: CoefficientRing = POLY) -> ContractionModule:
+def contracted_produced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
     """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z."""
     def e_coeff(p):
         return Laurent.z_power(1, -Fraction(p + 1, n) * (n * p + 2 * lam))
 
-    actions = {
-        "e": (1, e_coeff),
-        "f": (-1, lambda p: Laurent.const(1)),
-        "h": (0, lambda p: Laurent.const(Fraction(2 * (lam + n * p), n))),
-    }
-    return ContractionModule(
+    return _contracted(
+        "contracted-produced",
+        n,
         ring,
         Support("ge", 0),
         lambda p: lam + n * p,
-        actions,
-        "contracted-produced",
+        (1, e_coeff),
+        (-1, lambda p: Laurent.const(1)),
         {"lam": lam, "n": n},
     )
 
 
-def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> ContractionModule:
+def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
     """Basis w^{n(p+eps)} over all integers p.
 
     Over the Laurent ring the module always exists.  Over Q[z] the
@@ -212,80 +213,32 @@ def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> ContractionModu
     mu = as_laurent(mu)
     if not in_ring(mu, ring):
         raise ValueError(f"mu = {mu} does not lie in {ring.name}")
-    params = {"eps": eps, "mu": mu, "n": n}
-    weight_fn = lambda p: _exact_weight(n, eps, p)
-    if ring.kind == "Q[z]" and (not mu.is_zero()) and mu.min_exp() < 1:
-        return ContractionModule(
-            ring,
-            Support("all"),
-            weight_fn,
-            {},
-            "contracted-ps",
-            params,
-            vanishing_reason=(
-                "mu has a nonzero constant term, so the polynomial model "
-                "is the zero module"
-            ),
+    vanishing_reason = None
+    if ring.kind == "Q[z]" and mu and mu.min_exp() < 1:
+        vanishing_reason = (
+            "mu has a nonzero constant term, so the polynomial model "
+            "is the zero module"
         )
     half_mu_over_z = mu.shift(-1) * Laurent.const(Fraction(1, 2))
     half_mu = mu * Laurent.const(Fraction(1, 2))
-    actions = {
-        "e": (1, lambda p: half_mu_over_z + Laurent.const(p + eps)),
-        "f": (-1, lambda p: half_mu - Laurent.z_power(1, p + eps)),
-        "h": (0, lambda p: Laurent.const(2 * (p + eps))),
-    }
-    return ContractionModule(
-        ring, Support("all"), weight_fn, actions, "contracted-ps", params
+    n_eps = int(n * eps)  # integral: the denominator of eps divides n
+    return _contracted(
+        "contracted-ps",
+        n,
+        ring,
+        Support("all"),
+        lambda p: n * p + n_eps,
+        (1, lambda p: half_mu_over_z + Laurent.const(p + eps)),
+        (-1, lambda p: half_mu - Laurent.z_power(1, p + eps)),
+        {"eps": eps, "mu": mu, "n": n},
+        vanishing_reason,
     )
 
 
-def apply_cvector(M: ContractionModule, gen: str, vec: dict) -> dict:
-    out = {}
-    for p, c in vec.items():
-        for target, a in M.act_gen(gen, p):
-            total = out.get(target, Laurent.const(0)) + as_laurent(c) * a
-            out[target] = total
-    return {p: c for p, c in out.items() if not c.is_zero()}
-
-
-def check_contraction_axioms(M: ContractionModule, window) -> list:
-    """The three bracket relations per index, as exact Laurent identities."""
-    z = Laurent.z_power(1)
-    failures = []
-    for p in window:
-        if M.vanishing_reason is not None or not M.support.contains(p):
-            continue
-        v = {p: Laurent.const(1)}
-        checks = (
-            ("[h,e]=2e", _cbracket(M, "h", "e", v), _cscale(apply_cvector(M, "e", v), Laurent.const(2))),
-            ("[h,f]=-2f", _cbracket(M, "h", "f", v), _cscale(apply_cvector(M, "f", v), Laurent.const(-2))),
-            ("[e,f]=z*h", _cbracket(M, "e", "f", v), _cscale(apply_cvector(M, "h", v), z)),
-        )
-        for name, got, expected in checks:
-            if _csub(got, expected):
-                failures.append((p, name))
-    return failures
-
-
-def _cbracket(M, gen1, gen2, vec):
-    forward = apply_cvector(M, gen1, apply_cvector(M, gen2, vec))
-    backward = apply_cvector(M, gen2, apply_cvector(M, gen1, vec))
-    return _csub(forward, backward)
-
-
-def _cscale(vec, c):
-    return {p: c * s for p, s in vec.items() if not (c * s).is_zero()}
-
-
-def _csub(x, y):
-    out = dict(x)
-    for p, c in y.items():
-        total = out.get(p, Laurent.const(0)) - c
-        if total.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = total
-    return out
+def check_contraction_axioms(M: WeightModule, window) -> list:
+    """The three contracted bracket relations per index, as exact Laurent
+    identities: (index, relation label, discrepancy) for each failure."""
+    return check_module_axioms(M, window)
 
 
 # -- reducibility and the polynomial lattice ---------------------------------
@@ -315,7 +268,7 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
     for p in range(lo, hi + 1):
         for gen in ("e", "f"):
             _, fn = M.actions[gen]
-            if as_laurent(fn(p)).is_zero():
+            if not fn(p):
                 roots.append((gen, p))
     return roots
 
@@ -338,7 +291,7 @@ def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
     for p in range(lo, hi + 1):
         for gen in GENERATORS:
             _, fn = M.actions[gen]
-            if not in_ring(as_laurent(fn(p)), POLY):
+            if not in_ring(fn(p), POLY):
                 failures.append((gen, p))
     base_change = _same_affine_coefficients(M, L, lo, hi)
     return {
@@ -359,7 +312,7 @@ def _same_affine_coefficients(M, L, lo, hi) -> bool:
             return False
         values = []
         for p in range(lo, hi + 1):
-            a, b = as_laurent(fn_m(p)), as_laurent(fn_l(p))
+            a, b = fn_m(p), fn_l(p)
             if a != b:
                 return False
             values.append(a)
@@ -381,7 +334,7 @@ class SpecializedAlgebra:
     m: Fraction
 
 
-def specialize(M: ContractionModule, c) -> WeightModule:
+def specialize(M: WeightModule, c) -> WeightModule:
     """Evaluate every coefficient at z = c and pass to the divided basis
     E = e, F = (n/2)f, H = (n/2)h, so the fiber at c = m carries the
     standard g_{n,m} relations."""
@@ -396,7 +349,7 @@ def specialize(M: ContractionModule, c) -> WeightModule:
 
         def evaluated(p, fn=fn, scale=scale, gen=gen):
             try:
-                return scale * as_laurent(fn(p)).evaluate(c)
+                return scale * fn(p).evaluate(c)
             except ZeroDivisionError:
                 raise ValueError(f"pole at z = {c} in the {gen}-coefficient")
 
@@ -408,12 +361,11 @@ def specialize(M: ContractionModule, c) -> WeightModule:
         algebra = make_zform(n, int(c), rat(1))
     else:
         algebra = SpecializedAlgebra(n, c)
-    from .scalars import QQ
-
     params = dict(M.params)
     params["z"] = c
     return WeightModule(
         algebra,
+        gnm_relations(n, c),
         QQ,
         M.support,
         M.weight_fn,
@@ -502,19 +454,6 @@ def _gauge_step_down(S, R, p, base):
     return base
 
 
-def contraction_rows(M: ContractionModule, lo: int, hi: int) -> list:
+def contraction_rows(M: WeightModule, lo: int, hi: int) -> list:
     """Windowed table rows [index, weight, e, f, h coefficients]."""
-    rows = []
-    for p in range(lo, hi + 1):
-        if M.vanishing_reason is not None or not M.support.contains(p):
-            continue
-        rows.append(
-            [
-                p,
-                M.weight(p),
-                M.coefficient("e", p),
-                M.coefficient("f", p),
-                M.coefficient("h", p),
-            ]
-        )
-    return rows
+    return module_rows(M, lo, hi)

@@ -101,14 +101,6 @@ def p(lam: int, lattice: CharacterLattice = INTEGERS) -> HeckeElement:
     return HeckeElement(lattice, {lam: rat(1)})
 
 
-def hecke_add(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    _same_lattice(x, y)
-    out = dict(x.support)
-    for lam, c in y.support.items():
-        out[lam] = out.get(lam, 0) + c
-    return HeckeElement(x.lattice, out)
-
-
 def hecke_mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """Componentwise product: R(T) is a product of base-ring copies."""
     _same_lattice(x, y)

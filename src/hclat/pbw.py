@@ -11,16 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalars import in_ring, rat, scalar_from_json, scalar_to_json
-
-
-class ScalarOutsideRing(ValueError):
-    """An action produced a coefficient outside the module's base ring."""
-
-    def __init__(self, scalar, ring):
-        self.scalar = scalar
-        self.ring = ring
-        super().__init__(f"coefficient {scalar} is not in {ring.name}")
+from .scalars import rat, scalar_from_json, scalar_to_json
 
 
 def monomial(a: int, b: int, c: int, coeff=1) -> dict:
@@ -123,10 +114,6 @@ def adjoint_weight(elem: dict, g) -> int:
     return weights.pop()
 
 
-def weight_component(elem: dict, g, weight: int) -> dict:
-    return {key: c for key, c in elem.items() if g.n * (key[2] - key[0]) == weight}
-
-
 def to_json(elem: dict):
     return [[a, b, c, scalar_to_json(coeff)] for (a, b, c), coeff in sorted(elem.items())]
 
@@ -135,39 +122,4 @@ def from_json(data) -> dict:
     out: dict = {}
     for a, b, c, coeff in data:
         _add(out, (int(a), int(b), int(c)), scalar_from_json(coeff))
-    return out
-
-
-def act(u: dict, module, vec: dict) -> dict:
-    """Apply a normal-ordered element to a graded vector of a weight module.
-
-    vec maps basis indices to scalars.  Raises ScalarOutsideRing as soon as
-    any intermediate coefficient leaves module.ring.
-    """
-    out: dict = {}
-    for (a, b, c), coeff in u.items():
-        w = dict(vec)
-        for gen, count in (("E", c), ("H", b), ("F", a)):
-            for _ in range(count):
-                w = _apply_gen(module, gen, w)
-        for p, s in w.items():
-            _add(out, p, coeff * s)
-    for p, s in list(out.items()):
-        if s == 0:
-            del out[p]
-        elif not in_ring(s, module.ring):
-            raise ScalarOutsideRing(s, module.ring)
-    return out
-
-
-def _apply_gen(module, gen: str, vec: dict) -> dict:
-    out: dict = {}
-    for p, s in vec.items():
-        for p2, c in module.act_gen(gen, p):
-            _add(out, p2, c * s)
-    for p, s in list(out.items()):
-        if s == 0:
-            del out[p]
-        elif not in_ring(s, module.ring):
-            raise ScalarOutsideRing(s, module.ring)
     return out

@@ -8,7 +8,7 @@ runs over a caller-chosen window of indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .scalars import CoefficientRing, in_ring, rat
@@ -51,15 +51,29 @@ class CharacterModule:
     presentation: str  # subalgebra label the character is defined over
 
 
+def gnm_relations(n, m) -> tuple:
+    """The relation table of g_{n,m}: [H,E] = nE, [H,F] = -nF, [E,F] = mH."""
+    return (
+        ("[H,E]=nE", "H", "E", "E", n),
+        ("[H,F]=-nF", "H", "F", "F", -n),
+        ("[E,F]=mH", "E", "F", "H", m),
+    )
+
+
 @dataclass
 class WeightModule:
     """A weight module given by exact coefficient functions.
 
     actions maps a generator name to (index shift, coefficient function);
     weight_fn gives the T^1-exponent of the basis vector at index p.
+    relations holds the brackets the actions must satisfy, as tuples
+    (label, X, Y, target, constant) meaning [X, Y] = constant * target.
+    Coefficients are Fractions over g_{n,m} and its fibers, and Laurent
+    polynomials over the contraction, whose algebra is None.
     """
 
     algebra: object
+    relations: tuple
     ring: CoefficientRing
     support: Support
     weight_fn: object
@@ -68,6 +82,11 @@ class WeightModule:
     params: dict = field(default_factory=dict)
     has_counit: bool = False
     vanishing_reason: str = None
+
+    @property
+    def generators(self) -> tuple:
+        """Generator names in table-column order."""
+        return tuple(self.actions)
 
     def weight(self, p: int):
         return self.weight_fn(p)
@@ -81,7 +100,7 @@ class WeightModule:
         if not self.support.contains(target):
             return []
         c = fn(p)
-        if c == 0:
+        if not c:
             return []
         return [(target, c)]
 
@@ -97,18 +116,10 @@ class WeightModule:
 
     def with_action(self, gen: str, shift: int, fn) -> "WeightModule":
         """Copy with one generator's action replaced (for negative controls)."""
-        actions = dict(self.actions)
-        actions[gen] = (shift, fn)
-        return WeightModule(
-            self.algebra,
-            self.ring,
-            self.support,
-            self.weight_fn,
-            actions,
-            self.family,
-            dict(self.params),
-            self.has_counit,
-            self.vanishing_reason,
+        return replace(
+            self,
+            actions={**self.actions, gen: (shift, fn)},
+            params=dict(self.params),
         )
 
 
@@ -117,7 +128,7 @@ def apply_vector(M: WeightModule, gen: str, vec: dict) -> dict:
     for p, c in vec.items():
         for p2, c2 in M.act_gen(gen, p):
             total = out.get(p2, 0) + c2 * c
-            if total == 0:
+            if not total:
                 out.pop(p2, None)
             else:
                 out[p2] = total
@@ -139,6 +150,7 @@ def induced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
     }
     return WeightModule(
         g,
+        gnm_relations(n, m),
         ring,
         Support("ge", 0),
         lambda p: lam + n * p,
@@ -160,6 +172,7 @@ def produced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
     }
     return WeightModule(
         g,
+        gnm_relations(n, m),
         ring,
         Support("ge", 0),
         lambda p: lam + n * p,
@@ -242,6 +255,7 @@ def principal_series(
     actions["H"] = (0, lambda p: _exact_weight(n, eps, p))
     return WeightModule(
         g,
+        gnm_relations(n, m),
         ring,
         Support("all"),
         lambda p: _exact_weight(n, eps, p),
@@ -260,45 +274,34 @@ def _exact_weight(n: int, eps: Fraction, p: int) -> int:
 
 
 def check_module_axioms(M: WeightModule, window) -> list:
-    """Evaluate the bracket relations on each window index.
+    """Evaluate every relation of M.relations on each window index.
 
-    Returns a list of (index, relation, discrepancy) triples; empty means
-    every relation holds exactly on the window.
+    Returns a list of (index, relation label, discrepancy) triples; empty
+    means every relation holds exactly on the window.
     """
-    g = M.algebra
-    n, m = g.n, g.m
     failures = []
     for p in window:
         if not M.support.contains(p):
             continue
         v = {p: rat(1)}
-        checks = (
-            ("[H,E]=nE", _bracket_vec(M, "H", "E", v), _scale_vec(apply_vector(M, "E", v), n)),
-            ("[H,F]=-nF", _bracket_vec(M, "H", "F", v), _scale_vec(apply_vector(M, "F", v), -n)),
-            ("[E,F]=mH", _bracket_vec(M, "E", "F", v), _scale_vec(apply_vector(M, "H", v), m)),
-        )
-        for name, got, expected in checks:
-            diff = _sub_vec(got, expected)
+        image = {gen: apply_vector(M, gen, v) for gen in M.actions}
+        for label, x, y, target, c in M.relations:
+            bracket = _sub_vec(apply_vector(M, x, image[y]), apply_vector(M, y, image[x]))
+            diff = _sub_vec(bracket, _scale_vec(image[target], c))
             if diff:
-                failures.append((p, name, diff))
+                failures.append((p, label, diff))
     return failures
 
 
-def _bracket_vec(M, gen1, gen2, vec):
-    forward = apply_vector(M, gen1, apply_vector(M, gen2, vec))
-    backward = apply_vector(M, gen2, apply_vector(M, gen1, vec))
-    return _sub_vec(forward, backward)
-
-
 def _scale_vec(vec, c):
-    return {p: c * s for p, s in vec.items() if c * s != 0}
+    return {p: c * s for p, s in vec.items() if c * s}
 
 
 def _sub_vec(x, y):
     out = dict(x)
     for p, c in y.items():
         total = out.get(p, 0) - c
-        if total == 0:
+        if not total:
             out.pop(p, None)
         else:
             out[p] = total
@@ -306,18 +309,9 @@ def _sub_vec(x, y):
 
 
 def module_rows(M: WeightModule, lo: int, hi: int) -> list:
-    """Window table: [index, weight, E-coeff, F-coeff, H-coeff] per index."""
-    rows = []
-    for p in range(lo, hi + 1):
-        if not M.support.contains(p):
-            continue
-        rows.append(
-            [
-                p,
-                M.weight(p),
-                M.coefficient("E", p),
-                M.coefficient("F", p),
-                M.coefficient("H", p),
-            ]
-        )
-    return rows
+    """Window table: [index, weight, one coefficient per generator] per index."""
+    if M.vanishing_reason is not None:
+        return []
+    indices = [p for p in range(lo, hi + 1) if M.support.contains(p)]
+    columns = [[M.coefficient(gen, p) for p in indices] for gen in M.generators]
+    return [list(row) for row in zip(indices, map(M.weight, indices), *columns)]

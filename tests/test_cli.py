@@ -1,5 +1,6 @@
 """End-to-end command line checks: documents, formats, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -271,3 +272,53 @@ def test_negative_window_token(capsys):
 def test_normalize_argv_only_merges_values():
     merged = cli._normalize_argv(["--window", "-3:1", "--oracle", "--mu", "-2"])
     assert merged == ["--window=-3:1", "--oracle", "--mu=-2"]
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "kind_args",
+    [["--kind", "ind", "--lambda", "1"], ["--kind", "pro", "--lambda", "1"],
+     ["--kind", "ps", "--eps", "0", "--mu", "2z"]],
+    ids=("ind", "pro", "ps"),
+)
+def test_contract_rejects_nonpositive_n(capsys, kind_args, n):
+    code, out, err = run(
+        capsys, "contract", *kind_args, "--n", n, "--window", "0:1"
+    )
+    assert code == 1
+    assert f"n={n}" in json.loads(out)["error"]["message"]
+
+
+def test_bw_counit_rejects_n_zero(capsys):
+    code, out, err = run(capsys, "bw", "--lambda", "2", "--op", "counit", "--n", "0")
+    assert code == 1
+    assert "n must be positive" in json.loads(out)["error"]["message"]
+
+
+def test_value_options_take_negative_looking_values(capsys):
+    doc = run_json(
+        capsys,
+        "module", "--kind", "ind", "--lambda", "-1", "--window", "-3:1",
+    )
+    assert doc["lambda"] == -1 and doc["window"] == [-3, 1]
+    doc = run_json(
+        capsys,
+        "contract", "--kind", "ps", "--eps", "0", "--mu", "-2", "--window", "-3:1",
+        "--ring", "laurent",
+    )
+    assert doc["mu"] == "-2"
+    # no value option of any subcommand leaves a "-1" for argparse to misread
+    parser = cli.build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if not action.option_strings or action.nargs == 0:
+                continue
+            for flag in action.option_strings:
+                try:
+                    parser.parse_args(cli._normalize_argv([command, flag, "-1"]))
+                except SystemExit:
+                    pass
+                assert "expected one argument" not in capsys.readouterr().err, flag

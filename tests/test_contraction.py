@@ -1,5 +1,6 @@
 """Contracted bracket, module families, irreducibility, and specialization."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 
 from hclat.contraction import (
     GENERATORS,
-    ContractionModule,
     bracket_elements,
     check_contraction_axioms,
     coefficient_roots,
@@ -124,6 +124,32 @@ def test_bracket_axioms_across_families():
         contracted_ps(0, lau("z^3"), POLY),
     ):
         assert check_contraction_axioms(M, window) == []
+
+
+def test_contraction_axioms_negative_control():
+    M = contracted_induced(1, 1)
+    # an f-action that lost its factor z: [e,f] is no longer z*h
+    corrupt = M.with_action("f", -1, lambda p: Laurent.const(-p * (p + 1)))
+    failures = check_contraction_axioms(corrupt, range(0, 15))
+    assert {label for _, label, _ in failures} == {"[e,f]=z*h"}
+    assert {p for p, _, _ in failures} == set(range(0, 15))
+
+
+def test_contraction_axioms_reject_undeformed_sl2_module():
+    # dividing f by z (the map phi) turns [e,f] = z*h into the sl2 relation
+    M = contracted_induced(1, 1)
+    _, f_coeff = M.actions["f"]
+    S = M.with_action("f", -1, lambda p: f_coeff(p).shift(-1))
+    sl2 = (
+        ("[h,e]=2e", "h", "e", "e", 2),
+        ("[h,f]=-2f", "h", "f", "f", -2),
+        ("[e,f]=h", "e", "f", "h", 1),
+    )
+    window = range(0, 15)
+    assert check_module_axioms(dataclasses.replace(S, relations=sl2), window) == []
+    failures = check_contraction_axioms(S, window)
+    assert {label for _, label, _ in failures} == {"[e,f]=z*h"}
+    assert {p for p, _, _ in failures} == set(window)
 
 
 def test_ps_vanishing_marker_over_poly():
