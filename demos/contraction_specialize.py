@@ -18,7 +18,7 @@ print("contracted series, eps = 0, mu = 2z:")
 print("  p  weight  e        f        h")
 for p, w, e, f, h in contraction.contraction_rows(S, -2, 2):
     print(f"  {p:>2}  {w:>6}  {str(e):<7}  {str(f):<7}  {str(h)}")
-print("axiom violations:", contraction.check_contraction_axioms(S, (-20, 20)))
+print("axiom violations:", contraction.check_contraction_axioms(S, range(-20, 21)))
 print()
 
 # setting z = 1 lands in an honest weight module for the reference form

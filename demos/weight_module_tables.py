@@ -23,7 +23,7 @@ print("principal series over the q-parabolic, eps = 1/2, mu = 5:")
 print("  p  weight  E      F      H")
 for p, w, e, f, h in weightmods.module_rows(P, -2, 2):
     print(f"  {p:>2}  {w:>6}  {str(e):<5}  {str(f):<5}  {str(h)}")
-print("axiom violations in window [-25, 25]:", weightmods.check_module_axioms(P, (-25, 25)))
+print("axiom violations in window [-25, 25]:", weightmods.check_module_axioms(P, range(-25, 26)))
 print()
 
 # the qp-series has two candidate F-coefficients in circulation; only the
@@ -35,5 +35,5 @@ alternate = weightmods.principal_series(g, "qp", chi, QQ, alternate_qp_f=True)
 print("qp-series F-coefficient at p = 0:")
 print("  derived:  ", derived.coefficient("F", 0))
 print("  alternate:", alternate.coefficient("F", 0))
-print("derived axioms: ", weightmods.check_module_axioms(derived, (-10, 10)))
-print("alternate axioms:", weightmods.check_module_axioms(alternate, (-10, 10))[:1], "...")
+print("derived axioms: ", weightmods.check_module_axioms(derived, range(-10, 11)))
+print("alternate axioms:", weightmods.check_module_axioms(alternate, range(-10, 11))[:1], "...")

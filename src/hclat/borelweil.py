@@ -2,8 +2,11 @@
 their counit fractions, sublattices generated by vectors, duals, minimal
 and maximal forms, Hom lattices, and maximality certificates.
 
-Sublattices are kept as integer row-echelon bases over a common
-denominator, so membership, closure, and index questions are exact.
+The exact linear algebra has two kernels.  Rational questions (the
+kernel of the Hom equations) go through the one Gauss-Jordan elimination,
+``scalars.rref``.  Integral questions go through ``RowLattice``: an integer
+row-echelon basis over a common denominator answers membership, integer
+coordinates, closure, and index (as a ratio of covolumes).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .scalars import rat
+from .scalars import rat, rref
 
 
 def _ext_gcd(a: int, b: int):
@@ -35,6 +38,21 @@ def _pivot(row):
     return None
 
 
+def _rational_coordinates(rows, target):
+    """Coordinates of target in nonzero echelon rows by forward
+    substitution, or None if target is outside their Q-span."""
+    work = [rat(x) for x in target]
+    coords = []
+    for row in rows:
+        j = _pivot(row)
+        q = 0
+        if work[j]:
+            q = work[j] / row[j]
+            work = [a - q * b for a, b in zip(work, row)]
+        coords.append(q)
+    return coords if not any(work) else None
+
+
 class RowLattice:
     """Subgroup of (1/den) * Z^n kept in row-echelon form over Z."""
 
@@ -49,22 +67,20 @@ class RowLattice:
         dup.rows = [list(row) for row in self.rows]
         return dup
 
-    def _rescale(self, new_den: int):
-        if new_den == self.den:
-            return
-        factor = new_den // self.den
-        self.rows = [[x * factor for x in row] for row in self.rows]
-        self.den = new_den
-
-    def _to_integer(self, vec) -> list:
+    def _scaled(self, vec):
+        """(d, vec * d) for the least common multiple d of den and the
+        denominators of vec."""
         vec = [rat(x) for x in vec]
         d = lcm(self.den, *(x.denominator for x in vec)) if vec else self.den
-        self._rescale(d)
-        return [int(x * d) for x in vec]
+        return d, [int(x * d) for x in vec]
 
     def add(self, vec) -> bool:
         """Insert a rational vector; returns True if the lattice grew."""
-        work = self._to_integer(vec)
+        d, work = self._scaled(vec)
+        if d != self.den:
+            factor = d // self.den
+            self.rows = [[x * factor for x in row] for row in self.rows]
+            self.den = d
         grew = False
         while any(work):
             j = _pivot(work)
@@ -90,12 +106,10 @@ class RowLattice:
         return grew
 
     def contains(self, vec) -> bool:
-        vec = [rat(x) for x in vec]
-        d = lcm(self.den, *(x.denominator for x in vec)) if vec else self.den
+        d, work = self._scaled(vec)
         if d != self.den:
             # vector needs a finer denominator than the lattice carries
             return False
-        work = [int(x * d) for x in vec]
         for row in self.rows:
             j = _pivot(row)
             if work[j]:
@@ -118,18 +132,27 @@ class RowLattice:
 
     def coordinates(self, vec) -> list:
         """Integer coordinates of vec in the echelon basis, or None."""
-        basis = self.basis()
-        vec = [rat(x) for x in vec]
-        coords = [0] * len(basis)
-        for i, row in enumerate(basis):
-            j = next(k for k, x in enumerate(row) if x)
-            if vec[j]:
-                q = vec[j] / row[j]
-                if q.denominator != 1:
-                    return None
-                coords[i] = int(q)
-                vec = [a - q * b for a, b in zip(vec, row)]
-        return coords if not any(vec) else None
+        coords = _rational_coordinates(self.basis(), vec)
+        if coords is None or any(q.denominator != 1 for q in coords):
+            return None
+        return [int(q) for q in coords]
+
+    def covolume(self) -> Fraction:
+        """|product of the pivots| / den^rank: the volume of a fundamental
+        domain inside the Q-span, so [L : L'] = covol(L') / covol(L) for
+        L' inside L of the same rank."""
+        out = Fraction(1, self.den ** len(self.rows))
+        for row in self.rows:
+            out *= row[_pivot(row)]
+        return abs(out)
+
+
+def _span(rows) -> RowLattice:
+    """The Z-span of nonempty rational rows."""
+    lat = RowLattice(len(rows[0]))
+    for row in rows:
+        lat.add(row)
+    return lat
 
 
 def _mat_apply(M, vec):
@@ -143,6 +166,11 @@ def _mat_mul(A, B):
 
 def _mat_scale(M, c):
     return [[c * x for x in row] for row in M]
+
+
+def _commutator(A, B):
+    ab, ba = _mat_mul(A, B), _mat_mul(B, A)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
 @dataclass
@@ -168,9 +196,7 @@ class FiniteLattice:
     def H(self) -> list:
         if self.weights is None:
             # H = EF - FE always lies in the lattice's endomorphisms
-            ef = _mat_mul(self.E, self.F)
-            fe = _mat_mul(self.F, self.E)
-            return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(ef, fe)]
+            return _commutator(self.E, self.F)
         return [
             [self.weights[i] if i == j else 0 for j in range(self.rank)]
             for i in range(self.rank)
@@ -190,17 +216,11 @@ def check_lattice_axioms(L: FiniteLattice) -> list:
         if any(rat(x).denominator != 1 for row in M for x in row):
             failures.append(f"{name} has a non-integer entry")
     H = L.H()
-    ef = _mat_mul(L.E, L.F)
-    fe = _mat_mul(L.F, L.E)
-    if [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(ef, fe)] != H:
+    if _commutator(L.E, L.F) != H:
         failures.append("[E,F] != H")
-    he = _mat_mul(H, L.E)
-    eh = _mat_mul(L.E, H)
-    if [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(he, eh)] != _mat_scale(L.E, 2):
+    if _commutator(H, L.E) != _mat_scale(L.E, 2):
         failures.append("[H,E] != 2E")
-    hf = _mat_mul(H, L.F)
-    fh = _mat_mul(L.F, H)
-    if [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(hf, fh)] != _mat_scale(L.F, -2):
+    if _commutator(H, L.F) != _mat_scale(L.F, -2):
         failures.append("[H,F] != -2F")
     return failures
 
@@ -375,59 +395,24 @@ def binomial_lattice(lam: int) -> FiniteLattice:
 
 
 def lattice_span_equal(A: FiniteLattice, B: FiniteLattice) -> bool:
-    """Same Z-span of embeddings (both must carry one)."""
-    if A.embedding is None or B.embedding is None:
-        raise ValueError("both lattices need embeddings to compare spans")
-    lat_a = RowLattice(len(A.embedding[0]))
-    for row in A.embedding:
-        lat_a.add(row)
-    lat_b = RowLattice(len(B.embedding[0]))
-    for row in B.embedding:
-        lat_b.add(row)
-    return all(lat_a.contains(r) for r in B.embedding) and all(
-        lat_b.contains(r) for r in A.embedding
-    )
+    """Same Z-span of embeddings (both must carry one): A lies in B with
+    index 1."""
+    return inclusion_index(A, B) == 1
 
 
 def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
-    """Index of inner in outer, or None if not included.
-
-    Computed as the determinant of inner's basis in outer's basis.
+    """Index of inner in outer, or None if inner is not a sublattice of
+    full rank.  Computed as the ratio of the two covolumes.
     """
     if inner.embedding is None or outer.embedding is None:
         raise ValueError("both lattices need embeddings")
-    lat = RowLattice(len(outer.embedding[0]))
-    for row in outer.embedding:
-        lat.add(row)
-    coords = []
-    for row in inner.embedding:
-        c = lat.coordinates(row)
-        if c is None:
-            return None
-        coords.append(c)
-    if len(coords) != len(outer.embedding):
+    lat = _span(outer.embedding)
+    if not all(lat.contains(row) for row in inner.embedding):
         return None
-    return abs(_det(coords))
-
-
-def _det(M: list) -> Fraction:
-    n = len(M)
-    M = [[rat(x) for x in row] for row in M]
-    sign = 1
-    for col in range(n):
-        pividx = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pividx is None:
-            return Fraction(0)
-        if pividx != col:
-            M[col], M[pividx] = M[pividx], M[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = M[r][col] / M[col][col]
-            M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= M[i][i]
-    return out
+    sub = _span(inner.embedding)
+    if len(sub.rows) != len(lat.rows):
+        return None
+    return sub.covolume() / lat.covolume()
 
 
 # -- Hom lattices and counits -------------------------------------------------
@@ -463,9 +448,7 @@ def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
         vec = kernel[0]
         scale = lcm(*(x.denominator for x in vec))
         ints = [int(x * scale) for x in vec]
-        content = 0
-        for x in ints:
-            content = gcd(content, x)
+        content = gcd(*ints)
         ints = [x // content for x in ints]
         first = next(x for x in ints if x)
         if first < 0:
@@ -478,43 +461,24 @@ def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
 
 def _nullspace(rows, ncols) -> list:
     """Basis of the rational kernel of the row system."""
-    M = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        pividx = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
-        if pividx is None:
-            continue
-        M[rank], M[pividx] = M[pividx], M[rank]
-        piv = M[rank][col]
-        M[rank] = [x / piv for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [a - factor * b for a, b in zip(M[r], M[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = rref(rows, ncols)
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for col, r in pivots.items():
-            vec[col] = -M[r][f]
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[f]
         basis.append(vec)
     return basis
 
 
-def _top_component(embedding) -> Fraction:
+def _top_component(lat: RowLattice) -> Fraction:
     """Generator g with V intersect Q*e_top = g Z e_top.
 
     If e_top = sum q_i b_i over the basis, then t e_top lies in V exactly
     when every t q_i is an integer, so g = lcm(denominators)/gcd(numerators)
     over the nonzero coordinates.
     """
-    lat = RowLattice(len(embedding[0]))
-    for row in embedding:
-        lat.add(row)
     target = [Fraction(1 if j == 0 else 0) for j in range(lat.ncols)]
     coords = _rational_coordinates(lat.basis(), target)
     if coords is None:
@@ -531,26 +495,12 @@ def hom_generator_index(V: FiniteLattice) -> int:
     under the counit dual to the ambient highest vector."""
     if V.embedding is None:
         raise ValueError("lattice carries no embedding")
-    g = _top_component(V.embedding)
+    g = _top_component(_span(V.embedding))
     if g.denominator != 1:
         raise ValueError(
             f"highest component {g} is not contained in Z; normalize first"
         )
     return g.numerator
-
-
-def _rational_coordinates(rows, target):
-    work = [rat(x) for x in target]
-    coords = []
-    for row in rows:
-        j = next((k for k, x in enumerate(row) if x), None)
-        if j is None:
-            coords.append(Fraction(0))
-            continue
-        q = work[j] / row[j]
-        coords.append(q)
-        work = [a - q * b for a, b in zip(work, row)]
-    return coords if not any(work) else None
 
 
 def scale_lattice(L: FiniteLattice, k: int) -> FiniteLattice:
@@ -579,9 +529,7 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
     ops = _closure_ops(amb, divided_powers=True)
-    base = RowLattice(amb.rank)
-    for row in L.embedding:
-        base.add(row)
+    base = _span(L.embedding)
     # each enlargement below reuses base, so it must already be stable
     for row in L.embedding:
         for op in ops:
@@ -595,7 +543,7 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
             enlarged = base.copy()
             if enlarged.add(candidate):
                 _close_under(enlarged, ops, [candidate])
-            top = _top_component(enlarged.basis())
+            top = _top_component(enlarged)
             if top.denominator == 1:
                 label = L.weights[a] if L.weights is not None else a
                 failures.append((rho, label))

@@ -77,6 +77,8 @@ def _laurent(text: str) -> Laurent:
 
 
 def _check_eps_residue(eps: Fraction, n: int) -> None:
+    if n < 1:  # checked first: the residue test reads eps against n
+        raise ValueError(f"n must be a positive integer, got n={n}")
     if not (0 <= eps < 1) or n % eps.denominator != 0:
         raise UsageError(
             f"eps must be K/N with N dividing n = {n} and 0 <= eps < 1; got {eps}"

@@ -140,13 +140,17 @@ CONTRACTION_RELATIONS = (
 )
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n}")
+
+
 def _contracted(family, n, ring, support, weight_fn, e, f, params, vanishing_reason=None):
     """A contracted module from its e- and f-actions, each (shift, fn).
 
     h acts on the weight-w vector by 2w/n, so that H = (n/2)h acts by w.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n}")
+    _check_n(n)
     actions = {
         "e": e,
         "f": f,
@@ -207,6 +211,7 @@ def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
     mu collapses the model to zero (reported via vanishing_reason, not an
     error), and a negative exponent is rejected outright.
     """
+    _check_n(n)
     eps = rat(eps)
     if not (0 <= eps < 1) or n % eps.denominator != 0:
         raise ValueError(f"eps must be a residue k/{n} in [0, 1); got {eps}")

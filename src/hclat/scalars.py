@@ -279,6 +279,37 @@ def scalar_from_json(data):
     return Laurent.from_json(data)
 
 
+# -- linear algebra over Q -----------------------------------------------
+
+
+def rref(rows, ncols: int):
+    """Gauss-Jordan elimination over Q on the first ncols columns.
+
+    Returns (reduced rows, pivot columns): reduced row i has a 1 in column
+    pivots[i] and zeros in every other row of that column; the rows past
+    len(pivots) are zero in the first ncols columns.  Columns beyond ncols
+    (an augmented right-hand side) are carried along, not eliminated.
+    """
+    M = [[rat(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pividx = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if pividx is None:
+            continue
+        M[r], M[pividx] = M[pividx], M[r]
+        piv = M[r][col]
+        prow = M[r] = [x / piv for x in M[r]]
+        support = [j for j, x in enumerate(prow) if x]
+        for i, row in enumerate(M):
+            factor = row[col]
+            if i != r and factor:
+                for j in support:
+                    row[j] -= factor * prow[j]
+        pivots.append(col)
+    return M, pivots
+
+
 # -- coefficient rings ---------------------------------------------------
 
 

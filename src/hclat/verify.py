@@ -714,9 +714,11 @@ def _check_dual_roundtrip() -> dict:
         if hom["rank"] != 1:
             failures.append(f"lambda={lam}: dual comparison rank {hom['rank']}")
             continue
-        det = borelweil._det(hom["generator"])
-        if abs(det) != 1:
-            failures.append(f"lambda={lam}: change of basis has determinant {det}")
+        # |det| of the square generator: its covolume, or 0 when singular
+        gen = borelweil._span(hom["generator"])
+        det = gen.covolume() if len(gen.rows) == gen.ncols else 0
+        if det != 1:
+            failures.append(f"lambda={lam}: change of basis has |determinant| {det}")
     return _passfail("dual_roundtrip_to_maximal", failures, grid)
 
 

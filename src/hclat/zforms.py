@@ -18,6 +18,7 @@ from .scalars import (
     in_ring,
     localized_integers,
     rat,
+    rref,
     scalar_from_json,
     scalar_to_json,
 )
@@ -196,45 +197,22 @@ def bracket_closed_over_z(S: Subalgebra) -> bool:
     for i, x in enumerate(S.basis):
         for y in S.basis[i + 1:]:
             target = bracket_coords(S.zform, x, y)
-            if _integer_combination(S.basis, target) is None:
+            coeffs = _solve_rational(S.basis, target)
+            if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 return False
     return True
 
 
-def _integer_combination(basis, target):
-    """Integer coefficients expressing target in the given triples, or None."""
-    coeffs = _solve_rational(basis, target)
-    if coeffs is None:
-        return None
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return tuple(int(c) for c in coeffs)
-
-
 def _solve_rational(vectors, target):
     """Solve sum c_i * vectors[i] = target exactly; None if unsolvable."""
-    rows = [[rat(v[k]) for v in vectors] + [rat(target[k])] for k in range(3)]
     ncols = len(vectors)
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, 3) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, 3):
-        if rows[i][ncols] != 0:
-            return None
+    rows = [[v[k] for v in vectors] + [target[k]] for k in range(len(target))]
+    reduced, pivots = rref(rows, ncols)
+    if any(row[ncols] != 0 for row in reduced[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * ncols
-    for i, col in enumerate(pivot_cols):
-        coeffs[col] = rows[i][ncols]
+    for row, col in zip(reduced, pivots):
+        coeffs[col] = row[ncols]
     return coeffs
 
 

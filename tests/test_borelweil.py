@@ -11,6 +11,8 @@ import pytest
 from hclat.borelweil import (
     FiniteLattice,
     RowLattice,
+    _nullspace,
+    _span,
     binomial_lattice,
     check_lattice_axioms,
     counit_fraction_witness,
@@ -61,6 +63,45 @@ def test_row_lattice_rational_rows():
     assert not lat.contains([Fraction(1, 4), 0])
     assert lat.coordinates([Fraction(5, 2), Fraction(-1, 3)]) == [5, -1]
     assert lat.coordinates([Fraction(1, 4), 0]) is None
+
+
+def _random_matrix(rng, nrows, ncols, bound=3):
+    return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_nullspace_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20171)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = _random_matrix(rng, nrows, ncols)
+        if rng.random() < 0.3:  # force a dependent row
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        M = sympy.Matrix(rows)
+        expected = M.nullspace()
+        ours = _nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+        assert len(ours) == len(expected)
+        for vec in ours:
+            assert M * sympy.Matrix(vec) == sympy.zeros(len(rows), 1)
+        if ours:
+            both = sympy.Matrix.hstack(*expected, *(sympy.Matrix(v) for v in ours))
+            assert both.rank() == len(expected)
+
+
+def test_covolume_matches_sympy_determinant():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20172)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = _random_matrix(rng, n, n)
+        det = abs(sympy.Matrix(rows).det())
+        den = rng.randint(1, 6)
+        lat = _span([[Fraction(x, den) for x in row] for row in rows])
+        if det == 0:
+            assert len(lat.rows) < n
+            continue
+        assert len(lat.rows) == n
+        assert lat.covolume() == Fraction(int(det), den ** n)
 
 
 # -- ladder lattices ----------------------------------------------------------
@@ -269,6 +310,13 @@ def test_maximal_matches_binomial_model():
 def test_inclusion_index_none_when_not_included():
     mn, mx = minimal_lattice(2), maximal_lattice(2)
     assert inclusion_index(mx, mn) is None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_inclusion_index_of_scaled_lattice(k):
+    for lam in range(0, 6):
+        mx = maximal_lattice(lam)
+        assert inclusion_index(scale_lattice(mx, k), mx) == k ** mx.rank
 
 
 # -- hom lattices and the counit index ----------------------------------------

@@ -2,11 +2,13 @@
 
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
 from hclat import cli, contraction, zforms
 from hclat.cli import main
+from hclat.scalars import LAURENT_RING, Laurent
 
 
 def run(capsys, *argv):
@@ -278,8 +280,9 @@ def test_normalize_argv_only_merges_values():
 @pytest.mark.parametrize(
     "kind_args",
     [["--kind", "ind", "--lambda", "1"], ["--kind", "pro", "--lambda", "1"],
-     ["--kind", "ps", "--eps", "0", "--mu", "2z"]],
-    ids=("ind", "pro", "ps"),
+     ["--kind", "ps", "--eps", "0", "--mu", "2z"],
+     ["--kind", "ps", "--eps", "1/2", "--mu", "2z"]],
+    ids=("ind", "pro", "ps", "ps-eps-half"),
 )
 def test_contract_rejects_nonpositive_n(capsys, kind_args, n):
     code, out, err = run(
@@ -287,6 +290,14 @@ def test_contract_rejects_nonpositive_n(capsys, kind_args, n):
     )
     assert code == 1
     assert f"n={n}" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_contracted_ps_names_n_before_eps(n):
+    with pytest.raises(ValueError, match=f"n must be a positive integer, got n={n}"):
+        contraction.contracted_ps(
+            Fraction(1, 2), Laurent.parse("2z"), LAURENT_RING, n=n
+        )
 
 
 def test_bw_counit_rejects_n_zero(capsys):

@@ -1,0 +1,58 @@
+"""Golden replay: recorded CLI documents must come back byte for byte.
+
+``perfbench/golden.json`` records ``[exit code, stdout sha256]`` for every
+benchmark document.  This replays the lattice (``bw``) documents with
+lambda <= 8 and every ``classify`` document through ``hclat.cli.main``,
+from the repository root, since the classify documents name their tables
+by relative path.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from hclat.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+MAX_LAMBDA = 8
+
+
+def _run_doc():
+    spec = importlib.util.spec_from_file_location(
+        "passrun", ROOT / "perfbench" / "passrun.py"
+    )
+    passrun = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(passrun)
+    return passrun.run_doc
+
+
+def _recorded(workload, keep):
+    record = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    return {text: pair for text, pair in record[workload].items() if keep(text.split())}
+
+
+def _small_lambda(doc):
+    return int(doc[doc.index("--lambda") + 1]) <= MAX_LAMBDA
+
+
+GROUPS = {
+    "bw_build": lambda: _recorded("bw_build", _small_lambda),
+    "bw_query": lambda: _recorded("bw_query", _small_lambda),
+    "classify": lambda: _recorded("modules", lambda doc: doc[0] == "classify"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_documents_match_golden_record(group, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    run_doc = _run_doc()
+    recorded = GROUPS[group]()
+    assert recorded
+    mismatches = []
+    for text, expected in sorted(recorded.items()):
+        code, digest, _ = run_doc(main, tuple(text.split()))
+        if [code, digest] != expected:
+            mismatches.append((text, expected[0], code))
+    assert mismatches == []

@@ -1,5 +1,6 @@
 """Split Z-forms: brackets, realization, classification, parabolic frames."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,30 @@ def test_iwasawa_rejects_non_parabolic():
     g = zf.make_zform(1, 1, 1)
     with pytest.raises(ValueError):
         zf.iwasawa_decompose(g, zf.subalgebra(g, "b"))
+
+
+def test_solve_rational_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20173)
+    for _ in range(80):
+        count = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(count)]
+        A = sympy.Matrix([[v[k] for v in vectors] for k in range(3)])
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x = sympy.Matrix([rng.randint(-3, 3) for _ in range(count)])
+            target = tuple(int(c) for c in A * x)
+        else:
+            target = tuple(rng.randint(-3, 3) for _ in range(3))
+        b = sympy.Matrix(target)
+        try:
+            A.gauss_jordan_solve(b)
+            consistent = True
+        except ValueError:
+            consistent = False
+        coeffs = zf._solve_rational(vectors, target)
+        assert (coeffs is None) == (not consistent)
+        if not consistent:
+            continue
+        assert A * sympy.Matrix(coeffs) == b
+        if A.rank() == count:  # the unique solution
+            assert sympy.Matrix(coeffs) == A.solve(b)
