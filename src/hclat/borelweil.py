@@ -2,10 +2,12 @@
 their counit fractions, sublattices generated by vectors, duals, minimal
 and maximal forms, Hom lattices, and maximality certificates.
 
-The exact linear algebra has two kernels.  Rational questions (the
+Closures apply E and F, and the divided powers X^k/k! (Kostant's Z-form)
+as the chain X(X^(k-1) v/(k-1)!)/k, to vectors.  Rational questions (the
 kernel of the Hom equations) go through the one Gauss-Jordan elimination,
 ``scalars.rref``.  Integral questions go through ``RowLattice``: an integer
-row-echelon basis over a common denominator answers membership, integer
+row-echelon basis with positive pivots (so ``basis()`` is the Hermite
+normal form) over a common denominator answers membership, integer
 coordinates, closure, and index (as a ratio of covolumes).
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .scalars import rat, rref
 
@@ -99,6 +101,8 @@ class RowLattice:
                 work = [w - q * r for w, r in zip(work, row)]
             else:
                 g, x, y = _ext_gcd(a, b)
+                if g < 0:  # keep every pivot positive: basis() is then the HNF
+                    g, x, y = -g, -x, -y
                 merged = [x * r + y * w for r, w in zip(row, work)]
                 work = [(a // g) * w - (b // g) * r for r, w in zip(row, work)]
                 self.rows[pos] = merged
@@ -120,9 +124,10 @@ class RowLattice:
         return not any(work)
 
     def basis(self) -> list:
-        """Echelon basis as rational rows (entries above pivots reduced)."""
+        """Hermite normal form as rational rows: positive pivots, and the
+        entries above each pivot reduced into [0, pivot)."""
         rows = [list(r) for r in self.rows]
-        for i in reversed(range(len(rows))):
+        for i in range(len(rows)):
             j = _pivot(rows[i])
             for k in range(i):
                 q = rows[k][j] // rows[i][j]
@@ -156,7 +161,8 @@ def _span(rows) -> RowLattice:
 
 
 def _mat_apply(M, vec):
-    return [sum(M[i][j] * vec[j] for j in range(len(vec))) for i in range(len(M))]
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum(row[j] * x for j, x in support if row[j]) for row in M]
 
 
 def _mat_mul(A, B):
@@ -242,32 +248,31 @@ def ladder_lattice(lam: int, n: int) -> FiniteLattice:
     return FiniteLattice(weights, E, F)
 
 
-def _closure_ops(ambient: FiniteLattice, divided_powers: bool) -> list:
-    """Matrices to close under: E and F, plus E^k/k! and F^k/k! if asked."""
-    ops = [ambient.E, ambient.F]
-    if divided_powers:
-        for base in (ambient.E, ambient.F):
-            power = base
-            for k in range(2, ambient.rank + 1):
-                power = _mat_mul(power, base)
-                ops.append(_mat_scale(power, Fraction(1, factorial(k))))
-    return ops
+def _images(ambient: FiniteLattice, vec, divided_powers: bool):
+    """The nonzero X vec for X in {E, F} and, with divided_powers, the
+    nonzero X^k vec/k! for k <= rank; each chain stops at its first zero."""
+    for X in (ambient.E, ambient.F):
+        image = vec
+        for k in range(1, ambient.rank + 1 if divided_powers else 2):
+            image = [Fraction(x, k) if x else 0 for x in _mat_apply(X, image)]
+            if not any(image):
+                break
+            yield image
 
 
-def _close_under(lat: RowLattice, ops, queue) -> None:
-    """Grow lat until it is stable under the (linear) ops.
+def _close_under(lat: RowLattice, ambient, divided_powers, vectors) -> None:
+    """Add the vectors to lat and close it under _images.
 
     Only vectors whose insertion enlarged the lattice need their images
     taken: the final lattice is the Z-span of those vectors together with
     rows whose images were already checked, so stability follows from
     linearity without re-sweeping the basis.
     """
-    pending = list(queue)
+    pending = [v for v in vectors if lat.add(v)]
     while pending:
         vec = pending.pop()
-        for op in ops:
-            image = _mat_apply(op, vec)
-            if any(image) and lat.add(image):
+        for image in _images(ambient, vec, divided_powers):
+            if lat.add(image):
                 pending.append(image)
 
 
@@ -278,13 +283,10 @@ def generated_lattice(ambient: FiniteLattice, vectors, divided_powers: bool = Fa
     Vectors are rational rows in ambient coordinates; the result carries
     its embedding and its own integer action matrices.
     """
-    rank = ambient.rank
     if not vectors or all(not any(v) for v in vectors):
         raise ValueError("need at least one nonzero generating vector")
-    ops = _closure_ops(ambient, divided_powers)
-    lat = RowLattice(rank)
-    fresh = [v for v in vectors if lat.add(v)]
-    _close_under(lat, ops, fresh)
+    lat = RowLattice(ambient.rank)
+    _close_under(lat, ambient, divided_powers, vectors)
     return _from_row_lattice(lat, ambient)
 
 
@@ -528,21 +530,18 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     amb = ladder_lattice(lam, 0)
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
-    ops = _closure_ops(amb, divided_powers=True)
     base = _span(L.embedding)
     # each enlargement below reuses base, so it must already be stable
     for row in L.embedding:
-        for op in ops:
-            image = _mat_apply(op, row)
-            if any(image) and not base.contains(image):
+        for image in _images(amb, row, divided_powers=True):
+            if not base.contains(image):
                 raise ValueError("lattice is not closed under the divided action")
     failures = []
     for rho in primes:
         for a, row in enumerate(L.embedding):
             candidate = [x / rho for x in row]
             enlarged = base.copy()
-            if enlarged.add(candidate):
-                _close_under(enlarged, ops, [candidate])
+            _close_under(enlarged, amb, True, [candidate])
             top = _top_component(enlarged)
             if top.denominator == 1:
                 label = L.weights[a] if L.weights is not None else a

@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+# Highest ladder weight that `bw` accepts: the lattice kernels grow at least
+# quadratically in the ladder rank.  Raise it when they get faster.
+BW_MAX_WEIGHT = 32
+
 class UsageError(Exception):
     """Invalid flag combination; reported with exit status 2."""
 
@@ -288,12 +292,19 @@ def _run_contract(args) -> dict:
 
 def _run_bw(args) -> dict:
     lam, op = args.lam, args.op
+    n = args.n if args.n is not None else (1 if op == "counit" else 0)
+    top = lam + 2 * n if op in ("dual", "counit") else lam
+    if top > BW_MAX_WEIGHT:
+        raise UsageError(
+            f"ladder highest weight {top} is above the limit {BW_MAX_WEIGHT} "
+            "(--lambda, plus 2*--n for dual and counit)"
+        )
     if op == "min":
         return {"op": op, "lambda": lam, **borelweil.minimal_lattice(lam).to_json()}
     if op == "max":
         return {"op": op, "lambda": lam, **borelweil.maximal_lattice(lam).to_json()}
     if op == "dual":
-        ladder = borelweil.ladder_lattice(lam, args.n or 0)
+        ladder = borelweil.ladder_lattice(lam, n)
         return {"op": op, "lambda": lam, **borelweil.dual_lattice(ladder).to_json()}
     if op == "hom":
         hom = borelweil.hom_lattice(
@@ -318,7 +329,7 @@ def _run_bw(args) -> dict:
             "failures": [list(pair) for pair in report["failures"]],
             "primes": report["primes"],
         }
-    witness = borelweil.counit_fraction_witness(lam, args.n if args.n is not None else 1)
+    witness = borelweil.counit_fraction_witness(lam, n)
     return {
         "op": op,
         "lambda": lam,

@@ -29,13 +29,6 @@ class Support:
             return p <= self.bound
         return True
 
-    def describe(self) -> str:
-        if self.kind == "ge":
-            return f"p >= {self.bound}"
-        if self.kind == "le":
-            return f"p <= {self.bound}"
-        return "all p"
-
     def to_json(self):
         if self.kind == "all":
             return {"kind": "all"}

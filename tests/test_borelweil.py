@@ -4,13 +4,14 @@ certificates, and the counit fraction witness."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from hclat.borelweil import (
     FiniteLattice,
     RowLattice,
+    _from_row_lattice,
     _nullspace,
     _span,
     binomial_lattice,
@@ -53,6 +54,33 @@ def test_row_lattice_gcd_merge():
     assert lat.add([10])  # gcd merge shrinks the pivot to 2
     assert lat.basis() == [[Fraction(2)]]
     assert lat.contains([2]) and not lat.contains([1])
+
+
+def test_row_lattice_keeps_pivots_positive():
+    lat = RowLattice(1)
+    lat.add([2])
+    lat.add([-3])  # the merge's gcd comes out negative here
+    assert lat.rows == [[1]]
+    lat = RowLattice(2)
+    lat.add([2, 1])
+    lat.add([-3, 0])
+    assert lat.basis() == [[1, 2], [0, 3]]
+
+
+def test_row_lattice_basis_ignores_insertion_order():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(4)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        if not any(any(row) for row in rows):
+            continue
+        bases = []
+        for _ in range(6):
+            rng.shuffle(rows)
+            bases.append(_span(rows).basis())
+        assert all(basis == bases[0] for basis in bases), rows
 
 
 def test_row_lattice_rational_rows():
@@ -224,6 +252,58 @@ def test_generated_closure_random_vectors():
                 ]
                 assert lat.contains(image)
         assert check_lattice_axioms(L) == []
+
+
+def _dense_closure(ambient, vectors, divided_powers):
+    """Reference route: dense E^k/k! and F^k/k! matrices, with the basis
+    re-swept until no operator enlarges it."""
+    rank = ambient.rank
+
+    def mul(A, B):
+        return [
+            [sum(A[i][t] * B[t][j] for t in range(rank)) for j in range(rank)]
+            for i in range(rank)
+        ]
+
+    ops = [ambient.E, ambient.F]
+    if divided_powers:
+        for X in (ambient.E, ambient.F):
+            power = X
+            for k in range(2, rank + 1):
+                power = mul(power, X)
+                ops.append([[Fraction(x, factorial(k)) for x in row] for row in power])
+    lat = _span(vectors)
+    grew = True
+    while grew:
+        grew = False
+        for row in lat.basis():
+            for op in ops:
+                image = [sum(op[i][j] * row[j] for j in range(rank)) for i in range(rank)]
+                if any(image) and lat.add(image):
+                    grew = True
+    return _from_row_lattice(lat, ambient)
+
+
+@pytest.mark.parametrize("lam", range(11))
+def test_generated_lattice_matches_dense_divided_powers(lam):
+    amb = ladder_lattice(lam, 0)
+    rank = amb.rank
+    half = [Fraction(1, 2) if j in (0, 2) else Fraction(0) for j in range(rank)]
+    dual = dual_lattice(ladder_lattice(lam, 1))  # E and F with negative entries
+    cases = [
+        (amb, [unit(rank, 0)], True),
+        (amb, [unit(rank, rank - 1)], True),
+        (amb, [half], True),
+        (dual, [unit(dual.rank, 0)], True),
+        (dual, [unit(dual.rank, 1), unit(dual.rank, dual.rank - 1, 1, 3)], True),
+        (amb, [unit(rank, 0)], False),
+    ]
+    for ambient, vectors, divided in cases:
+        got = generated_lattice(ambient, vectors, divided_powers=divided)
+        want = _dense_closure(ambient, vectors, divided)
+        assert (got.weights, got.E, got.F, got.embedding) == (
+            want.weights, want.E, want.F, want.embedding
+        ), (vectors, divided)
 
 
 # -- duality ------------------------------------------------------------------

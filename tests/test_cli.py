@@ -306,6 +306,25 @@ def test_bw_counit_rejects_n_zero(capsys):
     assert "n must be positive" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--lambda", "33", "--op", "min"),
+        ("--lambda", "0", "--op", "counit", "--n", "17"),
+        ("--lambda", "30", "--op", "dual", "--n", "2"),
+    ],
+)
+def test_bw_rejects_ladders_above_the_weight_limit(capsys, argv):
+    code, out, err = run(capsys, "bw", *argv)
+    assert code == 2 and out == ""
+    assert "32" in err
+
+
+def test_bw_accepts_the_weight_limit(capsys):
+    doc = run_json(capsys, "bw", "--lambda", "32", "--op", "min")
+    assert doc["rank"] == 33
+
+
 def test_value_options_take_negative_looking_values(capsys):
     doc = run_json(
         capsys,

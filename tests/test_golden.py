@@ -1,10 +1,10 @@
 """Golden replay: recorded CLI documents must come back byte for byte.
 
 ``perfbench/golden.json`` records ``[exit code, stdout sha256]`` for every
-benchmark document.  This replays the lattice (``bw``) documents with
-lambda <= 8 and every ``classify`` document through ``hclat.cli.main``,
-from the repository root, since the classify documents name their tables
-by relative path.
+benchmark document.  This replays every lattice (``bw``) document and
+every ``classify`` document through ``hclat.cli.main``, from the
+repository root, since the classify documents name their tables by
+relative path.
 """
 
 import importlib.util
@@ -16,7 +16,6 @@ import pytest
 from hclat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_LAMBDA = 8
 
 
 def _run_doc():
@@ -33,13 +32,9 @@ def _recorded(workload, keep):
     return {text: pair for text, pair in record[workload].items() if keep(text.split())}
 
 
-def _small_lambda(doc):
-    return int(doc[doc.index("--lambda") + 1]) <= MAX_LAMBDA
-
-
 GROUPS = {
-    "bw_build": lambda: _recorded("bw_build", _small_lambda),
-    "bw_query": lambda: _recorded("bw_query", _small_lambda),
+    "bw_build": lambda: _recorded("bw_build", lambda doc: True),
+    "bw_query": lambda: _recorded("bw_query", lambda doc: True),
     "classify": lambda: _recorded("modules", lambda doc: doc[0] == "classify"),
 }
 
