@@ -71,10 +71,10 @@ class RowLattice:
 
     def _scaled(self, vec):
         """(d, vec * d) for the least common multiple d of den and the
-        denominators of vec."""
-        vec = [rat(x) for x in vec]
-        d = lcm(self.den, *(x.denominator for x in vec)) if vec else self.den
-        return d, [int(x * d) for x in vec]
+        denominators of vec, whose entries are ints or Fractions; only the
+        nonzero entries are scaled."""
+        d = lcm(self.den, *(x.denominator for x in vec if x))
+        return d, [x.numerator * (d // x.denominator) if x else 0 for x in vec]
 
     def add(self, vec) -> bool:
         """Insert a rational vector; returns True if the lattice grew."""

@@ -28,6 +28,12 @@ EXIT_USAGE = 2
 # quadratically in the ladder rank.  Raise it when they get faster.
 BW_MAX_WEIGHT = 32
 
+# Widest --window (B - A + 1 indices) that module, lattice and contract
+# accept.  It stays at or below dyadic.ORACLE_DEPTH; its costliest document,
+# a `lattice --oracle` window 2095..4095 steps from the support boundary,
+# takes about 2.6 s.
+WINDOW_MAX_WIDTH = 2001
+
 class UsageError(Exception):
     """Invalid flag combination; reported with exit status 2."""
 
@@ -63,6 +69,11 @@ def _window(text: str):
         raise argparse.ArgumentTypeError(f"window bounds must be integers: {text!r}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"window {text!r} is empty (A > B)")
+    if hi - lo + 1 > WINDOW_MAX_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} holds {hi - lo + 1} indices, above the limit "
+            f"{WINDOW_MAX_WIDTH}"
+        )
     return lo, hi
 
 
@@ -263,8 +274,27 @@ def _run_lattice(args) -> dict:
     report = dyadic.integral_model(
         args.variant, args.n, args.m, args.eps, args.mu, args.window
     )
-    agrees = dyadic.oracle_check_report(report) if args.oracle else None
+    agrees = None
+    if args.oracle:
+        _check_oracle_reach(report)
+        agrees = dyadic.oracle_check_report(report)
     return report.to_json(oracle_agrees=agrees)
+
+
+def _check_oracle_reach(report) -> None:
+    """The q and qp oracle chains run from p to the support boundary and
+    must end within the oracle's depth."""
+    if not report.exponents or report.support.kind == "all":
+        return
+    bound = report.support.bound
+    far = max(report.exponents, key=lambda p: abs(p - bound))
+    steps = abs(far - bound)
+    if steps >= dyadic.ORACLE_DEPTH:
+        raise UsageError(
+            f"--oracle: index {far} is {steps} steps from the support boundary "
+            f"{bound}; the oracle of depth {dyadic.ORACLE_DEPTH} reaches at most "
+            f"{dyadic.ORACLE_DEPTH - 1}"
+        )
 
 
 def _run_contract(args) -> dict:
@@ -292,6 +322,8 @@ def _run_contract(args) -> dict:
 
 def _run_bw(args) -> dict:
     lam, op = args.lam, args.op
+    if args.n is not None and op not in ("dual", "counit"):
+        raise UsageError(f"--n applies only to --op dual and counit, not --op {op}")
     n = args.n if args.n is not None else (1 if op == "counit" else 0)
     top = lam + 2 * n if op in ("dual", "counit") else lam
     if top > BW_MAX_WEIGHT:

@@ -2,15 +2,29 @@
 the 2-adic denominator exponents M_p and N_p, the parity criterion for the
 third parabolic family, and an independent brute-force extension oracle.
 
-The oracle iterates the extension recurrences directly with exact
-rationals and never consults the closed formulas, so formula and oracle
-are genuinely separate routes to the same integers.
+Formula route.  M_p is the largest of 0 and the partial sums
+-sum_{l=0..s} ord2(mu/4nm + (p + l + eps)/2) that run from p towards the
+top of the support (N_p mirrors it towards the bottom).  The term at index
+j is the integer v2(mu + 2nm(j + eps)) - v2(4nm), and partial sums that
+start at neighbouring indices share their tail, so one sweep away from
+the support boundary gives every exponent of a window:
+G_p = -t_p + max(0, G_{p+1}) and M_p = max(0, G_p).  A window costs one
+step per index between its far end and the boundary.
+
+Oracle route.  The oracle never consults the formulas.  It walks the
+extension recurrence once, in integers: the multiplier of step s is affine
+in s, so it is (a0 + b*s)/D over one common denominator D.  The prefix
+product stays exactly reduced, and its numerator keeps only the primes of
+D, the only ones that can cancel a denominator.  The least e that makes
+2^e times every prefix product integral is the exponent of the largest
+reduced prefix denominator, which must be a power of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import ord2, rat
 from .weightmods import Support
@@ -65,17 +79,30 @@ def bottom_index(n: int, m: int, eps, mu) -> int:
     return int(value)
 
 
-def _max_partial_sum(start: Fraction, count: int) -> int:
-    """max({-sum_{l=0..s} ord2(start + l/2) : 0 <= s < count} and {0})."""
-    best = 0
-    running = 0
-    term = start
-    for _ in range(count):
-        running -= ord2(term)
-        if running > best:
-            best = running
-        term += Fraction(1, 2)
-    return best
+def _v2(x: int) -> int:
+    """2-adic valuation of a nonzero integer."""
+    return (x & -x).bit_length() - 1
+
+
+def _sweep(sign: int, n: int, m: int, eps, mu, boundary: int, window) -> dict:
+    """{p: exponent} for every p of window on the support side of boundary.
+
+    sign = 1 gives M_p (q: support p <= boundary, term numerators
+    mu + 2nm(j + eps)); sign = -1 gives N_p (qp: support p >= boundary,
+    term numerators mu - 2nm(j + eps)).  Each numerator vanishes only at
+    the boundary, where the exponent is 0 and the sweep starts.
+    """
+    lo, hi = window
+    step = sign * 2 * n * m
+    base = int(mu + step * eps)
+    shift = _v2(4 * n * m)
+    out = {boundary: 0} if lo <= boundary <= hi else {}
+    run = 0  # max(0, G) at the index the sweep left last
+    for p in range(boundary - sign, (lo - 1) if sign > 0 else (hi + 1), -sign):
+        run = max(0, run + shift - _v2(base + step * p))
+        if lo <= p <= hi:
+            out[p] = run
+    return out
 
 
 def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
@@ -86,9 +113,7 @@ def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
     top = top_index(n, m, eps, mu)
     if p > top:
         raise ValueError(f"index above top weight: p = {p} > {top}")
-    count = top - p  # s ranges over 0 <= s <= -(p + mu/2nm + eps + 1)
-    start = mu / (4 * n * m) + Fraction(p + eps, 1) / 2
-    return _max_partial_sum(start, count)
+    return _sweep(1, n, m, eps, mu, top, (p, p))[p]
 
 
 def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
@@ -99,27 +124,25 @@ def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
     bottom = bottom_index(n, m, eps, mu)
     if p < bottom:
         raise ValueError(f"index below bottom weight: p = {p} < {bottom}")
-    count = p - bottom
-    start = mu / (4 * n * m) + Fraction(-p - eps, 1) / 2
-    return _max_partial_sum(start, count)
+    return _sweep(-1, n, m, eps, mu, bottom, (p, p))[p]
 
 
 def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
     """The M-formula evaluated at an arbitrary rational eps argument.
 
     Used to state the mirror identity N_p(eps, mu) = M_{-p}(-eps, mu)
-    termwise; the public exponent_M restricts eps to residues.
+    termwise; the public exponent_M restricts eps to residues.  An integral
+    boundary makes mu + 2nm*eps_raw = -2nm*boundary an integer, so the
+    sweep's term numerators stay integers.
     """
     eps_raw = rat(eps_raw)
     mu = rat(mu)
     boundary = -mu / (2 * n * m) - eps_raw
     if boundary.denominator != 1:
         raise ValueError("criterion fails for the raw argument")
-    count = int(boundary) - p
-    if count < 0:
+    if p > boundary:
         raise ValueError(f"index above top weight: p = {p} > {boundary}")
-    start = mu / (4 * n * m) + Fraction(p + eps_raw, 1) / 2
-    return _max_partial_sum(start, count)
+    return _sweep(1, n, m, eps_raw, mu, int(boundary), (p, p))[p]
 
 
 def dyadic_defect_sum(s: int) -> int:
@@ -153,68 +176,104 @@ def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
     return mu / 2 + n * (s - t + p + eps)
 
 
+def _over_common_denominator(*values) -> tuple:
+    """(D, [x * D for x in values]) for the least common denominator D."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _chain(variant, n, m, eps, mu, p, depth) -> tuple:
+    """(numerators, D): the first depth multipliers of the terminating chain
+    as the integers a0 + b*s over one common denominator D, read off the
+    multipliers at s = 0 and s = 1 (every chain has a nonzero slope)."""
+    den, (a0, a1) = _over_common_denominator(
+        _primary_multiplier(variant, n, m, eps, mu, p, 0),
+        _primary_multiplier(variant, n, m, eps, mu, p, 1),
+    )
+    return range(a0, a0 + (a1 - a0) * depth, a1 - a0), den
+
+
+def _least_exponent(chain, d: int, cap):
+    """Least e >= 0 such that 2^e times every prefix product of the
+    multipliers a/d (a in chain) is an integer, or None when there is none
+    (or none up to cap, unless cap is None).
+
+    The prefix product stays exactly reduced as num/den, and num keeps only
+    its primes of d: no other prime can cancel a denominator.  e is then
+    the exponent of the largest reduced denominator, and a denominator
+    with an odd factor rules out every e.
+    """
+    limit = None if cap is None else 1 << cap
+    num = den = worst = 1
+    for a in chain:
+        x = num * a
+        num, g = 1, gcd(x, d)
+        while g > 1:
+            num *= g
+            x //= g
+            g = gcd(x, g)
+        den *= d
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        if den & (den - 1):
+            return None
+        if den > worst:
+            if limit is not None and den > limit:
+                return None
+            worst = den
+    return worst.bit_length() - 1
+
+
 def oracle_min_exponent(
     variant: str, p: int, n: int, m: int, eps, mu, depth: int = ORACLE_DEPTH
 ) -> int:
     """Least e >= 0 such that phi(1) = 2^e extends integrally, by iteration.
 
-    Walks the recurrences with exact rationals.  For q and qp the chain
-    must terminate (hit a zero coefficient) within depth, else there is no
-    extension at all; for qpp nothing terminates and integrality must hold
-    along the whole walked chain.  Raises NoExtensionError when the module
-    over Z vanishes.
+    Walks the recurrence once, in integers.  For q and qp the chain must
+    terminate (hit a zero coefficient) within depth, else there is no
+    extension at all; for qpp nothing need terminate, and integrality must
+    hold along the whole walked chain with at most 2^_EXPONENT_CAP to
+    spend.  Raises NoExtensionError when the module over Z vanishes.
     """
     eps, mu = _validate(variant, n, m, eps, mu)
-    if variant in ("q", "qp"):
-        chain = []
-        for s in range(depth):
-            c = _primary_multiplier(variant, n, m, eps, mu, p, s)
-            if c == 0:
-                break
-            chain.append(c)
-        else:
-            raise NoExtensionError(
-                f"no extension: the chain never terminates within depth {depth}"
-            )
-        _check_secondary(variant, n, m, eps, mu, p, len(chain))
-        for e in range(_EXPONENT_CAP + 1):
-            value = Fraction(2) ** e
-            for c in chain:
-                value *= c
-                if value.denominator != 1:
-                    break
-            else:
-                return e
-        raise RuntimeError("exponent exceeds the search cap; widen it")
-
-    # qpp: chains need not terminate; require integrality along the walk
-    for e in range(_EXPONENT_CAP + 1):
-        value = Fraction(2) ** e
-        ok = True
-        for s in range(depth):
-            c = _primary_multiplier(variant, n, m, eps, mu, p, s)
-            if c == 0:
-                break
-            value *= c
-            if value.denominator != 1:
-                ok = False
-                break
-        if ok:
-            _check_secondary(variant, n, m, eps, mu, p, min(depth, 32))
-            return e
-    raise NoExtensionError("no extension: every tested exponent fails (odd mu)")
+    chain, d = _chain(variant, n, m, eps, mu, p, depth)
+    if 0 in chain:
+        chain = chain[: chain.index(0)]
+    elif variant != "qpp":
+        raise NoExtensionError(
+            f"no extension: the chain never terminates within depth {depth}"
+        )
+    qpp = variant == "qpp"
+    e = _least_exponent(chain, d, _EXPONENT_CAP if qpp else None)
+    if qpp and e is None:
+        raise NoExtensionError("no extension: every tested exponent fails (odd mu)")
+    _check_secondary(variant, n, m, eps, mu, p, min(depth, 32) if qpp else len(chain))
+    if e is None:
+        raise NoExtensionError(
+            "no extension: a prefix product has a denominator with an odd factor"
+        )
+    return e
 
 
 def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
     """The transverse multipliers must all be integers; they move in integer
-    steps, so a small grid check covers every (s, t)."""
+    steps, so a small grid check covers every (s, t).  They are affine in
+    (s, t), so the grid is walked in integers over one common denominator."""
+    den, (a, a_s, a_t) = _over_common_denominator(
+        *(
+            _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+            for s, t in ((0, 0), (1, 0), (0, 1))
+        )
+    )
     for s in range(min(width, 4) + 1):
         for t in range(min(width, 4) + 1):
-            d = _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
-            if d.denominator != 1:
+            x = a + (a_s - a) * s + (a_t - a) * t
+            if x % den:
                 raise NoExtensionError(
-                    f"no extension: transverse multiplier {d} at (s={s}, t={t}) "
-                    "is not an integer"
+                    f"no extension: transverse multiplier {Fraction(x, den)} at "
+                    f"(s={s}, t={t}) is not an integer"
                 )
 
 
@@ -231,6 +290,7 @@ class LatticeReport:
     nonzero: bool
     support: Support | None
     exponents: dict
+    window: tuple
 
     def to_json(self, oracle_agrees=None):
         out = {
@@ -253,34 +313,35 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
     eps, mu = _validate(variant, n, m, eps, mu)
     lo, hi = window
     if not nonvanishing(variant, n, m, eps, mu):
-        return LatticeReport(variant, n, m, eps, mu, False, None, {})
+        return LatticeReport(variant, n, m, eps, mu, False, None, {}, window)
     if variant == "q":
-        support = Support("le", top_index(n, m, eps, mu))
-        exponent = lambda p: exponent_M(p, n, m, eps, mu)
+        top = top_index(n, m, eps, mu)
+        support = Support("le", top)
+        exponents = _sweep(1, n, m, eps, mu, top, window)
     elif variant == "qp":
-        support = Support("ge", bottom_index(n, m, eps, mu))
-        exponent = lambda p: exponent_N(p, n, m, eps, mu)
+        bottom = bottom_index(n, m, eps, mu)
+        support = Support("ge", bottom)
+        exponents = _sweep(-1, n, m, eps, mu, bottom, window)
     else:
         support = Support("all")
-        exponent = lambda p: 0
-    exponents = {
-        p: exponent(p) for p in range(lo, hi + 1) if support.contains(p)
-    }
-    return LatticeReport(variant, n, m, eps, mu, True, support, exponents)
+        exponents = dict.fromkeys(range(lo, hi + 1), 0)
+    return LatticeReport(variant, n, m, eps, mu, True, support, exponents, window)
 
 
 def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> bool:
-    """Re-derive every reported exponent with the brute-force oracle."""
+    """Re-derive every reported exponent with the brute-force oracle; for a
+    vanishing model, check that no index of the window extends."""
+    args = (report.n, report.m, report.eps, report.mu, depth)
     if not report.nonzero:
-        for p in (0, 1, -1):
+        lo, hi = report.window
+        for p in range(lo, hi + 1):
             try:
-                oracle_min_exponent(report.variant, p, report.n, report.m, report.eps, report.mu, depth)
+                oracle_min_exponent(report.variant, p, *args)
             except NoExtensionError:
                 continue
             return False
         return True
-    for p, value in report.exponents.items():
-        got = oracle_min_exponent(report.variant, p, report.n, report.m, report.eps, report.mu, depth)
-        if got != value:
-            return False
-    return True
+    return all(
+        oracle_min_exponent(report.variant, p, *args) == value
+        for p, value in report.exponents.items()
+    )

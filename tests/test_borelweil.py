@@ -502,3 +502,10 @@ def test_to_json_embeds_rational_strings():
     assert data["weights"] == [2, 0, -2]
     assert data["embedding"][1][1] == "1/2"
     assert all(isinstance(x, int) for row in data["E"] for x in row)
+
+
+def test_row_lattice_scales_only_nonzero_entries():
+    lat = RowLattice(4)
+    lat.add([Fraction(1, 3), 0, 0, 0])
+    assert lat._scaled([0, Fraction(1, 2), Fraction(0), 2]) == (6, [0, 3, 0, 12])
+    assert lat._scaled([0, 0, 0, 0]) == (3, [0, 0, 0, 0])

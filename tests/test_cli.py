@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hclat import cli, contraction, zforms
+from hclat import cli, contraction, dyadic, zforms
 from hclat.cli import main
 from hclat.scalars import LAURENT_RING, Laurent
 
@@ -352,3 +352,65 @@ def test_value_options_take_negative_looking_values(capsys):
                 except SystemExit:
                     pass
                 assert "expected one argument" not in capsys.readouterr().err, flag
+
+
+# -- input guards ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module", "--kind", "ind", "--lambda", "1"),
+        ("lattice", "--variant", "q", "--mu", "0"),
+        ("contract", "--kind", "ind", "--lambda", "1"),
+    ],
+    ids=("module", "lattice", "contract"),
+)
+def test_window_width_limit(capsys, argv):
+    limit = cli.WINDOW_MAX_WIDTH
+    assert limit <= dyadic.ORACLE_DEPTH
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--window", f"1:{limit + 1}"])
+    assert exc.value.code == 2
+    assert f"limit {limit}" in capsys.readouterr().err
+    assert main([*argv, "--window", f"1:{limit}"]) == 0
+
+
+@pytest.mark.parametrize(
+    "variant, window, far",
+    [("q", "-4100:-4095", -4100), ("q", "-4096:-4094", -4096), ("qp", "4090:4096", 4096)],
+)
+def test_lattice_oracle_rejects_indices_beyond_the_depth(capsys, variant, window, far):
+    # the q/qp chain from p to the support boundary (0 here) must end within
+    # the oracle depth; without --oracle the document is still computed
+    code, out, err = run(
+        capsys, "lattice", "--variant", variant, "--mu", "0", "--window", window, "--oracle"
+    )
+    assert code == 2 and out == ""
+    assert f"index {far} " in err and str(dyadic.ORACLE_DEPTH) in err
+    doc = run_json(capsys, "lattice", "--variant", variant, "--mu", "0", "--window", window)
+    assert doc["nonzero"] is True
+
+
+def test_lattice_oracle_reaches_the_depth_edge(capsys):
+    edge = 1 - dyadic.ORACLE_DEPTH
+    doc = run_json(
+        capsys, "lattice", "--variant", "q", "--mu", "0",
+        "--window", f"{edge}:{edge + 2}", "--oracle",
+    )
+    assert doc["oracle_agrees"] is True
+
+
+def test_lattice_oracle_vanishing_window_off_zero(capsys):
+    doc = run_json(
+        capsys, "lattice", "--variant", "q", "--n", "2", "--m", "1", "--eps", "1/2",
+        "--mu", "0", "--window", "40:60", "--oracle",
+    )
+    assert doc["nonzero"] is False and doc["oracle_agrees"] is True
+
+
+@pytest.mark.parametrize("op", ["min", "max", "hom", "certify"])
+def test_bw_rejects_n_where_it_does_not_apply(capsys, op):
+    code, out, err = run(capsys, "bw", "--lambda", "2", "--op", op, "--n", "5")
+    assert code == 2 and out == ""
+    assert "--n" in err and op in err

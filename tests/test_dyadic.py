@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from hclat import dyadic
 from hclat.dyadic import (
+    ORACLE_DEPTH,
     LatticeReport,
     NoExtensionError,
+    _least_exponent,
     bottom_index,
     dyadic_defect_sum,
     exponent_M,
@@ -19,7 +23,7 @@ from hclat.dyadic import (
     oracle_min_exponent,
     top_index,
 )
-from hclat.scalars import in_ring, localized_integers
+from hclat.scalars import in_ring, localized_integers, ord2
 
 
 def residues(n):
@@ -244,3 +248,243 @@ def test_oracle_check_report_vanishing_params():
     report = integral_model("qp", 2, 1, Fraction(1, 2), 1, (-3, 3))
     assert not report.nonzero
     assert oracle_check_report(report, depth=256)
+
+
+def test_oracle_check_report_probes_the_whole_vanishing_window():
+    # a report mislabelled as vanishing: the model over Z is nonzero with top
+    # index -3, so indices 0 and +-1 have no extension but the window's do
+    report = integral_model("q", 1, 1, 0, 6, (-8, -4))
+    assert report.nonzero and report.support.bound == -3
+    report.nonzero = False
+    assert not oracle_check_report(report)
+
+
+# -- reference routes: the per-index partial sum and the Fraction oracle ------
+
+
+def reference_partial_sum(start, count):
+    """max({-sum_{l=0..s} ord2(start + l/2) : 0 <= s < count} and {0})."""
+    best = running = 0
+    for l in range(count):
+        running -= ord2(start + Fraction(l, 2))
+        best = max(best, running)
+    return best
+
+
+def reference_M(p, n, m, eps_raw, mu):
+    boundary = -Fraction(mu) / (2 * n * m) - eps_raw
+    return reference_partial_sum(
+        Fraction(mu) / (4 * n * m) + Fraction(p + eps_raw) / 2, int(boundary) - p
+    )
+
+
+def reference_N(p, n, m, eps, mu):
+    bottom = Fraction(mu) / (2 * n * m) - eps
+    return reference_partial_sum(
+        Fraction(mu) / (4 * n * m) + Fraction(-p - eps) / 2, p - int(bottom)
+    )
+
+
+def reference_oracle(variant, p, n, m, eps, mu, depth):
+    """The recurrence walked with Fractions, one walk per tried exponent."""
+    eps, mu = Fraction(eps), Fraction(mu)
+    nonvanishing(variant, n, m, eps, mu)  # the same parameter validation
+
+    def step(s):
+        return dyadic._primary_multiplier(variant, n, m, eps, mu, p, s)
+
+    def secondary(width):
+        for s in range(min(width, 4) + 1):
+            for t in range(min(width, 4) + 1):
+                d = dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+                if d.denominator != 1:
+                    raise NoExtensionError("transverse multiplier")
+
+    if variant in ("q", "qp"):
+        chain = []
+        for s in range(depth):
+            c = step(s)
+            if c == 0:
+                break
+            chain.append(c)
+        else:
+            raise NoExtensionError("never terminates")
+        secondary(len(chain))
+        for e in range(65):
+            value = Fraction(2) ** e
+            for c in chain:
+                value *= c
+                if value.denominator != 1:
+                    break
+            else:
+                return e
+        raise RuntimeError("exponent exceeds the search cap")
+    for e in range(65):
+        value, ok = Fraction(2) ** e, True
+        for s in range(depth):
+            c = step(s)
+            if c == 0:
+                break
+            value *= c
+            if value.denominator != 1:
+                ok = False
+                break
+        if ok:
+            secondary(min(depth, 32))
+            return e
+    raise NoExtensionError("every tested exponent fails")
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except (ValueError, RuntimeError) as exc:  # NoExtensionError is a ValueError
+        return type(exc)
+
+
+def random_parameters(rng, variant):
+    """Random n, m <= 3 (m = 2n for qpp), eps and mu in [-40, 40]; half the
+    draws meet the nonvanishing criterion."""
+    n = rng.randint(1, 3)
+    m = 2 * n if variant == "qpp" else rng.randint(1, 3)
+    eps = Fraction(rng.randrange(n), n)
+    mus = range(-40, 41)
+    if rng.random() < 0.5:
+        mus = [mu for mu in mus if nonvanishing(variant, n, m, eps, mu)]
+    return n, m, eps, rng.choice(mus)
+
+
+def test_oracle_matches_fraction_reference_off_grid():
+    # seeded, off the fixed grids: n, m <= 3, mu in [-40, 40] odd and even,
+    # vanishing models, and indices near, beyond and far from the boundary
+    # against a random depth (chains longer than it never terminate)
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(500):
+        variant = rng.choice(("q", "qp", "qpp"))
+        n, m, eps, mu = random_parameters(rng, variant)
+        depth = rng.randint(1, 100)
+        if variant == "qpp":
+            anchor = -eps - Fraction(mu, 2 * n)  # where the chain starts at zero
+        elif variant == "q":
+            anchor = -Fraction(mu, 2 * n * m) - eps
+        else:
+            anchor = Fraction(mu, 2 * n * m) - eps
+        p = int(anchor) + rng.choice(
+            (rng.randint(-6, 6), rng.randint(-depth - 3, depth + 3))
+        )
+        args = (variant, p, n, m, eps, mu, depth)
+        got = outcome(oracle_min_exponent, *args)
+        assert got == outcome(reference_oracle, *args), args
+        seen.add((variant, nonvanishing(variant, n, m, eps, mu), mu % 2,
+                  got if isinstance(got, type) else int))
+    # every variant met both kinds of model, odd and even mu, and both outcomes
+    for variant in ("q", "qp", "qpp"):
+        for nonzero in (True, False):
+            assert any(v == variant and z == nonzero for v, z, _, _ in seen)
+        assert any(v == variant and r is int for v, _, _, r in seen)
+        assert any(v == variant and r is NoExtensionError for v, _, _, r in seen)
+    assert {parity for _, _, parity, _ in seen} == {0, 1}
+
+
+def test_least_exponent_matches_fraction_walk():
+    # synthetic chains over denominators with odd primes: the prefix
+    # denominators of the model chains are powers of two, these need not be
+    rng = random.Random(7)
+    for _ in range(400):
+        d = rng.choice((1, 2, 3, 4, 6, 8, 12, 5, 36))
+        b = rng.choice((-3, -2, -1, 1, 2, 3)) * rng.randint(1, 4)
+        a0 = rng.randint(-30, 30)
+        chain = [a for a in range(a0, a0 + b * rng.randint(0, 40), b) if a] or [d]
+        cap = rng.choice((None, 3, 64))
+        want, value = 0, Fraction(1)
+        for a in chain:
+            value *= Fraction(a, d)
+            den = value.denominator
+            if den & (den - 1) or (cap is not None and den > 2**cap):
+                want = None
+                break
+            want = max(want, den.bit_length() - 1)
+        assert _least_exponent(chain, d, cap) == want, (chain, d, cap)
+    assert _least_exponent([1, 2], 3, None) is None  # 1/3: no power of two
+    assert _least_exponent([1, 1, 1], 2, 2) is None  # needs 2^3 > 2^cap
+
+
+def test_oracle_walk_keeps_its_integers_small(monkeypatch):
+    # the numerator keeps only the primes of D, so a full-depth walk never
+    # builds a bignum: every gcd the walk takes has word-sized operands
+    widest = [0]
+
+    def spy(*args):
+        widest[0] = max(widest[0], *(abs(x).bit_length() for x in args))
+        return gcd(*args)
+
+    walks = [
+        ("qpp", -3, 1, 2, 0, 4),  # full depth, D = 1
+        ("q", -4000, 1, 1, 0, 0),
+        ("qp", 4000, 3, 2, Fraction(1, 3), 16),
+    ]
+    want = [exponent_M(-4000, 1, 1, 0, 0), exponent_N(4000, 3, 2, Fraction(1, 3), 16)]
+    monkeypatch.setattr(dyadic, "gcd", spy)
+    assert [oracle_min_exponent(*walk) for walk in walks] == [0] + want
+    assert 0 < widest[0] <= 64
+
+
+def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle consulted the formula route")
+
+    for name in ("_sweep", "exponent_M", "exponent_N", "exponent_M_raw",
+                 "dyadic_defect_sum", "ord2"):
+        monkeypatch.setattr(dyadic, name, forbidden)
+    assert oracle_min_exponent("q", -3, 1, 1, 0, -2) == 1
+    assert oracle_min_exponent("qp", 2, 1, 1, 0, 2) == 1
+    assert oracle_min_exponent("qpp", -2, 1, 2, 0, 4) == 0
+    with pytest.raises(NoExtensionError):
+        oracle_min_exponent("qpp", 0, 1, 2, 0, 3)
+
+
+def test_oracle_depth_bounds_the_chain():
+    # the q chain from p = top - k stops after k steps: within depth k + 1
+    # but not within depth k
+    assert oracle_min_exponent("q", -5, 1, 1, 0, 0, depth=6) == 2
+    with pytest.raises(NoExtensionError, match="depth 5"):
+        oracle_min_exponent("q", -5, 1, 1, 0, 0, depth=5)
+    assert oracle_min_exponent("q", 1 - ORACLE_DEPTH, 1, 1, 0, 0) == bin(
+        ORACLE_DEPTH - 1
+    ).count("1")
+    with pytest.raises(NoExtensionError, match="never terminates"):
+        oracle_min_exponent("q", -ORACLE_DEPTH, 1, 1, 0, 0)
+
+
+def test_window_sweep_matches_per_index_partial_sums():
+    rng = random.Random(314159)
+    for _ in range(400):
+        variant = rng.choice(("q", "qp"))
+        n, m, eps, mu = random_parameters(rng, variant)
+        if not nonvanishing(variant, n, m, eps, mu):
+            continue
+        if variant == "q":
+            edge, exponent, reference = top_index(n, m, eps, mu), exponent_M, reference_M
+        else:
+            edge, exponent, reference = bottom_index(n, m, eps, mu), exponent_N, reference_N
+        lo = edge + rng.randint(-70, 70)
+        hi = lo + rng.randint(0, 60)
+        report = integral_model(variant, n, m, eps, mu, (lo, hi))
+        supported = [p for p in range(lo, hi + 1) if report.support.contains(p)]
+        want = {p: reference(p, n, m, eps, mu) for p in supported}
+        assert report.exponents == want, (variant, n, m, eps, mu, lo, hi)
+        for p in supported[:: max(1, len(supported) // 4)]:
+            assert exponent(p, n, m, eps, mu) == want[p]
+
+
+def test_exponent_M_raw_matches_per_index_partial_sums():
+    # arbitrary rational eps (and mu) with an integral boundary
+    rng = random.Random(2718)
+    for _ in range(200):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        mu = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3)))
+        boundary = rng.randint(-20, 20)
+        eps_raw = -mu / (2 * n * m) - boundary
+        p = boundary - rng.randint(0, 60)
+        assert exponent_M_raw(p, n, m, eps_raw, mu) == reference_M(p, n, m, eps_raw, mu)

@@ -1,10 +1,10 @@
 """Golden replay: recorded CLI documents must come back byte for byte.
 
 ``perfbench/golden.json`` records ``[exit code, stdout sha256]`` for every
-benchmark document.  This replays every lattice (``bw``) document and
-every ``classify`` document through ``hclat.cli.main``, from the
-repository root, since the classify documents name their tables by
-relative path.
+benchmark document.  This replays every ``bw`` document, every ``lattice``
+document (the whole dyadic workload) and every ``classify`` document
+through ``hclat.cli.main``, from the repository root, since the classify
+documents name their tables by relative path.
 """
 
 import importlib.util
@@ -36,6 +36,7 @@ GROUPS = {
     "bw_build": lambda: _recorded("bw_build", lambda doc: True),
     "bw_query": lambda: _recorded("bw_query", lambda doc: True),
     "classify": lambda: _recorded("modules", lambda doc: doc[0] == "classify"),
+    "lattice": lambda: _recorded("dyadic", lambda doc: doc[0] == "lattice"),
 }
 
 
