@@ -3,8 +3,9 @@
 The bracket acquires one factor of z whenever both arguments are odd for
 the involution fixing the diagonal: [e,f] = z*h while [h,e] = 2e and
 [h,f] = -2f keep their constants.  Modules live over Q[z] or Q[z,z^-1],
-carry exact Laurent coefficients, and specialize at z = c to ordinary
-weight modules via the dictionary E = e, F = (n/2)f, H = (n/2)h.
+carry coefficient polynomials in the index p with Laurent coefficients
+(linear in z), and specialize at z = c to ordinary weight modules via the
+dictionary E = e, F = (n/2)f, H = (n/2)h.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .scalars import (
     rat,
 )
 from .weightmods import (
+    IndexPoly,
     Support,
     WeightModule,
+    affine,
     check_module_axioms,
     gnm_relations,
     module_rows,
@@ -145,23 +148,27 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be a positive integer, got n={n}")
 
 
-def _contracted(family, n, ring, support, weight_fn, e, f, params, vanishing_reason=None):
-    """A contracted module from its e- and f-actions, each (shift, fn).
+_Z = Laurent.z_power(1)
+_ONE = IndexPoly([1], laurent=True)
+
+
+def _contracted(family, n, ring, support, w0, e, f, params, vanishing_reason=None):
+    """A contracted module from its e- and f-actions, each (shift, IndexPoly),
+    with weight w0 + n*p at index p; the caller has checked n.
 
     h acts on the weight-w vector by 2w/n, so that H = (n/2)h acts by w.
     """
-    _check_n(n)
     actions = {
         "e": e,
         "f": f,
-        "h": (0, lambda p: Laurent.const(Fraction(2 * weight_fn(p), n))),
+        "h": (0, IndexPoly([Fraction(2 * w0, n), 2], laurent=True)),
     }
     return WeightModule(
         None,
         CONTRACTION_RELATIONS,
         ring,
         support,
-        weight_fn,
+        lambda p: w0 + n * p,
         actions,
         family,
         params,
@@ -170,35 +177,35 @@ def _contracted(family, n, ring, support, weight_fn, e, f, params, vanishing_rea
 
 
 def contracted_induced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
-    """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z."""
-    def f_coeff(p):
-        return Laurent.z_power(1, -Fraction(p, n) * (n * p - n + 2 * lam))
-
+    """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z:
+    f(p) = -z(p/n)(np - n + 2 lam)."""
+    _check_n(n)
+    f_coeff = (affine(0, Fraction(-1, n)) * affine(2 * lam - n, n)).scale(_Z)
     return _contracted(
         "contracted-induced",
         n,
         ring,
         Support("ge", 0),
-        lambda p: lam + n * p,
-        (1, lambda p: Laurent.const(1)),
+        lam,
+        (1, _ONE),
         (-1, f_coeff),
         {"lam": lam, "n": n},
     )
 
 
 def contracted_produced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
-    """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z."""
-    def e_coeff(p):
-        return Laurent.z_power(1, -Fraction(p + 1, n) * (n * p + 2 * lam))
-
+    """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z:
+    e(p) = -z((p+1)/n)(np + 2 lam)."""
+    _check_n(n)
+    e_coeff = (affine(Fraction(-1, n), Fraction(-1, n)) * affine(2 * lam, n)).scale(_Z)
     return _contracted(
         "contracted-produced",
         n,
         ring,
         Support("ge", 0),
-        lambda p: lam + n * p,
+        lam,
         (1, e_coeff),
-        (-1, lambda p: Laurent.const(1)),
+        (-1, _ONE),
         {"lam": lam, "n": n},
     )
 
@@ -232,9 +239,10 @@ def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
         n,
         ring,
         Support("all"),
-        lambda p: n * p + n_eps,
-        (1, lambda p: half_mu_over_z + Laurent.const(p + eps)),
-        (-1, lambda p: half_mu - Laurent.z_power(1, p + eps)),
+        n_eps,
+        # e(p) = mu/2z + (p + eps), f(p) = mu/2 - z(p + eps)
+        (1, affine(half_mu_over_z + eps, 1)),
+        (-1, affine(half_mu - _Z * eps, -_Z)),
         {"eps": eps, "mu": mu, "n": n},
         vanishing_reason,
     )
@@ -272,8 +280,8 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
     roots = []
     for p in range(lo, hi + 1):
         for gen in ("e", "f"):
-            _, fn = M.actions[gen]
-            if not fn(p):
+            _, poly = M.actions[gen]
+            if not poly(p):
                 roots.append((gen, p))
     return roots
 
@@ -295,36 +303,15 @@ def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
     failures = []
     for p in range(lo, hi + 1):
         for gen in GENERATORS:
-            _, fn = M.actions[gen]
-            if not in_ring(fn(p), POLY):
+            _, poly = M.actions[gen]
+            if not in_ring(poly(p), POLY):
                 failures.append((gen, p))
-    base_change = _same_affine_coefficients(M, L, lo, hi)
     return {
         "closed": not failures,
         "failures": failures,
-        "base_change_verified": base_change,
+        # equal shifts and coefficient polynomials agree at every index
+        "base_change_verified": M.actions == L.actions,
     }
-
-
-def _same_affine_coefficients(M, L, lo, hi) -> bool:
-    """Coefficient functions agree as functions: equal on the window and
-    affine in the index (first differences constant), which pins an affine
-    function down globally."""
-    for gen in GENERATORS:
-        shift_m, fn_m = M.actions[gen]
-        shift_l, fn_l = L.actions[gen]
-        if shift_m != shift_l:
-            return False
-        values = []
-        for p in range(lo, hi + 1):
-            a, b = fn_m(p), fn_l(p)
-            if a != b:
-                return False
-            values.append(a)
-        diffs = {str(values[i + 1] - values[i]) for i in range(len(values) - 1)}
-        if len(diffs) > 1:
-            return False
-    return True
 
 
 # -- specialization -----------------------------------------------------------
@@ -340,9 +327,9 @@ class SpecializedAlgebra:
 
 
 def specialize(M: WeightModule, c) -> WeightModule:
-    """Evaluate every coefficient at z = c and pass to the divided basis
+    """Evaluate every p-coefficient at z = c and pass to the divided basis
     E = e, F = (n/2)f, H = (n/2)h, so the fiber at c = m carries the
-    standard g_{n,m} relations."""
+    standard g_{n,m} relations.  A pole at c raises ValueError here."""
     c = rat(c)
     if M.vanishing_reason is not None:
         raise ValueError("cannot specialize the zero module")
@@ -350,18 +337,12 @@ def specialize(M: WeightModule, c) -> WeightModule:
     scales = {"E": ("e", rat(1)), "F": ("f", Fraction(n, 2)), "H": ("h", Fraction(n, 2))}
     actions = {}
     for cap, (gen, scale) in scales.items():
-        shift, fn = M.actions[gen]
-
-        def evaluated(p, fn=fn, scale=scale, gen=gen):
-            try:
-                return scale * fn(p).evaluate(c)
-            except ZeroDivisionError:
-                raise ValueError(f"pole at z = {c} in the {gen}-coefficient")
-
-        actions[cap] = (shift, evaluated)
-    for cap in actions:  # surface poles at call time, not first use
-        probe = max(M.support.bound, 1) if M.support.kind == "ge" else 1
-        actions[cap][1](probe)
+        shift, poly = M.actions[gen]
+        try:
+            coeffs = [scale * a.evaluate(c) for a in poly.coeffs]
+        except ZeroDivisionError:
+            raise ValueError(f"pole at z = {c} in the {gen}-coefficient")
+        actions[cap] = (shift, IndexPoly(coeffs))
     if c.denominator == 1 and c > 0:
         algebra = make_zform(n, int(c), rat(1))
     else:

@@ -4,12 +4,14 @@ third parabolic family, and an independent brute-force extension oracle.
 
 Formula route.  M_p is the largest of 0 and the partial sums
 -sum_{l=0..s} ord2(mu/4nm + (p + l + eps)/2) that run from p towards the
-top of the support (N_p mirrors it towards the bottom).  The term at index
-j is the integer v2(mu + 2nm(j + eps)) - v2(4nm), and partial sums that
-start at neighbouring indices share their tail, so one sweep away from
-the support boundary gives every exponent of a window:
-G_p = -t_p + max(0, G_{p+1}) and M_p = max(0, G_p).  A window costs one
-step per index between its far end and the boundary.
+top of the support (N_p mirrors it towards the bottom).  With top =
+-mu/2nm - eps, the term at index j is mu/4nm + (j + eps)/2 = (j - top)/2,
+so with d = top - p the partial sum over s + 1 terms is
+sum_{i=d-s..d} (1 - v2(i)).  By Legendre's formula v2(i!) = i - s2(i),
+where s2 is the binary digit sum, that is s2(d) - s2(d - s - 1), largest
+when the sum runs to the boundary: M_p = s2(top - p), and likewise
+N_p = s2(p - bottom), whatever n, m and eps are.  Each exponent costs
+one int.bit_count(), however far p lies from the boundary.
 
 Oracle route.  The oracle never consults the formulas.  It walks the
 extension recurrence once, in integers: the multiplier of step s is affine
@@ -79,30 +81,16 @@ def bottom_index(n: int, m: int, eps, mu) -> int:
     return int(value)
 
 
-def _v2(x: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    return (x & -x).bit_length() - 1
-
-
-def _sweep(sign: int, n: int, m: int, eps, mu, boundary: int, window) -> dict:
-    """{p: exponent} for every p of window on the support side of boundary.
-
-    sign = 1 gives M_p (q: support p <= boundary, term numerators
-    mu + 2nm(j + eps)); sign = -1 gives N_p (qp: support p >= boundary,
-    term numerators mu - 2nm(j + eps)).  Each numerator vanishes only at
-    the boundary, where the exponent is 0 and the sweep starts.
-    """
+def _digit_sums(sign: int, boundary: int, window) -> dict:
+    """{p: s2(|p - boundary|)} for every p of window on the support side
+    of boundary, from the boundary outwards: sign = 1 gives M_p (support
+    p <= boundary), sign = -1 gives N_p (support p >= boundary)."""
     lo, hi = window
-    step = sign * 2 * n * m
-    base = int(mu + step * eps)
-    shift = _v2(4 * n * m)
-    out = {boundary: 0} if lo <= boundary <= hi else {}
-    run = 0  # max(0, G) at the index the sweep left last
-    for p in range(boundary - sign, (lo - 1) if sign > 0 else (hi + 1), -sign):
-        run = max(0, run + shift - _v2(base + step * p))
-        if lo <= p <= hi:
-            out[p] = run
-    return out
+    if sign > 0:
+        indices = range(min(hi, boundary), lo - 1, -1)
+    else:
+        indices = range(max(lo, boundary), hi + 1)
+    return {p: (p - boundary).bit_count() for p in indices}
 
 
 def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
@@ -113,7 +101,7 @@ def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
     top = top_index(n, m, eps, mu)
     if p > top:
         raise ValueError(f"index above top weight: p = {p} > {top}")
-    return _sweep(1, n, m, eps, mu, top, (p, p))[p]
+    return (top - p).bit_count()
 
 
 def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
@@ -124,16 +112,16 @@ def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
     bottom = bottom_index(n, m, eps, mu)
     if p < bottom:
         raise ValueError(f"index below bottom weight: p = {p} < {bottom}")
-    return _sweep(-1, n, m, eps, mu, bottom, (p, p))[p]
+    return (p - bottom).bit_count()
 
 
 def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
     """The M-formula evaluated at an arbitrary rational eps argument.
 
     Used to state the mirror identity N_p(eps, mu) = M_{-p}(-eps, mu)
-    termwise; the public exponent_M restricts eps to residues.  An integral
-    boundary makes mu + 2nm*eps_raw = -2nm*boundary an integer, so the
-    sweep's term numerators stay integers.
+    termwise; the public exponent_M restricts eps to residues.  The
+    boundary -mu/2nm - eps_raw must be an integer, and the exponent is
+    s2(boundary - p) as for exponent_M.
     """
     eps_raw = rat(eps_raw)
     mu = rat(mu)
@@ -142,7 +130,7 @@ def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
         raise ValueError("criterion fails for the raw argument")
     if p > boundary:
         raise ValueError(f"index above top weight: p = {p} > {boundary}")
-    return _sweep(1, n, m, eps_raw, mu, int(boundary), (p, p))[p]
+    return (int(boundary) - p).bit_count()
 
 
 def dyadic_defect_sum(s: int) -> int:
@@ -317,11 +305,11 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
     if variant == "q":
         top = top_index(n, m, eps, mu)
         support = Support("le", top)
-        exponents = _sweep(1, n, m, eps, mu, top, window)
+        exponents = _digit_sums(1, top, window)
     elif variant == "qp":
         bottom = bottom_index(n, m, eps, mu)
         support = Support("ge", bottom)
-        exponents = _sweep(-1, n, m, eps, mu, bottom, window)
+        exponents = _digit_sums(-1, bottom, window)
     else:
         support = Support("all")
         exponents = dict.fromkeys(range(lo, hi + 1), 0)

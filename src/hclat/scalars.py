@@ -180,15 +180,18 @@ class Laurent:
         parts = []
         for exp in sorted(self.coeffs):
             c = self.coeffs[exp]
+            num, den = c.numerator, c.denominator
+            negative = num < 0
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if exp == 0:
-                body = str(abs(c))
+                body = mag
             else:
                 zpart = "z" if exp == 1 else f"z^{exp}"
-                body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
+                body = zpart if mag == "1" else f"{mag}*{zpart}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if negative else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
 
     def __repr__(self):

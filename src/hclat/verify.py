@@ -74,10 +74,12 @@ def _check_smash_associativity() -> dict:
         elements = [
             hecke.smash(a, lam, g, lattice) for a in monos for lam in range(-2, 3)
         ]
-        for x, y, z in itertools.product(elements, repeat=3):
+        # every pair product once, so each triple costs two more products
+        pairs = [[hecke.smash_mul(x, y) for y in elements] for x in elements]
+        for i, j, k in itertools.product(range(len(elements)), repeat=3):
             grid += 1
-            lhs = hecke.smash_mul(hecke.smash_mul(x, y), z)
-            rhs = hecke.smash_mul(x, hecke.smash_mul(y, z))
+            lhs = hecke.smash_mul(pairs[i][j], elements[k])
+            rhs = hecke.smash_mul(elements[i], pairs[j][k])
             if lhs != rhs:
                 failures.append("associativity failed on a monomial triple")
                 break

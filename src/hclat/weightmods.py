@@ -1,18 +1,116 @@
 """Weight modules over g_{n,m}: the induced and produced families and the
 principal series attached to the parabolic frames q, qp, qpp.
 
-Modules are intensional: a support predicate plus one exact coefficient
-function per generator.  Nothing infinite is ever materialized; every check
-runs over a caller-chosen window of indices.
+Modules are intensional: a support predicate plus, per generator, an index
+shift and a coefficient polynomial in the index p (degree at most 2, with
+rational or Laurent coefficients).  Nothing infinite is ever materialized.
+Each bracket relation is proved once as a polynomial identity in p; only
+the indices next to a support boundary, where an action is clipped, and
+relations whose identity fails are evaluated index by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
+from math import comb, lcm
 
-from .scalars import CoefficientRing, in_ring, rat
+from .scalars import CoefficientRing, Laurent, as_laurent, in_ring, rat
 from .zforms import Subalgebra, ZForm, iwasawa_decompose, subalgebra
+
+
+class IndexPoly:
+    """A polynomial in the index p, coefficients in ascending degree.
+
+    The coefficients are all Fractions, or all Laurent polynomials in z
+    (one Laurent coefficient, or laurent=True, lifts the rest).  A value
+    is computed in integers over one common denominator per power of z and
+    built as one Fraction or one Laurent.
+    """
+
+    __slots__ = ("coeffs", "laurent", "_columns")
+
+    def __init__(self, coeffs, laurent: bool = False):
+        coeffs = list(coeffs)
+        laurent = laurent or any(isinstance(c, Laurent) for c in coeffs)
+        coeffs = [as_laurent(c) if laurent else rat(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+        self.laurent = laurent
+        if laurent:
+            exps = sorted({e for c in coeffs for e in c.coeffs})
+            self._columns = [
+                (e, *_column([c.coefficient(e) for c in coeffs])) for e in exps
+            ]
+        else:
+            self._columns = _column(coeffs)
+
+    def __call__(self, p: int):
+        if not self.laurent:
+            den, nums = self._columns
+            v = 0
+            for a in nums:
+                v = v * p + a
+            return Fraction(v, den)
+        out = {}
+        for e, den, nums in self._columns:
+            v = 0
+            for a in nums:
+                v = v * p + a
+            if v:
+                out[e] = Fraction(v, den)
+        value = Laurent()
+        value.coeffs = out
+        return value
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other: "IndexPoly") -> "IndexPoly":
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IndexPoly([a + b for a, b in pairs], self.laurent or other.laurent)
+
+    def __sub__(self, other: "IndexPoly") -> "IndexPoly":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "IndexPoly") -> "IndexPoly":
+        out = [0] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IndexPoly(out, self.laurent or other.laurent)
+
+    def scale(self, c) -> "IndexPoly":
+        """c times the polynomial, for an int, Fraction or Laurent c."""
+        return IndexPoly(
+            [a * c for a in self.coeffs], self.laurent or isinstance(c, Laurent)
+        )
+
+    def shift(self, k: int) -> "IndexPoly":
+        """The polynomial p -> P(p + k), by the binomial theorem."""
+        c, n = self.coeffs, len(self.coeffs)
+        return IndexPoly(
+            [sum(c[i] * (comb(i, j) * k ** (i - j)) for i in range(j, n)) for j in range(n)],
+            self.laurent,
+        )
+
+
+def _column(values) -> tuple:
+    """(D, integer numerators over D, highest degree first) of Fractions."""
+    den = lcm(*(c.denominator for c in values))
+    return den, tuple(c.numerator * (den // c.denominator) for c in reversed(values))
+
+
+def affine(a, b) -> IndexPoly:
+    """The polynomial a + b*p."""
+    return IndexPoly([a, b])
 
 
 @dataclass(frozen=True)
@@ -55,9 +153,11 @@ def gnm_relations(n, m) -> tuple:
 
 @dataclass
 class WeightModule:
-    """A weight module given by exact coefficient functions.
+    """A weight module given by exact coefficient polynomials.
 
-    actions maps a generator name to (index shift, coefficient function);
+    actions maps a generator name to (index shift, IndexPoly in p): the
+    generator sends the basis vector at p to coefficient(p) times the one
+    at p + shift, or to zero when either index leaves the support.
     weight_fn gives the T^1-exponent of the basis vector at index p.
     relations holds the brackets the actions must satisfy, as tuples
     (label, X, Y, target, constant) meaning [X, Y] = constant * target.
@@ -88,11 +188,11 @@ class WeightModule:
         """Action of one generator on the basis vector at index p."""
         if self.vanishing_reason is not None or not self.support.contains(p):
             return []
-        shift, fn = self.actions[gen]
+        shift, poly = self.actions[gen]
         target = p + shift
         if not self.support.contains(target):
             return []
-        c = fn(p)
+        c = poly(p)
         if not c:
             return []
         return [(target, c)]
@@ -107,11 +207,11 @@ class WeightModule:
             raise ValueError(f"{self.family} carries no counit")
         return rat(1) if self.support.contains(p) else rat(0)
 
-    def with_action(self, gen: str, shift: int, fn) -> "WeightModule":
+    def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
         """Copy with one generator's action replaced (for negative controls)."""
         return replace(
             self,
-            actions={**self.actions, gen: (shift, fn)},
+            actions={**self.actions, gen: (shift, poly)},
             params=dict(self.params),
         )
 
@@ -137,9 +237,9 @@ def induced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
     n, m = g.n, g.m
     lam = int(lam)
     actions = {
-        "E": (1, lambda p: rat(1)),
-        "F": (-1, lambda p: -Fraction(m * p, 2) * (n * p - n + 2 * lam)),
-        "H": (0, lambda p: rat(lam + n * p)),
+        "E": (1, IndexPoly([1])),
+        "F": (-1, affine(0, Fraction(-m, 2)) * affine(2 * lam - n, n)),
+        "H": (0, affine(lam, n)),
     }
     return WeightModule(
         g,
@@ -159,9 +259,9 @@ def produced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
     n, m = g.n, g.m
     lam = int(lam)
     actions = {
-        "E": (1, lambda p: -Fraction(m * (p + 1), 2) * (n * p + 2 * lam)),
-        "F": (-1, lambda p: rat(1)),
-        "H": (0, lambda p: rat(lam + n * p)),
+        "E": (1, affine(Fraction(-m, 2), Fraction(-m, 2)) * affine(2 * lam, n)),
+        "F": (-1, IndexPoly([1])),
+        "H": (0, affine(lam, n)),
     }
     return WeightModule(
         g,
@@ -236,16 +336,14 @@ def principal_series(
     coeffs = derive_ps_action(g, subalgebra(g, label))
     actions = {}
     for gen, data in coeffs.items():
-        shift, c_mu, c_w = data["shift"], data["c_mu"], data["c_w"]
-        actions[gen] = (
-            shift,
-            (lambda c_mu, c_w: lambda p: c_mu * mu + c_w * n * (p + eps))(c_mu, c_w),
-        )
+        c_mu, c_w = data["c_mu"], data["c_w"]
+        # c_mu*mu + c_w*n(p + eps)
+        actions[gen] = (data["shift"], affine(c_mu * mu + c_w * n * eps, c_w * n))
     if alternate_qp_f and label == "qp":
         # the alternate printed coefficient: mu/2nm - p - eps (twice the
         # bracket-consistent one)
-        actions["F"] = (-1, lambda p: mu * Fraction(1, 2 * n * m) - (p + eps))
-    actions["H"] = (0, lambda p: _exact_weight(n, eps, p))
+        actions["F"] = (-1, affine(mu * Fraction(1, 2 * n * m) - eps, -1))
+    actions["H"] = (0, affine(n * eps, n))
     return WeightModule(
         g,
         gnm_relations(n, m),
@@ -267,22 +365,62 @@ def _exact_weight(n: int, eps: Fraction, p: int) -> int:
 
 
 def check_module_axioms(M: WeightModule, window) -> list:
-    """Evaluate every relation of M.relations on each window index.
+    """Every relation of M.relations on each supported window index.
 
-    Returns a list of (index, relation label, discrepancy) triples; empty
-    means every relation holds exactly on the window.
+    Returns a list of (index, relation label, discrepancy) triples in
+    window order, then relation order; empty means every relation holds
+    exactly on the window.  A relation whose discrepancy polynomial is
+    zero holds at every p whose five touched indices (p, p + s_X, p + s_Y,
+    p + s_X + s_Y and p + s_T) lie in the support, so it is evaluated only
+    at the indices next to a support boundary; any other relation is
+    evaluated at every index.
     """
+    contains = M.support.contains
+    checks = [(relation, *_proof(M, relation)) for relation in M.relations]
     failures = []
     for p in window:
-        if not M.support.contains(p):
+        if not contains(p):
             continue
-        v = {p: rat(1)}
-        image = {gen: apply_vector(M, gen, v) for gen in M.actions}
-        for label, x, y, target, c in M.relations:
-            bracket = _sub_vec(apply_vector(M, x, image[y]), apply_vector(M, y, image[x]))
-            diff = _sub_vec(bracket, _scale_vec(image[target], c))
-            if diff:
-                failures.append((p, label, diff))
+        due = [
+            relation
+            for relation, proved, lo, hi in checks
+            if not (proved and contains(p + lo) and contains(p + hi))
+        ]
+        if due:
+            failures.extend(_failures_at(M, p, due))
+    return failures
+
+
+def _proof(M: WeightModule, relation) -> tuple:
+    """(proved, lo, hi): whether [X, Y] - c*T applied to the vector at p is
+    zero as a polynomial in p, per target offset, and the least and
+    greatest offset from p of the indices the relation touches.  A support
+    is a half-line or all of Z, so p + lo and p + hi decide whether every
+    touched index lies in it."""
+    _label, x, y, target, c = relation
+    s_x, X = M.actions[x]
+    s_y, Y = M.actions[y]
+    s_t, T = M.actions[target]
+    bracket = X.shift(s_y) * Y - Y.shift(s_x) * X
+    scaled = T.scale(c)
+    if s_t == s_x + s_y:
+        proved = not (bracket - scaled)
+    else:
+        proved = not bracket and not scaled
+    offsets = (0, s_x, s_y, s_x + s_y, s_t)
+    return proved, min(offsets), max(offsets)
+
+
+def _failures_at(M: WeightModule, p: int, relations) -> list:
+    """The relations evaluated on the basis vector at p, with clipping."""
+    v = {p: rat(1)}
+    image = {gen: apply_vector(M, gen, v) for gen in M.actions}
+    failures = []
+    for label, x, y, target, c in relations:
+        bracket = _sub_vec(apply_vector(M, x, image[y]), apply_vector(M, y, image[x]))
+        diff = _sub_vec(bracket, _scale_vec(image[target], c))
+        if diff:
+            failures.append((p, label, diff))
     return failures
 
 

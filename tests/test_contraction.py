@@ -27,6 +27,7 @@ from hclat.contraction import (
 from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent, parse_scalar
 from hclat.weightmods import (
     CharacterModule,
+    IndexPoly,
     check_module_axioms,
     induced_module,
     principal_series,
@@ -129,7 +130,7 @@ def test_bracket_axioms_across_families():
 def test_contraction_axioms_negative_control():
     M = contracted_induced(1, 1)
     # an f-action that lost its factor z: [e,f] is no longer z*h
-    corrupt = M.with_action("f", -1, lambda p: Laurent.const(-p * (p + 1)))
+    corrupt = M.with_action("f", -1, IndexPoly([0, -1, -1], laurent=True))
     failures = check_contraction_axioms(corrupt, range(0, 15))
     assert {label for _, label, _ in failures} == {"[e,f]=z*h"}
     assert {p for p, _, _ in failures} == set(range(0, 15))
@@ -139,7 +140,7 @@ def test_contraction_axioms_reject_undeformed_sl2_module():
     # dividing f by z (the map phi) turns [e,f] = z*h into the sl2 relation
     M = contracted_induced(1, 1)
     _, f_coeff = M.actions["f"]
-    S = M.with_action("f", -1, lambda p: f_coeff(p).shift(-1))
+    S = M.with_action("f", -1, f_coeff.scale(Laurent.z_power(-1)))
     sl2 = (
         ("[h,e]=2e", "h", "e", "e", 2),
         ("[h,f]=-2f", "h", "f", "f", -2),
@@ -255,7 +256,7 @@ def test_specialize_mismatch_detected():
     g = make_zform(1, 1, 1)
     S = specialize(contracted_induced(3, 1), 1)
     assert not specialize_matches(S, induced_module(g, 4, QQ), (0, 30))
-    tampered = induced_module(g, 3, QQ).with_action("E", 1, lambda p: Fraction(2))
+    tampered = induced_module(g, 3, QQ).with_action("E", 1, IndexPoly([2]))
     assert not specialize_matches(S, tampered, (0, 30))
 
 

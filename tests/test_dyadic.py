@@ -434,7 +434,7 @@ def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle consulted the formula route")
 
-    for name in ("_sweep", "exponent_M", "exponent_N", "exponent_M_raw",
+    for name in ("_digit_sums", "exponent_M", "exponent_N", "exponent_M_raw",
                  "dyadic_defect_sum", "ord2"):
         monkeypatch.setattr(dyadic, name, forbidden)
     assert oracle_min_exponent("q", -3, 1, 1, 0, -2) == 1
@@ -488,3 +488,61 @@ def test_exponent_M_raw_matches_per_index_partial_sums():
         eps_raw = -mu / (2 * n * m) - boundary
         p = boundary - rng.randint(0, 60)
         assert exponent_M_raw(p, n, m, eps_raw, mu) == reference_M(p, n, m, eps_raw, mu)
+
+
+# -- reference route: the one-sweep window the digit-sum closed form replaced --
+
+
+def _v2(x):
+    return (x & -x).bit_length() - 1
+
+
+def reference_sweep(sign, n, m, eps, mu, boundary, window):
+    """{p: exponent} by the partial-sum recurrence G_p = -t_p + max(0, G_{p+-1}),
+    swept from the support boundary, with term t_j = v2(mu +- 2nm(j + eps))
+    - v2(4nm)."""
+    lo, hi = window
+    step = sign * 2 * n * m
+    base = int(mu + step * eps)
+    shift = _v2(4 * n * m)
+    out = {boundary: 0} if lo <= boundary <= hi else {}
+    run = 0
+    for p in range(boundary - sign, (lo - 1) if sign > 0 else (hi + 1), -sign):
+        run = max(0, run + shift - _v2(base + step * p))
+        if lo <= p <= hi:
+            out[p] = run
+    return out
+
+
+def test_digit_sum_closed_form_matches_reference_sweep():
+    # every n, m <= 3, residue eps and mu in [-40, 40] meeting the criterion,
+    # a window 300 deep on each side of the boundary; the dict order (from
+    # the boundary outwards) is part of the report
+    for variant, sign, edge in (("q", 1, top_index), ("qp", -1, bottom_index)):
+        for n, m, eps, mu in criterion_grid(variant, nmax=3, mu_range=40):
+            boundary = edge(n, m, eps, mu)
+            window = (boundary - 300, boundary + 300)
+            want = reference_sweep(sign, n, m, eps, mu, boundary, window)
+            got = integral_model(variant, n, m, eps, mu, window).exponents
+            assert list(got.items()) == list(want.items()), (variant, n, m, eps, mu)
+
+
+def test_exponent_M_raw_matches_reference_sweep():
+    rng = random.Random(1618)
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        mu = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+        boundary = rng.randint(-20, 20)
+        eps_raw = -mu / (2 * n * m) - boundary
+        p = boundary - rng.randint(0, 300)
+        want = reference_sweep(1, n, m, eps_raw, mu, boundary, (p, p))[p]
+        assert exponent_M_raw(p, n, m, eps_raw, mu) == want
+
+
+def test_exponent_far_from_the_boundary_is_a_digit_sum():
+    # the closed form costs nothing per step of distance to the boundary
+    mu = -20_000_000
+    assert top_index(1, 1, 0, mu) == 10_000_000
+    report = integral_model("q", 1, 1, 0, mu, (0, 0))
+    assert report.exponents == {0: bin(10_000_000).count("1")}
+    assert exponent_N(10**12, 1, 1, 0, 0) == bin(10**12).count("1")

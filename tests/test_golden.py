@@ -1,10 +1,13 @@
 """Golden replay: recorded CLI documents must come back byte for byte.
 
 ``perfbench/golden.json`` records ``[exit code, stdout sha256]`` for every
-benchmark document.  This replays every ``bw`` document, every ``lattice``
-document (the whole dyadic workload) and every ``classify`` document
-through ``hclat.cli.main``, from the repository root, since the classify
-documents name their tables by relative path.
+benchmark document.  This replays every recorded document of all four
+workloads through ``hclat.cli.main``: every ``bw`` document, every
+``lattice`` document (the whole dyadic workload), and the ``modules``
+workload in two groups, its ``classify`` documents and the rest (module
+and contract tables, error documents and verify reports).  It runs from
+the repository root, since the classify documents name their tables by
+relative path.
 """
 
 import importlib.util
@@ -37,6 +40,7 @@ GROUPS = {
     "bw_query": lambda: _recorded("bw_query", lambda doc: True),
     "classify": lambda: _recorded("modules", lambda doc: doc[0] == "classify"),
     "lattice": lambda: _recorded("dyadic", lambda doc: doc[0] == "lattice"),
+    "modules": lambda: _recorded("modules", lambda doc: doc[0] != "classify"),
 }
 
 

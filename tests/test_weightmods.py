@@ -7,13 +7,15 @@ characters, which is an independent route to the same numbers.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hclat import contraction as ct
 from hclat import pbw
 from hclat import weightmods as wm
-from hclat.scalars import QQ, ZZ, localized_integers
+from hclat.scalars import QQ, ZZ, Laurent, localized_integers
 from hclat.zforms import make_zform, subalgebra
 
 SWAP = {"E": "F", "F": "E", "H": "H"}
@@ -267,7 +269,7 @@ def test_derive_ps_action_tables():
 def test_negative_control_corrupted_module():
     g = make_zform(1, 1, 1)
     ind = wm.induced_module(g, 1, ZZ)
-    corrupt = ind.with_action("E", 1, lambda p: Fraction(2))
+    corrupt = ind.with_action("E", 1, wm.IndexPoly([2]))
     failures = wm.check_module_axioms(corrupt, range(0, 15))
     assert {p for p, _, _ in failures} == set(range(0, 15))
 
@@ -278,3 +280,197 @@ def test_module_rows_window():
     rows = wm.module_rows(pro, -2, 2)
     assert [r[0] for r in rows] == [0, 1, 2]
     assert rows[0] == [0, 2, Fraction(-4), Fraction(0), Fraction(2)]
+
+
+# -- coefficient polynomials ----------------------------------------------------
+
+
+def random_index_poly(rng, laurent):
+    coeffs = []
+    for _ in range(rng.randint(0, 4)):
+        c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+        if laurent:
+            c = Laurent({rng.randint(-2, 2): c, rng.randint(-2, 2): rng.randint(-3, 3)})
+        coeffs.append(c)
+    return coeffs
+
+
+def direct_value(coeffs, p, laurent):
+    total = Laurent() if laurent else Fraction(0)
+    for k, c in enumerate(coeffs):
+        total = total + c * Fraction(p) ** k
+    return total
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+def test_index_poly_matches_direct_evaluation(laurent):
+    rng = random.Random(6 + laurent)
+    kind = Laurent if laurent else Fraction
+    for _ in range(100):
+        a, b = random_index_poly(rng, laurent), random_index_poly(rng, laurent)
+        P, Q = wm.IndexPoly(a, laurent), wm.IndexPoly(b, laurent)
+        k = rng.randint(-4, 4)
+        c = rng.choice((2, Fraction(-3, 4), Laurent.z_power(1, 5) if laurent else 7))
+        for p in range(-6, 7):
+            value = P(p)
+            assert type(value) is kind and value == direct_value(a, p, laurent)
+            assert (P + Q)(p) == value + Q(p)
+            assert (P - Q)(p) == value - Q(p)
+            assert (P * Q)(p) == value * Q(p)
+            assert P.scale(c)(p) == value * c
+            assert P.shift(k)(p) == P(p + k)
+        assert bool(P) == any(a)
+        assert P - P == wm.IndexPoly([], laurent) and not (P - P)
+
+
+def test_index_poly_lifts_to_laurent_and_strips_zeros():
+    P = wm.IndexPoly([1, Laurent.z_power(1), 0])
+    assert P.laurent and P.coeffs == (Laurent.const(1), Laurent.z_power(1))
+    assert P(2) == Laurent({0: 1, 1: 2})
+    assert wm.IndexPoly([0, 0]).coeffs == () and wm.IndexPoly([])(5) == 0
+    assert wm.IndexPoly([Fraction(1, 2), 3]) == wm.affine(Fraction(1, 2), 3)
+
+
+def test_every_action_is_a_polynomial():
+    g = make_zform(2, 3, 6)
+    chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
+    for M in (
+        wm.induced_module(g, 1, ZZ),
+        wm.produced_module(g, -2, ZZ),
+        wm.principal_series(g, "qp", chi, QQ),
+        wm.principal_series(g, "qp", chi, QQ, alternate_qp_f=True),
+    ):
+        assert all(isinstance(poly, wm.IndexPoly) for _, poly in M.actions.values())
+
+
+# -- the polynomial axiom check against the windowed reference ----------------
+
+
+def reference_apply(M, gen, vec):
+    out = {}
+    for p, c in vec.items():
+        for p2, c2 in M.act_gen(gen, p):
+            total = out.get(p2, 0) + c2 * c
+            if total:
+                out[p2] = total
+            else:
+                out.pop(p2, None)
+    return out
+
+
+def reference_sub(x, y):
+    out = dict(x)
+    for p, c in y.items():
+        total = out.get(p, 0) - c
+        if total:
+            out[p] = total
+        else:
+            out.pop(p, None)
+    return out
+
+
+def windowed_axioms(M, window):
+    """The brute-force route: every relation applied to the basis vector at
+    every supported window index, actions clipped at the support."""
+    failures = []
+    for p in window:
+        if not M.support.contains(p):
+            continue
+        v = {p: Fraction(1)}
+        image = {gen: reference_apply(M, gen, v) for gen in M.actions}
+        for label, x, y, target, c in M.relations:
+            bracket = reference_sub(
+                reference_apply(M, x, image[y]), reference_apply(M, y, image[x])
+            )
+            scaled = {q: c * s for q, s in image[target].items() if c * s}
+            diff = reference_sub(bracket, scaled)
+            if diff:
+                failures.append((p, label, diff))
+    return failures
+
+
+def differential_modules(rng):
+    """Families, negative controls and support clippings of g_{n,m}
+    modules, and of the contraction and its fibers."""
+    out = []
+    for _ in range(6):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        lam = rng.randint(-5, 5)
+        g = make_zform(n, m, 1)
+        out += [wm.induced_module(g, lam, QQ), wm.produced_module(g, lam, QQ)]
+        eps = Fraction(rng.randrange(n), n)
+        mu = Fraction(rng.randint(-12, 12), rng.choice((1, 3)))
+        label = rng.choice(("q", "qp"))
+        gq = make_zform(n, m, Fraction(1, 2) if label == "q" else n * m)
+        ps = wm.principal_series(gq, label, wm.CharacterModule(eps, mu, label), QQ)
+        out.append(ps)
+        out.append(wm.principal_series(
+            make_zform(n, m, n * m), "qp", wm.CharacterModule(eps, mu, "qp"), QQ,
+            alternate_qp_f=True,
+        ))
+        # the principal series cut to a half-line is no submodule: its
+        # proved relations fail next to the cut
+        bound = rng.randint(-4, 4)
+        out.append(replace(ps, support=wm.Support(rng.choice(("ge", "le")), bound)))
+        # a corrupted action, possibly with the wrong shift
+        gen = rng.choice(("E", "F", "H"))
+        poly = wm.IndexPoly(random_index_poly(rng, False))
+        out.append(ps.with_action(gen, rng.randint(-1, 1), poly))
+    gpp = make_zform(2, 4, 2)
+    out.append(wm.principal_series(
+        gpp, "qpp", wm.CharacterModule(Fraction(1, 2), Fraction(3), "qpp"), QQ
+    ))
+    poly_mu = Laurent.parse("2z+z^2")
+    cind = ct.contracted_induced(2, 2)
+    out += [
+        cind,
+        ct.contracted_produced(-1, 3, ct.LAURENT_RING),
+        ct.contracted_ps(Fraction(1, 2), Laurent.parse("z^-1+3z"), ct.LAURENT_RING, n=2),
+        ct.contracted_ps(0, poly_mu, ct.POLY),
+        ct.contracted_ps(0, Laurent.parse("1+z"), ct.POLY),  # the zero module
+        cind.with_action("f", -1, wm.IndexPoly([0, -1, -1], laurent=True)),
+        replace(ct.contracted_ps(0, poly_mu, ct.POLY), support=wm.Support("ge", 1)),
+        ct.specialize(ct.contracted_induced(3, 1), 1),
+        ct.specialize(ct.contracted_produced(1, 2), Fraction(2, 3)),
+        ct.specialize(ct.contracted_ps(Fraction(1, 3), Laurent.parse("6z"), ct.LAURENT_RING, n=3), 0),
+    ]
+    return out
+
+
+def test_axiom_check_matches_windowed_reference():
+    rng = random.Random(20)
+    windows = (range(-30, 31), range(-3, 4), range(5, -6, -1), [7, -2, 0, 1, 2, -1])
+    controls = 0
+    for M in differential_modules(rng):
+        for window in windows:
+            want = windowed_axioms(M, window)
+            assert repr(wm.check_module_axioms(M, window)) == repr(want), (M.family, window)
+            controls += bool(want)
+    assert controls >= 20  # the negative controls do fail
+
+
+def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
+    seen = []
+    real = wm._failures_at
+
+    def spy(M, p, relations):
+        seen.append((p, tuple(label for label, *_ in relations)))
+        return real(M, p, relations)
+
+    monkeypatch.setattr(wm, "_failures_at", spy)
+    g = make_zform(2, 3, 1)
+    assert wm.check_module_axioms(wm.induced_module(g, 1, ZZ), range(-50, 51)) == []
+    # F lowers the index, so [H,F] and [E,F] touch p - 1 at p = 0
+    assert seen == [(0, ("[H,F]=-nF", "[E,F]=mH"))]
+    seen.clear()
+    gp = make_zform(2, 3, 6)
+    chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
+    assert wm.check_module_axioms(wm.principal_series(gp, "qp", chi, QQ), range(-50, 51)) == []
+    assert seen == []
+    cut = replace(wm.produced_module(g, 1, ZZ), support=wm.Support("le", 4))
+    wm.check_module_axioms(cut, range(-50, 51))
+    assert seen == [(4, ("[H,E]=nE", "[E,F]=mH"))]
+    seen.clear()
+    alternate = wm.principal_series(gp, "qp", chi, QQ, alternate_qp_f=True)
+    assert len(wm.check_module_axioms(alternate, range(-5, 6))) == 11
+    assert seen == [(p, ("[E,F]=mH",)) for p in range(-5, 6)]
