@@ -2,158 +2,93 @@
 their counit fractions, sublattices generated by vectors, duals, minimal
 and maximal forms, Hom lattices, and maximality certificates.
 
-Closures apply E and F, and the divided powers X^k/k! (Kostant's Z-form)
-as the chain X(X^(k-1) v/(k-1)!)/k, to vectors.  Rational questions (the
-kernel of the Hom equations) go through the one Gauss-Jordan elimination,
-``scalars.rref``.  Integral questions go through ``RowLattice``: an integer
-row-echelon basis with positive pivots (so ``basis()`` is the Hermite
-normal form) over a common denominator answers membership, integer
-coordinates, closure, and index (as a ratio of covolumes).
+Every ambient here has distinct weights, so its weight spaces are lines
+Q e_i.  A lattice stable under Kostant's Z-form U_Z is the direct sum of
+its weight components, since the integer-valued polynomials in H lie in
+U_Z and separate the weights (Humphreys, section 27).  So each lattice is
+``RowLattice``: one rational scalar c_i per coordinate, for the lattice
+of the sum of c_i Z e_i.  Closures split their generators into weight
+components and apply E, F and the divided powers X^k/k! (as the chain
+X(X^(k-1) v/(k-1)!)/k) to them; stability under these is stability under
+U_Z, which they generate.  The Hom equations keep one unknown per pair of
+equal weights, all that H-equivariance leaves, and go through the one
+Gauss-Jordan elimination, ``scalars.rref``.
+
+Maximality certificates use the Z-basis F^(i) binom(H, b) E^(j) of U_Z.
+On a weight vector u at index a only E^(a) ends at the highest weight, so
+the highest component of an enlargement by u is read off the E-chain of u
+without closing the enlarged lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .scalars import rat, rref
 
 
-def _ext_gcd(a: int, b: int):
-    """g, x, y with x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _pivot(row):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
-
-
-def _rational_coordinates(rows, target):
-    """Coordinates of target in nonzero echelon rows by forward
-    substitution, or None if target is outside their Q-span."""
-    work = [rat(x) for x in target]
-    coords = []
-    for row in rows:
-        j = _pivot(row)
-        q = 0
-        if work[j]:
-            q = work[j] / row[j]
-            work = [a - q * b for a, b in zip(work, row)]
-        coords.append(q)
-    return coords if not any(work) else None
+def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """The nonnegative generator of aZ + bZ."""
+    return Fraction(
+        gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+        a.denominator * b.denominator,
+    )
 
 
 class RowLattice:
-    """Subgroup of (1/den) * Z^n kept in row-echelon form over Z."""
+    """The lattice of the sum of c_i Z e_i in Q^n, kept as the nonnegative
+    rational scalars c_i (c_i = 0 where the lattice has no component)."""
 
     def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.den = 1
-        self.rows = []  # integer rows, pivot columns strictly increasing
-
-    def copy(self) -> "RowLattice":
-        dup = RowLattice(self.ncols)
-        dup.den = self.den
-        dup.rows = [list(row) for row in self.rows]
-        return dup
-
-    def _scaled(self, vec):
-        """(d, vec * d) for the least common multiple d of den and the
-        denominators of vec, whose entries are ints or Fractions; only the
-        nonzero entries are scaled."""
-        d = lcm(self.den, *(x.denominator for x in vec if x))
-        return d, [x.numerator * (d // x.denominator) if x else 0 for x in vec]
+        self.scalars = [Fraction(0)] * ncols
 
     def add(self, vec) -> bool:
-        """Insert a rational vector; returns True if the lattice grew."""
-        d, work = self._scaled(vec)
-        if d != self.den:
-            factor = d // self.den
-            self.rows = [[x * factor for x in row] for row in self.rows]
-            self.den = d
-        grew = False
-        while any(work):
-            j = _pivot(work)
-            pos = 0
-            while pos < len(self.rows) and _pivot(self.rows[pos]) < j:
-                pos += 1
-            if pos == len(self.rows) or _pivot(self.rows[pos]) != j:
-                if work[j] < 0:
-                    work = [-x for x in work]
-                self.rows.insert(pos, work)
-                return True
-            row = self.rows[pos]
-            a, b = row[j], work[j]
-            if b % a == 0:
-                q = b // a
-                work = [w - q * r for w, r in zip(work, row)]
-            else:
-                g, x, y = _ext_gcd(a, b)
-                if g < 0:  # keep every pivot positive: basis() is then the HNF
-                    g, x, y = -g, -x, -y
-                merged = [x * r + y * w for r, w in zip(row, work)]
-                work = [(a // g) * w - (b // g) * r for r, w in zip(row, work)]
-                self.rows[pos] = merged
-                grew = True
-        return grew
+        """Insert a weight vector (at most one nonzero entry); returns True
+        if the lattice grew."""
+        support = [(j, x) for j, x in enumerate(vec) if x]
+        if not support:
+            return False
+        if len(support) > 1:
+            raise ValueError(
+                f"not a weight vector: nonzero entries at {[j for j, _ in support]}"
+            )
+        j, x = support[0]
+        old = self.scalars[j]
+        self.scalars[j] = _rational_gcd(old, Fraction(x))
+        return self.scalars[j] != old
 
     def contains(self, vec) -> bool:
-        d, work = self._scaled(vec)
-        if d != self.den:
-            # vector needs a finer denominator than the lattice carries
-            return False
-        for row in self.rows:
-            j = _pivot(row)
-            if work[j]:
-                if work[j] % row[j]:
-                    return False
-                q = work[j] // row[j]
-                work = [w - q * r for w, r in zip(work, row)]
-        return not any(work)
+        return all(
+            not x or (c and (x / c).denominator == 1) for c, x in zip(self.scalars, vec)
+        )
 
     def basis(self) -> list:
-        """Hermite normal form as rational rows: positive pivots, and the
-        entries above each pivot reduced into [0, pivot)."""
-        rows = [list(r) for r in self.rows]
-        for i in range(len(rows)):
-            j = _pivot(rows[i])
-            for k in range(i):
-                q = rows[k][j] // rows[i][j]
-                if q:
-                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
-        return [[Fraction(x, self.den) for x in row] for row in rows]
+        """The rows c_i e_i with c_i nonzero: already the Hermite normal
+        form."""
+        n = len(self.scalars)
+        return [
+            [c if j == i else Fraction(0) for j in range(n)]
+            for i, c in enumerate(self.scalars)
+            if c
+        ]
 
     def coordinates(self, vec) -> list:
-        """Integer coordinates of vec in the echelon basis, or None."""
-        coords = _rational_coordinates(self.basis(), vec)
-        if coords is None or any(q.denominator != 1 for q in coords):
+        """Integer coordinates of vec in basis(), or None."""
+        if not self.contains(vec):
             return None
-        return [int(q) for q in coords]
+        return [int(x / c) for c, x in zip(self.scalars, vec) if c]
 
     def covolume(self) -> Fraction:
-        """|product of the pivots| / den^rank: the volume of a fundamental
+        """The product of the nonzero c_i: the volume of a fundamental
         domain inside the Q-span, so [L : L'] = covol(L') / covol(L) for
         L' inside L of the same rank."""
-        out = Fraction(1, self.den ** len(self.rows))
-        for row in self.rows:
-            out *= row[_pivot(row)]
-        return abs(out)
+        return prod((c for c in self.scalars if c), start=Fraction(1))
 
 
 def _span(rows) -> RowLattice:
-    """The Z-span of nonempty rational rows."""
+    """The Z-span of nonempty rational rows, each a weight vector."""
     lat = RowLattice(len(rows[0]))
     for row in rows:
         lat.add(row)
@@ -184,9 +119,8 @@ class FiniteLattice:
     """Finite-rank lattice with integer E and F matrices; H is diagonal by
     weight.  Column convention: M[i][j] is the u_i-coefficient of X u_j.
 
-    weights is None when the basis is not weight-homogeneous (possible for
-    lattices generated by mixed vectors); embedding, when present, gives
-    the basis rows in ambient ladder coordinates.
+    embedding, when present, gives the basis rows in ambient ladder
+    coordinates.
     """
 
     weights: list
@@ -200,9 +134,6 @@ class FiniteLattice:
         return len(self.E)
 
     def H(self) -> list:
-        if self.weights is None:
-            # H = EF - FE always lies in the lattice's endomorphisms
-            return _commutator(self.E, self.F)
         return [
             [self.weights[i] if i == j else 0 for j in range(self.rank)]
             for i in range(self.rank)
@@ -248,19 +179,19 @@ def ladder_lattice(lam: int, n: int) -> FiniteLattice:
     return FiniteLattice(weights, E, F)
 
 
-def _images(ambient: FiniteLattice, vec, divided_powers: bool):
-    """The nonzero X vec for X in {E, F} and, with divided_powers, the
-    nonzero X^k vec/k! for k <= rank; each chain stops at its first zero."""
+def _images(ambient: FiniteLattice, vec):
+    """The nonzero X^k vec/k! for X in {E, F} and k <= rank; each chain
+    stops at its first zero."""
     for X in (ambient.E, ambient.F):
         image = vec
-        for k in range(1, ambient.rank + 1 if divided_powers else 2):
+        for k in range(1, ambient.rank + 1):
             image = [Fraction(x, k) if x else 0 for x in _mat_apply(X, image)]
             if not any(image):
                 break
             yield image
 
 
-def _close_under(lat: RowLattice, ambient, divided_powers, vectors) -> None:
+def _close_under(lat: RowLattice, ambient, vectors) -> None:
     """Add the vectors to lat and close it under _images.
 
     Only vectors whose insertion enlarged the lattice need their images
@@ -271,22 +202,32 @@ def _close_under(lat: RowLattice, ambient, divided_powers, vectors) -> None:
     pending = [v for v in vectors if lat.add(v)]
     while pending:
         vec = pending.pop()
-        for image in _images(ambient, vec, divided_powers):
+        for image in _images(ambient, vec):
             if lat.add(image):
                 pending.append(image)
 
 
-def generated_lattice(ambient: FiniteLattice, vectors, divided_powers: bool = False) -> FiniteLattice:
-    """Smallest sublattice containing the vectors and closed under E and F
-    (and, with divided_powers, under E^k/k! and F^k/k!).
+def generated_lattice(ambient: FiniteLattice, vectors) -> FiniteLattice:
+    """Smallest sublattice containing the vectors and closed under E^k/k!
+    and F^k/k!, that is, under U_Z.
 
     Vectors are rational rows in ambient coordinates; the result carries
-    its embedding and its own integer action matrices.
+    its embedding and its own integer action matrices.  The ambient's
+    weights must be distinct: U_Z then holds the projection onto each
+    weight line, so the closure is that of the vectors' weight components.
     """
+    if len(set(ambient.weights)) != len(ambient.weights):
+        raise ValueError("ambient weights repeat; each weight space must be a line")
     if not vectors or all(not any(v) for v in vectors):
         raise ValueError("need at least one nonzero generating vector")
+    components = [
+        [x if k == j else 0 for k in range(ambient.rank)]
+        for v in vectors
+        for j, x in enumerate(v)
+        if x
+    ]
     lat = RowLattice(ambient.rank)
-    _close_under(lat, ambient, divided_powers, vectors)
+    _close_under(lat, ambient, components)
     return _from_row_lattice(lat, ambient)
 
 
@@ -303,15 +244,8 @@ def _from_row_lattice(lat: RowLattice, ambient: FiniteLattice) -> FiniteLattice:
                 raise RuntimeError("closure left the lattice; reduction bug")
             cols.append(coords)
         actions[name] = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    weights = []
-    for row in basis:
-        support = {ambient.weights[k] for k, x in enumerate(row) if x}
-        if len(support) != 1:
-            weights = None
-            break
-        weights.append(support.pop())
     return FiniteLattice(
-        weights,
+        [w for w, c in zip(ambient.weights, lat.scalars) if c],
         actions["E"],
         actions["F"],
         embedding=basis,
@@ -326,9 +260,7 @@ def dual_lattice(L: FiniteLattice) -> FiniteLattice:
     perm = [r - 1 - a for a in range(r)]
     E = [[-L.E[perm[b]][perm[a]] for b in range(r)] for a in range(r)]
     F = [[-L.F[perm[b]][perm[a]] for b in range(r)] for a in range(r)]
-    weights = None
-    if L.weights is not None:
-        weights = [-L.weights[perm[a]] for a in range(r)]
+    weights = [-L.weights[perm[a]] for a in range(r)]
     return FiniteLattice(weights, E, F)
 
 
@@ -339,7 +271,7 @@ def minimal_lattice(lam: int) -> FiniteLattice:
         raise ValueError("lam must be nonnegative")
     amb = ladder_lattice(lam, 0)
     top = [Fraction(1 if i == 0 else 0) for i in range(amb.rank)]
-    return generated_lattice(amb, [top], divided_powers=True)
+    return generated_lattice(amb, [top])
 
 
 def maximal_lattice(lam: int) -> FiniteLattice:
@@ -349,7 +281,7 @@ def maximal_lattice(lam: int) -> FiniteLattice:
         raise ValueError("lam must be nonnegative")
     amb = ladder_lattice(lam, 0)
     bottom = [Fraction(1 if i == amb.rank - 1 else 0) for i in range(amb.rank)]
-    low = generated_lattice(amb, [bottom], divided_powers=True)
+    low = generated_lattice(amb, [bottom])
     M = dual_lattice(low)
     embedding = _diagonal_intertwiner(M, amb)
     # flip basis signs so the embedding coefficients are positive; the
@@ -393,7 +325,7 @@ def binomial_lattice(lam: int) -> FiniteLattice:
         [Fraction(1, comb(lam, a)) if j == a else Fraction(0) for j in range(amb.rank)]
         for a in range(amb.rank)
     ]
-    return generated_lattice(amb, rows, divided_powers=True)
+    return generated_lattice(amb, rows)
 
 
 def lattice_span_equal(A: FiniteLattice, B: FiniteLattice) -> bool:
@@ -412,7 +344,7 @@ def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
     if not all(lat.contains(row) for row in inner.embedding):
         return None
     sub = _span(inner.embedding)
-    if len(sub.rows) != len(lat.rows):
+    if len(sub.basis()) != len(lat.basis()):
         return None
     return sub.covolume() / lat.covolume()
 
@@ -423,28 +355,32 @@ def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
 def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
     """Integer intertwiners T with T X_A = X_B T for X in {E, F, H}.
 
-    Returns the rank of the rational solution space and, when it is one,
-    the primitive integer generator (as a rank_B x rank_A matrix).
+    H-equivariance makes T[i][j] zero unless B.weights[i] == A.weights[j];
+    the other entries are the unknowns of the E and F equations.  Returns
+    the rank of the rational solution space and, when it is one, the
+    primitive integer generator (as a rank_B x rank_A matrix) whose first
+    nonzero entry in row-major order is positive.
     """
     ra, rb = A.rank, B.rank
-    unknowns = ra * rb
-
-    def idx(i, j):
-        return i * ra + j  # T[i][j], i < rb, j < ra
-
+    free = [(i, j) for i in range(rb) for j in range(ra) if B.weights[i] == A.weights[j]]
+    by_row = [[] for _ in range(rb)]
+    by_col = [[] for _ in range(ra)]
+    for u, (i, j) in enumerate(free):
+        by_row[i].append((j, u))
+        by_col[j].append((i, u))
     equations = []
-    pairs = (("E", A.E, B.E), ("F", A.F, B.F), ("H", A.H(), B.H()))
-    for _, XA, XB in pairs:
+    for XA, XB in ((A.E, B.E), (A.F, B.F)):
         for i in range(rb):
             for j in range(ra):
-                row = [Fraction(0)] * unknowns
-                for k in range(ra):
-                    row[idx(i, k)] += rat(XA[k][j])
-                for k in range(rb):
-                    row[idx(k, j)] -= rat(XB[i][k])
+                # entry (i, j) of T X_A - X_B T
+                row = [Fraction(0)] * len(free)
+                for k, u in by_row[i]:
+                    row[u] += rat(XA[k][j])
+                for k, u in by_col[j]:
+                    row[u] -= rat(XB[i][k])
                 if any(row):
                     equations.append(row)
-    kernel = _nullspace(equations, unknowns)
+    kernel = _nullspace(equations, len(free))
     result = {"rank": len(kernel), "generator": None}
     if len(kernel) == 1:
         vec = kernel[0]
@@ -455,9 +391,10 @@ def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
         first = next(x for x in ints if x)
         if first < 0:
             ints = [-x for x in ints]
-        result["generator"] = [
-            [ints[idx(i, j)] for j in range(ra)] for i in range(rb)
-        ]
+        generator = [[0] * ra for _ in range(rb)]
+        for (i, j), x in zip(free, ints):
+            generator[i][j] = x
+        result["generator"] = generator
     return result
 
 
@@ -474,30 +411,14 @@ def _nullspace(rows, ncols) -> list:
     return basis
 
 
-def _top_component(lat: RowLattice) -> Fraction:
-    """Generator g with V intersect Q*e_top = g Z e_top.
-
-    If e_top = sum q_i b_i over the basis, then t e_top lies in V exactly
-    when every t q_i is an integer, so g = lcm(denominators)/gcd(numerators)
-    over the nonzero coordinates.
-    """
-    target = [Fraction(1 if j == 0 else 0) for j in range(lat.ncols)]
-    coords = _rational_coordinates(lat.basis(), target)
-    if coords is None:
-        raise ValueError("ambient highest vector is not in the Q-span")
-    nums = [abs(q.numerator) for q in coords if q]
-    dens = [q.denominator for q in coords if q]
-    if not nums:
-        raise ValueError("highest component is zero")
-    return Fraction(lcm(*dens), gcd(*nums))
-
-
 def hom_generator_index(V: FiniteLattice) -> int:
     """Positive generator of the image of V's highest weight component
     under the counit dual to the ambient highest vector."""
     if V.embedding is None:
         raise ValueError("lattice carries no embedding")
-    g = _top_component(_span(V.embedding))
+    g = _span(V.embedding).scalars[0]
+    if not g:
+        raise ValueError("ambient highest vector is not in the Q-span")
     if g.denominator != 1:
         raise ValueError(
             f"highest component {g} is not contained in Z; normalize first"
@@ -505,25 +426,13 @@ def hom_generator_index(V: FiniteLattice) -> int:
     return g.numerator
 
 
-def scale_lattice(L: FiniteLattice, k: int) -> FiniteLattice:
-    if L.embedding is None:
-        raise ValueError("lattice carries no embedding")
-    return FiniteLattice(
-        L.weights,
-        L.E,
-        L.F,
-        embedding=[[k * x for x in row] for row in L.embedding],
-        ambient_weights=L.ambient_weights,
-    )
-
-
 def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     """Try to enlarge L by u/rho for each basis vector u and prime rho.
 
     A lattice with highest component Z is maximal when every enlargement
     forces a denominator into the highest component; failures list the
-    (prime, weight-or-index) pairs where the enlarged closure stays
-    integral at the top.
+    (prime, weight) pairs where the enlarged closure stays integral at the
+    top.
     """
     if L.embedding is None:
         raise ValueError("lattice carries no embedding")
@@ -531,21 +440,23 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
     base = _span(L.embedding)
-    # each enlargement below reuses base, so it must already be stable
+    # the closure of L + Z u is L + U_Z u only when L is already stable
     for row in L.embedding:
-        for image in _images(amb, row, divided_powers=True):
+        for image in _images(amb, row):
             if not base.contains(image):
                 raise ValueError("lattice is not closed under the divided action")
+    # U_Z has the Z-basis F^(i) binom(H, b) E^(j), and binom(H, b) only
+    # scales a weight vector by an integer.  From u at index a only
+    # E^(a) u lands on the highest weight, so the highest component of
+    # L + U_Z u is Z + (E^(a) u)_0 Z: it stays Z exactly when the top
+    # entries of u and of its images are all integers.
     failures = []
     for rho in primes:
         for a, row in enumerate(L.embedding):
-            candidate = [x / rho for x in row]
-            enlarged = base.copy()
-            _close_under(enlarged, amb, True, [candidate])
-            top = _top_component(enlarged)
-            if top.denominator == 1:
-                label = L.weights[a] if L.weights is not None else a
-                failures.append((rho, label))
+            u = [Fraction(x, rho) for x in row]
+            tops = [u[0]] + [image[0] for image in _images(amb, u)]
+            if all(t.denominator == 1 for t in tops):
+                failures.append((rho, L.weights[a]))
     return {
         "certified": not failures,
         "failures": failures,

@@ -75,9 +75,6 @@ class Laurent:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def coefficient(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, Fraction(0))
 
@@ -260,13 +257,6 @@ def parse_scalar(text: str):
     return rat(text)
 
 
-def scalar_str(x) -> str:
-    """Canonical text form of a scalar (rational or Laurent)."""
-    if isinstance(x, Laurent):
-        return str(x)
-    return str(rat(x))
-
-
 def scalar_to_json(x):
     """JSON form: rationals as "num/den" strings, polynomials as [[exp, "c"], ...]."""
     if isinstance(x, Laurent):
@@ -347,22 +337,6 @@ LAURENT_RING = CoefficientRing("Q[z,z^-1]")
 
 def localized_integers(N: int) -> CoefficientRing:
     return CoefficientRing("Z[1/N]", localized_at=int(N))
-
-
-def ring_from_name(name: str) -> CoefficientRing:
-    s = name.strip().replace(" ", "")
-    if s == "Z":
-        return ZZ
-    if s == "Q":
-        return QQ
-    if s == "Q[z]":
-        return POLY
-    if s in ("Q[z,z^-1]", "Q[z,1/z]"):
-        return LAURENT_RING
-    mo = re.fullmatch(r"Z\[1/(\d+)\]", s)
-    if mo:
-        return localized_integers(int(mo.group(1)))
-    raise ValueError(f"unknown ring name {name!r}")
 
 
 def _denominator_invertible(den: int, N: int) -> bool:

@@ -710,15 +710,16 @@ def _check_dual_roundtrip() -> dict:
         grid += 1
         amb = borelweil.ladder_lattice(lam, 0)
         bottom = [Fraction(1 if i == amb.rank - 1 else 0) for i in range(amb.rank)]
-        low = borelweil.generated_lattice(amb, [bottom], divided_powers=True)
+        low = borelweil.generated_lattice(amb, [bottom])
         D = borelweil.dual_lattice(low)
         hom = borelweil.hom_lattice(D, borelweil.maximal_lattice(lam))
         if hom["rank"] != 1:
             failures.append(f"lambda={lam}: dual comparison rank {hom['rank']}")
             continue
-        # |det| of the square generator: its covolume, or 0 when singular
+        # |det| of the square generator, diagonal by weight: its covolume,
+        # or 0 when singular
         gen = borelweil._span(hom["generator"])
-        det = gen.covolume() if len(gen.rows) == gen.ncols else 0
+        det = gen.covolume() if len(gen.basis()) == len(hom["generator"]) else 0
         if det != 1:
             failures.append(f"lambda={lam}: change of basis has |determinant| {det}")
     return _passfail("dual_roundtrip_to_maximal", failures, grid)
@@ -757,7 +758,7 @@ def _check_weight_multiplicities() -> dict:
     for lam in range(0, 13):
         grid += 1
         weights = borelweil.maximal_lattice(lam).weights
-        if weights is None or len(set(weights)) != len(weights):
+        if len(set(weights)) != len(weights):
             failures.append(f"lambda={lam}: repeated weight")
     return _passfail("weight_multiplicity_one", failures, grid)
 

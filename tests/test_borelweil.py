@@ -1,10 +1,17 @@
 """Tests for the finite-rank lattice layer: ladder models, generated
 sublattices, duals, minimal/maximal forms, Hom lattices, maximality
-certificates, and the counit fraction witness."""
+certificates, and the counit fraction witness.
+
+The general routes that the weight-graded code replaced live here as
+references: ``ReferenceLattice`` (an integer Hermite-form lattice for any
+rational rows), the dense divided-power closure, the dense Hom system with
+one unknown per matrix entry, and the certificate that closes every
+enlargement.  Seeded differential tests compare the library against them.
+"""
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -12,8 +19,8 @@ from hclat.borelweil import (
     FiniteLattice,
     RowLattice,
     _from_row_lattice,
+    _images,
     _nullspace,
-    _span,
     binomial_lattice,
     check_lattice_axioms,
     counit_fraction_witness,
@@ -27,7 +34,6 @@ from hclat.borelweil import (
     maximal_lattice,
     maximality_certificate,
     minimal_lattice,
-    scale_lattice,
 )
 
 
@@ -35,11 +41,273 @@ def unit(rank, i, num=1, den=1):
     return [Fraction(num, den) if j == i else Fraction(0) for j in range(rank)]
 
 
-# -- row lattices -------------------------------------------------------------
+def scaled(L, k):
+    """L with every embedding row multiplied by k."""
+    return FiniteLattice(
+        L.weights,
+        L.E,
+        L.F,
+        embedding=[[k * x for x in row] for row in L.embedding],
+        ambient_weights=L.ambient_weights,
+    )
+
+
+# -- reference routes ---------------------------------------------------------
+
+
+def _ext_gcd(a, b):
+    """g, x, y with x*a + y*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _pivot(row):
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
+
+
+def _rational_coordinates(rows, target):
+    """Coordinates of target in nonzero echelon rows by forward
+    substitution, or None if target is outside their Q-span."""
+    work = [Fraction(x) for x in target]
+    coords = []
+    for row in rows:
+        j = _pivot(row)
+        q = 0
+        if work[j]:
+            q = work[j] / row[j]
+            work = [a - q * b for a, b in zip(work, row)]
+        coords.append(q)
+    return coords if not any(work) else None
+
+
+class ReferenceLattice:
+    """Subgroup of (1/den) * Z^n kept in row-echelon form over Z, for any
+    rational rows; basis() is the Hermite normal form."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.den = 1
+        self.rows = []  # integer rows, pivot columns strictly increasing
+
+    def copy(self):
+        dup = ReferenceLattice(self.ncols)
+        dup.den = self.den
+        dup.rows = [list(row) for row in self.rows]
+        return dup
+
+    def _scaled(self, vec):
+        d = lcm(self.den, *(x.denominator for x in vec if x))
+        return d, [x.numerator * (d // x.denominator) if x else 0 for x in vec]
+
+    def add(self, vec):
+        d, work = self._scaled(vec)
+        if d != self.den:
+            factor = d // self.den
+            self.rows = [[x * factor for x in row] for row in self.rows]
+            self.den = d
+        grew = False
+        while any(work):
+            j = _pivot(work)
+            pos = 0
+            while pos < len(self.rows) and _pivot(self.rows[pos]) < j:
+                pos += 1
+            if pos == len(self.rows) or _pivot(self.rows[pos]) != j:
+                if work[j] < 0:
+                    work = [-x for x in work]
+                self.rows.insert(pos, work)
+                return True
+            row = self.rows[pos]
+            a, b = row[j], work[j]
+            if b % a == 0:
+                q = b // a
+                work = [w - q * r for w, r in zip(work, row)]
+            else:
+                g, x, y = _ext_gcd(a, b)
+                if g < 0:
+                    g, x, y = -g, -x, -y
+                merged = [x * r + y * w for r, w in zip(row, work)]
+                work = [(a // g) * w - (b // g) * r for r, w in zip(row, work)]
+                self.rows[pos] = merged
+                grew = True
+        return grew
+
+    def contains(self, vec):
+        d, work = self._scaled(vec)
+        if d != self.den:
+            return False
+        for row in self.rows:
+            j = _pivot(row)
+            if work[j]:
+                if work[j] % row[j]:
+                    return False
+                q = work[j] // row[j]
+                work = [w - q * r for w, r in zip(work, row)]
+        return not any(work)
+
+    def basis(self):
+        rows = [list(r) for r in self.rows]
+        for i in range(len(rows)):
+            j = _pivot(rows[i])
+            for k in range(i):
+                q = rows[k][j] // rows[i][j]
+                if q:
+                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
+        return [[Fraction(x, self.den) for x in row] for row in rows]
+
+    def coordinates(self, vec):
+        coords = _rational_coordinates(self.basis(), vec)
+        if coords is None or any(q.denominator != 1 for q in coords):
+            return None
+        return [int(q) for q in coords]
+
+    def covolume(self):
+        out = Fraction(1, self.den ** len(self.rows))
+        for row in self.rows:
+            out *= row[_pivot(row)]
+        return abs(out)
+
+
+def _reference_span(rows):
+    lat = ReferenceLattice(len(rows[0]))
+    for row in rows:
+        lat.add(row)
+    return lat
+
+
+def _apply(M, vec):
+    return [sum(M[i][j] * vec[j] for j in range(len(vec))) for i in range(len(M))]
+
+
+def _reference_from_lattice(lat, ambient):
+    """FiniteLattice on the Hermite basis; weights None when a basis row
+    mixes weights."""
+    basis = lat.basis()
+    actions = []
+    for M in (ambient.E, ambient.F):
+        cols = [lat.coordinates(_apply(M, row)) for row in basis]
+        assert all(col is not None for col in cols)
+        actions.append([[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
+    weights = []
+    for row in basis:
+        support = {ambient.weights[k] for k, x in enumerate(row) if x}
+        if len(support) != 1:
+            weights = None
+            break
+        weights.append(support.pop())
+    return FiniteLattice(
+        weights, *actions, embedding=basis, ambient_weights=list(ambient.weights)
+    )
+
+
+def _dense_closure(ambient, vectors):
+    """Reference closure: dense E^k/k! and F^k/k! matrices applied to the
+    mixed vectors themselves, with the basis re-swept until no operator
+    enlarges it."""
+    rank = ambient.rank
+
+    def mul(A, B):
+        return [
+            [sum(A[i][t] * B[t][j] for t in range(rank)) for j in range(rank)]
+            for i in range(rank)
+        ]
+
+    ops = [ambient.E, ambient.F]
+    for X in (ambient.E, ambient.F):
+        power = X
+        for k in range(2, rank + 1):
+            power = mul(power, X)
+            ops.append([[Fraction(x, factorial(k)) for x in row] for row in power])
+    lat = _reference_span(vectors)
+    grew = True
+    while grew:
+        grew = False
+        for row in lat.basis():
+            for op in ops:
+                image = _apply(op, row)
+                if any(image) and lat.add(image):
+                    grew = True
+    return _reference_from_lattice(lat, ambient)
+
+
+def reference_hom_lattice(A, B):
+    """The dense system: one unknown per entry of T, 3 rank_A rank_B
+    equations from E, F and H."""
+    ra, rb = A.rank, B.rank
+    unknowns = ra * rb
+
+    def idx(i, j):
+        return i * ra + j
+
+    equations = []
+    for XA, XB in ((A.E, B.E), (A.F, B.F), (A.H(), B.H())):
+        for i in range(rb):
+            for j in range(ra):
+                row = [Fraction(0)] * unknowns
+                for k in range(ra):
+                    row[idx(i, k)] += XA[k][j]
+                for k in range(rb):
+                    row[idx(k, j)] -= XB[i][k]
+                if any(row):
+                    equations.append(row)
+    kernel = _nullspace(equations, unknowns)
+    result = {"rank": len(kernel), "generator": None}
+    if len(kernel) == 1:
+        vec = kernel[0]
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        content = gcd(*ints)
+        ints = [x // content for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        result["generator"] = [[ints[idx(i, j)] for j in range(ra)] for i in range(rb)]
+    return result
+
+
+def _reference_top_component(lat):
+    """g with V intersect Q e_top = g Z e_top, from the coordinates of
+    e_top in the Hermite basis."""
+    target = [Fraction(1 if j == 0 else 0) for j in range(lat.ncols)]
+    coords = _rational_coordinates(lat.basis(), target)
+    nums = [abs(q.numerator) for q in coords if q]
+    dens = [q.denominator for q in coords if q]
+    return Fraction(lcm(*dens), gcd(*nums))
+
+
+def reference_certificate(L, primes, lam):
+    """Close every enlargement L + Z u/rho under the divided action and
+    read its highest component."""
+    amb = ladder_lattice(lam, 0)
+    base = _reference_span(L.embedding)
+    failures = []
+    for rho in primes:
+        for a, row in enumerate(L.embedding):
+            enlarged = base.copy()
+            candidate = [x / rho for x in row]
+            pending = [candidate] if enlarged.add(candidate) else []
+            while pending:
+                for image in _images(amb, pending.pop()):
+                    if enlarged.add(image):
+                        pending.append(image)
+            if _reference_top_component(enlarged).denominator == 1:
+                failures.append((rho, L.weights[a]))
+    return {"certified": not failures, "failures": failures, "primes": list(primes)}
+
+
+# -- reference lattice --------------------------------------------------------
 
 
 def test_row_lattice_add_and_contains():
-    lat = RowLattice(3)
+    lat = ReferenceLattice(3)
     assert lat.add([1, 0, 1])
     assert lat.add([0, 0, 2])
     assert not lat.add([1, 0, 3])  # = first + second, nothing new
@@ -48,20 +316,12 @@ def test_row_lattice_add_and_contains():
     assert not lat.contains([Fraction(1, 2), 0, 0])
 
 
-def test_row_lattice_gcd_merge():
-    lat = RowLattice(1)
-    lat.add([6])
-    assert lat.add([10])  # gcd merge shrinks the pivot to 2
-    assert lat.basis() == [[Fraction(2)]]
-    assert lat.contains([2]) and not lat.contains([1])
-
-
 def test_row_lattice_keeps_pivots_positive():
-    lat = RowLattice(1)
+    lat = ReferenceLattice(1)
     lat.add([2])
     lat.add([-3])  # the merge's gcd comes out negative here
     assert lat.rows == [[1]]
-    lat = RowLattice(2)
+    lat = ReferenceLattice(2)
     lat.add([2, 1])
     lat.add([-3, 0])
     assert lat.basis() == [[1, 2], [0, 3]]
@@ -79,18 +339,8 @@ def test_row_lattice_basis_ignores_insertion_order():
         bases = []
         for _ in range(6):
             rng.shuffle(rows)
-            bases.append(_span(rows).basis())
+            bases.append(_reference_span(rows).basis())
         assert all(basis == bases[0] for basis in bases), rows
-
-
-def test_row_lattice_rational_rows():
-    lat = RowLattice(2)
-    lat.add([Fraction(1, 2), 0])
-    lat.add([0, Fraction(1, 3)])
-    assert lat.contains([Fraction(3, 2), Fraction(2, 3)])
-    assert not lat.contains([Fraction(1, 4), 0])
-    assert lat.coordinates([Fraction(5, 2), Fraction(-1, 3)]) == [5, -1]
-    assert lat.coordinates([Fraction(1, 4), 0]) is None
 
 
 def _random_matrix(rng, nrows, ncols, bound=3):
@@ -124,12 +374,94 @@ def test_covolume_matches_sympy_determinant():
         rows = _random_matrix(rng, n, n)
         det = abs(sympy.Matrix(rows).det())
         den = rng.randint(1, 6)
-        lat = _span([[Fraction(x, den) for x in row] for row in rows])
+        lat = _reference_span([[Fraction(x, den) for x in row] for row in rows])
         if det == 0:
             assert len(lat.rows) < n
             continue
         assert len(lat.rows) == n
         assert lat.covolume() == Fraction(int(det), den ** n)
+
+
+# -- graded lattice -----------------------------------------------------------
+
+
+def test_row_lattice_gcd_merge():
+    lat = RowLattice(1)
+    lat.add([6])
+    assert lat.add([10])  # gcd merge shrinks the pivot to 2
+    assert lat.basis() == [[Fraction(2)]]
+    assert lat.contains([2]) and not lat.contains([1])
+
+
+def test_graded_gcd_merge_of_rationals():
+    lat = RowLattice(2)
+    assert lat.add([0, Fraction(3, 4)])
+    assert lat.add([0, Fraction(-5, 6)])  # 3/4 Z + 5/6 Z = 1/12 Z
+    assert lat.scalars == [0, Fraction(1, 12)]
+    assert not lat.add([0, Fraction(7, 6)])
+    assert not lat.add([0, -1])
+    assert lat.add([Fraction(-2, 3), 0])  # scalars stay nonnegative
+    assert lat.basis() == [[Fraction(2, 3), 0], [0, Fraction(1, 12)]]
+
+
+def test_graded_merge_matches_reference():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        values = [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 4))
+        ]
+        graded, ref = RowLattice(1), ReferenceLattice(1)
+        for x in values:
+            assert graded.add([x]) == ref.add([x]), values
+        assert graded.basis() == ref.basis(), values
+
+
+def test_row_lattice_rational_rows():
+    lat = RowLattice(2)
+    lat.add([Fraction(1, 2), 0])
+    lat.add([0, Fraction(1, 3)])
+    assert lat.contains([Fraction(3, 2), Fraction(2, 3)])
+    assert not lat.contains([Fraction(1, 4), 0])
+    assert lat.coordinates([Fraction(5, 2), Fraction(-1, 3)]) == [5, -1]
+    assert lat.coordinates([Fraction(1, 4), 0]) is None
+
+
+def test_graded_contains_and_coordinates_on_mixed_vectors():
+    lat = RowLattice(4)
+    lat.add([2, 0, 0, 0])
+    lat.add([0, 0, Fraction(1, 3), 0])
+    assert lat.contains([4, 0, Fraction(-2, 3), 0])
+    assert lat.coordinates([4, 0, Fraction(-2, 3), 0]) == [2, -2]
+    assert not lat.contains([4, 1, 0, 0])  # no component at index 1
+    assert lat.coordinates([4, 1, 0, 0]) is None
+    assert not lat.contains([3, 0, Fraction(1, 3), 0])
+    assert lat.coordinates([3, 0, Fraction(1, 3), 0]) is None
+    assert lat.contains([0, 0, 0, 0]) and lat.coordinates([0, 0, 0, 0]) == [0, 0]
+
+
+def test_graded_covolume():
+    lat = RowLattice(3)
+    assert lat.covolume() == 1  # the zero lattice: empty product
+    lat.add([Fraction(3, 2), 0, 0])
+    lat.add([0, 0, Fraction(2, 5)])
+    assert lat.covolume() == Fraction(3, 5)
+    lat.add([0, 4, 0])
+    assert lat.covolume() == Fraction(12, 5)
+    rows = [[Fraction(3, 2), 0, 0], [0, 4, 0], [0, 0, Fraction(2, 5)]]
+    assert lat.covolume() == _reference_span(rows).covolume()
+
+
+def test_row_lattice_rejects_mixed_vector():
+    lat = RowLattice(3)
+    with pytest.raises(ValueError, match="not a weight vector"):
+        lat.add([1, 0, 1])
+
+
+def test_row_lattice_zero_vector_adds_nothing():
+    lat = RowLattice(3)
+    assert not lat.add([0, Fraction(0), 0])
+    assert lat.basis() == []
 
 
 # -- ladder lattices ----------------------------------------------------------
@@ -184,10 +516,14 @@ def test_generated_from_highest_vector():
     assert L.embedding == [
         [1, 0, 0],
         [0, 1, 0],
-        [0, 0, 2],
+        [0, 0, 1],
     ]
     assert L.weights == [2, 0, -2]
     assert check_lattice_axioms(L) == []
+    want = _dense_closure(amb, [unit(3, 0)])
+    assert (L.weights, L.E, L.F, L.embedding) == (
+        want.weights, want.E, want.F, want.embedding
+    )
 
 
 def test_generated_linearity():
@@ -204,21 +540,10 @@ def test_generated_from_full_basis_is_identity():
     assert L.E == amb.E and L.F == amb.F
 
 
-def test_generated_mixed_vector():
-    # v_2 + v_-2 closes up with a mixed-weight basis row
-    amb = ladder_lattice(2, 0)
-    L = generated_lattice(amb, [[1, 0, 1]])
-    assert L.embedding == [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
-    assert L.weights is None
-    assert check_lattice_axioms(L) == []
-
-
 def test_generated_divided_powers_reach_further():
-    # Lie closure of v_2 in the (0,1) ladder misses v_-2; F^(2) finds it
+    # F v_2 = v_0 and F v_0 = 2 v_-2 in the (0,1) ladder; F^(2) finds v_-2
     amb = ladder_lattice(0, 1)
-    lie = generated_lattice(amb, [unit(3, 0)])
-    div = generated_lattice(amb, [unit(3, 0)], divided_powers=True)
-    assert lie.embedding[2] == [0, 0, 2]
+    div = generated_lattice(amb, [unit(3, 0)])
     assert div.embedding[2] == [0, 0, 1]
 
 
@@ -226,6 +551,13 @@ def test_generated_requires_nonzero_vector():
     amb = ladder_lattice(0, 1)
     with pytest.raises(ValueError, match="nonzero generating vector"):
         generated_lattice(amb, [[0, 0, 0]])
+
+
+def test_generated_lattice_rejects_repeated_weights():
+    zero = [[0, 0], [0, 0]]
+    amb = FiniteLattice([0, 0], zero, zero)
+    with pytest.raises(ValueError, match="weights repeat"):
+        generated_lattice(amb, [[1, 0]])
 
 
 def test_generated_closure_random_vectors():
@@ -240,48 +572,18 @@ def test_generated_closure_random_vectors():
         if not any(vec):
             vec[0] = Fraction(1)
         L = generated_lattice(amb, [vec])
-        lat = RowLattice(amb.rank)
+        lat = ReferenceLattice(amb.rank)
         for row in L.embedding:
             lat.add(row)
         assert lat.contains(vec)
         for row in L.embedding:
-            for M in (amb.E, amb.F):
-                image = [
-                    sum(M[i][j] * row[j] for j in range(amb.rank))
-                    for i in range(amb.rank)
-                ]
+            for image in _images(amb, row):
                 assert lat.contains(image)
         assert check_lattice_axioms(L) == []
-
-
-def _dense_closure(ambient, vectors, divided_powers):
-    """Reference route: dense E^k/k! and F^k/k! matrices, with the basis
-    re-swept until no operator enlarges it."""
-    rank = ambient.rank
-
-    def mul(A, B):
-        return [
-            [sum(A[i][t] * B[t][j] for t in range(rank)) for j in range(rank)]
-            for i in range(rank)
-        ]
-
-    ops = [ambient.E, ambient.F]
-    if divided_powers:
-        for X in (ambient.E, ambient.F):
-            power = X
-            for k in range(2, rank + 1):
-                power = mul(power, X)
-                ops.append([[Fraction(x, factorial(k)) for x in row] for row in power])
-    lat = _span(vectors)
-    grew = True
-    while grew:
-        grew = False
-        for row in lat.basis():
-            for op in ops:
-                image = [sum(op[i][j] * row[j] for j in range(rank)) for i in range(rank)]
-                if any(image) and lat.add(image):
-                    grew = True
-    return _from_row_lattice(lat, ambient)
+        want = _dense_closure(amb, [vec])
+        assert (L.weights, L.E, L.F, L.embedding) == (
+            want.weights, want.E, want.F, want.embedding
+        ), vec
 
 
 @pytest.mark.parametrize("lam", range(11))
@@ -291,19 +593,40 @@ def test_generated_lattice_matches_dense_divided_powers(lam):
     half = [Fraction(1, 2) if j in (0, 2) else Fraction(0) for j in range(rank)]
     dual = dual_lattice(ladder_lattice(lam, 1))  # E and F with negative entries
     cases = [
-        (amb, [unit(rank, 0)], True),
-        (amb, [unit(rank, rank - 1)], True),
-        (amb, [half], True),
-        (dual, [unit(dual.rank, 0)], True),
-        (dual, [unit(dual.rank, 1), unit(dual.rank, dual.rank - 1, 1, 3)], True),
-        (amb, [unit(rank, 0)], False),
+        (amb, [unit(rank, 0)]),
+        (amb, [unit(rank, rank - 1)]),
+        (amb, [half]),
+        (dual, [unit(dual.rank, 0)]),
+        (dual, [unit(dual.rank, 1), unit(dual.rank, dual.rank - 1, 1, 3)]),
     ]
-    for ambient, vectors, divided in cases:
-        got = generated_lattice(ambient, vectors, divided_powers=divided)
-        want = _dense_closure(ambient, vectors, divided)
+    for ambient, vectors in cases:
+        got = generated_lattice(ambient, vectors)
+        want = _dense_closure(ambient, vectors)
         assert (got.weights, got.E, got.F, got.embedding) == (
             want.weights, want.E, want.F, want.embedding
-        ), (vectors, divided)
+        ), vectors
+
+
+def _random_vector(rng, rank):
+    vec = [Fraction(0)] * rank
+    for j in rng.sample(range(rank), rng.randint(1, min(rank, 3))):
+        vec[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+    return vec
+
+
+def test_generated_lattice_matches_reference_on_mixed_generators():
+    rng = random.Random(20261020)
+    for _ in range(40):
+        lam, n = rng.randint(0, 7), rng.randint(0, 2)
+        ambient = ladder_lattice(lam, n)
+        if rng.random() < 0.5:
+            ambient = dual_lattice(ambient)
+        vectors = [_random_vector(rng, ambient.rank) for _ in range(rng.randint(1, 2))]
+        got = generated_lattice(ambient, vectors)
+        want = _dense_closure(ambient, vectors)
+        assert (got.weights, got.E, got.F, got.embedding) == (
+            want.weights, want.E, want.F, want.embedding
+        ), (lam, n, vectors)
 
 
 # -- duality ------------------------------------------------------------------
@@ -327,9 +650,15 @@ def test_dual_reverses_and_negates_weights():
 def test_dual_of_lie_minimal_has_integral_top():
     # the index-2 bottom of the Lie closure dualizes to an integral top:
     # the primitive intertwiner into the ladder leaves coefficient 1 on
-    # the highest vector and pushes the 2 to the bottom
+    # the highest vector and pushes the 2 to the bottom.  The Lie closure
+    # of v_2 in the (0,1) ladder is spanned by v_2, v_0 and 2 v_-2.
     amb = ladder_lattice(0, 1)
-    lie = generated_lattice(amb, [unit(3, 0)])
+    lat = RowLattice(3)
+    for row in (unit(3, 0), unit(3, 1), unit(3, 2, 2)):
+        lat.add(row)
+    lie = _from_row_lattice(lat, amb)
+    assert lie.weights == [2, 0, -2]
+    assert lie.embedding == [unit(3, 0), unit(3, 1), unit(3, 2, 2)]
     D = dual_lattice(lie)
     assert D.weights == [2, 0, -2]
     assert check_lattice_axioms(D) == []
@@ -368,7 +697,7 @@ def test_rank_two_minimal_equals_maximal():
 
 
 def test_minimal_inside_maximal_with_binomial_index():
-    for lam in range(0, 9):
+    for lam in range(0, 33):
         mn, mx = minimal_lattice(lam), maximal_lattice(lam)
         index = inclusion_index(mn, mx)
         assert index == prod_binomials(lam)
@@ -383,7 +712,7 @@ def prod_binomials(lam):
 
 
 def test_maximal_matches_binomial_model():
-    for lam in range(0, 9):
+    for lam in range(0, 33):
         assert lattice_span_equal(binomial_lattice(lam), maximal_lattice(lam))
 
 
@@ -396,7 +725,7 @@ def test_inclusion_index_none_when_not_included():
 def test_inclusion_index_of_scaled_lattice(k):
     for lam in range(0, 6):
         mx = maximal_lattice(lam)
-        assert inclusion_index(scale_lattice(mx, k), mx) == k ** mx.rank
+        assert inclusion_index(scaled(mx, k), mx) == k ** mx.rank
 
 
 # -- hom lattices and the counit index ----------------------------------------
@@ -429,17 +758,52 @@ def test_hom_rank_one_across_grid():
 def test_hom_generator_index_examples():
     mx = maximal_lattice(3)
     assert hom_generator_index(mx) == 1
-    assert hom_generator_index(scale_lattice(mx, 3)) == 3
+    assert hom_generator_index(scaled(mx, 3)) == 3
     assert hom_generator_index(minimal_lattice(2)) == 1
 
 
 def test_hom_generator_index_rejects_fractional_top():
     amb = ladder_lattice(2, 0)
-    half_top = generated_lattice(
-        amb, [unit(3, 0, 1, 2)], divided_powers=True
-    )
+    half_top = generated_lattice(amb, [unit(3, 0, 1, 2)])
     with pytest.raises(ValueError, match="not contained in Z"):
         hom_generator_index(half_top)
+
+
+def _hom_pool():
+    pool = []
+    for lam in range(0, 8):
+        pool += [minimal_lattice(lam), maximal_lattice(lam)]
+        for n in range(0, 2):
+            ladder = ladder_lattice(lam, n)
+            pool += [ladder, dual_lattice(ladder)]
+    return pool
+
+
+def test_hom_lattice_matches_reference():
+    pool = _hom_pool()
+    rng = random.Random(20261021)
+    pairs = [(L, L) for L in pool[::5]]
+    pairs += [(minimal_lattice(lam), maximal_lattice(lam)) for lam in range(0, 9)]
+    pairs += [(maximal_lattice(lam), minimal_lattice(lam)) for lam in range(0, 9)]
+    pairs += [(dual_lattice(ladder_lattice(lam, 0)), maximal_lattice(lam)) for lam in range(0, 9)]
+    by_weights = {}
+    for L in pool:
+        by_weights.setdefault(tuple(L.weights), []).append(L)
+    groups = [group for group in by_weights.values() if len(group) > 1]
+    for _ in range(40):
+        group = rng.choice(groups)
+        pairs.append((rng.choice(group), rng.choice(group)))
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(20)]
+    # two copies of the trivial module: repeated weights, Hom of rank 2 and 4
+    zero = [[0, 0], [0, 0]]
+    trivial = FiniteLattice([0, 0], zero, zero)
+    pairs += [(trivial, trivial), (trivial, minimal_lattice(0)), (minimal_lattice(0), trivial)]
+    # on sl2-modules E and H already pin T down; this pair is no module, so
+    # only its F equations constrain T
+    lopsided = FiniteLattice([0, 0], zero, [[0, 0], [1, 0]])
+    pairs += [(lopsided, trivial), (lopsided, lopsided), (trivial, lopsided)]
+    for A, B in pairs:
+        assert hom_lattice(A, B) == reference_hom_lattice(A, B), (A.weights, B.weights)
 
 
 # -- maximality certificates --------------------------------------------------
@@ -463,7 +827,35 @@ def test_minimal_lattice_fails_certification_at_middle():
 def test_certificate_requires_normalized_top():
     mx = maximal_lattice(2)
     with pytest.raises(ValueError, match="not normalized"):
-        maximality_certificate(scale_lattice(mx, 2), (2,), 2)
+        maximality_certificate(scaled(mx, 2), (2,), 2)
+
+
+@pytest.mark.parametrize(
+    "kind,lam",
+    [("max", lam) for lam in range(0, 15)] + [("min", lam) for lam in range(0, 13)],
+)
+def test_certificate_matches_reference(kind, lam):
+    L = maximal_lattice(lam) if kind == "max" else minimal_lattice(lam)
+    primes = (2, 3, 5, 7)
+    assert maximality_certificate(L, primes, lam) == reference_certificate(L, primes, lam)
+
+
+def _mixed_lattice():
+    """The Lie closure of v_2 + v_-2 in the weight-2 ladder: its first
+    basis row mixes the weights 2 and -2."""
+    rows = [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
+    return _reference_from_lattice(_reference_span(rows), ladder_lattice(2, 0))
+
+
+@pytest.mark.parametrize("query", [
+    lambda L: inclusion_index(L, maximal_lattice(2)),
+    lambda L: inclusion_index(minimal_lattice(2), L),
+    hom_generator_index,
+    lambda L: maximality_certificate(L, (2,), 2),
+], ids=["inner", "outer", "hom_generator_index", "maximality_certificate"])
+def test_queries_reject_embedding_not_diagonal_in_weights(query):
+    with pytest.raises(ValueError, match="not a weight vector"):
+        query(_mixed_lattice())
 
 
 # -- counit fraction witnesses ------------------------------------------------
@@ -502,10 +894,3 @@ def test_to_json_embeds_rational_strings():
     assert data["weights"] == [2, 0, -2]
     assert data["embedding"][1][1] == "1/2"
     assert all(isinstance(x, int) for row in data["E"] for x in row)
-
-
-def test_row_lattice_scales_only_nonzero_entries():
-    lat = RowLattice(4)
-    lat.add([Fraction(1, 3), 0, 0, 0])
-    assert lat._scaled([0, Fraction(1, 2), Fraction(0), 2]) == (6, [0, 3, 0, 12])
-    assert lat._scaled([0, 0, 0, 0]) == (3, [0, 0, 0, 0])

@@ -16,9 +16,7 @@ from hclat.scalars import (
     ord2,
     parse_scalar,
     rat,
-    ring_from_name,
     scalar_from_json,
-    scalar_str,
     scalar_to_json,
 )
 
@@ -56,7 +54,7 @@ def test_laurent_basic_ops():
     assert p.coefficient(1) == 2
     assert (p + 1).coefficient(0) == 2
     assert (3 * q).coefficient(-1) == 3
-    assert p.min_exp() == 0 and p.max_exp() == 1
+    assert p.min_exp() == 0 and max(p.coeffs) == 1
     assert Laurent.parse("2z^2 - z") == Laurent({2: 2, 1: -1})
 
 
@@ -117,11 +115,6 @@ def test_ring_chain_monotone():
             seen = seen or now
 
 
-def test_ring_names_round_trip():
-    for ring in [ZZ, QQ, POLY, LAURENT_RING, localized_integers(12)]:
-        assert ring_from_name(ring.name) == ring
-
-
 def test_scalar_json_round_trip():
     for x in [Fraction(3, 2), rat(-7), Laurent.parse("1 - 2*z^-3")]:
         assert scalar_from_json(scalar_to_json(x)) == x
@@ -130,5 +123,3 @@ def test_scalar_json_round_trip():
 def test_parse_scalar_dispatch():
     assert parse_scalar("3/2") == Fraction(3, 2)
     assert parse_scalar("2z") == Laurent.parse("2*z")
-    assert scalar_str(Fraction(3, 2)) == "3/2"
-    assert scalar_str(Laurent.parse("-z+1")) == "1 - z"
