@@ -95,9 +95,29 @@ def _span(rows) -> RowLattice:
     return lat
 
 
-def _mat_apply(M, vec):
-    support = [(j, x) for j, x in enumerate(vec) if x]
-    return [sum(row[j] * x for j, x in support if row[j]) for row in M]
+def _sparse_columns(M) -> list:
+    """For each column j of the square matrix M, its nonzero entries
+    (i, M[i][j]) in increasing i."""
+    return [[(i, row[j]) for i, row in enumerate(M) if row[j]] for j in range(len(M))]
+
+
+def _actions(ambient) -> tuple:
+    """The sparse columns of the ambient E and F, for _apply and _images."""
+    return _sparse_columns(ambient.E), _sparse_columns(ambient.F)
+
+
+def _apply(columns, vec) -> list:
+    """M vec from the sparse columns of M, walking only the support of vec.
+
+    Entry i is summed from int 0 in increasing column order, as the dense
+    row product does, so its type is the same: int 0 where no term lands.
+    """
+    out = [0] * len(columns)
+    for j, x in enumerate(vec):
+        if x:
+            for i, m in columns[j]:
+                out[i] += m * x
+    return out
 
 
 def _mat_mul(A, B):
@@ -179,13 +199,13 @@ def ladder_lattice(lam: int, n: int) -> FiniteLattice:
     return FiniteLattice(weights, E, F)
 
 
-def _images(ambient: FiniteLattice, vec):
-    """The nonzero X^k vec/k! for X in {E, F} and k <= rank; each chain
-    stops at its first zero."""
-    for X in (ambient.E, ambient.F):
+def _images(actions, vec):
+    """The nonzero X^k vec/k! for X in {E, F} (``actions`` from _actions)
+    and k <= rank; each chain stops at its first zero."""
+    for columns in actions:
         image = vec
-        for k in range(1, ambient.rank + 1):
-            image = [Fraction(x, k) if x else 0 for x in _mat_apply(X, image)]
+        for k in range(1, len(vec) + 1):
+            image = [Fraction(x, k) if x else 0 for x in _apply(columns, image)]
             if not any(image):
                 break
             yield image
@@ -199,10 +219,11 @@ def _close_under(lat: RowLattice, ambient, vectors) -> None:
     rows whose images were already checked, so stability follows from
     linearity without re-sweeping the basis.
     """
+    actions = _actions(ambient)
     pending = [v for v in vectors if lat.add(v)]
     while pending:
         vec = pending.pop()
-        for image in _images(ambient, vec):
+        for image in _images(actions, vec):
             if lat.add(image):
                 pending.append(image)
 
@@ -236,10 +257,10 @@ def _from_row_lattice(lat: RowLattice, ambient: FiniteLattice) -> FiniteLattice:
     actions = {}
     # column convention: entry [i][j] is the coefficient of basis i in the
     # image of basis j
-    for name, M in (("E", ambient.E), ("F", ambient.F)):
+    for name, columns in zip(("E", "F"), _actions(ambient)):
         cols = []
         for row in basis:
-            coords = lat.coordinates(_mat_apply(M, row))
+            coords = lat.coordinates(_apply(columns, row))
             if coords is None:
                 raise RuntimeError("closure left the lattice; reduction bug")
             cols.append(coords)
@@ -440,9 +461,10 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
     base = _span(L.embedding)
+    actions = _actions(amb)
     # the closure of L + Z u is L + U_Z u only when L is already stable
     for row in L.embedding:
-        for image in _images(amb, row):
+        for image in _images(actions, row):
             if not base.contains(image):
                 raise ValueError("lattice is not closed under the divided action")
     # U_Z has the Z-basis F^(i) binom(H, b) E^(j), and binom(H, b) only
@@ -454,7 +476,7 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     for rho in primes:
         for a, row in enumerate(L.embedding):
             u = [Fraction(x, rho) for x in row]
-            tops = [u[0]] + [image[0] for image in _images(amb, u)]
+            tops = [u[0]] + [image[0] for image in _images(actions, u)]
             if all(t.denominator == 1 for t in tops):
                 failures.append((rho, L.weights[a]))
     return {

@@ -198,7 +198,10 @@ def _value_flags(parser: argparse.ArgumentParser) -> frozenset:
     return frozenset(flags)
 
 
-_VALUE_FLAGS = _value_flags(build_parser())
+# Built once per process: parse_args makes a fresh Namespace on every call
+# and every default is immutable, so documents cannot leak into each other.
+_PARSER = build_parser()
+_VALUE_FLAGS = _value_flags(_PARSER)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -452,8 +455,7 @@ def _emit(text: str, out_path) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    args = _PARSER.parse_args(_normalize_argv(list(argv)))
     try:
         doc = _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -4,9 +4,9 @@ certificates, and the counit fraction witness.
 
 The general routes that the weight-graded code replaced live here as
 references: ``ReferenceLattice`` (an integer Hermite-form lattice for any
-rational rows), the dense divided-power closure, the dense Hom system with
-one unknown per matrix entry, and the certificate that closes every
-enlargement.  Seeded differential tests compare the library against them.
+rational rows), the dense row product ``_mat_apply``, the dense
+divided-power closure, the dense Hom system with one unknown per matrix
+entry, and the certificate that closes every enlargement.  Seeded differential tests compare the library against them.
 """
 
 import random
@@ -18,6 +18,8 @@ import pytest
 from hclat.borelweil import (
     FiniteLattice,
     RowLattice,
+    _actions,
+    _apply,
     _from_row_lattice,
     _images,
     _nullspace,
@@ -184,8 +186,11 @@ def _reference_span(rows):
     return lat
 
 
-def _apply(M, vec):
-    return [sum(M[i][j] * vec[j] for j in range(len(vec))) for i in range(len(M))]
+def _mat_apply(M, vec):
+    """M vec by dense rows: the reference for the sparse _apply.  Entries
+    are summed from int 0 over the support of vec."""
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum(row[j] * x for j, x in support if row[j]) for row in M]
 
 
 def _reference_from_lattice(lat, ambient):
@@ -194,7 +199,7 @@ def _reference_from_lattice(lat, ambient):
     basis = lat.basis()
     actions = []
     for M in (ambient.E, ambient.F):
-        cols = [lat.coordinates(_apply(M, row)) for row in basis]
+        cols = [lat.coordinates(_mat_apply(M, row)) for row in basis]
         assert all(col is not None for col in cols)
         actions.append([[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
     weights = []
@@ -233,7 +238,7 @@ def _dense_closure(ambient, vectors):
         grew = False
         for row in lat.basis():
             for op in ops:
-                image = _apply(op, row)
+                image = _mat_apply(op, row)
                 if any(image) and lat.add(image):
                     grew = True
     return _reference_from_lattice(lat, ambient)
@@ -295,7 +300,7 @@ def reference_certificate(L, primes, lam):
             candidate = [x / rho for x in row]
             pending = [candidate] if enlarged.add(candidate) else []
             while pending:
-                for image in _images(amb, pending.pop()):
+                for image in _images(_actions(amb), pending.pop()):
                     if enlarged.add(image):
                         pending.append(image)
             if _reference_top_component(enlarged).denominator == 1:
@@ -577,7 +582,7 @@ def test_generated_closure_random_vectors():
             lat.add(row)
         assert lat.contains(vec)
         for row in L.embedding:
-            for image in _images(amb, row):
+            for image in _images(_actions(amb), row):
                 assert lat.contains(image)
         assert check_lattice_axioms(L) == []
         want = _dense_closure(amb, [vec])
@@ -627,6 +632,44 @@ def test_generated_lattice_matches_reference_on_mixed_generators():
         assert (got.weights, got.E, got.F, got.embedding) == (
             want.weights, want.E, want.F, want.embedding
         ), (lam, n, vectors)
+
+
+def _typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+def _reference_images(ambient, vec):
+    for X in (ambient.E, ambient.F):
+        image = vec
+        for k in range(1, ambient.rank + 1):
+            image = [Fraction(x, k) if x else 0 for x in _mat_apply(X, image)]
+            if not any(image):
+                break
+            yield image
+
+
+def test_sparse_apply_matches_dense_rows():
+    rng = random.Random(20261022)
+    ambients = []
+    for lam in range(17):
+        ladder = ladder_lattice(lam, rng.randint(0, 1))
+        ambients += [ladder, dual_lattice(ladder)]
+    # integer E and F that satisfy no bracket relation
+    noise = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(5)] for _ in range(5)]
+    ambients.append(FiniteLattice([4, 2, 0, -2, -4], noise, noise[::-1]))
+    for ambient in ambients:
+        for _ in range(6):
+            if rng.random() < 0.5:  # mixes weights
+                vec = [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ambient.rank)
+                ]
+            else:
+                vec = _random_vector(rng, ambient.rank)
+            for X, columns in zip((ambient.E, ambient.F), _actions(ambient)):
+                assert _typed(_apply(columns, vec)) == _typed(_mat_apply(X, vec))
+            got = [_typed(image) for image in _images(_actions(ambient), vec)]
+            want = [_typed(image) for image in _reference_images(ambient, vec)]
+            assert got == want, (ambient.weights, vec)
 
 
 # -- duality ------------------------------------------------------------------

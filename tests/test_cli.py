@@ -414,3 +414,56 @@ def test_bw_rejects_n_where_it_does_not_apply(capsys, op):
     code, out, err = run(capsys, "bw", "--lambda", "2", "--op", op, "--n", "5")
     assert code == 2 and out == ""
     assert "--n" in err and op in err
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def test_main_reuses_the_import_time_parser(capsys, monkeypatch, tmp_path):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    table = tmp_path / "form.json"
+    table.write_text(json.dumps({"n": 1, "m": 1, "q": "1/2"}))
+    documents = [
+        ("classify", "--table", str(table)),
+        ("module", "--kind", "ind", "--lambda", "1", "--window", "0:1"),
+        ("lattice", "--variant", "q", "--mu", "0", "--window", "-2:0"),
+        ("contract", "--kind", "ind", "--lambda", "1", "--window", "0:1"),
+        ("bw", "--lambda", "2", "--op", "min"),
+        ("verify", "--suite", "contraction"),
+    ]
+    for argv in documents:
+        run_json(capsys, *argv)
+
+
+def test_no_state_leaks_between_documents(capsys, tmp_path):
+    lattice = ("lattice", "--variant", "q", "--mu", "0", "--window", "-2:0")
+    doc = run_json(capsys, *lattice, "--eps", "1/2", "--n", "2")
+    assert doc["eps"] == "1/2"
+    assert cli._PARSER.parse_args(cli._normalize_argv(list(lattice))).eps == Fraction(0)
+    assert run_json(capsys, *lattice)["eps"] == "0"
+
+    code, out, _ = run(capsys, *lattice, "--format", "csv")
+    assert code == 0 and not out.startswith("{")
+    assert json.loads(run(capsys, *lattice)[1])["eps"] == "0"
+
+    target = tmp_path / "doc.json"
+    code, out, _ = run(capsys, *lattice, "--out", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(run(capsys, *lattice)[1]) == json.loads(target.read_text())
+
+    assert run_json(capsys, "bw", "--lambda", "1", "--op", "dual", "--n", "2")["lambda"] == 1
+    assert run_json(capsys, "bw", "--lambda", "1", "--op", "min")["rank"] == 2
+
+
+def test_repeated_usage_error_is_identical(capsys):
+    argv = ["lattice", "--variant", "q", "--mu", "0", "--window", "1:0"]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "empty" in errors[0]
