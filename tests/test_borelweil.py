@@ -859,6 +859,34 @@ def test_maximal_lattices_are_certified():
         assert report["primes"] == [2, 3, 5]
 
 
+def _primes_up_to(n):
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+
+
+def test_maximal_lattices_are_certified_at_every_prime_up_to_lambda():
+    # [max : min] = prod binom(lam, a) has no prime factor above lam, so
+    # these primes make the certificate a proof of maximality
+    for lam in range(0, 33):
+        primes = _primes_up_to(lam)
+        report = maximality_certificate(maximal_lattice(lam), primes, lam)
+        assert report == {"certified": True, "failures": [], "primes": primes}, lam
+
+
+def test_certificate_at_two_three_five_misses_an_index_seven_lattice():
+    # a U_Z-stable lattice of index 7^6 in maximal_lattice(7), with top Z:
+    # the primes 2, 3, 5 of the CLI certify it, the prime 7 does not
+    lam = 7
+    scalars = [1, 1, Fraction(1, 3), Fraction(1, 5), Fraction(1, 5), Fraction(1, 3), 1, 1]
+    L = generated_lattice(
+        ladder_lattice(lam, 0), [unit(lam + 1, a, c) for a, c in enumerate(scalars)]
+    )
+    assert [row[a] for a, row in enumerate(L.embedding)] == scalars
+    assert inclusion_index(L, maximal_lattice(lam)) == 7 ** 6
+    assert maximality_certificate(L, (2, 3, 5), lam)["certified"]
+    report = maximality_certificate(L, _primes_up_to(lam), lam)
+    assert report["failures"] == [(7, w) for w in (5, 3, 1, -1, -3, -5)]
+
+
 def test_minimal_lattice_fails_certification_at_middle():
     # enlarging by half the middle vector keeps the top integral: the
     # closure is exactly the maximal lattice, so minimality shows here

@@ -67,6 +67,20 @@ def test_format_report_lines(full_report):
     assert any("MISMATCH (documented)" in line for line in lines)
 
 
+BORELWEIL_REPORT = """\
+lattice_bracket_axioms: pass (grid=46)
+minimal_maximal_hom_rank_one: pass (grid=13)
+dual_roundtrip_to_maximal: pass (grid=9)
+admissible_model_crosscheck: pass (grid=13)
+counit_fraction_surjectivity: pass (grid=216)
+weight_multiplicity_one: pass (grid=13)
+result: pass"""
+
+
+def test_borelweil_report_is_pinned():
+    assert verify.format_report(verify.run_suite("borelweil")) == BORELWEIL_REPORT
+
+
 def test_corrupted_build_fails(monkeypatch):
     monkeypatch.setattr(
         contraction, "phi_preserves_bracket", lambda: ["fabricated failure"]
