@@ -2,22 +2,14 @@
 their counit fractions, sublattices generated by vectors, duals, minimal
 and maximal forms, Hom lattices, and maximality certificates.
 
-Every ambient here has distinct weights, so its weight spaces are lines
-Q e_i.  A lattice stable under Kostant's Z-form U_Z is the direct sum of
-its weight components, since the integer-valued polynomials in H lie in
-U_Z and separate the weights (Humphreys, section 27).  So each lattice is
-``RowLattice``: one rational scalar c_i per coordinate, for the lattice
-of the sum of c_i Z e_i.  Closures split their generators into weight
-components and apply E, F and the divided powers X^k/k! (as the chain
-X(X^(k-1) v/(k-1)!)/k) to them; stability under these is stability under
-U_Z, which they generate.  The Hom equations keep one unknown per pair of
-equal weights, all that H-equivariance leaves, and go through the one
-Gauss-Jordan elimination, ``scalars.rref``.
-
-Maximality certificates use the Z-basis F^(i) binom(H, b) E^(j) of U_Z.
-On a weight vector u at index a only E^(a) ends at the highest weight, so
-the highest component of an enlargement by u is read off the E-chain of u
-without closing the enlarged lattice.
+Every lattice here has distinct descending weights, so E and F each move
+a basis vector to a multiple of a neighbour: a ``FiniteLattice`` is two
+chains of integers.  A lattice stable under Kostant's Z-form U_Z is the
+direct sum of its weight components, since the integer-valued polynomials
+in H lie in U_Z and separate the weights (Humphreys, section 27).  So each
+sublattice is ``RowLattice``: one rational scalar per weight line.
+Closures apply E, F and the divided powers X^k/k! (as the chain
+X(X^(k-1) v/(k-1)!)/k) to weight vectors; they generate U_Z.
 """
 
 from __future__ import annotations
@@ -26,15 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .scalars import rat, rref
-
-
-def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """The nonnegative generator of aZ + bZ."""
-    return Fraction(
-        gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+_ZERO = Fraction(0)
 
 
 class RowLattice:
@@ -42,37 +26,40 @@ class RowLattice:
     rational scalars c_i (c_i = 0 where the lattice has no component)."""
 
     def __init__(self, ncols: int):
-        self.scalars = [Fraction(0)] * ncols
+        self.scalars = [_ZERO] * ncols
 
-    def add(self, vec) -> bool:
-        """Insert a weight vector (at most one nonzero entry); returns True
-        if the lattice grew."""
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        if not support:
+    def holds(self, j: int, num: int, den: int) -> bool:
+        """Whether (num/den) e_j, with den > 0, lies in the lattice."""
+        c = self.scalars[j]
+        return not num or bool(c) and (num * c.denominator) % (den * c.numerator) == 0
+
+    def add(self, j: int, num: int, den: int) -> bool:
+        """Insert (num/den) e_j; returns True if the lattice grew."""
+        if self.holds(j, num, den):
             return False
+        c = self.scalars[j]
+        g = gcd(c.numerator * den, num * c.denominator)
+        self.scalars[j] = Fraction(g, c.denominator * den)
+        return True
+
+    def add_row(self, vec) -> bool:
+        """Insert a weight vector given as a row (at most one nonzero
+        entry); returns True if the lattice grew."""
+        support = [(j, x) for j, x in enumerate(vec) if x]
         if len(support) > 1:
-            raise ValueError(
-                f"not a weight vector: nonzero entries at {[j for j, _ in support]}"
-            )
-        j, x = support[0]
-        old = self.scalars[j]
-        self.scalars[j] = _rational_gcd(old, Fraction(x))
-        return self.scalars[j] != old
+            where = [j for j, _ in support]
+            raise ValueError(f"not a weight vector: nonzero entries at {where}")
+        return any(self.add(j, x.numerator, x.denominator) for j, x in support)
 
     def contains(self, vec) -> bool:
-        return all(
-            not x or (c and (x / c).denominator == 1) for c, x in zip(self.scalars, vec)
-        )
+        return all(self.holds(j, x.numerator, x.denominator) for j, x in enumerate(vec))
 
     def basis(self) -> list:
         """The rows c_i e_i with c_i nonzero: already the Hermite normal
         form."""
         n = len(self.scalars)
-        return [
-            [c if j == i else Fraction(0) for j in range(n)]
-            for i, c in enumerate(self.scalars)
-            if c
-        ]
+        return [[c if j == i else _ZERO for j in range(n)]
+                for i, c in enumerate(self.scalars) if c]
 
     def coordinates(self, vec) -> list:
         """Integer coordinates of vec in basis(), or None."""
@@ -91,93 +78,71 @@ def _span(rows) -> RowLattice:
     """The Z-span of nonempty rational rows, each a weight vector."""
     lat = RowLattice(len(rows[0]))
     for row in rows:
-        lat.add(row)
+        lat.add_row(row)
     return lat
-
-
-def _sparse_columns(M) -> list:
-    """For each column j of the square matrix M, its nonzero entries
-    (i, M[i][j]) in increasing i."""
-    return [[(i, row[j]) for i, row in enumerate(M) if row[j]] for j in range(len(M))]
-
-
-def _actions(ambient) -> tuple:
-    """The sparse columns of the ambient E and F, for _apply and _images."""
-    return _sparse_columns(ambient.E), _sparse_columns(ambient.F)
-
-
-def _apply(columns, vec) -> list:
-    """M vec from the sparse columns of M, walking only the support of vec.
-
-    Entry i is summed from int 0 in increasing column order, as the dense
-    row product does, so its type is the same: int 0 where no term lands.
-    """
-    out = [0] * len(columns)
-    for j, x in enumerate(vec):
-        if x:
-            for i, m in columns[j]:
-                out[i] += m * x
-    return out
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _mat_scale(M, c):
-    return [[c * x for x in row] for row in M]
-
-
-def _commutator(A, B):
-    ab, ba = _mat_mul(A, B), _mat_mul(B, A)
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
 @dataclass
 class FiniteLattice:
-    """Finite-rank lattice with integer E and F matrices; H is diagonal by
-    weight.  Column convention: M[i][j] is the u_i-coefficient of X u_j.
-
-    embedding, when present, gives the basis rows in ambient ladder
-    coordinates.
-    """
+    """Finite-rank lattice on u_0, u_1, ... with distinct descending weights
+    w_i: H u_i = w_i u_i, E u_i = e_i u_(i-1) and F u_i = f_i u_(i+1), so
+    e_0 and the last f are 0.  embedding, when present, gives the basis
+    rows in ambient ladder coordinates."""
 
     weights: list
-    E: list
-    F: list
+    e: list
+    f: list
     embedding: list = None
     ambient_weights: list = None
 
+    def __post_init__(self):
+        w = self.weights
+        if any(a <= b for a, b in zip(w, w[1:])):
+            raise ValueError(f"weights {w} repeat or are not descending")
+        if not len(self.e) == len(self.f) == len(w) or w and (self.e[0] or self.f[-1]):
+            raise ValueError("E and F must be chains with e_0 = 0 and a last f of 0")
+
+    @classmethod
+    def from_matrices(cls, weights, E, F, **kwargs) -> FiniteLattice:
+        """The lattice of dense E and F matrices, column convention: M[i][j]
+        is the u_i-coefficient of X u_j.  E must vanish off the
+        superdiagonal and F off the subdiagonal."""
+        r = len(weights)
+        for name, M, step in (("E", E, -1), ("F", F, 1)):
+            if len(M) != r or any(len(row) != r for row in M):
+                raise ValueError(f"{name} is not {r}x{r}")
+            stray = [(i, j) for i in range(r) for j in range(r) if M[i][j] and i != j + step]
+            if stray:
+                raise ValueError(f"{name} is not bidiagonal: nonzero entries at {stray}")
+        e = [E[j - 1][j] if j else 0 for j in range(r)]
+        f = [F[j + 1][j] if j + 1 < r else 0 for j in range(r)]
+        return cls(list(weights), e, f, **kwargs)
+
     @property
     def rank(self) -> int:
-        return len(self.E)
-
-    def H(self) -> list:
-        return [
-            [self.weights[i] if i == j else 0 for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
+        return len(self.weights)
 
     def to_json(self):
-        out = {"rank": self.rank, "weights": self.weights, "E": self.E, "F": self.F}
+        r, e, f = self.rank, self.e, self.f
+        E = [[e[j] if i == j - 1 else 0 for j in range(r)] for i in range(r)]
+        F = [[f[j] if i == j + 1 else 0 for j in range(r)] for i in range(r)]
+        out = {"rank": r, "weights": self.weights, "E": E, "F": F}
         if self.embedding is not None:
             out["embedding"] = [[str(x) for x in row] for row in self.embedding]
         return out
 
 
 def check_lattice_axioms(L: FiniteLattice) -> list:
-    """Integer entries and the three bracket identities, as exact matrices."""
-    failures = []
-    for name, M in (("E", L.E), ("F", L.F)):
-        if any(rat(x).denominator != 1 for row in M for x in row):
-            failures.append(f"{name} has a non-integer entry")
-    H = L.H()
-    if _commutator(L.E, L.F) != H:
-        failures.append("[E,F] != H")
-    if _commutator(H, L.E) != _mat_scale(L.E, 2):
+    """Integer chains and the bracket identities on each u_i: [E,F] u_i =
+    (f_i e_(i+1) - e_i f_(i-1)) u_i and [H,X] u_i = (w_(i-/+1) - w_i) X u_i."""
+    w, e, f, r = L.weights, L.e, L.f, L.rank
+    failures = [f"{name} has a non-integer entry" for name, chain in (("E", e), ("F", f))
+                if any(Fraction(x).denominator != 1 for x in chain)]
+    if any((f[i] * e[i + 1] if i + 1 < r else 0) - e[i] * f[i - 1] != w[i] for i in range(r)):
+        failures.append("[E,F] != H")  # e_0 = 0 drops the wrapped f[-1]
+    if any(e[i] and w[i - 1] - w[i] != 2 for i in range(1, r)):
         failures.append("[H,E] != 2E")
-    if _commutator(H, L.F) != _mat_scale(L.F, -2):
+    if any(f[i] and w[i] - w[i + 1] != 2 for i in range(r - 1)):
         failures.append("[H,F] != -2F")
     return failures
 
@@ -188,101 +153,80 @@ def ladder_lattice(lam: int, n: int) -> FiniteLattice:
     w = lam + 2 * n
     if w < 0 or n < 0:
         raise ValueError(f"lam + 2n = {w} must be nonnegative")
-    rank = w + 1
-    weights = [w - 2 * i for i in range(rank)]
-    E = [[0] * rank for _ in range(rank)]
-    F = [[0] * rank for _ in range(rank)]
-    for i in range(1, rank):
-        E[i - 1][i] = w - i + 1
-    for i in range(rank - 1):
-        F[i + 1][i] = i + 1
-    return FiniteLattice(weights, E, F)
+    return FiniteLattice([w - 2 * i for i in range(w + 1)],
+                         [0] + [w - i + 1 for i in range(1, w + 1)],
+                         [i + 1 for i in range(w)] + [0])
 
 
-def _images(actions, vec):
-    """The nonzero X^k vec/k! for X in {E, F} (``actions`` from _actions)
-    and k <= rank; each chain stops at its first zero."""
-    for columns in actions:
-        image = vec
-        for k in range(1, len(vec) + 1):
-            image = [Fraction(x, k) if x else 0 for x in _apply(columns, image)]
-            if not any(image):
-                break
-            yield image
+def _images(L: FiniteLattice, j: int, num: int, den: int):
+    """(i, num', den') with X^k (num/den) u_j / k! = (num'/den') u_i, for X
+    in {E, F} and k = 1, 2, ...; each chain stops at its first zero.  The
+    quotients are not reduced: den' grows only when k fails to divide the
+    numerator, which never happens on a U_Z-stable ambient."""
+    for chain, step in ((L.e, -1), (L.f, 1)):
+        a, b, i, k = num, den, j, 0
+        while chain[i]:
+            k += 1
+            a *= chain[i]
+            i += step
+            if a % k:
+                b *= k
+            else:
+                a //= k
+            yield i, a, b
 
 
-def _close_under(lat: RowLattice, ambient, vectors) -> None:
-    """Add the vectors to lat and close it under _images.
+def _close_under(lat: RowLattice, ambient: FiniteLattice, components) -> None:
+    """Add the weight vectors (num/den) e_j, given as (j, num, den), to lat
+    and close it under _images.
 
     Only vectors whose insertion enlarged the lattice need their images
-    taken: the final lattice is the Z-span of those vectors together with
-    rows whose images were already checked, so stability follows from
-    linearity without re-sweeping the basis.
+    taken: the final lattice is the Z-span of those vectors, so stability
+    follows from linearity without re-sweeping the basis.
     """
-    actions = _actions(ambient)
-    pending = [v for v in vectors if lat.add(v)]
+    pending = [item for item in components if lat.add(*item)]
     while pending:
-        vec = pending.pop()
-        for image in _images(actions, vec):
-            if lat.add(image):
-                pending.append(image)
+        for i, num, den in _images(ambient, *pending.pop()):
+            if lat.add(i, num, den):
+                pending.append((i, num, den))
 
 
 def generated_lattice(ambient: FiniteLattice, vectors) -> FiniteLattice:
-    """Smallest sublattice containing the vectors and closed under E^k/k!
-    and F^k/k!, that is, under U_Z.
-
-    Vectors are rational rows in ambient coordinates; the result carries
-    its embedding and its own integer action matrices.  The ambient's
-    weights must be distinct: U_Z then holds the projection onto each
-    weight line, so the closure is that of the vectors' weight components.
-    """
-    if len(set(ambient.weights)) != len(ambient.weights):
-        raise ValueError("ambient weights repeat; each weight space must be a line")
-    if not vectors or all(not any(v) for v in vectors):
+    """Smallest sublattice containing the rational rows (in ambient
+    coordinates) and closed under E^k/k! and F^k/k!, that is, under U_Z.
+    U_Z holds the projection onto each weight line, so the closure is that
+    of the vectors' weight components."""
+    components = [(j, x.numerator, x.denominator)
+                  for v in vectors for j, x in enumerate(v) if x]
+    if not components:
         raise ValueError("need at least one nonzero generating vector")
-    components = [
-        [x if k == j else 0 for k in range(ambient.rank)]
-        for v in vectors
-        for j, x in enumerate(v)
-        if x
-    ]
     lat = RowLattice(ambient.rank)
     _close_under(lat, ambient, components)
     return _from_row_lattice(lat, ambient)
 
 
 def _from_row_lattice(lat: RowLattice, ambient: FiniteLattice) -> FiniteLattice:
-    basis = lat.basis()
-    actions = {}
-    # column convention: entry [i][j] is the coefficient of basis i in the
-    # image of basis j
-    for name, columns in zip(("E", "F"), _actions(ambient)):
-        cols = []
-        for row in basis:
-            coords = lat.coordinates(_apply(columns, row))
-            if coords is None:
+    """The sublattice on the basis c_j e_j, where X c_j e_j = (c_j x_j /
+    c_(j+-1)) c_(j+-1) e_(j+-1) for the ambient chain coefficient x_j."""
+    c = lat.scalars
+    chains = {-1: [], 1: []}
+    for j in (j for j, cj in enumerate(c) if cj):
+        for chain, step in ((ambient.e, -1), (ambient.f, 1)):
+            image = c[j] * chain[j]
+            if image and not lat.holds(j + step, image.numerator, image.denominator):
                 raise RuntimeError("closure left the lattice; reduction bug")
-            cols.append(coords)
-        actions[name] = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return FiniteLattice(
-        [w for w, c in zip(ambient.weights, lat.scalars) if c],
-        actions["E"],
-        actions["F"],
-        embedding=basis,
-        ambient_weights=list(ambient.weights),
-    )
+            chains[step].append(int(image / c[j + step]) if image else 0)
+    weights = [w for w, cj in zip(ambient.weights, c) if cj]
+    return FiniteLattice(weights, chains[-1], chains[1], embedding=lat.basis(),
+                         ambient_weights=list(ambient.weights))
 
 
 def dual_lattice(L: FiniteLattice) -> FiniteLattice:
-    """Contragredient lattice: (x phi)(v) = -phi(x v), basis reordered so
-    weights stay descending."""
-    r = L.rank
-    perm = [r - 1 - a for a in range(r)]
-    E = [[-L.E[perm[b]][perm[a]] for b in range(r)] for a in range(r)]
-    F = [[-L.F[perm[b]][perm[a]] for b in range(r)] for a in range(r)]
-    weights = [-L.weights[perm[a]] for a in range(r)]
-    return FiniteLattice(weights, E, F)
+    """Contragredient lattice: (x phi)(v) = -phi(x v), on the dual basis in
+    reverse order so weights stay descending."""
+    return FiniteLattice([-w for w in reversed(L.weights)],
+                         [0] + [-x for x in reversed(L.e[1:])],
+                         [-x for x in reversed(L.f[:-1])] + [0])
 
 
 def minimal_lattice(lam: int) -> FiniteLattice:
@@ -290,9 +234,7 @@ def minimal_lattice(lam: int) -> FiniteLattice:
     vector under divided powers."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    amb = ladder_lattice(lam, 0)
-    top = [Fraction(1 if i == 0 else 0) for i in range(amb.rank)]
-    return generated_lattice(amb, [top])
+    return generated_lattice(ladder_lattice(lam, 0), [[1] + [0] * lam])
 
 
 def maximal_lattice(lam: int) -> FiniteLattice:
@@ -301,64 +243,37 @@ def maximal_lattice(lam: int) -> FiniteLattice:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     amb = ladder_lattice(lam, 0)
-    bottom = [Fraction(1 if i == amb.rank - 1 else 0) for i in range(amb.rank)]
-    low = generated_lattice(amb, [bottom])
-    M = dual_lattice(low)
-    embedding = _diagonal_intertwiner(M, amb)
-    # flip basis signs so the embedding coefficients are positive; the
-    # action matrices are conjugated by the same signs
-    signs = [1 if embedding[a][a] > 0 else -1 for a in range(M.rank)]
-    E = [[signs[i] * signs[j] * M.E[i][j] for j in range(M.rank)] for i in range(M.rank)]
-    F = [[signs[i] * signs[j] * M.F[i][j] for j in range(M.rank)] for i in range(M.rank)]
-    embedding = [[abs(x) for x in row] for row in embedding]
-    return FiniteLattice(
-        M.weights, E, F, embedding=embedding, ambient_weights=list(amb.weights)
-    )
-
-
-def _diagonal_intertwiner(M: FiniteLattice, amb: FiniteLattice) -> list:
-    """Rows c_a e_a with T(delta_a) = c_a v_a intertwining both actions,
-    normalized c_0 = 1.  Needs matching descending weight lists."""
-    if M.weights != amb.weights:
-        raise ValueError("weight lists differ; no diagonal identification")
-    r = M.rank
-    c = [Fraction(0)] * r
-    c[0] = Fraction(1)
-    for b in range(r - 1):
-        B = M.F[b + 1][b]
-        A = amb.F[b + 1][b]
-        if B == 0:
+    M = dual_lattice(generated_lattice(amb, [[0] * lam + [1]]))
+    # the diagonal intertwiner T(delta_a) = c_a v_a with c_0 = 1; up to the
+    # sign of each basis vector, M is the sublattice with scalars |c_a|
+    c = [Fraction(1)]
+    for b in range(lam):
+        if M.f[b] == 0:
             raise ValueError("F-chain of the dual breaks; cannot identify")
-        c[b + 1] = c[b] * A / B
-    for b in range(1, r):  # confirm the E-direction agrees
-        if c[b - 1] * M.E[b - 1][b] != c[b] * amb.E[b - 1][b]:
-            raise ValueError("no diagonal intertwiner matches both actions")
-    return [[c[a] if j == a else Fraction(0) for j in range(r)] for a in range(r)]
+        c.append(c[b] * amb.f[b] / M.f[b])
+    if any(c[b - 1] * M.e[b] != c[b] * amb.e[b] for b in range(1, lam + 1)):
+        raise ValueError("no diagonal intertwiner matches both actions")
+    lat = RowLattice(amb.rank)
+    lat.scalars = [abs(x) for x in c]
+    return _from_row_lattice(lat, amb)
 
 
 def binomial_lattice(lam: int) -> FiniteLattice:
-    """The admissible model: coefficients 1/binomial(lam, a) on the ladder.
-
-    Used as an independent cross-check of maximal_lattice.
-    """
-    amb = ladder_lattice(lam, 0)
-    rows = [
-        [Fraction(1, comb(lam, a)) if j == a else Fraction(0) for j in range(amb.rank)]
-        for a in range(amb.rank)
-    ]
-    return generated_lattice(amb, rows)
+    """The admissible model: coefficients 1/binomial(lam, a) on the ladder,
+    an independent cross-check of maximal_lattice."""
+    rows = [[Fraction(1, comb(lam, a)) if j == a else 0 for j in range(lam + 1)]
+            for a in range(lam + 1)]
+    return generated_lattice(ladder_lattice(lam, 0), rows)
 
 
 def lattice_span_equal(A: FiniteLattice, B: FiniteLattice) -> bool:
-    """Same Z-span of embeddings (both must carry one): A lies in B with
-    index 1."""
+    """Same Z-span of embeddings (both must carry one)."""
     return inclusion_index(A, B) == 1
 
 
 def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
-    """Index of inner in outer, or None if inner is not a sublattice of
-    full rank.  Computed as the ratio of the two covolumes.
-    """
+    """Index of inner in outer, the ratio of the two covolumes, or None if
+    inner is not a sublattice of full rank."""
     if inner.embedding is None or outer.embedding is None:
         raise ValueError("both lattices need embeddings")
     lat = _span(outer.embedding)
@@ -376,60 +291,43 @@ def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
 def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
     """Integer intertwiners T with T X_A = X_B T for X in {E, F, H}.
 
-    H-equivariance makes T[i][j] zero unless B.weights[i] == A.weights[j];
-    the other entries are the unknowns of the E and F equations.  Returns
-    the rank of the rational solution space and, when it is one, the
-    primitive integer generator (as a rank_B x rank_A matrix) whose first
-    nonzero entry in row-major order is positive.
+    H leaves one unknown t_j = T[s(j)][j] per index j of A whose weight is
+    B's weight at s(j).  Entry (i, j) of T E_A - E_B T is t_(j-1) e^A_j
+    [i = s(j-1)] - e^B_s(j) t_j [i = s(j) - 1], and likewise for F, so an
+    equation links t_(j-1) to t_j by a ratio or forces one of them to 0.
+    Returns the rank of the rational solution space and, when it is one,
+    the primitive integer generator (as a rank_B x rank_A matrix) whose
+    first nonzero entry in row-major order is positive.
     """
-    ra, rb = A.rank, B.rank
-    free = [(i, j) for i in range(rb) for j in range(ra) if B.weights[i] == A.weights[j]]
-    by_row = [[] for _ in range(rb)]
-    by_col = [[] for _ in range(ra)]
-    for u, (i, j) in enumerate(free):
-        by_row[i].append((j, u))
-        by_col[j].append((i, u))
-    equations = []
-    for XA, XB in ((A.E, B.E), (A.F, B.F)):
-        for i in range(rb):
-            for j in range(ra):
-                # entry (i, j) of T X_A - X_B T
-                row = [Fraction(0)] * len(free)
-                for k, u in by_row[i]:
-                    row[u] += rat(XA[k][j])
-                for k, u in by_col[j]:
-                    row[u] -= rat(XB[i][k])
-                if any(row):
-                    equations.append(row)
-    kernel = _nullspace(equations, len(free))
-    result = {"rank": len(kernel), "generator": None}
-    if len(kernel) == 1:
-        vec = kernel[0]
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [int(x * scale) for x in vec]
-        content = gcd(*ints)
-        ints = [x // content for x in ints]
-        first = next(x for x in ints if x)
-        if first < 0:
-            ints = [-x for x in ints]
-        generator = [[0] * ra for _ in range(rb)]
-        for (i, j), x in zip(free, ints):
-            generator[i][j] = x
-        result["generator"] = generator
+    where = {w: i for i, w in enumerate(B.weights)}
+    s = [where.get(w) for w in A.weights] + [None]  # s[-1] is None too
+    zero, ratios = set(), {}  # ratios[q]: the values of t_q / t_(q-1)
+    for j, sj in enumerate(s[:-1]):
+        eb, fb = (0, 0) if sj is None else (B.e[sj], B.f[sj])
+        # a t_p = b t_q with q = p + 1; a term without unknown drops out
+        for p, a, q, b in ((j - 1, A.e[j], j, eb), (j, fb, j + 1, A.f[j])):
+            a, b = a if s[p] is not None else 0, b if s[q] is not None else 0
+            if a and b and s[p] + 1 == s[q]:
+                ratios.setdefault(q, set()).add(Fraction(a, b))
+            else:  # one equation per unknown when their rows differ
+                zero.update(x for x, c in ((p, a), (q, b)) if c)
+    runs = []  # [t, alive] per run of linked unknowns: one free scalar if alive
+    for j in (j for j, sj in enumerate(s[:-1]) if sj is not None):
+        if j not in ratios:
+            runs.append([{}, True])
+        t = runs[-1][0]
+        t[j] = t[j - 1] * min(ratios[j]) if j in ratios else Fraction(1)
+        runs[-1][1] &= len(ratios.get(j, ())) < 2 and j not in zero
+    live = [t for t, alive in runs if alive]
+    result = {"rank": len(live), "generator": None}
+    if len(live) == 1:
+        ints = {j: int(x * lcm(*(y.denominator for y in live[0].values())))
+                for j, x in live[0].items()}
+        unit = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+        result["generator"] = generator = [[0] * A.rank for _ in range(B.rank)]
+        for j, x in ints.items():
+            generator[s[j]][j] = x // unit
     return result
-
-
-def _nullspace(rows, ncols) -> list:
-    """Basis of the rational kernel of the row system."""
-    reduced, pivots = rref(rows, ncols)
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            vec[col] = -row[f]
-        basis.append(vec)
-    return basis
 
 
 def hom_generator_index(V: FiniteLattice) -> int:
@@ -441,9 +339,7 @@ def hom_generator_index(V: FiniteLattice) -> int:
     if not g:
         raise ValueError("ambient highest vector is not in the Q-span")
     if g.denominator != 1:
-        raise ValueError(
-            f"highest component {g} is not contained in Z; normalize first"
-        )
+        raise ValueError(f"highest component {g} is not contained in Z; normalize first")
     return g.numerator
 
 
@@ -453,7 +349,11 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     A lattice with highest component Z is maximal when every enlargement
     forces a denominator into the highest component; failures list the
     (prime, weight) pairs where the enlarged closure stays integral at the
-    top.
+    top.  Only the given primes are checked.  Every stable lattice with
+    top Z lies between minimal_lattice(lam) and maximal_lattice(lam), of
+    index prod binom(lam, a) with no prime factor above lam, so the primes
+    up to lam make this a proof of maximality.  The CLI checks 2, 3 and 5:
+    a proof only for lam <= 6.
     """
     if L.embedding is None:
         raise ValueError("lattice carries no embedding")
@@ -461,29 +361,21 @@ def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
     base = _span(L.embedding)
-    actions = _actions(amb)
-    # the closure of L + Z u is L + U_Z u only when L is already stable
-    for row in L.embedding:
-        for image in _images(actions, row):
-            if not base.contains(image):
+    # U_Z has the Z-basis F^(i) binom(H, b) E^(j), binom(H, b) scales a
+    # weight vector by an integer, and from u at index a only E^(a) u lands
+    # on the highest weight: the top of L + U_Z u is Z + (E^(a) u)_0 Z.
+    # That is the closure of L + Z u when L is stable, as the walk checks.
+    tops = []
+    for a, c in ((a, c) for a, c in enumerate(base.scalars) if c):
+        top = (c.numerator, c.denominator) if a == 0 else (0, 1)
+        for i, num, den in _images(amb, a, c.numerator, c.denominator):
+            if not base.holds(i, num, den):
                 raise ValueError("lattice is not closed under the divided action")
-    # U_Z has the Z-basis F^(i) binom(H, b) E^(j), and binom(H, b) only
-    # scales a weight vector by an integer.  From u at index a only
-    # E^(a) u lands on the highest weight, so the highest component of
-    # L + U_Z u is Z + (E^(a) u)_0 Z: it stays Z exactly when the top
-    # entries of u and of its images are all integers.
-    failures = []
-    for rho in primes:
-        for a, row in enumerate(L.embedding):
-            u = [Fraction(x, rho) for x in row]
-            tops = [u[0]] + [image[0] for image in _images(actions, u)]
-            if all(t.denominator == 1 for t in tops):
-                failures.append((rho, L.weights[a]))
-    return {
-        "certified": not failures,
-        "failures": failures,
-        "primes": list(primes),
-    }
+            top = (num, den) if i == 0 else top
+        tops.append(top)
+    failures = [(rho, w) for rho in primes for (num, den), w in zip(tops, L.weights)
+                if num % (den * rho) == 0]
+    return {"certified": not failures, "failures": failures, "primes": list(primes)}
 
 
 def counit_fraction_witness(lam: int, n: int) -> dict:
@@ -492,28 +384,16 @@ def counit_fraction_witness(lam: int, n: int) -> dict:
     if n < 1:
         raise ValueError("n must be positive")
     L = ladder_lattice(lam, n)
-    rank = L.rank
-    phi = [Fraction(1, n) if i == n else Fraction(0) for i in range(rank)]
-    problems = []
-    for i in range(rank):
-        if phi[i] != 0 and L.weights[i] != lam:
-            problems.append(f"phi lives off the weight-{lam} line at index {i}")
-    for j in range(rank):
-        value = sum(phi[i] * L.F[i][j] for i in range(rank))
-        if value % 1 != 0:
-            problems.append(f"phi(F v_{j}) = {value} is not integral")
-    for j in range(rank):
-        got = phi[j] * L.weights[j]
-        want = lam * phi[j]
-        if (got - want) % 1 != 0:
-            problems.append(f"phi(H v_{j}) != lam phi(v_{j}) mod Z")
+    phi = [Fraction(1, n) if i == n else 0 for i in range(L.rank)]
+    problems = [f"phi lives off the weight-{lam} line at index {i}"
+                for i, (x, w) in enumerate(zip(phi, L.weights)) if x and w != lam]
+    # phi(F v_j) = phi_(j+1) f_j
+    problems += [f"phi(F v_{j}) = {value} is not integral"
+                 for j, value in enumerate(x * y for x, y in zip(phi[1:], L.f))
+                 if value % 1 != 0]
+    problems += [f"phi(H v_{j}) != lam phi(v_{j}) mod Z"
+                 for j, (x, w) in enumerate(zip(phi, L.weights)) if (x * w - lam * x) % 1 != 0]
     if problems:
         raise ValueError("; ".join(problems))
-    return {
-        "lam": lam,
-        "n": n,
-        "fraction": Fraction(1, n) % 1,
-        "weight_check": True,
-        "f_check": True,
-        "h_check": True,
-    }
+    return {"lam": lam, "n": n, "fraction": Fraction(1, n) % 1,
+            "weight_check": True, "f_check": True, "h_check": True}

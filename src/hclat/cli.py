@@ -26,7 +26,7 @@ EXIT_USAGE = 2
 
 # Highest ladder weight that `bw` accepts: the lattice kernels grow at least
 # quadratically in the ladder rank.  Raise it when they get faster.
-BW_MAX_WEIGHT = 32
+BW_MAX_WEIGHT = 128
 
 # Widest --window (B - A + 1 indices) that module, lattice and contract
 # accept.  It stays at or below dyadic.ORACLE_DEPTH; its costliest document,

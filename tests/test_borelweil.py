@@ -2,11 +2,15 @@
 sublattices, duals, minimal/maximal forms, Hom lattices, maximality
 certificates, and the counit fraction witness.
 
-The general routes that the weight-graded code replaced live here as
-references: ``ReferenceLattice`` (an integer Hermite-form lattice for any
-rational rows), the dense row product ``_mat_apply``, the dense
-divided-power closure, the dense Hom system with one unknown per matrix
-entry, and the certificate that closes every enlargement.  Seeded differential tests compare the library against them.
+The general routes that the weight-chain code replaced live here as
+references, on the dense E and F matrices of ``to_json``:
+``ReferenceLattice`` (an integer Hermite-form lattice for any rational
+rows), the dense row product ``_mat_apply``, the dense divided-power
+closure (read back through ``FiniteLattice.from_matrices``), the dense
+commutator check of the bracket axioms, the dense Hom system with one
+unknown per matrix entry solved by ``_nullspace``, and the certificate
+that closes every enlargement.  Seeded differential tests compare the
+library against them.
 """
 
 import random
@@ -18,11 +22,8 @@ import pytest
 from hclat.borelweil import (
     FiniteLattice,
     RowLattice,
-    _actions,
-    _apply,
     _from_row_lattice,
     _images,
-    _nullspace,
     binomial_lattice,
     check_lattice_axioms,
     counit_fraction_witness,
@@ -37,6 +38,7 @@ from hclat.borelweil import (
     maximality_certificate,
     minimal_lattice,
 )
+from hclat.scalars import rref
 
 
 def unit(rank, i, num=1, den=1):
@@ -47,14 +49,65 @@ def scaled(L, k):
     """L with every embedding row multiplied by k."""
     return FiniteLattice(
         L.weights,
-        L.E,
-        L.F,
+        L.e,
+        L.f,
         embedding=[[k * x for x in row] for row in L.embedding],
         ambient_weights=L.ambient_weights,
     )
 
 
+def chains(L):
+    return (L.weights, L.e, L.f, L.embedding)
+
+
 # -- reference routes ---------------------------------------------------------
+
+
+def _matrices(L):
+    """The dense E, F and H of L, E and F as its documents print them."""
+    doc = L.to_json()
+    H = [[w if i == j else 0 for j, _ in enumerate(L.weights)] for i, w in enumerate(L.weights)]
+    return doc["E"], doc["F"], H
+
+
+def _nullspace(rows, ncols):
+    """Basis of the rational kernel of the row system."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _commutator(A, B):
+    ab, ba = _mat_mul(A, B), _mat_mul(B, A)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+def reference_axioms(L):
+    """Integer entries and the three bracket identities, as exact dense
+    matrices."""
+    E, F, H = _matrices(L)
+    failures = []
+    for name, M in (("E", E), ("F", F)):
+        if any(Fraction(x).denominator != 1 for row in M for x in row):
+            failures.append(f"{name} has a non-integer entry")
+    if _commutator(E, F) != H:
+        failures.append("[E,F] != H")
+    if _commutator(H, E) != [[2 * x for x in row] for row in E]:
+        failures.append("[H,E] != 2E")
+    if _commutator(H, F) != [[-2 * x for x in row] for row in F]:
+        failures.append("[H,F] != -2F")
+    return failures
 
 
 def _ext_gcd(a, b):
@@ -187,29 +240,28 @@ def _reference_span(rows):
 
 
 def _mat_apply(M, vec):
-    """M vec by dense rows: the reference for the sparse _apply.  Entries
-    are summed from int 0 over the support of vec."""
+    """M vec by dense rows: the reference for the chain walk of _images.
+    Entries are summed from int 0 over the support of vec."""
     support = [(j, x) for j, x in enumerate(vec) if x]
     return [sum(row[j] * x for j, x in support if row[j]) for row in M]
 
 
 def _reference_from_lattice(lat, ambient):
-    """FiniteLattice on the Hermite basis; weights None when a basis row
-    mixes weights."""
+    """FiniteLattice on the Hermite basis, through from_matrices, which
+    rejects it unless the dense E and F come out bidiagonal; every basis row
+    must be a weight vector."""
     basis = lat.basis()
     actions = []
-    for M in (ambient.E, ambient.F):
+    for M in _matrices(ambient)[:2]:
         cols = [lat.coordinates(_mat_apply(M, row)) for row in basis]
         assert all(col is not None for col in cols)
         actions.append([[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
     weights = []
     for row in basis:
         support = {ambient.weights[k] for k, x in enumerate(row) if x}
-        if len(support) != 1:
-            weights = None
-            break
+        assert len(support) == 1, f"basis row {row} mixes weights"
         weights.append(support.pop())
-    return FiniteLattice(
+    return FiniteLattice.from_matrices(
         weights, *actions, embedding=basis, ambient_weights=list(ambient.weights)
     )
 
@@ -226,8 +278,9 @@ def _dense_closure(ambient, vectors):
             for i in range(rank)
         ]
 
-    ops = [ambient.E, ambient.F]
-    for X in (ambient.E, ambient.F):
+    E, F, _ = _matrices(ambient)
+    ops = [E, F]
+    for X in (E, F):
         power = X
         for k in range(2, rank + 1):
             power = mul(power, X)
@@ -254,7 +307,7 @@ def reference_hom_lattice(A, B):
         return i * ra + j
 
     equations = []
-    for XA, XB in ((A.E, B.E), (A.F, B.F), (A.H(), B.H())):
+    for XA, XB in zip(_matrices(A), _matrices(B)):
         for i in range(rb):
             for j in range(ra):
                 row = [Fraction(0)] * unknowns
@@ -300,7 +353,7 @@ def reference_certificate(L, primes, lam):
             candidate = [x / rho for x in row]
             pending = [candidate] if enlarged.add(candidate) else []
             while pending:
-                for image in _images(_actions(amb), pending.pop()):
+                for image in _reference_images(amb, pending.pop()):
                     if enlarged.add(image):
                         pending.append(image)
             if _reference_top_component(enlarged).denominator == 1:
@@ -392,20 +445,20 @@ def test_covolume_matches_sympy_determinant():
 
 def test_row_lattice_gcd_merge():
     lat = RowLattice(1)
-    lat.add([6])
-    assert lat.add([10])  # gcd merge shrinks the pivot to 2
+    lat.add_row([6])
+    assert lat.add_row([10])  # gcd merge shrinks the pivot to 2
     assert lat.basis() == [[Fraction(2)]]
     assert lat.contains([2]) and not lat.contains([1])
 
 
 def test_graded_gcd_merge_of_rationals():
     lat = RowLattice(2)
-    assert lat.add([0, Fraction(3, 4)])
-    assert lat.add([0, Fraction(-5, 6)])  # 3/4 Z + 5/6 Z = 1/12 Z
+    assert lat.add_row([0, Fraction(3, 4)])
+    assert lat.add_row([0, Fraction(-5, 6)])  # 3/4 Z + 5/6 Z = 1/12 Z
     assert lat.scalars == [0, Fraction(1, 12)]
-    assert not lat.add([0, Fraction(7, 6)])
-    assert not lat.add([0, -1])
-    assert lat.add([Fraction(-2, 3), 0])  # scalars stay nonnegative
+    assert not lat.add_row([0, Fraction(7, 6)])
+    assert not lat.add_row([0, -1])
+    assert lat.add_row([Fraction(-2, 3), 0])  # scalars stay nonnegative
     assert lat.basis() == [[Fraction(2, 3), 0], [0, Fraction(1, 12)]]
 
 
@@ -418,14 +471,26 @@ def test_graded_merge_matches_reference():
         ]
         graded, ref = RowLattice(1), ReferenceLattice(1)
         for x in values:
-            assert graded.add([x]) == ref.add([x]), values
+            assert graded.add_row([x]) == ref.add([x]), values
         assert graded.basis() == ref.basis(), values
+
+
+def test_graded_add_takes_unreduced_quotients():
+    rng = random.Random(20261025)
+    for _ in range(100):
+        pairs = [(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+        by_quotient, by_row = RowLattice(1), RowLattice(1)
+        for num, den in pairs:
+            held = by_quotient.holds(0, num, den)
+            assert held == by_row.contains([Fraction(num, den)]), pairs
+            assert by_quotient.add(0, num, den) == by_row.add_row([Fraction(num, den)]) != held
+        assert by_quotient.scalars == by_row.scalars, pairs
 
 
 def test_row_lattice_rational_rows():
     lat = RowLattice(2)
-    lat.add([Fraction(1, 2), 0])
-    lat.add([0, Fraction(1, 3)])
+    lat.add_row([Fraction(1, 2), 0])
+    lat.add_row([0, Fraction(1, 3)])
     assert lat.contains([Fraction(3, 2), Fraction(2, 3)])
     assert not lat.contains([Fraction(1, 4), 0])
     assert lat.coordinates([Fraction(5, 2), Fraction(-1, 3)]) == [5, -1]
@@ -434,8 +499,8 @@ def test_row_lattice_rational_rows():
 
 def test_graded_contains_and_coordinates_on_mixed_vectors():
     lat = RowLattice(4)
-    lat.add([2, 0, 0, 0])
-    lat.add([0, 0, Fraction(1, 3), 0])
+    lat.add_row([2, 0, 0, 0])
+    lat.add_row([0, 0, Fraction(1, 3), 0])
     assert lat.contains([4, 0, Fraction(-2, 3), 0])
     assert lat.coordinates([4, 0, Fraction(-2, 3), 0]) == [2, -2]
     assert not lat.contains([4, 1, 0, 0])  # no component at index 1
@@ -448,10 +513,10 @@ def test_graded_contains_and_coordinates_on_mixed_vectors():
 def test_graded_covolume():
     lat = RowLattice(3)
     assert lat.covolume() == 1  # the zero lattice: empty product
-    lat.add([Fraction(3, 2), 0, 0])
-    lat.add([0, 0, Fraction(2, 5)])
+    lat.add_row([Fraction(3, 2), 0, 0])
+    lat.add_row([0, 0, Fraction(2, 5)])
     assert lat.covolume() == Fraction(3, 5)
-    lat.add([0, 4, 0])
+    lat.add_row([0, 4, 0])
     assert lat.covolume() == Fraction(12, 5)
     rows = [[Fraction(3, 2), 0, 0], [0, 4, 0], [0, 0, Fraction(2, 5)]]
     assert lat.covolume() == _reference_span(rows).covolume()
@@ -460,12 +525,12 @@ def test_graded_covolume():
 def test_row_lattice_rejects_mixed_vector():
     lat = RowLattice(3)
     with pytest.raises(ValueError, match="not a weight vector"):
-        lat.add([1, 0, 1])
+        lat.add_row([1, 0, 1])
 
 
 def test_row_lattice_zero_vector_adds_nothing():
     lat = RowLattice(3)
-    assert not lat.add([0, Fraction(0), 0])
+    assert not lat.add_row([0, Fraction(0), 0])
     assert lat.basis() == []
 
 
@@ -476,26 +541,31 @@ def test_ladder_rank_three_actions():
     L = ladder_lattice(0, 1)
     assert L.rank == 3
     assert L.weights == [2, 0, -2]
-    assert L.E[0][1] == 2  # E v_0 = 2 v_2
-    assert L.F[1][0] == 1  # F v_2 = v_0
-    assert L.F[2][1] == 2  # F v_0 = 2 v_-2
-    assert L.E[1][2] == 1  # E v_-2 = v_0
+    assert L.e[1] == 2  # E v_0 = 2 v_2
+    assert L.f[0] == 1  # F v_2 = v_0
+    assert L.f[1] == 2  # F v_0 = 2 v_-2
+    assert L.e[2] == 1  # E v_-2 = v_0
+    assert L.e[0] == 0 == L.f[2]
+    E, F, _ = _matrices(L)
+    assert E[0][1] == 2 and F[1][0] == 1 and F[2][1] == 2 and E[1][2] == 1
     assert check_lattice_axioms(L) == []
 
 
 def test_ladder_bracket_on_middle_vector():
     # [E,F] v_0 = (2*1 - 1*2) v_0 = 0 = H v_0
     L = ladder_lattice(0, 1)
-    ef = sum(L.E[0][k] * L.F[k][1] for k in range(3))
-    fe = sum(L.F[0][k] * L.E[k][1] for k in range(3))
-    assert ef - fe == 0 == L.weights[1]
+    assert L.f[1] * L.e[2] - L.e[1] * L.f[0] == 0 == L.weights[1]
+    E, F, _ = _matrices(L)
+    ef = sum(E[1][k] * F[k][1] for k in range(3))
+    fe = sum(F[1][k] * E[k][1] for k in range(3))
+    assert ef - fe == 0
 
 
 def test_ladder_rank_two():
     L = ladder_lattice(1, 0)
     assert L.rank == 2
     assert L.weights == [1, -1]
-    assert L.E[0][1] == 1 and L.F[1][0] == 1
+    assert L.e == [0, 1] and L.f == [1, 0]
     assert check_lattice_axioms(L) == []
 
 
@@ -512,6 +582,39 @@ def test_ladder_axioms_grid():
             assert check_lattice_axioms(ladder_lattice(lam, n)) == []
 
 
+def _perturbed(rng, L):
+    """L with one wrong chain coefficient or one shifted weight."""
+    w, e, f = list(L.weights), list(L.e), list(L.f)
+    kind = rng.choice(("e", "f", "weight") if L.rank > 1 else ("weight",))
+    if kind == "weight":
+        w[rng.randrange(L.rank)] += 1  # weights spaced by 2 stay descending
+        return FiniteLattice(w, e, f)
+    chain, i = (e, rng.randrange(1, L.rank)) if kind == "e" else (f, rng.randrange(L.rank - 1))
+    chain[i] = rng.choice((chain[i] + 1, chain[i] - 1, Fraction(chain[i], 2), -chain[i]))
+    return FiniteLattice(w, e, f)
+
+
+def test_chain_axioms_match_dense_commutators():
+    rng = random.Random(20261024)
+    modules = [
+        ladder_lattice(lam, n) for lam in range(-3, 5) for n in range(3) if lam + 2 * n >= 0
+    ]
+    modules += [dual_lattice(L) for L in modules[::3]]
+    modules += [minimal_lattice(4), maximal_lattice(5)]
+    seen = set()
+    for L in modules:
+        assert check_lattice_axioms(L) == reference_axioms(L) == []
+        for _ in range(6):
+            wrong = _perturbed(rng, L)
+            got = check_lattice_axioms(wrong)
+            assert got == reference_axioms(wrong), (wrong.weights, wrong.e, wrong.f)
+            seen.update(got)
+    assert seen == {
+        "E has a non-integer entry", "F has a non-integer entry",
+        "[E,F] != H", "[H,E] != 2E", "[H,F] != -2F",
+    }
+
+
 # -- generated sublattices ----------------------------------------------------
 
 
@@ -526,9 +629,7 @@ def test_generated_from_highest_vector():
     assert L.weights == [2, 0, -2]
     assert check_lattice_axioms(L) == []
     want = _dense_closure(amb, [unit(3, 0)])
-    assert (L.weights, L.E, L.F, L.embedding) == (
-        want.weights, want.E, want.F, want.embedding
-    )
+    assert chains(L) == chains(want)
 
 
 def test_generated_linearity():
@@ -542,7 +643,7 @@ def test_generated_from_full_basis_is_identity():
     amb = ladder_lattice(2, 0)
     L = generated_lattice(amb, [unit(3, i) for i in range(3)])
     assert L.embedding == [unit(3, i) for i in range(3)]
-    assert L.E == amb.E and L.F == amb.F
+    assert (L.e, L.f) == (amb.e, amb.f)
 
 
 def test_generated_divided_powers_reach_further():
@@ -558,11 +659,47 @@ def test_generated_requires_nonzero_vector():
         generated_lattice(amb, [[0, 0, 0]])
 
 
-def test_generated_lattice_rejects_repeated_weights():
+def test_finite_lattice_rejects_repeated_weights():
+    # so no ambient of generated_lattice has a weight space of dimension 2
     zero = [[0, 0], [0, 0]]
-    amb = FiniteLattice([0, 0], zero, zero)
-    with pytest.raises(ValueError, match="weights repeat"):
-        generated_lattice(amb, [[1, 0]])
+    with pytest.raises(ValueError, match="repeat or are not descending"):
+        FiniteLattice([0, 0], [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="repeat or are not descending"):
+        FiniteLattice.from_matrices([0, 0], zero, zero)
+    with pytest.raises(ValueError, match="repeat or are not descending"):
+        FiniteLattice([-2, 0, 2], [0, 0, 0], [0, 0, 0])
+
+
+def test_finite_lattice_rejects_chains_that_leave_the_basis():
+    with pytest.raises(ValueError, match="chains"):
+        FiniteLattice([2, 0], [1, 0], [0, 0])  # E of the highest vector
+    with pytest.raises(ValueError, match="chains"):
+        FiniteLattice([2, 0], [0, 1], [0, 1])  # F of the lowest vector
+    with pytest.raises(ValueError, match="chains"):
+        FiniteLattice([2, 0], [0, 1], [1])
+
+
+def test_from_matrices_round_trips_to_json():
+    for L in _hom_pool():
+        E, F, _ = _matrices(L)
+        back = FiniteLattice.from_matrices(L.weights, E, F, embedding=L.embedding)
+        assert chains(back) == chains(L)
+
+
+def test_from_matrices_rejects_dense_actions():
+    rng = random.Random(20261022)
+    for _ in range(20):
+        # integer E and F that satisfy no bracket relation and are not bidiagonal
+        noise = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(5)] for _ in range(5)]
+        if all(not x for i, row in enumerate(noise) for j, x in enumerate(row) if i != j - 1):
+            continue
+        with pytest.raises(ValueError, match="E is not bidiagonal"):
+            FiniteLattice.from_matrices([4, 2, 0, -2, -4], noise, noise[::-1])
+    E, F, _ = _matrices(ladder_lattice(2, 0))
+    with pytest.raises(ValueError, match="F is not bidiagonal"):
+        FiniteLattice.from_matrices([2, 0, -2], E, E)
+    with pytest.raises(ValueError, match="E is not 3x3"):
+        FiniteLattice.from_matrices([2, 0, -2], E[:2], F)
 
 
 def test_generated_closure_random_vectors():
@@ -582,13 +719,11 @@ def test_generated_closure_random_vectors():
             lat.add(row)
         assert lat.contains(vec)
         for row in L.embedding:
-            for image in _images(_actions(amb), row):
+            for image in _reference_images(amb, row):
                 assert lat.contains(image)
         assert check_lattice_axioms(L) == []
         want = _dense_closure(amb, [vec])
-        assert (L.weights, L.E, L.F, L.embedding) == (
-            want.weights, want.E, want.F, want.embedding
-        ), vec
+        assert chains(L) == chains(want), vec
 
 
 @pytest.mark.parametrize("lam", range(11))
@@ -607,9 +742,7 @@ def test_generated_lattice_matches_dense_divided_powers(lam):
     for ambient, vectors in cases:
         got = generated_lattice(ambient, vectors)
         want = _dense_closure(ambient, vectors)
-        assert (got.weights, got.E, got.F, got.embedding) == (
-            want.weights, want.E, want.F, want.embedding
-        ), vectors
+        assert chains(got) == chains(want), vectors
 
 
 def _random_vector(rng, rank):
@@ -629,17 +762,11 @@ def test_generated_lattice_matches_reference_on_mixed_generators():
         vectors = [_random_vector(rng, ambient.rank) for _ in range(rng.randint(1, 2))]
         got = generated_lattice(ambient, vectors)
         want = _dense_closure(ambient, vectors)
-        assert (got.weights, got.E, got.F, got.embedding) == (
-            want.weights, want.E, want.F, want.embedding
-        ), (lam, n, vectors)
-
-
-def _typed(vec):
-    return [(type(x), x) for x in vec]
+        assert chains(got) == chains(want), (lam, n, vectors)
 
 
 def _reference_images(ambient, vec):
-    for X in (ambient.E, ambient.F):
+    for X in _matrices(ambient)[:2]:
         image = vec
         for k in range(1, ambient.rank + 1):
             image = [Fraction(x, k) if x else 0 for x in _mat_apply(X, image)]
@@ -648,28 +775,21 @@ def _reference_images(ambient, vec):
             yield image
 
 
-def test_sparse_apply_matches_dense_rows():
+def test_chain_images_match_dense_rows():
     rng = random.Random(20261022)
     ambients = []
     for lam in range(17):
         ladder = ladder_lattice(lam, rng.randint(0, 1))
         ambients += [ladder, dual_lattice(ladder)]
-    # integer E and F that satisfy no bracket relation
-    noise = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(5)] for _ in range(5)]
-    ambients.append(FiniteLattice([4, 2, 0, -2, -4], noise, noise[::-1]))
     for ambient in ambients:
         for _ in range(6):
-            if rng.random() < 0.5:  # mixes weights
-                vec = [
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ambient.rank)
-                ]
-            else:
-                vec = _random_vector(rng, ambient.rank)
-            for X, columns in zip((ambient.E, ambient.F), _actions(ambient)):
-                assert _typed(_apply(columns, vec)) == _typed(_mat_apply(X, vec))
-            got = [_typed(image) for image in _images(_actions(ambient), vec)]
-            want = [_typed(image) for image in _reference_images(ambient, vec)]
-            assert got == want, (ambient.weights, vec)
+            j = rng.randrange(ambient.rank)
+            x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+            got = []
+            for i, num, den in _images(ambient, j, x.numerator, x.denominator):
+                got.append([Fraction(num, den) if k == i else 0 for k in range(ambient.rank)])
+            want = list(_reference_images(ambient, unit(ambient.rank, j, x)))
+            assert got == want, (ambient.weights, j, x)
 
 
 # -- duality ------------------------------------------------------------------
@@ -680,7 +800,7 @@ def test_dual_is_an_involution():
         L = ladder_lattice(lam, n)
         DD = dual_lattice(dual_lattice(L))
         assert DD.weights == L.weights
-        assert DD.E == L.E and DD.F == L.F
+        assert (DD.e, DD.f) == (L.e, L.f)
 
 
 def test_dual_reverses_and_negates_weights():
@@ -698,7 +818,7 @@ def test_dual_of_lie_minimal_has_integral_top():
     amb = ladder_lattice(0, 1)
     lat = RowLattice(3)
     for row in (unit(3, 0), unit(3, 1), unit(3, 2, 2)):
-        lat.add(row)
+        lat.add_row(row)
     lie = _from_row_lattice(lat, amb)
     assert lie.weights == [2, 0, -2]
     assert lie.embedding == [unit(3, 0), unit(3, 1), unit(3, 2, 2)]
@@ -837,16 +957,74 @@ def test_hom_lattice_matches_reference():
         group = rng.choice(groups)
         pairs.append((rng.choice(group), rng.choice(group)))
     pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(20)]
-    # two copies of the trivial module: repeated weights, Hom of rank 2 and 4
-    zero = [[0, 0], [0, 0]]
-    trivial = FiniteLattice([0, 0], zero, zero)
-    pairs += [(trivial, trivial), (trivial, minimal_lattice(0)), (minimal_lattice(0), trivial)]
-    # on sl2-modules E and H already pin T down; this pair is no module, so
+    # no module: E and F vanish, so Hom(inert, inert) has rank 2
+    inert = FiniteLattice([1, -1], [0, 0], [0, 0])
+    pairs += [(inert, inert), (inert, minimal_lattice(1)), (minimal_lattice(1), inert)]
+    # on sl2-modules E and H already pin T down; E vanishes on this one, so
     # only its F equations constrain T
-    lopsided = FiniteLattice([0, 0], zero, [[0, 0], [1, 0]])
-    pairs += [(lopsided, trivial), (lopsided, lopsided), (trivial, lopsided)]
+    lopsided = FiniteLattice([1, -1], [0, 0], [1, 0])
+    pairs += [(lopsided, inert), (lopsided, lopsided), (inert, lopsided)]
+    # weights with gaps: neighbours in A need not be neighbours in B
+    gapped = FiniteLattice([4, 0, -2], [0, 1, 2], [3, 1, 0])
+    pairs += [(gapped, ladder_lattice(2, 1)), (ladder_lattice(2, 1), gapped), (gapped, gapped)]
+    # E and F tie t_0 to t_1 with one ratio, but in rows of B that differ
+    spread = FiniteLattice([2, -2], [0, 1], [1, 0])
+    pairs += [(spread, FiniteLattice([2, 0, -2], [0, 0, 1], [1, 0, 0]))]
     for A, B in pairs:
         assert hom_lattice(A, B) == reference_hom_lattice(A, B), (A.weights, B.weights)
+    assert hom_lattice(inert, inert) == {"rank": 2, "generator": None}
+    assert hom_lattice(lopsided, lopsided)["generator"] == [[1, 0], [0, 1]]
+    assert hom_lattice(lopsided, inert)["generator"] == [[1, 0], [0, 0]]
+
+
+def _random_chain(rng, weights):
+    """A chain on the given weights with random integer E and F: no module
+    in general."""
+    r = len(weights)
+    e = [0] + [rng.choice((0, 1, 2, 3, -1, -2)) for _ in range(r - 1)]
+    f = [rng.choice((0, 1, 2, 3, -1, -2)) for _ in range(r - 1)] + [0]
+    return FiniteLattice(weights, e, f)
+
+
+def _signed(rng, L):
+    """L on the basis vectors times random signs: its Hom from L is nonzero."""
+    s = [rng.choice((1, -1)) for _ in L.weights]
+    e = [s[i - 1] * s[i] * x if i else 0 for i, x in enumerate(L.e)]
+    f = [s[i] * s[i + 1] * x if i + 1 < L.rank else 0 for i, x in enumerate(L.f)]
+    return FiniteLattice(L.weights, e, f)
+
+
+def _restricted(rng, L):
+    """L on a random subset of its weights, each basis vector keeping its E
+    and F coefficients: neighbours in the subset need not be neighbours in
+    L, where the Hom equations split into one per unknown."""
+    keep = [i for i in range(L.rank) if rng.random() < 0.7] or [0]
+    e = [0] + [L.e[i] for i in keep[1:]]
+    f = [L.f[i] for i in keep[:-1]] + [0]
+    return FiniteLattice([L.weights[i] for i in keep], e, f)
+
+
+def test_hom_lattice_matches_reference_on_random_chains():
+    # A and B on random subsets of a few weights, so that most weights
+    # match and some neighbours of A are not neighbours in B
+    rng = random.Random(20261023)
+    ranks = set()
+    for _ in range(400):
+        base = sorted(rng.sample(range(-4, 5), rng.randint(2, 5)), reverse=True)
+        A = _random_chain(rng, [w for w in base if rng.random() < 0.8] or base[:1])
+        kind = rng.random()
+        if kind < 0.3:
+            B = _signed(rng, A)
+        elif kind < 0.6:
+            B = _restricted(rng, A)
+        else:
+            B = _random_chain(rng, [w for w in base if rng.random() < 0.8] or base[-1:])
+        if rng.random() < 0.5:
+            A, B = B, A
+        want = reference_hom_lattice(A, B)
+        assert hom_lattice(A, B) == want, (A, B)
+        ranks.add(want["rank"])
+    assert ranks == {0, 1, 2}
 
 
 # -- maximality certificates --------------------------------------------------
@@ -912,10 +1090,12 @@ def test_certificate_matches_reference(kind, lam):
 
 
 def _mixed_lattice():
-    """The Lie closure of v_2 + v_-2 in the weight-2 ladder: its first
-    basis row mixes the weights 2 and -2."""
-    rows = [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
-    return _reference_from_lattice(_reference_span(rows), ladder_lattice(2, 0))
+    """The ladder with the embedding of the Lie closure of v_2 + v_-2 in it,
+    whose first basis row mixes the weights 2 and -2; the queries read only
+    the embedding."""
+    amb = ladder_lattice(2, 0)
+    rows = _reference_span([[1, 0, 1], [0, 1, 0], [0, 0, 2]]).basis()
+    return FiniteLattice(amb.weights, amb.e, amb.f, embedding=rows)
 
 
 @pytest.mark.parametrize("query", [

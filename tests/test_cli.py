@@ -309,20 +309,20 @@ def test_bw_counit_rejects_n_zero(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--lambda", "33", "--op", "min"),
-        ("--lambda", "0", "--op", "counit", "--n", "17"),
-        ("--lambda", "30", "--op", "dual", "--n", "2"),
+        ("--lambda", "129", "--op", "min"),
+        ("--lambda", "1", "--op", "counit", "--n", "64"),
+        ("--lambda", "125", "--op", "dual", "--n", "2"),
     ],
 )
 def test_bw_rejects_ladders_above_the_weight_limit(capsys, argv):
     code, out, err = run(capsys, "bw", *argv)
     assert code == 2 and out == ""
-    assert "32" in err
+    assert "129" in err and "128" in err
 
 
 def test_bw_accepts_the_weight_limit(capsys):
-    doc = run_json(capsys, "bw", "--lambda", "32", "--op", "min")
-    assert doc["rank"] == 33
+    doc = run_json(capsys, "bw", "--lambda", "128", "--op", "min")
+    assert doc["rank"] == 129
 
 
 def test_value_options_take_negative_looking_values(capsys):
