@@ -181,8 +181,8 @@ def _close_under(lat: RowLattice, ambient: FiniteLattice, components) -> None:
     and close it under _images.
 
     Only vectors whose insertion enlarged the lattice need their images
-    taken: the final lattice is the Z-span of those vectors, so stability
-    follows from linearity without re-sweeping the basis.
+    taken: the final lattice is the Z-span of those vectors, whose images
+    all went in, so stability follows from linearity without re-sweeping.
     """
     pending = [item for item in components if lat.add(*item)]
     while pending:
