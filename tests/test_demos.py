@@ -1,4 +1,6 @@
-"""Smoke test: every narrative demo except the verify report exits 0."""
+"""Smoke test: every narrative demo except the verify report exits 0, and
+the demos that print library tables match their committed output byte for
+byte."""
 
 import os
 import subprocess
@@ -23,12 +25,23 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
-def test_lattices_borelweil_output_is_pinned():
-    """The Borel-Weil demo prints exactly the committed expected text."""
+def _assert_pinned(name):
+    """The demo prints exactly the committed text of tests/<name>.out."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "lattices_borelweil.py")],
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
         cwd=ROOT, env=env, capture_output=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (ROOT / "tests" / "lattices_borelweil.out").read_bytes()
+    assert result.stdout == (ROOT / "tests" / f"{name}.out").read_bytes()
+
+
+def test_lattices_borelweil_output_is_pinned():
+    _assert_pinned("lattices_borelweil")
+
+
+@pytest.mark.parametrize(
+    "name", ["weight_module_tables", "contraction_specialize", "hecke_projections"]
+)
+def test_demo_output_is_pinned(name):
+    _assert_pinned(name)
