@@ -25,7 +25,7 @@ w = {0: Fraction(1), 3: Fraction(1), -1: Fraction(1)}
 print("cyclic(3) folds", w, "to", hecke.HeckeElement(lattice, w).support)
 print()
 
-# tensor products split along weight pairs, and the pieces sum back to v
+# the residue projections split a vector, and the pieces sum back to v
 rng = random.Random(7)
 v = {rng.randint(-6, 6): Fraction(rng.randint(1, 4)) for _ in range(4)}
 total = {}

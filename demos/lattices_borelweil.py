@@ -16,7 +16,7 @@ print()
 mn = borelweil.minimal_lattice(lam)
 mx = borelweil.maximal_lattice(lam)
 print("maximal lattice basis (rows in ladder coordinates):")
-for row in mx.embedding:
+for row in mx.inside[1].basis():
     print("  ", [str(x) for x in row])
 index = borelweil.inclusion_index(mn, mx)
 print("index [maximal : minimal] =", index,
@@ -31,13 +31,13 @@ for row in hom["generator"]:
 print()
 
 # dividing any maximal-lattice basis vector by a prime breaks integrality
-cert = borelweil.maximality_certificate(mx, (2, 3, 5), lam)
+cert = borelweil.maximality_certificate(mx, (2, 3, 5))
 print("maximal lattice certified maximal:", cert["certified"])
 
 # the minimal lattice for lambda = 2 is not maximal: halving its middle
 # vector closes up to an integral lattice again (the maximal one)
 mn2 = borelweil.minimal_lattice(2)
-cert2 = borelweil.maximality_certificate(mn2, (2,), 2)
+cert2 = borelweil.maximality_certificate(mn2, (2,))
 print("minimal lattice at lambda = 2: certified =", cert2["certified"],
       " enlargeable at (prime, weight) =", cert2["failures"])
 print()

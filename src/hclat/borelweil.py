@@ -7,7 +7,8 @@ a basis vector to a multiple of a neighbour: a ``FiniteLattice`` is two
 chains of integers.  A lattice stable under Kostant's Z-form U_Z is the
 direct sum of its weight components, since the integer-valued polynomials
 in H lie in U_Z and separate the weights (Humphreys, section 27).  So each
-sublattice is ``RowLattice``: one rational scalar per weight line.
+sublattice is its ambient plus a ``RowLattice``: one rational scalar per
+weight line.
 Closures apply E, F and the divided powers X^k/k! (as the chain
 X(X^(k-1) v/(k-1)!)/k) to weight vectors; they generate U_Z.
 """
@@ -51,6 +52,9 @@ class RowLattice:
             raise ValueError(f"not a weight vector: nonzero entries at {where}")
         return any(self.add(j, x.numerator, x.denominator) for j, x in support)
 
+    def __eq__(self, other):
+        return isinstance(other, RowLattice) and self.scalars == other.scalars
+
     def contains(self, vec) -> bool:
         return all(self.holds(j, x.numerator, x.denominator) for j, x in enumerate(vec))
 
@@ -74,26 +78,18 @@ class RowLattice:
         return prod((c for c in self.scalars if c), start=Fraction(1))
 
 
-def _span(rows) -> RowLattice:
-    """The Z-span of nonempty rational rows, each a weight vector."""
-    lat = RowLattice(len(rows[0]))
-    for row in rows:
-        lat.add_row(row)
-    return lat
-
-
 @dataclass
 class FiniteLattice:
     """Finite-rank lattice on u_0, u_1, ... with distinct descending weights
     w_i: H u_i = w_i u_i, E u_i = e_i u_(i-1) and F u_i = f_i u_(i+1), so
-    e_0 and the last f are 0.  embedding, when present, gives the basis
-    rows in ambient ladder coordinates."""
+    e_0 and the last f are 0.  inside, when present, is the pair (ambient,
+    RowLattice): the basis is c_j e_j over the ambient basis e_j, for the
+    nonzero scalars c_j of the RowLattice."""
 
     weights: list
     e: list
     f: list
-    embedding: list = None
-    ambient_weights: list = None
+    inside: tuple = None
 
     def __post_init__(self):
         w = self.weights
@@ -103,10 +99,12 @@ class FiniteLattice:
             raise ValueError("E and F must be chains with e_0 = 0 and a last f of 0")
 
     @classmethod
-    def from_matrices(cls, weights, E, F, **kwargs) -> FiniteLattice:
+    def from_matrices(cls, weights, E, F, ambient=None, embedding=None) -> FiniteLattice:
         """The lattice of dense E and F matrices, column convention: M[i][j]
         is the u_i-coefficient of X u_j.  E must vanish off the
-        superdiagonal and F off the subdiagonal."""
+        superdiagonal and F off the subdiagonal.  embedding, when given,
+        lists the basis rows in the coordinates of ambient; each must be a
+        weight vector."""
         r = len(weights)
         for name, M, step in (("E", E, -1), ("F", F, 1)):
             if len(M) != r or any(len(row) != r for row in M):
@@ -116,7 +114,13 @@ class FiniteLattice:
                 raise ValueError(f"{name} is not bidiagonal: nonzero entries at {stray}")
         e = [E[j - 1][j] if j else 0 for j in range(r)]
         f = [F[j + 1][j] if j + 1 < r else 0 for j in range(r)]
-        return cls(list(weights), e, f, **kwargs)
+        inside = None
+        if embedding is not None:
+            lat = RowLattice(ambient.rank)
+            for row in embedding:
+                lat.add_row(row)
+            inside = (ambient, lat)
+        return cls(list(weights), e, f, inside)
 
     @property
     def rank(self) -> int:
@@ -127,8 +131,8 @@ class FiniteLattice:
         E = [[e[j] if i == j - 1 else 0 for j in range(r)] for i in range(r)]
         F = [[f[j] if i == j + 1 else 0 for j in range(r)] for i in range(r)]
         out = {"rank": r, "weights": self.weights, "E": E, "F": F}
-        if self.embedding is not None:
-            out["embedding"] = [[str(x) for x in row] for row in self.embedding]
+        if self.inside is not None:
+            out["embedding"] = [[str(x) for x in row] for row in self.inside[1].basis()]
         return out
 
 
@@ -217,8 +221,7 @@ def _from_row_lattice(lat: RowLattice, ambient: FiniteLattice) -> FiniteLattice:
                 raise RuntimeError("closure left the lattice; reduction bug")
             chains[step].append(int(image / c[j + step]) if image else 0)
     weights = [w for w, cj in zip(ambient.weights, c) if cj]
-    return FiniteLattice(weights, chains[-1], chains[1], embedding=lat.basis(),
-                         ambient_weights=list(ambient.weights))
+    return FiniteLattice(weights, chains[-1], chains[1], (ambient, lat))
 
 
 def dual_lattice(L: FiniteLattice) -> FiniteLattice:
@@ -267,20 +270,21 @@ def binomial_lattice(lam: int) -> FiniteLattice:
 
 
 def lattice_span_equal(A: FiniteLattice, B: FiniteLattice) -> bool:
-    """Same Z-span of embeddings (both must carry one)."""
+    """Same Z-span in the same ambient (both must lie in one)."""
     return inclusion_index(A, B) == 1
 
 
 def inclusion_index(inner: FiniteLattice, outer: FiniteLattice):
     """Index of inner in outer, the ratio of the two covolumes, or None if
-    inner is not a sublattice of full rank."""
-    if inner.embedding is None or outer.embedding is None:
+    inner is not a sublattice of full rank.  Both lattices are sums of
+    weight lines, so inner lies in outer line by line."""
+    if inner.inside is None or outer.inside is None:
         raise ValueError("both lattices need embeddings")
-    lat = _span(outer.embedding)
-    if not all(lat.contains(row) for row in inner.embedding):
-        return None
-    sub = _span(inner.embedding)
-    if len(sub.basis()) != len(lat.basis()):
+    (amb, sub), (outer_amb, lat) = inner.inside, outer.inside
+    if amb != outer_amb:
+        raise ValueError("the lattices lie in different ambients")
+    full_rank = [bool(c) for c in sub.scalars] == [bool(c) for c in lat.scalars]
+    if not (full_rank and lat.contains(sub.scalars)):
         return None
     return sub.covolume() / lat.covolume()
 
@@ -333,9 +337,9 @@ def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
 def hom_generator_index(V: FiniteLattice) -> int:
     """Positive generator of the image of V's highest weight component
     under the counit dual to the ambient highest vector."""
-    if V.embedding is None:
+    if V.inside is None:
         raise ValueError("lattice carries no embedding")
-    g = _span(V.embedding).scalars[0]
+    g = V.inside[1].scalars[0]
     if not g:
         raise ValueError("ambient highest vector is not in the Q-span")
     if g.denominator != 1:
@@ -343,24 +347,22 @@ def hom_generator_index(V: FiniteLattice) -> int:
     return g.numerator
 
 
-def maximality_certificate(L: FiniteLattice, primes, lam: int) -> dict:
+def maximality_certificate(L: FiniteLattice, primes) -> dict:
     """Try to enlarge L by u/rho for each basis vector u and prime rho.
 
     A lattice with highest component Z is maximal when every enlargement
     forces a denominator into the highest component; failures list the
     (prime, weight) pairs where the enlarged closure stays integral at the
-    top.  Only the given primes are checked.  Every stable lattice with
-    top Z lies between minimal_lattice(lam) and maximal_lattice(lam), of
-    index prod binom(lam, a) with no prime factor above lam, so the primes
-    up to lam make this a proof of maximality.  The CLI checks 2, 3 and 5:
-    a proof only for lam <= 6.
+    top.  Only the given primes are checked.  In the ladder of highest
+    weight lam, every stable lattice with top Z lies between
+    minimal_lattice(lam) and maximal_lattice(lam), of index
+    prod binom(lam, a) with no prime factor above lam, so the primes up to
+    lam make this a proof of maximality.  The CLI checks 2, 3 and 5: a
+    proof only for lam <= 6.
     """
-    if L.embedding is None:
-        raise ValueError("lattice carries no embedding")
-    amb = ladder_lattice(lam, 0)
     if hom_generator_index(L) != 1:
         raise ValueError("highest component is not normalized to Z")
-    base = _span(L.embedding)
+    amb, base = L.inside
     # U_Z has the Z-basis F^(i) binom(H, b) E^(j), binom(H, b) scales a
     # weight vector by an integer, and from u at index a only E^(a) u lands
     # on the highest weight: the top of L + U_Z u is Z + (E^(a) u)_0 Z.

@@ -355,7 +355,7 @@ def _run_bw(args) -> dict:
         }
     if op == "certify":
         report = borelweil.maximality_certificate(
-            borelweil.maximal_lattice(lam), (2, 3, 5), lam
+            borelweil.maximal_lattice(lam), (2, 3, 5)
         )
         return {
             "op": op,

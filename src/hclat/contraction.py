@@ -46,23 +46,6 @@ _SL2 = {
 }
 
 
-def contraction_bracket(x, y) -> dict:
-    """Bracket of two homogeneous terms (generator name, z-degree).
-
-    Returns an element as {generator: Laurent}.
-    """
-    gen_x, a = x
-    gen_y, b = y
-    if gen_x not in PARITY or gen_y not in PARITY:
-        raise ValueError("inputs must be parity-homogeneous terms on e, f, h")
-    bump = 1 if PARITY[gen_x] == -1 and PARITY[gen_y] == -1 else 0
-    hit = _SL2.get((gen_x, gen_y))
-    if hit is None:
-        return {}
-    gen, c = hit
-    return {gen: Laurent.z_power(a + b + bump, c)}
-
-
 def as_element(x) -> dict:
     """Coerce {generator: scalar} to {generator: Laurent}, dropping zeros."""
     out = {}
@@ -75,25 +58,10 @@ def as_element(x) -> dict:
     return out
 
 
-def bracket_elements(x, y) -> dict:
-    """Bilinear extension of the contraction bracket to elements."""
-    x, y = as_element(x), as_element(y)
-    out = {}
-    for gx, cx in x.items():
-        for gy, cy in y.items():
-            hit = _SL2.get((gx, gy))
-            if hit is None:
-                continue
-            bump = 1 if PARITY[gx] == -1 and PARITY[gy] == -1 else 0
-            gen, k = hit
-            term = (cx * cy * Laurent.const(k)).shift(bump)
-            total = out.get(gen, Laurent.const(0)) + term
-            out[gen] = total
-    return {g: c for g, c in out.items() if not c.is_zero()}
-
-
-def sl2_bracket_elements(x, y) -> dict:
-    """The undeformed sl2 bracket, Laurent-bilinearly (z is central)."""
+def bracket_elements(x, y, bump: int = 1) -> dict:
+    """The bracket of two elements, Laurent-bilinearly (z is central): the
+    sl2 bracket times z^bump on each pair of odd generators.  bump = 1 is
+    the contraction, bump = 0 the undeformed sl2."""
     x, y = as_element(x), as_element(y)
     out = {}
     for gx, cx in x.items():
@@ -103,8 +71,9 @@ def sl2_bracket_elements(x, y) -> dict:
                 continue
             gen, k = hit
             term = cx * cy * Laurent.const(k)
-            total = out.get(gen, Laurent.const(0)) + term
-            out[gen] = total
+            if PARITY[gx] == PARITY[gy] == -1:
+                term = term.shift(bump)
+            out[gen] = out.get(gen, Laurent.const(0)) + term
     return {g: c for g, c in out.items() if not c.is_zero()}
 
 
@@ -127,7 +96,7 @@ def phi_preserves_bracket() -> list:
         for gy in GENERATORS:
             x, y = {gx: 1}, {gy: 1}
             lhs = bracket_elements(phi_isomorphism(x), phi_isomorphism(y))
-            rhs = phi_isomorphism(sl2_bracket_elements(x, y))
+            rhs = phi_isomorphism(bracket_elements(x, y, bump=0))
             if lhs != rhs:
                 failures.append((gx, gy, lhs, rhs))
     return failures
@@ -168,7 +137,6 @@ def _contracted(family, n, ring, support, w0, e, f, params, vanishing_reason=Non
         CONTRACTION_RELATIONS,
         ring,
         support,
-        lambda p: w0 + n * p,
         actions,
         family,
         params,
@@ -354,7 +322,6 @@ def specialize(M: WeightModule, c) -> WeightModule:
         gnm_relations(n, c),
         QQ,
         M.support,
-        M.weight_fn,
         actions,
         M.family + "-fiber",
         params,
@@ -379,64 +346,44 @@ def specialize_matches(specialized: WeightModule, reference: WeightModule, windo
     gauge = {anchor: rat(1)}
     p = anchor
     while p + 1 <= indices[-1]:
-        step = _gauge_step_up(specialized, reference, p, gauge[p])
+        step = _gauge_step(specialized, reference, p, gauge[p], 1)
         if step is None:
             return False
         gauge[p + 1] = step
         p += 1
     p = anchor
     while p - 1 >= indices[0]:
-        step = _gauge_step_down(specialized, reference, p, gauge[p])
+        step = _gauge_step(specialized, reference, p, gauge[p], -1)
         if step is None:
             return False
         gauge[p - 1] = step
         p -= 1
     for p in indices:
         for gen in ("E", "F", "H"):
-            for (tgt_s, a), (tgt_r, A) in _zip_actions(specialized, reference, gen, p):
-                if tgt_s != tgt_r:
-                    return False
-                if tgt_s not in gauge:
-                    continue
-                if a * gauge[tgt_s] != A * gauge[p]:
-                    return False
-            if (specialized.act_gen(gen, p) == []) != (reference.act_gen(gen, p) == []):
+            hits_s, hits_r = specialized.act_gen(gen, p), reference.act_gen(gen, p)
+            if [t for t, _ in hits_s] != [t for t, _ in hits_r]:
                 return False
+            for (target, a), (_, A) in zip(hits_s, hits_r):
+                if target in gauge and a * gauge[target] != A * gauge[p]:
+                    return False
     return True
 
 
-def _zip_actions(S, R, gen, p):
-    hits_s, hits_r = S.act_gen(gen, p), R.act_gen(gen, p)
-    if len(hits_s) != len(hits_r):
-        return [((None, None), (0, 0))] if hits_s or hits_r else []
-    return list(zip(hits_s, hits_r))
-
-
-def _gauge_step_up(S, R, p, base):
-    a, A = S.coefficient("E", p), R.coefficient("E", p)
+def _gauge_step(S, R, p, base, step):
+    """The gauge at p + step from the one at p, by the X-chain at p or,
+    across its zero, by the Y-chain at p + step: (X, Y) is (E, F) going
+    up and (F, E) going down."""
+    x, y = ("E", "F") if step == 1 else ("F", "E")
+    a, A = S.coefficient(x, p), R.coefficient(x, p)
     if (a == 0) != (A == 0):
         return None
     if a != 0:
         return base * A / a
-    b, B = S.coefficient("F", p + 1), R.coefficient("F", p + 1)
+    b, B = S.coefficient(y, p + step), R.coefficient(y, p + step)
     if (b == 0) != (B == 0):
         return None
     if b != 0:
         return base * b / B
-    return base
-
-
-def _gauge_step_down(S, R, p, base):
-    b, B = S.coefficient("F", p), R.coefficient("F", p)
-    if (b == 0) != (B == 0):
-        return None
-    if b != 0:
-        return base * B / b
-    a, A = S.coefficient("E", p - 1), R.coefficient("E", p - 1)
-    if (a == 0) != (A == 0):
-        return None
-    if a != 0:
-        return base * a / A
     return base
 
 

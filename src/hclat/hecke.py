@@ -1,5 +1,5 @@
 """The Hecke algebra R(T) of a diagonalizable group: weight projections,
-componentwise products, tensor/Hom actions, T-finite windows, and the smash
+componentwise products, homogeneous parts of graded maps, and the smash
 product with an enveloping algebra.
 
 Only finitely supported elements are ever materialized; windowed evaluation
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import pbw
-from .scalars import rat, scalar_from_json, scalar_to_json
+from .scalars import rat
 
 
 @dataclass(frozen=True)
@@ -36,26 +36,12 @@ class CharacterLattice:
             raise ValueError("only the cyclic lattice is finite")
         return range(self.order)
 
-    def to_json(self):
-        return "Z" if self.kind == "Z" else {"Z/n": self.order}
-
-    @classmethod
-    def from_json(cls, data) -> "CharacterLattice":
-        if data == "Z":
-            return INTEGERS
-        return cyclic(int(data["Z/n"]))
-
 
 INTEGERS = CharacterLattice("Z")
 
 
 def cyclic(order: int) -> CharacterLattice:
     return CharacterLattice("Z/n", order)
-
-
-def restrict_character(lam: int, lattice: CharacterLattice) -> int:
-    """Image of an integer character under Z -> lattice (reduction mod n)."""
-    return lattice.normalize(lam)
 
 
 @dataclass
@@ -82,19 +68,6 @@ class HeckeElement:
             and self.lattice == other.lattice
             and self.support == other.support
         )
-
-    def to_json(self):
-        return {
-            "lattice": self.lattice.to_json(),
-            "support": [
-                [lam, scalar_to_json(self.support[lam])] for lam in sorted(self.support)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "HeckeElement":
-        lattice = CharacterLattice.from_json(data["lattice"])
-        return cls(lattice, {int(l): scalar_from_json(c) for l, c in data["support"]})
 
 
 def p(lam: int, lattice: CharacterLattice = INTEGERS) -> HeckeElement:
@@ -129,43 +102,6 @@ def project(v: dict, lam: int, lattice: CharacterLattice = INTEGERS) -> dict:
     return out
 
 
-def tensor_action(lam: int, v: dict, w: dict, lattice: CharacterLattice = INTEGERS) -> dict:
-    """lambda-component of v (x) w: sum over splittings mu + (lam - mu).
-
-    Keys of the result are (weight-of-v-factor, weight-of-w-factor) pairs.
-    """
-    lam = lattice.normalize(lam)
-    out = {}
-    for mu1, c1 in v.items():
-        for mu2, c2 in w.items():
-            if lattice.normalize(mu1 + mu2) == lam:
-                prod = c1 * c2
-                if prod != 0:
-                    out[(mu1, mu2)] = out.get((mu1, mu2), 0) + prod
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def hom_action(lam: int, f: dict, v: dict, lattice: CharacterLattice = INTEGERS) -> dict:
-    """(p_lambda f)(v) = sum_mu p_(lambda+mu) f(p_mu v).
-
-    f maps source weights to graded image vectors.
-    """
-    out = {}
-    for mu, c in v.items():
-        image = f.get(mu)
-        if not image:
-            continue
-        target = lattice.normalize(lam + mu)
-        for dst, coeff in image.items():
-            if lattice.normalize(dst) == target:
-                total = out.get(dst, 0) + coeff * c
-                if total == 0:
-                    out.pop(dst, None)
-                else:
-                    out[dst] = total
-    return out
-
-
 def hom_component(f: dict, nu: int, lattice: CharacterLattice = INTEGERS) -> dict:
     """The weight-nu homogeneous part of a graded map."""
     nu = lattice.normalize(nu)
@@ -178,16 +114,6 @@ def hom_component(f: dict, nu: int, lattice: CharacterLattice = INTEGERS) -> dic
         }
         if part:
             out[src] = part
-    return out
-
-
-def t_finite_part(family, window) -> dict:
-    """Windowed T-finite part: evaluate the family on the given weights."""
-    out = {}
-    for lam in window:
-        c = family(lam)
-        if c != 0:
-            out[lam] = c
     return out
 
 
@@ -224,14 +150,6 @@ class SmashElement:
 
 def smash(a: dict, lam: int, g, lattice: CharacterLattice = INTEGERS) -> SmashElement:
     return SmashElement(g, lattice, {lam: dict(a)})
-
-
-def smash_add(x: SmashElement, y: SmashElement) -> SmashElement:
-    _same_smash_algebra(x, y)
-    out = dict(x.terms)
-    for lam, elem in y.terms.items():
-        out[lam] = pbw.add(out.get(lam, {}), elem)
-    return SmashElement(x.zform, x.lattice, out)
 
 
 def _adjoint_component(elem: dict, residue: int, g, lattice: CharacterLattice) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalars import rat, scalar_from_json, scalar_to_json
+from .scalars import rat
 
 
 def monomial(a: int, b: int, c: int, coeff=1) -> dict:
@@ -100,10 +100,6 @@ def mul(x: dict, y: dict, g) -> dict:
     return out
 
 
-def commutator(x: dict, y: dict, g) -> dict:
-    return add(mul(x, y, g), scale(mul(y, x, g), -1))
-
-
 def adjoint_weight(elem: dict, g) -> int:
     """Weight of a weight-homogeneous element: n(c - a) on F^a H^b E^c."""
     weights = {g.n * (c - a) for (a, b, c) in elem}
@@ -113,13 +109,3 @@ def adjoint_weight(elem: dict, g) -> int:
         raise ValueError(f"element is not weight-homogeneous: weights {sorted(weights)}")
     return weights.pop()
 
-
-def to_json(elem: dict):
-    return [[a, b, c, scalar_to_json(coeff)] for (a, b, c), coeff in sorted(elem.items())]
-
-
-def from_json(data) -> dict:
-    out: dict = {}
-    for a, b, c, coeff in data:
-        _add(out, (int(a), int(b), int(c)), scalar_from_json(coeff))
-    return out

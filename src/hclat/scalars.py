@@ -250,13 +250,6 @@ def as_laurent(x) -> Laurent:
     return Laurent.const(rat(x))
 
 
-def parse_scalar(text: str):
-    """Parse a scalar string: a rational, or a polynomial if "z" occurs."""
-    if "z" in text:
-        return Laurent.parse(text)
-    return rat(text)
-
-
 def scalar_to_json(x):
     """JSON form: rationals as "num/den" strings, polynomials as [[exp, "c"], ...]."""
     if isinstance(x, Laurent):

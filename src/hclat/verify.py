@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 from . import borelweil, contraction, dyadic, hecke, pbw, scalars, weightmods, zforms
 
@@ -39,9 +40,7 @@ def _check_orthogonal_idempotents() -> dict:
             for mu in range(-4, 5):
                 grid += 1
                 prod = hecke.hecke_mul(hecke.p(lam, lattice), hecke.p(mu, lattice))
-                same = hecke.restrict_character(lam, lattice) == hecke.restrict_character(
-                    mu, lattice
-                )
+                same = lattice.normalize(lam) == lattice.normalize(mu)
                 expected = hecke.p(lam, lattice) if same else hecke.HeckeElement(lattice)
                 if prod != expected:
                     failures.append(f"p_{lam} p_{mu} over {lattice}")
@@ -339,14 +338,19 @@ def _check_ps_vanishing_index() -> dict:
 
 
 def _check_weight_correctness() -> dict:
+    # H is the T^1-exponent from the params, lambda + n*p or n(p + eps), as
+    # polynomials in p; grid counts the supported indices in [-20, 20]
     failures, grid = [], 0
     for name, M in _module_families():
-        for p in range(-20, 21):
-            if not M.support.contains(p):
-                continue
-            grid += 1
-            if M.coefficient("H", p) != M.weight(p):
-                failures.append(f"{name} at p={p}")
+        n = M.algebra.n
+        if "eps" in M.params:
+            exponent = weightmods.affine(n * M.params["eps"], n)
+        else:
+            exponent = weightmods.affine(M.params["lambda"], n)
+        grid += sum(1 for p in range(-20, 21) if M.support.contains(p))
+        if M.actions["H"] != (0, exponent):
+            coeffs = [str(c) for c in M.actions["H"][1].coeffs]
+            failures.append(f"{name}: H has coefficients {coeffs}")
     return _passfail("weight_correctness", failures, grid)
 
 
@@ -716,10 +720,10 @@ def _check_dual_roundtrip() -> dict:
         if hom["rank"] != 1:
             failures.append(f"lambda={lam}: dual comparison rank {hom['rank']}")
             continue
-        # |det| of the square generator, diagonal by weight: its covolume,
-        # or 0 when singular
-        gen = borelweil._span(hom["generator"])
-        det = gen.covolume() if len(gen.basis()) == len(hom["generator"]) else 0
+        # the square generator is monomial (diagonal by weight): |det| is
+        # the product of its nonzero entries, or 0 when a row is zero
+        entries = [abs(x) for row in hom["generator"] for x in row if x]
+        det = prod(entries) if len(entries) == len(hom["generator"]) else 0
         if det != 1:
             failures.append(f"lambda={lam}: change of basis has |determinant| {det}")
     return _passfail("dual_roundtrip_to_maximal", failures, grid)

@@ -158,7 +158,6 @@ class WeightModule:
     actions maps a generator name to (index shift, IndexPoly in p): the
     generator sends the basis vector at p to coefficient(p) times the one
     at p + shift, or to zero when either index leaves the support.
-    weight_fn gives the T^1-exponent of the basis vector at index p.
     relations holds the brackets the actions must satisfy, as tuples
     (label, X, Y, target, constant) meaning [X, Y] = constant * target.
     Coefficients are Fractions over g_{n,m} and its fibers, and Laurent
@@ -169,11 +168,9 @@ class WeightModule:
     relations: tuple
     ring: CoefficientRing
     support: Support
-    weight_fn: object
     actions: dict
     family: str
     params: dict = field(default_factory=dict)
-    has_counit: bool = False
     vanishing_reason: str = None
 
     @property
@@ -181,8 +178,11 @@ class WeightModule:
         """Generator names in table-column order."""
         return tuple(self.actions)
 
-    def weight(self, p: int):
-        return self.weight_fn(p)
+    def weight(self, p: int) -> int:
+        """The T^1-exponent of the basis vector at p, read off the Cartan
+        action: H(p), or (n/2)h(p) over the contraction, where H = (n/2)h."""
+        gen, scale = _cartan(self)
+        return _weight(scale, self.actions[gen][1](p))
 
     def act_gen(self, gen: str, p: int):
         """Action of one generator on the basis vector at index p."""
@@ -202,11 +202,6 @@ class WeightModule:
         hits = self.act_gen(gen, p)
         return hits[0][1] if hits else rat(0)
 
-    def counit_value(self, p: int):
-        if not self.has_counit:
-            raise ValueError(f"{self.family} carries no counit")
-        return rat(1) if self.support.contains(p) else rat(0)
-
     def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
         """Copy with one generator's action replaced (for negative controls)."""
         return replace(
@@ -214,6 +209,18 @@ class WeightModule:
             actions={**self.actions, gen: (shift, poly)},
             params=dict(self.params),
         )
+
+
+def _cartan(M: WeightModule) -> tuple:
+    """The generator the weights are read off, and its factor."""
+    return ("H", Fraction(1)) if "H" in M.actions else ("h", Fraction(M.params["n"], 2))
+
+
+def _weight(scale, c) -> int:
+    """scale * c for a Fraction or a constant Laurent c, as an int."""
+    if isinstance(c, Laurent):
+        c = c.coefficient(0)
+    return c.numerator * scale.numerator // (c.denominator * scale.denominator)
 
 
 def apply_vector(M: WeightModule, gen: str, vec: dict) -> dict:
@@ -246,7 +253,6 @@ def induced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
         gnm_relations(n, m),
         ring,
         Support("ge", 0),
-        lambda p: lam + n * p,
         actions,
         "induced",
         {"lambda": lam},
@@ -268,7 +274,6 @@ def produced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
         gnm_relations(n, m),
         ring,
         Support("ge", 0),
-        lambda p: lam + n * p,
         actions,
         "produced",
         {"lambda": lam},
@@ -349,19 +354,10 @@ def principal_series(
         gnm_relations(n, m),
         ring,
         Support("all"),
-        lambda p: _exact_weight(n, eps, p),
         actions,
         f"ps-{label}",
         {"eps": eps, "mu": mu, "alternate_qp_f": alternate_qp_f},
-        has_counit=True,
     )
-
-
-def _exact_weight(n: int, eps: Fraction, p: int) -> int:
-    w = n * (p + eps)
-    if w.denominator != 1:
-        raise ValueError(f"weight n(p+eps) = {w} is not integral")
-    return int(w)
 
 
 def check_module_axioms(M: WeightModule, window) -> list:
@@ -445,4 +441,6 @@ def module_rows(M: WeightModule, lo: int, hi: int) -> list:
         return []
     indices = [p for p in range(lo, hi + 1) if M.support.contains(p)]
     columns = [[M.coefficient(gen, p) for p in indices] for gen in M.generators]
-    return [list(row) for row in zip(indices, map(M.weight, indices), *columns)]
+    gen, scale = _cartan(M)
+    weights = [_weight(scale, c) for c in columns[M.generators.index(gen)]]
+    return [list(row) for row in zip(indices, weights, *columns)]

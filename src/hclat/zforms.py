@@ -67,13 +67,6 @@ class ZForm:
     m: int
     q: Fraction
 
-    def to_json(self):
-        return {"n": self.n, "m": self.m, "q": scalar_to_json(self.q)}
-
-    @classmethod
-    def from_json(cls, data) -> "ZForm":
-        return make_zform(int(data["n"]), int(data["m"]), scalar_from_json(data["q"]))
-
 
 def make_zform(n: int, m: int, q) -> ZForm:
     if n < 1 or m < 1:

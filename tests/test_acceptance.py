@@ -217,7 +217,7 @@ def test_criterion_6_borelweil_suite():
             assert index is not None and index >= 1, f"lambda={lam}"
             hom = borelweil.hom_lattice(mn, mx)
             assert hom["rank"] == 1 and hom["generator"] is not None, f"lambda={lam}"
-            report = borelweil.maximality_certificate(mx, (2, 3, 5), lam)
+            report = borelweil.maximality_certificate(mx, (2, 3, 5))
             assert report["certified"], (lam, report["failures"])
         for n in range(1, 21):
             for lam in range(-5, 6):

@@ -1,0 +1,69 @@
+"""No public API that only tests call.
+
+Every public module-level function and class of ``src/hclat``, and every
+public method of those classes, must occur as a word somewhere a user of
+the library would reach it: in ``src/`` outside its own definition, in
+``demos/`` or in ``perfbench/``.  Names that only tests and library users
+call stay on a short allowlist, each with its reason.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "hclat").glob("*.py"))
+
+ALLOWED = {
+    # the negative controls corrupt one action of a working module with it
+    "WeightModule.with_action",
+    # the dense constructor and its input guard, for tests and library
+    # users who hold E and F as matrices
+    "FiniteLattice.from_matrices",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def _uncalled():
+    texts = {path: path.read_text() for path in SRC}
+    outside = "\n".join(
+        path.read_text()
+        for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    )
+    missing = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        others = "\n".join(t for p, t in texts.items() if p != path)
+        for name, node in _public_defs(ast.parse(text)):
+            rest = "\n".join(
+                line for i, line in enumerate(lines, 1)
+                if not node.lineno <= i <= node.end_lineno
+            )
+            word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
+            if not any(word.search(t) for t in (rest, others, outside)):
+                missing.append(f"{path.stem}.{name}")
+    return missing
+
+
+def test_every_public_name_has_a_caller():
+    assert [name for name in _uncalled() if name.split(".", 1)[1] not in ALLOWED] == []
+
+
+def test_allowlist_names_exist():
+    defined = {
+        name
+        for path in SRC
+        for name, _ in _public_defs(ast.parse(path.read_text()))
+    }
+    assert ALLOWED <= defined

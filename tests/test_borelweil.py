@@ -45,19 +45,21 @@ def unit(rank, i, num=1, den=1):
     return [Fraction(num, den) if j == i else Fraction(0) for j in range(rank)]
 
 
+def embedding(L):
+    """The basis rows of L in ambient coordinates, as to_json prints them."""
+    return L.inside[1].basis() if L.inside is not None else None
+
+
 def scaled(L, k):
-    """L with every embedding row multiplied by k."""
-    return FiniteLattice(
-        L.weights,
-        L.e,
-        L.f,
-        embedding=[[k * x for x in row] for row in L.embedding],
-        ambient_weights=L.ambient_weights,
-    )
+    """L with every scalar, so every embedding row, multiplied by k."""
+    ambient, lat = L.inside
+    bigger = RowLattice(ambient.rank)
+    bigger.scalars = [k * c for c in lat.scalars]
+    return FiniteLattice(L.weights, L.e, L.f, (ambient, bigger))
 
 
 def chains(L):
-    return (L.weights, L.e, L.f, L.embedding)
+    return (L.weights, L.e, L.f, embedding(L))
 
 
 # -- reference routes ---------------------------------------------------------
@@ -261,9 +263,7 @@ def _reference_from_lattice(lat, ambient):
         support = {ambient.weights[k] for k, x in enumerate(row) if x}
         assert len(support) == 1, f"basis row {row} mixes weights"
         weights.append(support.pop())
-    return FiniteLattice.from_matrices(
-        weights, *actions, embedding=basis, ambient_weights=list(ambient.weights)
-    )
+    return FiniteLattice.from_matrices(weights, *actions, ambient=ambient, embedding=basis)
 
 
 def _dense_closure(ambient, vectors):
@@ -341,14 +341,14 @@ def _reference_top_component(lat):
     return Fraction(lcm(*dens), gcd(*nums))
 
 
-def reference_certificate(L, primes, lam):
+def reference_certificate(L, primes):
     """Close every enlargement L + Z u/rho under the divided action and
     read its highest component."""
-    amb = ladder_lattice(lam, 0)
-    base = _reference_span(L.embedding)
+    amb = L.inside[0]
+    base = _reference_span(embedding(L))
     failures = []
     for rho in primes:
-        for a, row in enumerate(L.embedding):
+        for a, row in enumerate(embedding(L)):
             enlarged = base.copy()
             candidate = [x / rho for x in row]
             pending = [candidate] if enlarged.add(candidate) else []
@@ -621,7 +621,7 @@ def test_chain_axioms_match_dense_commutators():
 def test_generated_from_highest_vector():
     amb = ladder_lattice(0, 1)
     L = generated_lattice(amb, [unit(3, 0)])
-    assert L.embedding == [
+    assert embedding(L) == [
         [1, 0, 0],
         [0, 1, 0],
         [0, 0, 1],
@@ -636,13 +636,13 @@ def test_generated_linearity():
     amb = ladder_lattice(0, 1)
     L = generated_lattice(amb, [unit(3, 0)])
     doubled = generated_lattice(amb, [[2 * x for x in unit(3, 0)]])
-    assert doubled.embedding == [[2 * x for x in row] for row in L.embedding]
+    assert embedding(doubled) == [[2 * x for x in row] for row in embedding(L)]
 
 
 def test_generated_from_full_basis_is_identity():
     amb = ladder_lattice(2, 0)
     L = generated_lattice(amb, [unit(3, i) for i in range(3)])
-    assert L.embedding == [unit(3, i) for i in range(3)]
+    assert embedding(L) == [unit(3, i) for i in range(3)]
     assert (L.e, L.f) == (amb.e, amb.f)
 
 
@@ -650,7 +650,7 @@ def test_generated_divided_powers_reach_further():
     # F v_2 = v_0 and F v_0 = 2 v_-2 in the (0,1) ladder; F^(2) finds v_-2
     amb = ladder_lattice(0, 1)
     div = generated_lattice(amb, [unit(3, 0)])
-    assert div.embedding[2] == [0, 0, 1]
+    assert embedding(div)[2] == [0, 0, 1]
 
 
 def test_generated_requires_nonzero_vector():
@@ -682,7 +682,8 @@ def test_finite_lattice_rejects_chains_that_leave_the_basis():
 def test_from_matrices_round_trips_to_json():
     for L in _hom_pool():
         E, F, _ = _matrices(L)
-        back = FiniteLattice.from_matrices(L.weights, E, F, embedding=L.embedding)
+        ambient = L.inside[0] if L.inside is not None else None
+        back = FiniteLattice.from_matrices(L.weights, E, F, ambient, embedding(L))
         assert chains(back) == chains(L)
 
 
@@ -715,10 +716,10 @@ def test_generated_closure_random_vectors():
             vec[0] = Fraction(1)
         L = generated_lattice(amb, [vec])
         lat = ReferenceLattice(amb.rank)
-        for row in L.embedding:
+        for row in embedding(L):
             lat.add(row)
         assert lat.contains(vec)
-        for row in L.embedding:
+        for row in embedding(L):
             for image in _reference_images(amb, row):
                 assert lat.contains(image)
         assert check_lattice_axioms(L) == []
@@ -821,7 +822,7 @@ def test_dual_of_lie_minimal_has_integral_top():
         lat.add_row(row)
     lie = _from_row_lattice(lat, amb)
     assert lie.weights == [2, 0, -2]
-    assert lie.embedding == [unit(3, 0), unit(3, 1), unit(3, 2, 2)]
+    assert embedding(lie) == [unit(3, 0), unit(3, 1), unit(3, 2, 2)]
     D = dual_lattice(lie)
     assert D.weights == [2, 0, -2]
     assert check_lattice_axioms(D) == []
@@ -839,12 +840,12 @@ def test_dual_of_lie_minimal_has_integral_top():
 def test_minimal_lattice_is_full_ladder():
     for lam in range(0, 7):
         mn = minimal_lattice(lam)
-        assert mn.embedding == [unit(lam + 1, i) for i in range(lam + 1)]
+        assert embedding(mn) == [unit(lam + 1, i) for i in range(lam + 1)]
 
 
 def test_maximal_lattice_small_cases():
     mx = maximal_lattice(2)
-    assert mx.embedding == [
+    assert embedding(mx) == [
         unit(3, 0),
         unit(3, 1, 1, 2),
         unit(3, 2),
@@ -1032,7 +1033,7 @@ def test_hom_lattice_matches_reference_on_random_chains():
 
 def test_maximal_lattices_are_certified():
     for lam in range(0, 7):
-        report = maximality_certificate(maximal_lattice(lam), (2, 3, 5), lam)
+        report = maximality_certificate(maximal_lattice(lam), (2, 3, 5))
         assert report["certified"], report["failures"]
         assert report["primes"] == [2, 3, 5]
 
@@ -1046,7 +1047,7 @@ def test_maximal_lattices_are_certified_at_every_prime_up_to_lambda():
     # these primes make the certificate a proof of maximality
     for lam in range(0, 33):
         primes = _primes_up_to(lam)
-        report = maximality_certificate(maximal_lattice(lam), primes, lam)
+        report = maximality_certificate(maximal_lattice(lam), primes)
         assert report == {"certified": True, "failures": [], "primes": primes}, lam
 
 
@@ -1058,17 +1059,17 @@ def test_certificate_at_two_three_five_misses_an_index_seven_lattice():
     L = generated_lattice(
         ladder_lattice(lam, 0), [unit(lam + 1, a, c) for a, c in enumerate(scalars)]
     )
-    assert [row[a] for a, row in enumerate(L.embedding)] == scalars
+    assert [row[a] for a, row in enumerate(embedding(L))] == scalars
     assert inclusion_index(L, maximal_lattice(lam)) == 7 ** 6
-    assert maximality_certificate(L, (2, 3, 5), lam)["certified"]
-    report = maximality_certificate(L, _primes_up_to(lam), lam)
+    assert maximality_certificate(L, (2, 3, 5))["certified"]
+    report = maximality_certificate(L, _primes_up_to(lam))
     assert report["failures"] == [(7, w) for w in (5, 3, 1, -1, -3, -5)]
 
 
 def test_minimal_lattice_fails_certification_at_middle():
     # enlarging by half the middle vector keeps the top integral: the
     # closure is exactly the maximal lattice, so minimality shows here
-    report = maximality_certificate(minimal_lattice(2), (2,), 2)
+    report = maximality_certificate(minimal_lattice(2), (2,))
     assert not report["certified"]
     assert report["failures"] == [(2, 0)]
 
@@ -1076,7 +1077,7 @@ def test_minimal_lattice_fails_certification_at_middle():
 def test_certificate_requires_normalized_top():
     mx = maximal_lattice(2)
     with pytest.raises(ValueError, match="not normalized"):
-        maximality_certificate(scaled(mx, 2), (2,), 2)
+        maximality_certificate(scaled(mx, 2), (2,))
 
 
 @pytest.mark.parametrize(
@@ -1086,27 +1087,33 @@ def test_certificate_requires_normalized_top():
 def test_certificate_matches_reference(kind, lam):
     L = maximal_lattice(lam) if kind == "max" else minimal_lattice(lam)
     primes = (2, 3, 5, 7)
-    assert maximality_certificate(L, primes, lam) == reference_certificate(L, primes, lam)
+    assert maximality_certificate(L, primes) == reference_certificate(L, primes)
 
 
-def _mixed_lattice():
-    """The ladder with the embedding of the Lie closure of v_2 + v_-2 in it,
-    whose first basis row mixes the weights 2 and -2; the queries read only
-    the embedding."""
+def test_from_matrices_rejects_embedding_not_diagonal_in_weights():
+    # the Lie closure of v_2 + v_-2 in the ladder: its first basis row mixes
+    # the weights 2 and -2, so it is no sum of scalars on weight lines
     amb = ladder_lattice(2, 0)
     rows = _reference_span([[1, 0, 1], [0, 1, 0], [0, 0, 2]]).basis()
-    return FiniteLattice(amb.weights, amb.e, amb.f, embedding=rows)
-
-
-@pytest.mark.parametrize("query", [
-    lambda L: inclusion_index(L, maximal_lattice(2)),
-    lambda L: inclusion_index(minimal_lattice(2), L),
-    hom_generator_index,
-    lambda L: maximality_certificate(L, (2,), 2),
-], ids=["inner", "outer", "hom_generator_index", "maximality_certificate"])
-def test_queries_reject_embedding_not_diagonal_in_weights(query):
+    E, F, _ = _matrices(amb)
     with pytest.raises(ValueError, match="not a weight vector"):
-        query(_mixed_lattice())
+        FiniteLattice.from_matrices(amb.weights, E, F, ambient=amb, embedding=rows)
+
+
+def test_certificate_reads_the_ambient_of_the_lattice():
+    # no separate highest weight can disagree with L: at lambda = 5 the
+    # certificate walks the ladder of L itself
+    for lam in range(0, 9):
+        report = maximality_certificate(maximal_lattice(lam), (2, 3, 5))
+        assert report == {"certified": True, "failures": [], "primes": [2, 3, 5]}
+    assert maximal_lattice(5).inside[0] == ladder_lattice(5, 0)
+
+
+def test_inclusion_index_rejects_different_ambients():
+    with pytest.raises(ValueError, match="different ambients"):
+        inclusion_index(minimal_lattice(3), maximal_lattice(4))
+    with pytest.raises(ValueError, match="different ambients"):
+        lattice_span_equal(maximal_lattice(2), binomial_lattice(3))
 
 
 # -- counit fraction witnesses ------------------------------------------------

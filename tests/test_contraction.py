@@ -15,7 +15,6 @@ from hclat.contraction import (
     contracted_induced,
     contracted_produced,
     contracted_ps,
-    contraction_bracket,
     contraction_rows,
     generic_irreducibility,
     phi_isomorphism,
@@ -24,7 +23,7 @@ from hclat.contraction import (
     specialize,
     specialize_matches,
 )
-from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent, parse_scalar
+from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
 from hclat.weightmods import (
     CharacterModule,
     IndexPoly,
@@ -36,23 +35,30 @@ from hclat.weightmods import (
 from hclat.zforms import make_zform
 
 
-def lau(text):
-    return parse_scalar(text)
+lau = Laurent.parse
+
+
+def term(gen, degree):
+    """The homogeneous element z^degree times a generator."""
+    return {gen: Laurent.z_power(degree)}
 
 
 def test_bracket_basis_values():
-    assert contraction_bracket(("e", 0), ("f", 0)) == {"h": Laurent.z_power(1)}
-    assert contraction_bracket(("h", 0), ("e", 0)) == {"e": Laurent.const(2)}
-    assert contraction_bracket(("h", 0), ("f", 0)) == {"f": Laurent.const(-2)}
-    assert contraction_bracket(("e", 0), ("e", 3)) == {}
+    assert bracket_elements(term("e", 0), term("f", 0)) == {"h": Laurent.z_power(1)}
+    assert bracket_elements(term("h", 0), term("e", 0)) == {"e": Laurent.const(2)}
+    assert bracket_elements(term("h", 0), term("f", 0)) == {"f": Laurent.const(-2)}
+    assert bracket_elements(term("e", 0), term("e", 3)) == {}
     # degrees add, and odd-odd picks up one more z
-    assert contraction_bracket(("e", 2), ("f", 1)) == {"h": Laurent.z_power(4)}
-    assert contraction_bracket(("h", 2), ("e", 1)) == {"e": Laurent.z_power(3, 2)}
+    assert bracket_elements(term("e", 2), term("f", 1)) == {"h": Laurent.z_power(4)}
+    assert bracket_elements(term("h", 2), term("e", 1)) == {"e": Laurent.z_power(3, 2)}
+    # without the bump it is the sl2 bracket
+    assert bracket_elements(term("e", 2), term("f", 1), bump=0) == {"h": Laurent.z_power(3)}
+    assert bracket_elements(term("h", 2), term("e", 1), bump=0) == {"e": Laurent.z_power(3, 2)}
 
 
 def test_bracket_rejects_unknown_generator():
-    with pytest.raises(ValueError, match="parity-homogeneous"):
-        contraction_bracket(("x", 0), ("f", 0))
+    with pytest.raises(ValueError, match="unknown generator"):
+        bracket_elements({"x": 1}, term("f", 0))
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -290,3 +296,18 @@ def test_contraction_rows_shape():
     assert [r[0] for r in rows] == [0, 1, 2, 3]
     assert rows[2][2] == Laurent.const(1)
     assert rows[2][3] == Laurent.z_power(1, -6)
+
+
+def test_weights_read_off_h():
+    # H = (n/2)h: the weight column is w0 + n*p on the module and its fibers
+    for M, w0, n in (
+        (contracted_induced(-3, 2), -3, 2),
+        (contracted_produced(1, 3), 1, 3),
+        (contracted_ps(Fraction(1, 2), lau("z"), LAURENT_RING, n=2), 1, 2),
+        (contracted_ps(Fraction(2, 3), lau("2z"), POLY, n=3), 2, 3),
+    ):
+        for module in (M, specialize(M, 2)):
+            rows = contraction_rows(module, -6, 6)
+            assert [row[1] for row in rows] == [w0 + n * row[0] for row in rows]
+            assert [module.weight(row[0]) for row in rows] == [row[1] for row in rows]
+            assert all(type(row[1]) is int for row in rows)

@@ -1,4 +1,5 @@
-"""Normal ordering engine, checked against a naive rewriting reference."""
+"""Normal ordering engine, checked against a naive rewriting reference and
+against the 2x2 realization."""
 
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from hclat import pbw
-from hclat.zforms import make_zform
+from hclat.zforms import ZERO_MAT, make_zform, mat_add, mat_mul, mat_scale, realization
 
 RANK = {"F": 0, "H": 1, "E": 2}
+IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def slow_normal_form(word, g):
@@ -144,15 +146,46 @@ def test_scalars_in_words():
 
 
 def test_commutator_defining_relations():
+    def commutator(x, y, g):
+        return pbw.add(pbw.mul(x, y, g), pbw.scale(pbw.mul(y, x, g), -1))
+
     for n, m in [(1, 1), (2, 3)]:
         g = make_zform(n, m, 1)
         E, F, H = pbw.monomial(0, 0, 1), pbw.monomial(1, 0, 0), pbw.monomial(0, 1, 0)
-        assert pbw.commutator(H, E, g) == pbw.scale(E, n)
-        assert pbw.commutator(H, F, g) == pbw.scale(F, -n)
-        assert pbw.commutator(E, F, g) == pbw.scale(H, m)
+        assert commutator(H, E, g) == pbw.scale(E, n)
+        assert commutator(H, F, g) == pbw.scale(F, -n)
+        assert commutator(E, F, g) == pbw.scale(H, m)
 
 
-def test_json_round_trip():
-    g = make_zform(2, 3, 1)
-    elem = pbw.normal_form(["E", "H", "F", "E"], g)
-    assert pbw.from_json(pbw.to_json(elem)) == elem
+def _evaluate(elem, images):
+    """sum coeff * F^a H^b E^c of a normal form, in 2x2 matrices."""
+    total = ZERO_MAT
+    for (a, b, c), coeff in elem.items():
+        term = mat_scale(coeff, IDENTITY)
+        for gen, k in (("F", a), ("H", b), ("E", c)):
+            for _ in range(k):
+                term = mat_mul(term, images[gen])
+        total = mat_add(total, term)
+    return total
+
+
+def test_normal_form_matches_realization():
+    """The realization extends to an algebra map U(g) -> M_2(Q), so a word
+    and its normal form have the same image: the product of the word's
+    matrices, scalars included."""
+    rng = random.Random(20261018)
+    for n, m, q in [(1, 1, 1), (2, 3, Fraction(1, 2)), (3, 2, 6), (1, 4, Fraction(-2, 3))]:
+        g = make_zform(n, m, q)
+        images = dict(zip("EFH", realization(g)))
+        for _ in range(60):
+            word = []
+            for _ in range(rng.randint(0, 7)):
+                gen = rng.choice("EFH")
+                if rng.random() < 0.4:
+                    gen = (gen, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                word.append(gen)
+            direct = IDENTITY
+            for item in word:
+                gen, s = item if isinstance(item, tuple) else (item, 1)
+                direct = mat_mul(direct, mat_scale(s, images[gen]))
+            assert _evaluate(pbw.normal_form(word, g), images) == direct, (n, m, q, word)

@@ -14,7 +14,6 @@ from hclat.scalars import (
     in_ring,
     localized_integers,
     ord2,
-    parse_scalar,
     rat,
     scalar_from_json,
     scalar_to_json,
@@ -119,7 +118,3 @@ def test_scalar_json_round_trip():
     for x in [Fraction(3, 2), rat(-7), Laurent.parse("1 - 2*z^-3")]:
         assert scalar_from_json(scalar_to_json(x)) == x
 
-
-def test_parse_scalar_dispatch():
-    assert parse_scalar("3/2") == Fraction(3, 2)
-    assert parse_scalar("2z") == Laurent.parse("2*z")

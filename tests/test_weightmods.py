@@ -138,7 +138,6 @@ def test_ps_q_example():
         assert ps.coefficient("E", p) == Fraction(p + 1, 2)
         assert ps.coefficient("F", p) == 1 - p
         assert ps.weight(p) == p
-    assert ps.counit_value(3) == 1
 
 
 def test_ps_qpp_coefficients():
@@ -223,18 +222,25 @@ def test_ps_vanishing_index_unique():
 
 
 def test_weight_equals_h_eigenvalue():
+    # the weight is read off H; both are the T^1-exponent lambda + n*p or
+    # n(p + eps), and the weight is an int, as the documents print it
     g = make_zform(3, 2, Fraction(1, 2))
+    eps = Fraction(2, 3)
     mods = [
-        wm.induced_module(g, -4, ZZ),
-        wm.produced_module(g, 2, ZZ),
-        wm.principal_series(
-            g, "q", wm.CharacterModule(Fraction(2, 3), Fraction(5), "q"), QQ
+        (wm.induced_module(g, -4, ZZ), lambda p: -4 + 3 * p),
+        (wm.produced_module(g, 2, ZZ), lambda p: 2 + 3 * p),
+        (
+            wm.principal_series(g, "q", wm.CharacterModule(eps, Fraction(5), "q"), QQ),
+            lambda p: 3 * (p + eps),
         ),
     ]
-    for M in mods:
+    for M, exponent in mods:
+        rows = wm.module_rows(M, -20, 20)
         for p in range(-20, 21):
             if M.support.contains(p):
-                assert M.coefficient("H", p) == M.weight(p)
+                assert M.coefficient("H", p) == M.weight(p) == exponent(p)
+                assert type(M.weight(p)) is int
+        assert [row[1] for row in rows] == [M.weight(row[0]) for row in rows]
 
 
 def test_character_validation():

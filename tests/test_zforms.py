@@ -88,11 +88,6 @@ def test_presentation_json_round_trip():
     assert zf.classify(*zf.presentation_from_json(encoded)) == (3, 2, Fraction(1, 2))
 
 
-def test_zform_json_round_trip():
-    g = zf.make_zform(2, 5, Fraction(-3, 2))
-    assert zf.ZForm.from_json(g.to_json()) == g
-
-
 def test_borel_subalgebras():
     g = zf.make_zform(2, 3, 1)
     assert zf.subalgebra(g, "b").basis == ((1, 0, 0), (0, 0, 1))
