@@ -1090,14 +1090,26 @@ def test_certificate_matches_reference(kind, lam):
     assert maximality_certificate(L, primes) == reference_certificate(L, primes)
 
 
-def test_from_matrices_rejects_embedding_not_diagonal_in_weights():
-    # the Lie closure of v_2 + v_-2 in the ladder: its first basis row mixes
-    # the weights 2 and -2, so it is no sum of scalars on weight lines
+def _mixed_lattice():
+    """The ladder with the embedding of the Lie closure of v_2 + v_-2 in it,
+    whose first basis row mixes the weights 2 and -2, so it is no sum of
+    scalars on weight lines; from_matrices, where dense rows enter, raises."""
     amb = ladder_lattice(2, 0)
     rows = _reference_span([[1, 0, 1], [0, 1, 0], [0, 0, 2]]).basis()
     E, F, _ = _matrices(amb)
+    return FiniteLattice.from_matrices(amb.weights, E, F, ambient=amb, embedding=rows)
+
+
+@pytest.mark.parametrize("query", [
+    lambda L: inclusion_index(L, maximal_lattice(2)),
+    lambda L: inclusion_index(minimal_lattice(2), L),
+    hom_generator_index,
+    lambda L: maximality_certificate(L, (2,)),
+], ids=["inner", "outer", "hom_generator_index", "maximality_certificate"])
+def test_queries_reject_embedding_not_diagonal_in_weights(query):
+    # the guard fires while the lattice is built, so no query reads it
     with pytest.raises(ValueError, match="not a weight vector"):
-        FiniteLattice.from_matrices(amb.weights, E, F, ambient=amb, embedding=rows)
+        query(_mixed_lattice())
 
 
 def test_certificate_reads_the_ambient_of_the_lattice():
