@@ -5,6 +5,10 @@ public method of those classes, must occur as a word somewhere a user of
 the library would reach it: in ``src/`` outside its own definition, in
 ``demos/`` or in ``perfbench/``.  Names that only tests and library users
 call stay on a short allowlist, each with its reason.
+
+Every private module-level function must occur as a word in ``src/``
+outside its own definition: a helper nothing calls, or a verify check
+that no suite lists, is dead code.
 """
 
 import ast
@@ -34,18 +38,29 @@ def _public_defs(tree):
                         yield f"{node.name}.{sub.name}", sub
 
 
-def _uncalled():
+def _private_functions(tree):
+    """(name, node) of each private module-level function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if not node.name.startswith("__"):
+                yield node.name, node
+
+
+def _unreferenced(defs, folders=()):
+    """The names of ``defs`` that occur nowhere outside their own definition:
+    not in the rest of their module, another module of ``src/hclat``, or a
+    script in ``folders``."""
     texts = {path: path.read_text() for path in SRC}
     outside = "\n".join(
         path.read_text()
-        for folder in ("demos", "perfbench")
+        for folder in folders
         for path in sorted((ROOT / folder).glob("*.py"))
     )
     missing = []
     for path, text in texts.items():
         lines = text.splitlines()
         others = "\n".join(t for p, t in texts.items() if p != path)
-        for name, node in _public_defs(ast.parse(text)):
+        for name, node in defs(ast.parse(text)):
             rest = "\n".join(
                 line for i, line in enumerate(lines, 1)
                 if not node.lineno <= i <= node.end_lineno
@@ -56,8 +71,13 @@ def _uncalled():
     return missing
 
 
+def test_every_private_function_is_referenced():
+    assert _unreferenced(_private_functions) == []
+
+
 def test_every_public_name_has_a_caller():
-    assert [name for name in _uncalled() if name.split(".", 1)[1] not in ALLOWED] == []
+    uncalled = _unreferenced(_public_defs, ("demos", "perfbench"))
+    assert [name for name in uncalled if name.split(".", 1)[1] not in ALLOWED] == []
 
 
 def test_allowlist_names_exist():

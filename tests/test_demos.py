@@ -1,6 +1,5 @@
-"""Smoke test: every narrative demo except the verify report exits 0, and
-the demos that print library tables match their committed output byte for
-byte."""
+"""Smoke test: every narrative demo exits 0, and the demos that print
+library tables or reports match their committed output byte for byte."""
 
 import os
 import subprocess
@@ -10,9 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(
-    p.name for p in (ROOT / "demos").glob("*.py") if p.name != "verify_report.py"
-)
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -41,7 +38,13 @@ def test_lattices_borelweil_output_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "name", ["weight_module_tables", "contraction_specialize", "hecke_projections"]
+    "name",
+    [
+        "weight_module_tables",
+        "contraction_specialize",
+        "hecke_projections",
+        "verify_report",
+    ],
 )
 def test_demo_output_is_pinned(name):
     _assert_pinned(name)

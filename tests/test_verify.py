@@ -1,9 +1,14 @@
 """The invariant suites: all pass on a healthy build, documented findings
 are labeled, and a corrupted build turns into a hard failure."""
 
+from pathlib import Path
+
 import pytest
 
 from hclat import contraction, dyadic, verify
+from hclat.cli import render_csv, render_json
+
+HERE = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +80,27 @@ admissible_model_crosscheck: pass (grid=13)
 counit_fraction_surjectivity: pass (grid=216)
 weight_multiplicity_one: pass (grid=13)
 result: pass"""
+
+
+@pytest.mark.parametrize(
+    "pin, render",
+    [
+        ("verify_all.json", render_json),
+        ("verify_all.csv", render_csv),
+        ("verify_all.txt", lambda report: verify.format_report(report) + "\n"),
+    ],
+)
+def test_full_report_is_pinned(full_report, pin, render):
+    assert render(full_report) == (HERE / pin).read_text()
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_single_suite_is_its_part_of_the_full_report(full_report, suite):
+    report = verify.run_suite(suite)
+    assert report["suite"] == suite
+    assert report["checks"] == [
+        c for c in full_report["checks"] if c["suite"] == suite
+    ]
 
 
 def test_borelweil_report_is_pinned():
