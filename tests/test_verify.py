@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hclat import contraction, dyadic, verify
-from hclat.cli import render_csv, render_json
+from hclat import borelweil, contraction, dyadic, verify, zforms
+from hclat.cli import main, render_csv, render_json
 
 HERE = Path(__file__).resolve().parent
 
@@ -124,3 +124,94 @@ def test_corrupted_exponent_formula_fails(monkeypatch):
     )
     report = verify.run_suite("lattice")
     assert not report["passed"]
+    # the first failing case of the grid, not a later one
+    oracle = _by_name(report, "formula_oracle_equivalence")
+    assert oracle["detail"] == "M_-1(1,1,0,-8) = 3 != 2"
+
+
+def test_runner_counts_the_grid_and_keeps_the_first_failing_case(monkeypatch):
+    def _two_cases():
+        yield True, "first"
+        yield True, "second"
+
+    def _fails_twice():
+        yield True, "fine"
+        yield False, "first failure"
+        yield False, "second failure"
+
+    def _raises_after_a_case():
+        yield True, "fine"
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(
+        verify.CHECKS, "hecke", (_two_cases, _fails_twice, _raises_after_a_case)
+    )
+    assert verify.format_report(verify.run_suite("hecke")).splitlines() == [
+        "two_cases: pass (grid=2)",
+        "fails_twice: fail (first failure)",
+        "raises_after_a_case: fail (RuntimeError: boom)",
+        "result: FAIL",
+    ]
+
+
+def _cli_table(capsys, suite):
+    code = main(["verify", "--suite", suite, "--format", "table"])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+def _pinned_lines(suite, replaced):
+    """The pinned table lines of one suite, with the named checks replaced."""
+    names = [c.__name__.lstrip("_") for c in verify.CHECKS[suite]]
+    pinned = {
+        line.split(":", 1)[0]: line
+        for line in (HERE / "verify_all.txt").read_text().splitlines()
+    }
+    return [replaced.get(name, pinned[name]) for name in names] + ["result: FAIL"]
+
+
+def test_raising_decomposition_reports_fail_not_traceback(monkeypatch, capsys):
+    def inconsistent(g, S):
+        raise AssertionError("re-expansion failed; solver is inconsistent")
+
+    monkeypatch.setattr(zforms, "iwasawa_decompose", inconsistent)
+    code, lines, err = _cli_table(capsys, "modules")
+    assert code == 1
+    assert err == ""
+    assert lines == _pinned_lines(
+        "modules",
+        {
+            "iwasawa_reexpansion": "iwasawa_reexpansion: fail "
+            "(AssertionError: re-expansion failed; solver is inconsistent)"
+        },
+    )
+
+
+def test_raising_lattice_builder_keeps_the_report(monkeypatch, capsys):
+    def boom(lam):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(borelweil, "maximal_lattice", boom)
+    code, lines, err = _cli_table(capsys, "borelweil")
+    assert code == 1
+    assert err == ""
+    callers = (
+        "lattice_bracket_axioms",
+        "minimal_maximal_hom_rank_one",
+        "dual_roundtrip_to_maximal",
+        "admissible_model_crosscheck",
+        "weight_multiplicity_one",
+    )
+    assert lines == _pinned_lines(
+        "borelweil", {name: f"{name}: fail (ValueError: boom)" for name in callers}
+    )
+
+
+def test_weight_multiplicity_one_fails_on_wrong_weights(monkeypatch):
+    # a valid lattice with distinct weights, but those of lambda + 2
+    monkeypatch.setattr(
+        borelweil, "maximal_lattice", lambda lam: borelweil.ladder_lattice(lam, 1)
+    )
+    check = _by_name(verify.run_suite("borelweil"), "weight_multiplicity_one")
+    assert check["status"] == "fail"
+    assert check["detail"] == "lambda=0: weights [2, 0, -2]"
