@@ -24,11 +24,11 @@ for q in (Fraction(1, 2), Fraction(-1, 2)):
 print()
 
 # subalgebras with integral Iwasawa coordinates need matching realizations
-for label, q in (("q", Fraction(1, 2)), ("qp", Fraction(6))):
-    g = zforms.make_zform(2, 3, q)
+for label in ("q", "qp"):
+    g = zforms.parabolic_form(2, 3, label)
     S = zforms.subalgebra(g, label)
     table = zforms.iwasawa_decompose(g, S)
-    print(f"subalgebra {label!r} at q = {q}: basis re-expands with rows {table}")
+    print(f"subalgebra {label!r} at q = {g.q}: basis re-expands with rows {table}")
 
 # the Borel needs no special realization and is bracket-closed over Z
 b = zforms.subalgebra(zforms.make_zform(2, 3, 1), "b")

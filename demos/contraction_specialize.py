@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hclat import contraction, weightmods, zforms
+from hclat import contraction, weightmods
 from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
 
 lau = Laurent.parse
@@ -23,10 +23,7 @@ print()
 
 # setting z = 1 lands in an honest weight module for the reference form
 ref = weightmods.principal_series(
-    zforms.make_zform(1, 1, Fraction(1, 2)),
-    "q",
-    weightmods.CharacterModule(Fraction(0), Fraction(2), "q"),
-    QQ,
+    1, 1, weightmods.CharacterModule(Fraction(0), Fraction(2), "q"), QQ
 )
 specialized = contraction.specialize(S, 1)
 print("specialize(z = 1) matches the q-series at mu = 2:",

@@ -3,22 +3,22 @@
 from fractions import Fraction
 
 from hclat import weightmods, zforms
-from hclat.scalars import QQ, ZZ
+from hclat.scalars import QQ
 
 # the induced module acts over Z: E shifts up with coefficient 1, F comes
 # back down with an integer polynomial in the index
 g = zforms.make_zform(1, 1, 1)
-M = weightmods.induced_module(g, 2, ZZ)
+M = weightmods.induced_module(g, 2)
 print("induced module, lambda = 2, indices 0..4:")
 print("  p  weight  E       F       H")
 for p, w, e, f, h in weightmods.module_rows(M, 0, 4):
     print(f"  {p}  {w:>6}  {str(e):<6}  {str(f):<6}  {str(h)}")
 print()
 
-# principal series: the parabolic label decides the coefficient shapes
-g = zforms.make_zform(2, 3, Fraction(1, 2))
+# principal series: the parabolic label decides the realization and the
+# coefficient shapes
 chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "q")
-P = weightmods.principal_series(g, "q", chi, QQ)
+P = weightmods.principal_series(2, 3, chi, QQ)
 print("principal series over the q-parabolic, eps = 1/2, mu = 5:")
 print("  p  weight  E      F      H")
 for p, w, e, f, h in weightmods.module_rows(P, -2, 2):
@@ -28,10 +28,9 @@ print()
 
 # the qp-series has two candidate F-coefficients in circulation; only the
 # halved one satisfies [E, F] = mH, the other misses by a factor of two
-g = zforms.make_zform(2, 3, Fraction(6))
 chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-derived = weightmods.principal_series(g, "qp", chi, QQ)
-alternate = weightmods.principal_series(g, "qp", chi, QQ, alternate_qp_f=True)
+derived = weightmods.principal_series(2, 3, chi, QQ)
+alternate = weightmods.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
 print("qp-series F-coefficient at p = 0:")
 print("  derived:  ", derived.coefficient("F", 0))
 print("  alternate:", alternate.coefficient("F", 0))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import borelweil, contraction, dyadic, weightmods, zforms
 from . import verify as verify_suites
-from .scalars import LAURENT_RING, POLY, QQ, ZZ, Laurent
+from .scalars import LAURENT_RING, POLY, QQ, Laurent, residue
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -92,12 +92,14 @@ def _laurent(text: str) -> Laurent:
 
 
 def _check_eps_residue(eps: Fraction, n: int) -> None:
-    if n < 1:  # checked first: the residue test reads eps against n
-        raise ValueError(f"n must be a positive integer, got n={n}")
-    if not (0 <= eps < 1) or n % eps.denominator != 0:
-        raise UsageError(
-            f"eps must be K/N with N dividing n = {n} and 0 <= eps < 1; got {eps}"
-        )
+    """An eps that is no residue for n is a usage error; n < 1, which
+    residue checks first, stays a domain error."""
+    try:
+        residue(eps, n)
+    except ValueError as exc:
+        if n < 1:
+            raise
+        raise UsageError(exc) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,16 +221,6 @@ def _run_classify(args) -> dict:
     return {"n": n, "m": m, "abs_q": str(q_abs)}
 
 
-def _realization_for_label(label: str, n: int, m: int) -> zforms.ZForm:
-    if label == "q":
-        return zforms.make_zform(n, m, Fraction(1, 2))
-    if label == "qp":
-        return zforms.make_zform(n, m, n * m)
-    if m != 2 * n:
-        raise UsageError(f"qpp requires m = 2n; got n = {n}, m = {m}")
-    return zforms.make_zform(n, m, n)
-
-
 def _run_module(args) -> dict:
     lo, hi = args.window
     if args.kind in ("ind", "pro"):
@@ -240,7 +232,7 @@ def _run_module(args) -> dict:
             if args.kind == "ind"
             else weightmods.produced_module
         )
-        M = build(g, args.lam, ZZ)
+        M = build(g, args.lam)
         heading = {"lambda": args.lam}
     else:
         if args.parabolic is None:
@@ -248,9 +240,14 @@ def _run_module(args) -> dict:
         if args.eps is None or args.mu is None:
             raise UsageError("--kind ps requires --eps and --mu")
         _check_eps_residue(args.eps, args.n)
-        g = _realization_for_label(args.parabolic, args.n, args.m)
+        if args.parabolic == "qpp":
+            # m = 2n is a constraint between flags, so a usage error
+            try:
+                zforms.parabolic_form(args.n, args.m, "qpp")
+            except ValueError as exc:
+                raise UsageError(exc) from None
         chi = weightmods.CharacterModule(args.eps, args.mu, args.parabolic)
-        M = weightmods.principal_series(g, args.parabolic, chi, QQ)
+        M = weightmods.principal_series(args.n, args.m, chi, QQ)
         heading = {"parabolic": args.parabolic, "eps": str(args.eps), "mu": str(args.mu)}
     header = {"kind": args.kind, "n": args.n, "m": args.m, **heading}
     return _table_doc(M, header, lo, hi)
@@ -311,7 +308,7 @@ def _run_contract(args) -> dict:
             if args.kind == "ind"
             else contraction.contracted_produced
         )
-        M = build(args.lam, args.n, ring)
+        M = build(args.lam, args.n)
         heading = {"lambda": args.lam}
     else:
         if args.eps is None or args.mu is None:

@@ -10,18 +10,17 @@ dictionary E = e, F = (n/2)f, H = (n/2)h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
     LAURENT_RING,
     POLY,
-    QQ,
     CoefficientRing,
     Laurent,
     as_laurent,
     in_ring,
     rat,
+    residue,
 )
 from .weightmods import (
     IndexPoly,
@@ -32,7 +31,6 @@ from .weightmods import (
     gnm_relations,
     module_rows,
 )
-from .zforms import make_zform
 
 GENERATORS = ("e", "f", "h")
 PARITY = {"e": -1, "f": -1, "h": 1}
@@ -121,7 +119,7 @@ _Z = Laurent.z_power(1)
 _ONE = IndexPoly([1], laurent=True)
 
 
-def _contracted(family, n, ring, support, w0, e, f, params, vanishing_reason=None):
+def _contracted(n, support, w0, e, f, params, vanishing_reason=None):
     """A contracted module from its e- and f-actions, each (shift, IndexPoly),
     with weight w0 + n*p at index p; the caller has checked n.
 
@@ -132,50 +130,23 @@ def _contracted(family, n, ring, support, w0, e, f, params, vanishing_reason=Non
         "f": f,
         "h": (0, IndexPoly([Fraction(2 * w0, n), 2], laurent=True)),
     }
-    return WeightModule(
-        None,
-        CONTRACTION_RELATIONS,
-        ring,
-        support,
-        actions,
-        family,
-        params,
-        vanishing_reason=vanishing_reason,
-    )
+    return WeightModule(CONTRACTION_RELATIONS, support, actions, params, vanishing_reason)
 
 
-def contracted_induced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
+def contracted_induced(lam: int, n: int) -> WeightModule:
     """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z:
     f(p) = -z(p/n)(np - n + 2 lam)."""
     _check_n(n)
     f_coeff = (affine(0, Fraction(-1, n)) * affine(2 * lam - n, n)).scale(_Z)
-    return _contracted(
-        "contracted-induced",
-        n,
-        ring,
-        Support("ge", 0),
-        lam,
-        (1, _ONE),
-        (-1, f_coeff),
-        {"lam": lam, "n": n},
-    )
+    return _contracted(n, Support("ge", 0), lam, (1, _ONE), (-1, f_coeff), {"lam": lam, "n": n})
 
 
-def contracted_produced(lam: int, n: int, ring: CoefficientRing = POLY) -> WeightModule:
+def contracted_produced(lam: int, n: int) -> WeightModule:
     """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z:
     e(p) = -z((p+1)/n)(np + 2 lam)."""
     _check_n(n)
     e_coeff = (affine(Fraction(-1, n), Fraction(-1, n)) * affine(2 * lam, n)).scale(_Z)
-    return _contracted(
-        "contracted-produced",
-        n,
-        ring,
-        Support("ge", 0),
-        lam,
-        (1, e_coeff),
-        (-1, _ONE),
-        {"lam": lam, "n": n},
-    )
+    return _contracted(n, Support("ge", 0), lam, (1, e_coeff), (-1, _ONE), {"lam": lam, "n": n})
 
 
 def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
@@ -186,10 +157,7 @@ def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
     mu collapses the model to zero (reported via vanishing_reason, not an
     error), and a negative exponent is rejected outright.
     """
-    _check_n(n)
-    eps = rat(eps)
-    if not (0 <= eps < 1) or n % eps.denominator != 0:
-        raise ValueError(f"eps must be a residue k/{n} in [0, 1); got {eps}")
+    eps = residue(eps, n)
     mu = as_laurent(mu)
     if not in_ring(mu, ring):
         raise ValueError(f"mu = {mu} does not lie in {ring.name}")
@@ -203,9 +171,7 @@ def contracted_ps(eps, mu, ring: CoefficientRing, n: int = 1) -> WeightModule:
     half_mu = mu * Laurent.const(Fraction(1, 2))
     n_eps = int(n * eps)  # integral: the denominator of eps divides n
     return _contracted(
-        "contracted-ps",
         n,
-        ring,
         Support("all"),
         n_eps,
         # e(p) = mu/2z + (p + eps), f(p) = mu/2 - z(p + eps)
@@ -285,15 +251,6 @@ def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
 # -- specialization -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecializedAlgebra:
-    """Bracket data [H,E]=nE, [H,F]=-nF, [E,F]=mH for a fiber where m is
-    not a positive integer (for instance the degenerate fiber m = 0)."""
-
-    n: int
-    m: Fraction
-
-
 def specialize(M: WeightModule, c) -> WeightModule:
     """Evaluate every p-coefficient at z = c and pass to the divided basis
     E = e, F = (n/2)f, H = (n/2)h, so the fiber at c = m carries the
@@ -311,21 +268,7 @@ def specialize(M: WeightModule, c) -> WeightModule:
         except ZeroDivisionError:
             raise ValueError(f"pole at z = {c} in the {gen}-coefficient")
         actions[cap] = (shift, IndexPoly(coeffs))
-    if c.denominator == 1 and c > 0:
-        algebra = make_zform(n, int(c), rat(1))
-    else:
-        algebra = SpecializedAlgebra(n, c)
-    params = dict(M.params)
-    params["z"] = c
-    return WeightModule(
-        algebra,
-        gnm_relations(n, c),
-        QQ,
-        M.support,
-        actions,
-        M.family + "-fiber",
-        params,
-    )
+    return WeightModule(gnm_relations(n, c), M.support, actions, {**M.params, "z": c})
 
 
 def specialize_matches(specialized: WeightModule, reference: WeightModule, window) -> bool:

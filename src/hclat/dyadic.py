@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ord2, rat
+from .scalars import ord2, rat, residue
 from .weightmods import Support
 
 VARIANTS = ("q", "qp", "qpp")
@@ -46,9 +46,7 @@ def _validate(variant: str, n: int, m: int, eps, mu) -> tuple:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    eps = rat(eps)
-    if not (0 <= eps < 1) or n % eps.denominator != 0:
-        raise ValueError(f"eps must be a residue k/{n} in [0, 1); got {eps}")
+    eps = residue(eps, n)
     mu = rat(mu)
     if mu.denominator != 1:
         raise ValueError(f"mu must be an integer, got {mu}")

@@ -6,7 +6,6 @@ anywhere in the package.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,20 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def residue(eps, n: int) -> Fraction:
+    """eps as a residue K/N with N dividing n and 0 <= eps < 1; n is
+    checked first, as eps is read against it."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n}")
+    eps = rat(eps)
+    if not (0 <= eps < 1) or n % eps.denominator:
+        raise ValueError(
+            f"eps must be a residue K/N with N dividing n = {n} and 0 <= eps < 1; "
+            f"got {eps}"
+        )
+    return eps
 
 
 def ord2(x) -> int:
@@ -333,19 +346,9 @@ def localized_integers(N: int) -> CoefficientRing:
 
 
 def _denominator_invertible(den: int, N: int) -> bool:
-    """True iff every prime factor of den divides N."""
-    if den == 1:
-        return True
-    if N == 1:
-        return False
-    while True:
-        g = math.gcd(den, N)
-        if g == 1:
-            return den == 1
-        while den % g == 0:
-            den //= g
-        if den == 1:
-            return True
+    """True iff every prime factor of den divides N: then den divides
+    N^k for k at least the largest exponent in den, below den.bit_length()."""
+    return pow(N, den.bit_length(), den) == 0
 
 
 def in_ring(x, ring: CoefficientRing) -> bool:

@@ -10,15 +10,16 @@ A check is a generator that yields one ``(ok, case)`` pair per grid point;
 ``case`` names the point and is read only when ``ok`` is false.  A finding,
 marked ``@_documented``, instead returns ``(mismatch_present, detail)``.
 The runner counts the grid, reports the first failing case, and turns a
-check that raises into ``fail`` with the exception; the other checks still
-run.  To add a check, write one such function and list it under its suite
-in ``CHECKS``: its report name is the function's name without the leading
-underscore.
+check that raises into ``fail`` with the exception and the function, file
+and line that raised it; the other checks still run.  To add a check,
+write one such function and list it under its suite in ``CHECKS``: its
+report name is the function's name without the leading underscore.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import prod
@@ -121,11 +122,8 @@ def _classification_roundtrip():
 def _iwasawa_reexpansion():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
-            cases = [("q", Fraction(1, 2)), ("qp", Fraction(n * m))]
-            if m == 2 * n:
-                cases.append(("qpp", Fraction(n)))
-            for label, qparam in cases:
-                g = zforms.make_zform(n, m, qparam)
+            for label in ("q", "qp", "qpp") if m == 2 * n else ("q", "qp"):
+                g = zforms.parabolic_form(n, m, label)
                 S = zforms.subalgebra(g, label)
                 table = zforms.iwasawa_decompose(g, S)
                 frame = [S.basis[0], S.basis[1], (0, 0, 1)]
@@ -203,34 +201,21 @@ def _module_families() -> list:
     for n, m in ((1, 1), (2, 3), (3, 2)):
         g1 = zforms.make_zform(n, m, 1)
         for lam in (-3, 0, 2):
-            out.append(
-                (f"ind({n},{m},{lam})", weightmods.induced_module(g1, lam, scalars.QQ))
-            )
-            out.append(
-                (f"pro({n},{m},{lam})", weightmods.produced_module(g1, lam, scalars.QQ))
-            )
-        gq = zforms.make_zform(n, m, Fraction(1, 2))
-        gp = zforms.make_zform(n, m, n * m)
+            out.append((f"ind({n},{m},{lam})", weightmods.induced_module(g1, lam)))
+            out.append((f"pro({n},{m},{lam})", weightmods.produced_module(g1, lam)))
         for k in range(n):
             eps = Fraction(k, n)
             for mu in (Fraction(-2), Fraction(1, 3), Fraction(2 * n * m)):
-                chi_q = weightmods.CharacterModule(eps, mu, "q")
-                out.append(
-                    (
-                        f"ps_q({n},{m},{eps},{mu})",
-                        weightmods.principal_series(gq, "q", chi_q, scalars.QQ),
+                for label in ("q", "qp"):
+                    chi = weightmods.CharacterModule(eps, mu, label)
+                    out.append(
+                        (
+                            f"ps_{label}({n},{m},{eps},{mu})",
+                            weightmods.principal_series(n, m, chi, scalars.QQ),
+                        )
                     )
-                )
-                chi_p = weightmods.CharacterModule(eps, mu, "qp")
-                out.append(
-                    (
-                        f"ps_qp({n},{m},{eps},{mu})",
-                        weightmods.principal_series(gp, "qp", chi_p, scalars.QQ),
-                    )
-                )
     for n in (1, 2):
         m = 2 * n
-        gpp = zforms.make_zform(n, m, n)
         for k in range(n):
             eps = Fraction(k, n)
             for mu in (Fraction(-1), Fraction(4)):
@@ -238,7 +223,7 @@ def _module_families() -> list:
                 out.append(
                     (
                         f"ps_qpp({n},{m},{eps},{mu})",
-                        weightmods.principal_series(gpp, "qpp", chi, scalars.QQ),
+                        weightmods.principal_series(n, m, chi, scalars.QQ),
                     )
                 )
     return out
@@ -255,7 +240,7 @@ def _duality_pairing():
     for n, m in ((1, 1), (2, 3), (3, 1)):
         g = zforms.make_zform(n, m, 1)
         for lam in (-4, 0, 1):
-            ind = weightmods.induced_module(g, lam, scalars.QQ)
+            ind = weightmods.induced_module(g, lam)
             for p in range(0, 40):
                 ef = ind.coefficient("F", p) * ind.coefficient("E", p - 1)
                 fe = ind.coefficient("E", p) * ind.coefficient("F", p + 1)
@@ -273,9 +258,8 @@ def _ps_vanishing_index():
         eps = Fraction(rng.randrange(n), n)
         target = rng.randint(-6, 6)
         mu = 2 * n * m * (target - eps)
-        g = zforms.make_zform(n, m, Fraction(1, 2))
         chi = weightmods.CharacterModule(eps, Fraction(mu), "q")
-        ps = weightmods.principal_series(g, "q", chi, scalars.QQ)
+        ps = weightmods.principal_series(n, m, chi, scalars.QQ)
         zeros_e = [p for p in range(-40, 41) if ps.coefficient("E", p) == 0]
         # F vanishes at a single index when mu/2nm - eps is an integer
         zeros_f = None
@@ -291,7 +275,7 @@ def _weight_correctness():
     # H is the T^1-exponent from the params, lambda + n*p or n(p + eps), as
     # polynomials in p; the grid counts the supported indices in [-20, 20]
     for name, M in _module_families():
-        n = M.algebra.n
+        n = M.params["n"]
         if "eps" in M.params:
             exponent = weightmods.affine(n * M.params["eps"], n)
         else:
@@ -303,12 +287,9 @@ def _weight_correctness():
 
 @_documented
 def _qp_alternate_f_coefficient():
-    g = zforms.make_zform(2, 3, 6)
     chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-    derived = weightmods.principal_series(g, "qp", chi, scalars.QQ)
-    printed = weightmods.principal_series(
-        g, "qp", chi, scalars.QQ, alternate_qp_f=True
-    )
+    derived = weightmods.principal_series(2, 3, chi, scalars.QQ)
+    printed = weightmods.principal_series(2, 3, chi, scalars.QQ, alternate_qp_f=True)
     window = range(-20, 21)
     derived_ok = weightmods.check_module_axioms(derived, window) == []
     printed_fails = weightmods.check_module_axioms(printed, window) != []
@@ -682,7 +663,12 @@ def _outcome(check) -> tuple:
                 return "fail", str(case)
             grid += 1
     except Exception as exc:
-        return "fail", f"{type(exc).__name__}: {exc}"
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame raised it
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{code.co_name} at {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
+        return "fail", f"{type(exc).__name__}: {exc}, in {where}"
     return "pass", f"grid={grid}"
 
 

@@ -11,13 +11,13 @@ relations whose identity fails are evaluated index by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, lcm
 
-from .scalars import CoefficientRing, Laurent, as_laurent, in_ring, rat
-from .zforms import Subalgebra, ZForm, iwasawa_decompose, subalgebra
+from .scalars import CoefficientRing, Laurent, as_laurent, in_ring, rat, residue
+from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
 class IndexPoly:
@@ -139,7 +139,7 @@ class CharacterModule:
 
     eps: Fraction
     mu: object
-    presentation: str  # subalgebra label the character is defined over
+    presentation: str  # parabolic label (q, qp or qpp): it fixes the realization
 
 
 def gnm_relations(n, m) -> tuple:
@@ -159,18 +159,17 @@ class WeightModule:
     generator sends the basis vector at p to coefficient(p) times the one
     at p + shift, or to zero when either index leaves the support.
     relations holds the brackets the actions must satisfy, as tuples
-    (label, X, Y, target, constant) meaning [X, Y] = constant * target.
-    Coefficients are Fractions over g_{n,m} and its fibers, and Laurent
-    polynomials over the contraction, whose algebra is None.
+    (label, X, Y, target, constant) meaning [X, Y] = constant * target;
+    they carry n and m.  Coefficients are Fractions over g_{n,m} and its
+    fibers, and Laurent polynomials over the contraction.  params holds the
+    module's parameters, n among them (lambda, or eps and mu, and z on a
+    fiber); vanishing_reason says why a model is the zero module.
     """
 
-    algebra: object
     relations: tuple
-    ring: CoefficientRing
     support: Support
     actions: dict
-    family: str
-    params: dict = field(default_factory=dict)
+    params: dict
     vanishing_reason: str = None
 
     @property
@@ -238,7 +237,7 @@ def apply_vector(M: WeightModule, gen: str, vec: dict) -> dict:
 # -- the explicit families -------------------------------------------------
 
 
-def induced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
+def induced_module(g: ZForm, lam: int) -> WeightModule:
     """Basis y_{lam+np}, p >= 0: E raises by one step, F lowers with the
     quadratic coefficient, H is diagonal."""
     n, m = g.n, g.m
@@ -248,18 +247,10 @@ def induced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
         "F": (-1, affine(0, Fraction(-m, 2)) * affine(2 * lam - n, n)),
         "H": (0, affine(lam, n)),
     }
-    return WeightModule(
-        g,
-        gnm_relations(n, m),
-        ring,
-        Support("ge", 0),
-        actions,
-        "induced",
-        {"lambda": lam},
-    )
+    return WeightModule(gnm_relations(n, m), Support("ge", 0), actions, {"n": n, "lambda": lam})
 
 
-def produced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
+def produced_module(g: ZForm, lam: int) -> WeightModule:
     """Basis y^{lam+np}, p >= 0: F lowers by one step with coefficient 1,
     E raises with the quadratic coefficient."""
     n, m = g.n, g.m
@@ -269,95 +260,54 @@ def produced_module(g: ZForm, lam: int, ring: CoefficientRing) -> WeightModule:
         "F": (-1, IndexPoly([1])),
         "H": (0, affine(lam, n)),
     }
-    return WeightModule(
-        g,
-        gnm_relations(n, m),
-        ring,
-        Support("ge", 0),
-        actions,
-        "produced",
-        {"lambda": lam},
-    )
-
-
-def derive_ps_action(g: ZForm, S: Subalgebra) -> dict:
-    """Principal-series coefficients from the Iwasawa frame of S.
-
-    With gen = c_X X + c_Y Y + c_H H, the action on the weight vector of
-    weight w is c_Y*mu + c_H*w.  Returns, per generator, the shift and the
-    pair (c_mu, c_w) with coefficient(p) = c_mu*mu + c_w*n(p+eps).
-    """
-    table = iwasawa_decompose(g, S)
-    out = {}
-    for gen, shift in (("E", 1), ("F", -1)):
-        _cx, c_y, c_h = table[gen]
-        out[gen] = {"shift": shift, "c_mu": c_y, "c_w": c_h}
-    return out
-
-
-PS_RING_REQUIREMENT = {
-    "q": lambda n, m: 2 * n * m,
-    "qp": lambda n, m: 2 * n * m,
-    "qpp": lambda n, m: 2,
-}
+    return WeightModule(gnm_relations(n, m), Support("ge", 0), actions, {"n": n, "lambda": lam})
 
 
 def principal_series(
-    g: ZForm,
-    label: str,
+    n: int,
+    m: int,
     chi: CharacterModule,
     ring: CoefficientRing,
     alternate_qp_f: bool = False,
 ) -> WeightModule:
-    """The principal series attached to a parabolic label and a character.
+    """The principal series over g_{n,m} attached to a character.
 
-    Basis w^{n(p+eps)} over all p in Z; the counit sends every basis vector
-    to 1.  alternate_qp_f installs the alternate printed F-coefficient for
-    the qp family (kept for the cross-check driver; it fails [E,F] = mH).
+    The character's parabolic label (q, qp or qpp) fixes the realization,
+    by zforms.parabolic_form.  Basis w^{n(p+eps)} over all p in Z; the
+    counit sends every basis vector to 1.  With gen = c_X X + c_Y Y + c_H H
+    in the Iwasawa frame of the label, gen acts on the weight-w vector by
+    c_Y*mu + c_H*w.  The model needs 1/2nm in the base ring (1/2 for qpp),
+    and eps a residue mod n.  alternate_qp_f installs the alternate printed
+    F-coefficient for the qp family (kept for the cross-check driver; it
+    fails [E,F] = mH).
     """
-    if label not in PS_RING_REQUIREMENT:
-        raise ValueError(f"principal series needs label q, qp or qpp, not {label!r}")
-    if chi.presentation != label:
-        raise ValueError(
-            f"character is presented over {chi.presentation!r}, not {label!r}"
-        )
-    n, m = g.n, g.m
-    needed = PS_RING_REQUIREMENT[label](n, m)
+    label = chi.presentation
+    g = parabolic_form(n, m, label)
+    needed = 2 if label == "qpp" else 2 * n * m
     if not in_ring(Fraction(1, needed), ring):
         raise ValueError(
             f"principal series over {label} needs 1/{needed} in the base ring; "
             f"{ring.name} does not contain it. Integral behaviour at this "
             "boundary is what the dyadic exponent routines compute."
         )
-    eps = Fraction(chi.eps)
-    if not (0 <= eps < 1) or n % eps.denominator != 0:
-        raise ValueError(
-            f"eps must be one of 0, 1/{n}, ..., {n - 1}/{n}; got {eps}"
-        )
+    eps = residue(chi.eps, n)
     mu = chi.mu
     if not in_ring(mu, ring):
         raise ValueError(f"mu = {mu} does not lie in {ring.name}")
 
-    coeffs = derive_ps_action(g, subalgebra(g, label))
+    table = iwasawa_decompose(g, subalgebra(g, label))
     actions = {}
-    for gen, data in coeffs.items():
-        c_mu, c_w = data["c_mu"], data["c_w"]
+    for gen, shift in (("E", 1), ("F", -1)):
+        _c_x, c_mu, c_w = table[gen]
         # c_mu*mu + c_w*n(p + eps)
-        actions[gen] = (data["shift"], affine(c_mu * mu + c_w * n * eps, c_w * n))
+        actions[gen] = (shift, affine(c_mu * mu + c_w * n * eps, c_w * n))
     if alternate_qp_f and label == "qp":
         # the alternate printed coefficient: mu/2nm - p - eps (twice the
         # bracket-consistent one)
         actions["F"] = (-1, affine(mu * Fraction(1, 2 * n * m) - eps, -1))
     actions["H"] = (0, affine(n * eps, n))
-    return WeightModule(
-        g,
-        gnm_relations(n, m),
-        ring,
-        Support("all"),
-        actions,
-        f"ps-{label}",
-        {"eps": eps, "mu": mu, "alternate_qp_f": alternate_qp_f},
-    )
+    params = {"n": n, "eps": eps, "mu": mu, "alternate_qp_f": alternate_qp_f}
+    return WeightModule(gnm_relations(n, m), Support("all"), actions, params)
 
 
 def check_module_axioms(M: WeightModule, window) -> list:

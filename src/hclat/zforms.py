@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
-    CoefficientRing,
-    ZZ,
     in_ring,
     localized_integers,
     rat,
@@ -133,56 +131,50 @@ def check_realization_bracket(g: ZForm) -> bool:
 
 # -- subalgebras ----------------------------------------------------------
 
-SUBALGEBRA_LABELS = ("b", "bbar", "q", "qp", "qpp", "maximal")
+
+def parabolic_form(n: int, m: int, label: str) -> ZForm:
+    """The realization a parabolic label is defined over: q = 1/2 for q,
+    nm for qp, and n for qpp, which also needs m = 2n."""
+    if label == "qpp" and m != 2 * n:
+        raise ValueError(f"label qpp requires m = 2n; got n={n}, m={m}")
+    realizations = {"q": Fraction(1, 2), "qp": n * m, "qpp": n}
+    if label not in realizations:
+        raise ValueError(f"parabolic label must be q, qp or qpp, not {label!r}")
+    return make_zform(n, m, realizations[label])
 
 
 @dataclass(frozen=True)
 class Subalgebra:
     label: str
-    names: tuple
     basis: tuple  # coordinate triples over (E, F, H)
-    base_ring: CoefficientRing
     zform: ZForm
 
 
 def subalgebra(g: ZForm, label: str) -> Subalgebra:
     """Borel or parabolic subalgebra with exact basis expansions.
 
-    The parabolic labels are tied to the realization parameter: q needs
-    q-parameter 1/2, qp needs nm, qpp needs n together with m = 2n.
+    The parabolic labels need the realization of parabolic_form; maximal
+    contains q and needs its realization.
     """
     n, m = g.n, g.m
-    if label == "b":
-        names, basis = ("E", "H"), ((1, 0, 0), (0, 0, 1))
-    elif label == "bbar":
-        names, basis = ("F", "H"), ((0, 1, 0), (0, 0, 1))
-    elif label == "q":
-        _require_parameter(g, label, Fraction(1, 2))
-        names, basis = ("X", "Y"), ((-2 * n * m, 1, 2 * m), (2 * n * m, 1, 0))
-    elif label == "qp":
-        _require_parameter(g, label, Fraction(n * m))
-        names, basis = ("X", "Y"), ((-1, 2 * n * m, 2 * m), (1, 2 * n * m, 0))
-    elif label == "qpp":
-        if m != 2 * n:
+    bases = {
+        "b": ((1, 0, 0), (0, 0, 1)),
+        "bbar": ((0, 1, 0), (0, 0, 1)),
+        "q": ((-2 * n * m, 1, 2 * m), (2 * n * m, 1, 0)),
+        "qp": ((-1, 2 * n * m, 2 * m), (1, 2 * n * m, 0)),
+        "qpp": ((-1, 1, 2), (1, 1, 0)),
+        "maximal": ((-2 * n * m, 1, 2 * m), (-2 * n, 0, 1)),
+    }
+    if label not in bases:
+        raise ValueError(f"unknown subalgebra label {label!r}; choose from {tuple(bases)}")
+    if label not in ("b", "bbar"):
+        required = parabolic_form(n, m, "q" if label == "maximal" else label).q
+        if g.q != required:
             raise ValueError(
-                f"label qpp requires m = 2n; got n={n}, m={m}"
+                f"label {label} is defined for realization parameter q = {required} "
+                f"(n={n}, m={m}); this form has q = {g.q}"
             )
-        _require_parameter(g, label, Fraction(n))
-        names, basis = ("X", "Y"), ((-1, 1, 2), (1, 1, 0))
-    elif label == "maximal":
-        _require_parameter(g, label, Fraction(1, 2))
-        names, basis = ("X", "W"), ((-2 * n * m, 1, 2 * m), (-2 * n, 0, 1))
-    else:
-        raise ValueError(f"unknown subalgebra label {label!r}; choose from {SUBALGEBRA_LABELS}")
-    return Subalgebra(label, names, basis, ZZ, g)
-
-
-def _require_parameter(g: ZForm, label: str, required: Fraction) -> None:
-    if g.q != required:
-        raise ValueError(
-            f"label {label} is defined for realization parameter q = {required} "
-            f"(n={g.n}, m={g.m}); this form has q = {g.q}"
-        )
+    return Subalgebra(label, bases[label], g)
 
 
 def bracket_closed_over_z(S: Subalgebra) -> bool:

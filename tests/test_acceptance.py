@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from hclat import borelweil, contraction, dyadic, verify, weightmods, zforms
-from hclat.scalars import LAURENT_RING, POLY, QQ, ZZ, Laurent
+from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
 
 
 class criterion:
@@ -37,14 +37,6 @@ class criterion:
         return False
 
 
-def _ps_realization(label, n, m):
-    if label == "q":
-        return zforms.make_zform(n, m, Fraction(1, 2))
-    if label == "qp":
-        return zforms.make_zform(n, m, n * m)
-    return zforms.make_zform(n, m, n)
-
-
 def test_criterion_1_bracket_relations():
     window = range(-40, 41)
     with criterion(1, "bracket-relation suite", budget=30):
@@ -53,19 +45,18 @@ def test_criterion_1_bracket_relations():
                 g = zforms.make_zform(n, m, 1)
                 for lam in range(-6, 7):
                     for build in (weightmods.induced_module, weightmods.produced_module):
-                        M = build(g, lam, QQ)
+                        M = build(g, lam)
                         assert weightmods.check_module_axioms(M, window) == [], (
                             f"{build.__name__}({n},{m},{lam})"
                         )
                 mus = [Fraction(-2), Fraction(1, 3), Fraction(7, 2), Fraction(2 * n * m)]
                 labels = ["q", "qp"] + (["qpp"] if m == 2 * n else [])
                 for label in labels:
-                    g_label = _ps_realization(label, n, m)
                     for k in range(n):
                         eps = Fraction(k, n)
                         for mu in mus:
                             chi = weightmods.CharacterModule(eps, mu, label)
-                            M = weightmods.principal_series(g_label, label, chi, QQ)
+                            M = weightmods.principal_series(n, m, chi, QQ)
                             assert weightmods.check_module_axioms(M, window) == [], (
                                 f"ps {label} ({n},{m},{eps},{mu})"
                             )
@@ -176,10 +167,10 @@ def test_criterion_5_contraction_consistency():
             g_ref = zforms.make_zform(n, 1, 1)
             for lam in (-4, -1, 0, 2, 4):
                 S = contraction.specialize(contraction.contracted_induced(lam, n), 1)
-                R = weightmods.induced_module(g_ref, lam, QQ)
+                R = weightmods.induced_module(g_ref, lam)
                 assert contraction.specialize_matches(S, R, window), f"ind {n},{lam}"
                 S = contraction.specialize(contraction.contracted_produced(lam, n), 1)
-                R = weightmods.produced_module(g_ref, lam, QQ)
+                R = weightmods.produced_module(g_ref, lam)
                 assert contraction.specialize_matches(S, R, window), f"pro {n},{lam}"
         ps_cases = [
             (1, Fraction(0), "2z"),
@@ -191,10 +182,9 @@ def test_criterion_5_contraction_consistency():
             mu = Laurent.parse(mu_text)
             M = contraction.contracted_ps(eps, mu, LAURENT_RING, n=n)
             S = contraction.specialize(M, 1)
-            gq = zforms.make_zform(n, 1, Fraction(1, 2))
             mu_ref = n * mu.evaluate(1)
             chi = weightmods.CharacterModule(eps, mu_ref, "q")
-            R = weightmods.principal_series(gq, "q", chi, QQ)
+            R = weightmods.principal_series(n, 1, chi, QQ)
             assert contraction.specialize_matches(S, R, window), f"ps {n},{eps},{mu_text}"
         assert contraction.phi_preserves_bracket() == []
         for mu_text in ("1", "1+z", "z", "2z", "z^2"):

@@ -9,6 +9,10 @@ call stay on a short allowlist, each with its reason.
 Every private module-level function must occur as a word in ``src/``
 outside its own definition: a helper nothing calls, or a verify check
 that no suite lists, is dead code.
+
+Every parameter of every function and lambda in ``src/hclat``, except
+``self`` and ``cls``, must be read in that function's body: a parameter
+nothing reads is an API that changes nothing.
 """
 
 import ast
@@ -78,6 +82,31 @@ def test_every_private_function_is_referenced():
 def test_every_public_name_has_a_caller():
     uncalled = _unreferenced(_public_defs, ("demos", "perfbench"))
     assert [name for name in uncalled if name.split(".", 1)[1] not in ALLOWED] == []
+
+
+def _unread_parameters(tree, stem):
+    """module.function(parameter) for each parameter its function never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", f"<lambda>:{node.lineno}")
+        for param in params:
+            if param.arg not in ("self", "cls") and param.arg not in read:
+                yield f"{stem}.{name}({param.arg})"
+
+
+def test_every_parameter_is_read():
+    unread = [
+        entry
+        for path in SRC
+        for entry in _unread_parameters(ast.parse(path.read_text()), path.stem)
+    ]
+    assert unread == []
 
 
 def test_allowlist_names_exist():

@@ -1,5 +1,6 @@
 """Scalar layer: exact rationals, Laurent polynomials, ring membership."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hclat.scalars import (
     localized_integers,
     ord2,
     rat,
+    residue,
     scalar_from_json,
     scalar_to_json,
 )
@@ -94,6 +96,47 @@ def test_ring_membership():
     assert in_ring(Laurent.parse("z^-1"), LAURENT_RING)
     assert in_ring(Laurent.parse("z + 1"), POLY)
     assert in_ring(7, ZZ)
+
+
+def reference_denominator_invertible(den, N):
+    """The factor-stripping loop: divide den by gcd(den, N) until the gcd
+    is 1; every prime factor of den divides N iff den reaches 1."""
+    if den == 1:
+        return True
+    if N == 1:
+        return False
+    while True:
+        g = math.gcd(den, N)
+        if g == 1:
+            return den == 1
+        while den % g == 0:
+            den //= g
+        if den == 1:
+            return True
+
+
+def test_localized_membership_matches_the_factor_loop():
+    pairs = [(den, N) for den in range(1, 200) for N in range(1, 60)]
+    rng = random.Random(13)
+    pairs += [(rng.randint(1, 10**12), rng.randint(1, 10**4)) for _ in range(2000)]
+    # prime powers of N with a large exponent, and one prime short of them
+    pairs += [(2**40 * 3**7, 6), (2**40 * 3**7 * 5, 6), (7**20, 7), (7**20, 49)]
+    for den, N in pairs:
+        got = in_ring(Fraction(1, den), localized_integers(N))
+        assert got == reference_denominator_invertible(den, N), (den, N)
+
+
+def test_residue_rule():
+    assert residue(0, 1) == 0
+    assert residue(Fraction(2, 3), 3) == Fraction(2, 3)
+    assert residue(Fraction(1, 2), 4) == Fraction(1, 2)
+    for eps, n in ((1, 1), (Fraction(3, 3), 3), (Fraction(-1, 2), 2), (Fraction(1, 3), 2)):
+        with pytest.raises(ValueError, match=rf"residue.*dividing n = {n}"):
+            residue(eps, n)
+    # n is checked first, whatever eps is
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got n={n}"):
+            residue(Fraction(1, 3), n)
 
 
 def test_ring_chain_monotone():

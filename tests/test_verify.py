@@ -149,9 +149,16 @@ def test_runner_counts_the_grid_and_keeps_the_first_failing_case(monkeypatch):
     assert verify.format_report(verify.run_suite("hecke")).splitlines() == [
         "two_cases: pass (grid=2)",
         "fails_twice: fail (first failure)",
-        "raises_after_a_case: fail (RuntimeError: boom)",
+        "raises_after_a_case: fail (RuntimeError: boom, in "
+        f"{_raised_at(_raises_after_a_case, 2)})",
         "result: FAIL",
     ]
+
+
+def _raised_at(func, offset):
+    """The innermost frame the runner names for a raise offset lines below
+    the def of func, which is defined in this file."""
+    return f"{func.__name__} at {Path(__file__).name}:{func.__code__.co_firstlineno + offset}"
 
 
 def _cli_table(capsys, suite):
@@ -182,7 +189,8 @@ def test_raising_decomposition_reports_fail_not_traceback(monkeypatch, capsys):
         "modules",
         {
             "iwasawa_reexpansion": "iwasawa_reexpansion: fail "
-            "(AssertionError: re-expansion failed; solver is inconsistent)"
+            "(AssertionError: re-expansion failed; solver is inconsistent, "
+            f"in {_raised_at(inconsistent, 1)})"
         },
     )
 
@@ -203,7 +211,11 @@ def test_raising_lattice_builder_keeps_the_report(monkeypatch, capsys):
         "weight_multiplicity_one",
     )
     assert lines == _pinned_lines(
-        "borelweil", {name: f"{name}: fail (ValueError: boom)" for name in callers}
+        "borelweil",
+        {
+            name: f"{name}: fail (ValueError: boom, in {_raised_at(boom, 1)})"
+            for name in callers
+        },
     )
 
 

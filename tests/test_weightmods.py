@@ -15,8 +15,8 @@ import pytest
 from hclat import contraction as ct
 from hclat import pbw
 from hclat import weightmods as wm
-from hclat.scalars import QQ, ZZ, Laurent, localized_integers
-from hclat.zforms import make_zform, subalgebra
+from hclat.scalars import QQ, Laurent, localized_integers
+from hclat.zforms import iwasawa_decompose, make_zform, subalgebra
 
 SWAP = {"E": "F", "F": "E", "H": "H"}
 
@@ -69,7 +69,7 @@ def produced_value_by_pbw(word_gen, p, q, lam, g):
 
 def test_induced_example_g11():
     g = make_zform(1, 1, 1)
-    ind = wm.induced_module(g, 1, ZZ)
+    ind = wm.induced_module(g, 1)
     assert ind.act_gen("F", 2) == [(1, Fraction(-3))]
     assert ind.act_gen("F", 0) == []
     assert ind.act_gen("E", 4) == [(5, Fraction(1))]
@@ -80,7 +80,7 @@ def test_induced_matches_pbw_evaluation():
     for n, m in [(1, 1), (2, 3), (3, 1)]:
         g = make_zform(n, m, 1)
         for lam in (-3, 0, 2):
-            ind = wm.induced_module(g, lam, QQ)
+            ind = wm.induced_module(g, lam)
             for p in range(0, 9):
                 for gen in ("E", "F", "H"):
                     direct = dict(ind.act_gen(gen, p))
@@ -89,7 +89,7 @@ def test_induced_matches_pbw_evaluation():
 
 def test_produced_example_g11():
     g = make_zform(1, 1, 1)
-    pro = wm.produced_module(g, 1, ZZ)
+    pro = wm.produced_module(g, 1)
     assert pro.act_gen("E", 0) == [(1, Fraction(-1))]
     assert pro.act_gen("F", 0) == []
     assert pro.act_gen("F", 5) == [(4, Fraction(1))]
@@ -99,7 +99,7 @@ def test_produced_matches_pbw_evaluation():
     for n, m in [(1, 1), (2, 3)]:
         g = make_zform(n, m, 1)
         for lam in (-2, 0, 3):
-            pro = wm.produced_module(g, lam, QQ)
+            pro = wm.produced_module(g, lam)
             for p in range(0, 7):
                 for gen in ("E", "F", "H"):
                     image = dict(pro.act_gen(gen, p))
@@ -114,8 +114,8 @@ def test_bracket_axioms_families():
     for n, m in [(1, 1), (2, 3), (3, 2)]:
         g = make_zform(n, m, 1)
         for lam in (-6, 0, 5):
-            assert wm.check_module_axioms(wm.induced_module(g, lam, ZZ), window) == []
-            assert wm.check_module_axioms(wm.produced_module(g, lam, ZZ), window) == []
+            assert wm.check_module_axioms(wm.induced_module(g, lam), window) == []
+            assert wm.check_module_axioms(wm.produced_module(g, lam), window) == []
 
 
 def test_duality_pairing_coefficients():
@@ -123,7 +123,7 @@ def test_duality_pairing_coefficients():
     for n, m in [(1, 1), (2, 3)]:
         g = make_zform(n, m, 1)
         for lam in (-4, 1):
-            ind = wm.induced_module(g, lam, ZZ)
+            ind = wm.induced_module(g, lam)
             for p in range(0, 30):
                 ef = ind.coefficient("F", p) * ind.coefficient("E", p - 1)
                 fe = ind.coefficient("E", p) * ind.coefficient("F", p + 1)
@@ -131,9 +131,8 @@ def test_duality_pairing_coefficients():
 
 
 def test_ps_q_example():
-    g = make_zform(1, 1, Fraction(1, 2))
     chi = wm.CharacterModule(Fraction(0), Fraction(2), "q")
-    ps = wm.principal_series(g, "q", chi, QQ)
+    ps = wm.principal_series(1, 1, chi, QQ)
     for p in range(-6, 7):
         assert ps.coefficient("E", p) == Fraction(p + 1, 2)
         assert ps.coefficient("F", p) == 1 - p
@@ -143,12 +142,11 @@ def test_ps_q_example():
 def test_ps_qpp_coefficients():
     """q''-series: E adds mu/2 + n(p+eps), F subtracts."""
     for n in (1, 2, 3):
-        g = make_zform(n, 2 * n, n)
         for k in range(n):
             eps = Fraction(k, n)
             for mu in (Fraction(0), Fraction(3), Fraction(-5, 2)):
                 chi = wm.CharacterModule(eps, mu, "qpp")
-                ps = wm.principal_series(g, "qpp", chi, QQ)
+                ps = wm.principal_series(n, 2 * n, chi, QQ)
                 for p in range(-5, 6):
                     assert ps.coefficient("E", p) == mu / 2 + n * (p + eps)
                     assert ps.coefficient("F", p) == mu / 2 - n * (p + eps)
@@ -156,9 +154,8 @@ def test_ps_qpp_coefficients():
 
 def test_ps_qp_derived_f_coefficient():
     """qp-series F-coefficient is half of (mu/2nm - p - eps)."""
-    g = make_zform(2, 3, 6)
     chi = wm.CharacterModule(Fraction(1, 2), Fraction(7), "qp")
-    ps = wm.principal_series(g, "qp", chi, QQ)
+    ps = wm.principal_series(2, 3, chi, QQ)
     n, m, mu, eps = 2, 3, Fraction(7), Fraction(1, 2)
     for p in range(-5, 6):
         assert ps.coefficient("F", p) == Fraction(1, 2) * (
@@ -168,11 +165,10 @@ def test_ps_qp_derived_f_coefficient():
 
 
 def test_ps_alternate_qp_coefficient_breaks_bracket():
-    g = make_zform(2, 3, 6)
     chi = wm.CharacterModule(Fraction(0), Fraction(5), "qp")
-    derived = wm.principal_series(g, "qp", chi, QQ)
+    derived = wm.principal_series(2, 3, chi, QQ)
     assert wm.check_module_axioms(derived, range(-25, 26)) == []
-    alternate = wm.principal_series(g, "qp", chi, QQ, alternate_qp_f=True)
+    alternate = wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
     failures = wm.check_module_axioms(alternate, range(-25, 26))
     assert failures and all(name == "[E,F]=mH" for _, name, _ in failures)
 
@@ -181,25 +177,13 @@ def test_ps_bracket_axioms_grid():
     window = range(-50, 51)
     for n in (1, 2):
         for m in (1, 3):
-            gq = make_zform(n, m, Fraction(1, 2))
-            gp = make_zform(n, m, Fraction(n * m))
             for k in range(n):
                 eps = Fraction(k, n)
                 for mu in (Fraction(1), Fraction(-7, 3)):
-                    chi_q = wm.CharacterModule(eps, mu, "q")
-                    chi_p = wm.CharacterModule(eps, mu, "qp")
-                    assert (
-                        wm.check_module_axioms(
-                            wm.principal_series(gq, "q", chi_q, QQ), window
-                        )
-                        == []
-                    )
-                    assert (
-                        wm.check_module_axioms(
-                            wm.principal_series(gp, "qp", chi_p, QQ), window
-                        )
-                        == []
-                    )
+                    for label in ("q", "qp"):
+                        chi = wm.CharacterModule(eps, mu, label)
+                        ps = wm.principal_series(n, m, chi, QQ)
+                        assert wm.check_module_axioms(ps, window) == [], label
 
 
 def test_ps_vanishing_index_unique():
@@ -212,8 +196,7 @@ def test_ps_vanishing_index_unique():
         eps = Fraction(k, n)
         target = rng.randint(-6, 6)
         mu = 2 * n * m * (target - eps)  # makes mu/2nm + eps an integer
-        g = make_zform(n, m, Fraction(1, 2))
-        ps = wm.principal_series(g, "q", wm.CharacterModule(eps, Fraction(mu), "q"), QQ)
+        ps = wm.principal_series(n, m, wm.CharacterModule(eps, Fraction(mu), "q"), QQ)
         zeros_e = [p for p in range(-40, 41) if ps.coefficient("E", p) == 0]
         assert zeros_e == [-target]
         if (Fraction(mu) / (2 * n * m) - eps).denominator == 1:
@@ -227,10 +210,10 @@ def test_weight_equals_h_eigenvalue():
     g = make_zform(3, 2, Fraction(1, 2))
     eps = Fraction(2, 3)
     mods = [
-        (wm.induced_module(g, -4, ZZ), lambda p: -4 + 3 * p),
-        (wm.produced_module(g, 2, ZZ), lambda p: 2 + 3 * p),
+        (wm.induced_module(g, -4), lambda p: -4 + 3 * p),
+        (wm.produced_module(g, 2), lambda p: 2 + 3 * p),
         (
-            wm.principal_series(g, "q", wm.CharacterModule(eps, Fraction(5), "q"), QQ),
+            wm.principal_series(3, 2, wm.CharacterModule(eps, Fraction(5), "q"), QQ),
             lambda p: 3 * (p + eps),
         ),
     ]
@@ -244,37 +227,39 @@ def test_weight_equals_h_eigenvalue():
 
 
 def test_character_validation():
-    g = make_zform(2, 1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        wm.principal_series(g, "q", wm.CharacterModule(Fraction(1, 3), Fraction(1), "q"), QQ)
-    with pytest.raises(ValueError):
-        wm.principal_series(g, "q", wm.CharacterModule(Fraction(0), Fraction(1), "qp"), QQ)
-    with pytest.raises(ValueError):
-        wm.principal_series(g, "nope", wm.CharacterModule(Fraction(0), Fraction(1), "nope"), QQ)
+    with pytest.raises(ValueError, match="residue"):
+        wm.principal_series(2, 1, wm.CharacterModule(Fraction(1, 3), Fraction(1), "q"), QQ)
+    with pytest.raises(ValueError, match="q, qp or qpp"):
+        wm.principal_series(2, 1, wm.CharacterModule(Fraction(0), Fraction(1), "nope"), QQ)
 
 
 def test_ps_ring_requirements():
-    gq = make_zform(2, 3, Fraction(1, 2))
     chi = wm.CharacterModule(Fraction(0), Fraction(1), "q")
     # 1/12 exists in Z[1/12] but not Z[1/3]
-    wm.principal_series(gq, "q", chi, localized_integers(12))
+    wm.principal_series(2, 3, chi, localized_integers(12))
     with pytest.raises(ValueError, match="dyadic"):
-        wm.principal_series(gq, "q", chi, localized_integers(3))
-    gpp = make_zform(3, 6, 3)
+        wm.principal_series(2, 3, chi, localized_integers(3))
     chipp = wm.CharacterModule(Fraction(0), Fraction(2), "qpp")
-    wm.principal_series(gpp, "qpp", chipp, localized_integers(2))
+    wm.principal_series(3, 6, chipp, localized_integers(2))
 
 
 def test_derive_ps_action_tables():
+    # the q-frame coordinates (c_X, c_mu, c_w) of E and F over g_{2,3}, and
+    # the principal series built from them: c_mu*mu + c_w*n(p + eps)
     gq = make_zform(2, 3, Fraction(1, 2))
-    table = wm.derive_ps_action(gq, subalgebra(gq, "q"))
-    assert table["E"] == {"shift": 1, "c_mu": Fraction(1, 24), "c_w": Fraction(1, 4)}
-    assert table["F"] == {"shift": -1, "c_mu": Fraction(1, 2), "c_w": Fraction(-3)}
+    table = iwasawa_decompose(gq, subalgebra(gq, "q"))
+    assert table["E"][1:] == (Fraction(1, 24), Fraction(1, 4))
+    assert table["F"][1:] == (Fraction(1, 2), Fraction(-3))
+    eps, mu = Fraction(1, 2), Fraction(5)
+    ps = wm.principal_series(2, 3, wm.CharacterModule(eps, mu, "q"), QQ)
+    for gen, shift, c_mu, c_w in (("E", 1, Fraction(1, 24), Fraction(1, 4)),
+                                  ("F", -1, Fraction(1, 2), Fraction(-3))):
+        assert ps.actions[gen] == (shift, wm.affine(c_mu * mu + c_w * 2 * eps, c_w * 2))
 
 
 def test_negative_control_corrupted_module():
     g = make_zform(1, 1, 1)
-    ind = wm.induced_module(g, 1, ZZ)
+    ind = wm.induced_module(g, 1)
     corrupt = ind.with_action("E", 1, wm.IndexPoly([2]))
     failures = wm.check_module_axioms(corrupt, range(0, 15))
     assert {p for p, _, _ in failures} == set(range(0, 15))
@@ -282,7 +267,7 @@ def test_negative_control_corrupted_module():
 
 def test_module_rows_window():
     g = make_zform(1, 2, 1)
-    pro = wm.produced_module(g, 2, ZZ)
+    pro = wm.produced_module(g, 2)
     rows = wm.module_rows(pro, -2, 2)
     assert [r[0] for r in rows] == [0, 1, 2]
     assert rows[0] == [0, 2, Fraction(-4), Fraction(0), Fraction(2)]
@@ -341,10 +326,10 @@ def test_every_action_is_a_polynomial():
     g = make_zform(2, 3, 6)
     chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
     for M in (
-        wm.induced_module(g, 1, ZZ),
-        wm.produced_module(g, -2, ZZ),
-        wm.principal_series(g, "qp", chi, QQ),
-        wm.principal_series(g, "qp", chi, QQ, alternate_qp_f=True),
+        wm.induced_module(g, 1),
+        wm.produced_module(g, -2),
+        wm.principal_series(2, 3, chi, QQ),
+        wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True),
     ):
         assert all(isinstance(poly, wm.IndexPoly) for _, poly in M.actions.values())
 
@@ -403,16 +388,14 @@ def differential_modules(rng):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         lam = rng.randint(-5, 5)
         g = make_zform(n, m, 1)
-        out += [wm.induced_module(g, lam, QQ), wm.produced_module(g, lam, QQ)]
+        out += [wm.induced_module(g, lam), wm.produced_module(g, lam)]
         eps = Fraction(rng.randrange(n), n)
         mu = Fraction(rng.randint(-12, 12), rng.choice((1, 3)))
         label = rng.choice(("q", "qp"))
-        gq = make_zform(n, m, Fraction(1, 2) if label == "q" else n * m)
-        ps = wm.principal_series(gq, label, wm.CharacterModule(eps, mu, label), QQ)
+        ps = wm.principal_series(n, m, wm.CharacterModule(eps, mu, label), QQ)
         out.append(ps)
         out.append(wm.principal_series(
-            make_zform(n, m, n * m), "qp", wm.CharacterModule(eps, mu, "qp"), QQ,
-            alternate_qp_f=True,
+            n, m, wm.CharacterModule(eps, mu, "qp"), QQ, alternate_qp_f=True
         ))
         # the principal series cut to a half-line is no submodule: its
         # proved relations fail next to the cut
@@ -422,15 +405,14 @@ def differential_modules(rng):
         gen = rng.choice(("E", "F", "H"))
         poly = wm.IndexPoly(random_index_poly(rng, False))
         out.append(ps.with_action(gen, rng.randint(-1, 1), poly))
-    gpp = make_zform(2, 4, 2)
     out.append(wm.principal_series(
-        gpp, "qpp", wm.CharacterModule(Fraction(1, 2), Fraction(3), "qpp"), QQ
+        2, 4, wm.CharacterModule(Fraction(1, 2), Fraction(3), "qpp"), QQ
     ))
     poly_mu = Laurent.parse("2z+z^2")
     cind = ct.contracted_induced(2, 2)
     out += [
         cind,
-        ct.contracted_produced(-1, 3, ct.LAURENT_RING),
+        ct.contracted_produced(-1, 3),
         ct.contracted_ps(Fraction(1, 2), Laurent.parse("z^-1+3z"), ct.LAURENT_RING, n=2),
         ct.contracted_ps(0, poly_mu, ct.POLY),
         ct.contracted_ps(0, Laurent.parse("1+z"), ct.POLY),  # the zero module
@@ -450,7 +432,7 @@ def test_axiom_check_matches_windowed_reference():
     for M in differential_modules(rng):
         for window in windows:
             want = windowed_axioms(M, window)
-            assert repr(wm.check_module_axioms(M, window)) == repr(want), (M.family, window)
+            assert repr(wm.check_module_axioms(M, window)) == repr(want), (M.params, window)
             controls += bool(want)
     assert controls >= 20  # the negative controls do fail
 
@@ -465,18 +447,17 @@ def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
 
     monkeypatch.setattr(wm, "_failures_at", spy)
     g = make_zform(2, 3, 1)
-    assert wm.check_module_axioms(wm.induced_module(g, 1, ZZ), range(-50, 51)) == []
+    assert wm.check_module_axioms(wm.induced_module(g, 1), range(-50, 51)) == []
     # F lowers the index, so [H,F] and [E,F] touch p - 1 at p = 0
     assert seen == [(0, ("[H,F]=-nF", "[E,F]=mH"))]
     seen.clear()
-    gp = make_zform(2, 3, 6)
     chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-    assert wm.check_module_axioms(wm.principal_series(gp, "qp", chi, QQ), range(-50, 51)) == []
+    assert wm.check_module_axioms(wm.principal_series(2, 3, chi, QQ), range(-50, 51)) == []
     assert seen == []
-    cut = replace(wm.produced_module(g, 1, ZZ), support=wm.Support("le", 4))
+    cut = replace(wm.produced_module(g, 1), support=wm.Support("le", 4))
     wm.check_module_axioms(cut, range(-50, 51))
     assert seen == [(4, ("[H,E]=nE", "[E,F]=mH"))]
     seen.clear()
-    alternate = wm.principal_series(gp, "qp", chi, QQ, alternate_qp_f=True)
+    alternate = wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
     assert len(wm.check_module_axioms(alternate, range(-5, 6))) == 11
     assert seen == [(p, ("[E,F]=mH",)) for p in range(-5, 6)]
