@@ -8,8 +8,8 @@ from hclat import zforms
 g = zforms.make_zform(2, 3, Fraction(1, 2))
 print("form:", g)
 print("basis weights (E, F, H):", zforms.weights(g))
-print("[E, F] =", zforms.bracket_coords(g, (1, 0, 0), (0, 1, 0)), "(coefficient of H is m)")
-print("[H, E] =", zforms.bracket_coords(g, (0, 0, 1), (1, 0, 0)), "(coefficient of E is n)")
+print("[E, F] =", zforms.bracket_coords(g.n, g.m, (1, 0, 0), (0, 1, 0)), "(coefficient of H is m)")
+print("[H, E] =", zforms.bracket_coords(g.n, g.m, (0, 0, 1), (1, 0, 0)), "(coefficient of E is n)")
 print("jacobi holds:", zforms.check_jacobi(g))
 print()
 
@@ -27,7 +27,7 @@ print()
 for label in ("q", "qp"):
     g = zforms.parabolic_form(2, 3, label)
     S = zforms.subalgebra(g, label)
-    table = zforms.iwasawa_decompose(g, S)
+    table = zforms.iwasawa_decompose(S)
     print(f"subalgebra {label!r} at q = {g.q}: basis re-expands with rows {table}")
 
 # the Borel needs no special realization and is bracket-closed over Z

@@ -212,8 +212,10 @@ _VALUE_FLAGS = _value_flags(_PARSER)
 def _run_classify(args) -> dict:
     with open(args.table, encoding="utf-8") as handle:
         data = json.load(handle)
-    if {"n", "m", "q"} <= set(data):
-        g = zforms.make_zform(int(data["n"]), int(data["m"]), Fraction(str(data["q"])))
+    if isinstance(data, dict) and {"n", "m", "q"} <= data.keys():
+        if type(data["n"]) is not int or type(data["m"]) is not int:
+            raise ValueError(f"n and m must be integers, got n={data['n']!r}, m={data['m']!r}")
+        g = zforms.make_zform(data["n"], data["m"], Fraction(str(data["q"])))
         tables = zforms.presentation(g)
     else:
         tables = zforms.presentation_from_json(data)

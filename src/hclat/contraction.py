@@ -1,11 +1,11 @@
 """The contraction family over polynomial coefficients.
 
-The bracket acquires one factor of z whenever both arguments are odd for
-the involution fixing the diagonal: [e,f] = z*h while [h,e] = 2e and
-[h,f] = -2f keep their constants.  Modules live over Q[z] or Q[z,z^-1],
-carry coefficient polynomials in the index p with Laurent coefficients
-(linear in z), and specialize at z = c to ordinary weight modules via the
-dictionary E = e, F = (n/2)f, H = (n/2)h.
+In brackets the contraction is g_{2,z}: [h,e] = 2e, [h,f] = -2f and
+[e,f] = z*h, so its elements are coordinate triples over (e, f, h) and
+its bracket is ``zforms.bracket_coords(2, z, ...)``.  Modules live over
+Q[z] or Q[z,z^-1], carry coefficient polynomials in the index p with
+Laurent coefficients (linear in z), and specialize at z = c to ordinary
+weight modules via the dictionary E = e, F = (n/2)f, H = (n/2)h.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .scalars import (
     CoefficientRing,
     Laurent,
     as_laurent,
+    check_positive,
     in_ring,
     rat,
     residue,
@@ -31,70 +32,33 @@ from .weightmods import (
     gnm_relations,
     module_rows,
 )
+from .zforms import bracket_coords
 
 GENERATORS = ("e", "f", "h")
-PARITY = {"e": -1, "f": -1, "h": 1}
-_SL2 = {
-    ("e", "f"): ("h", 1),
-    ("f", "e"): ("h", -1),
-    ("h", "e"): ("e", 2),
-    ("e", "h"): ("e", -2),
-    ("h", "f"): ("f", -2),
-    ("f", "h"): ("f", 2),
-}
+_Z = Laurent.z_power(1)
+_Z_INV = Laurent.z_power(-1)
 
 
-def as_element(x) -> dict:
-    """Coerce {generator: scalar} to {generator: Laurent}, dropping zeros."""
-    out = {}
-    for gen, c in x.items():
-        if gen not in PARITY:
-            raise ValueError(f"unknown generator {gen!r}")
-        c = as_laurent(c)
-        if not c.is_zero():
-            out[gen] = c
-    return out
-
-
-def bracket_elements(x, y, bump: int = 1) -> dict:
-    """The bracket of two elements, Laurent-bilinearly (z is central): the
-    sl2 bracket times z^bump on each pair of odd generators.  bump = 1 is
-    the contraction, bump = 0 the undeformed sl2."""
-    x, y = as_element(x), as_element(y)
-    out = {}
-    for gx, cx in x.items():
-        for gy, cy in y.items():
-            hit = _SL2.get((gx, gy))
-            if hit is None:
-                continue
-            gen, k = hit
-            term = cx * cy * Laurent.const(k)
-            if PARITY[gx] == PARITY[gy] == -1:
-                term = term.shift(bump)
-            out[gen] = out.get(gen, Laurent.const(0)) + term
-    return {g: c for g, c in out.items() if not c.is_zero()}
-
-
-def phi_isomorphism(x) -> dict:
-    """Identity on the parabolic part {e, h}, multiplication by z^-1 on f."""
-    out = {}
-    for gen, c in as_element(x).items():
-        out[gen] = c.shift(-1) if gen == "f" else c
-    return out
+def phi_isomorphism(x) -> tuple:
+    """Identity on the parabolic part {e, h}, multiplication by z^-1 on f:
+    (x_e, x_f, x_h) goes to (x_e, x_f z^-1, x_h)."""
+    x_e, x_f, x_h = x
+    return (x_e, x_f * _Z_INV, x_h)
 
 
 def phi_preserves_bracket() -> list:
-    """Check [phi(x), phi(y)] = phi([x, y]_{sl2}) on all nine basis pairs.
+    """Check [phi(x), phi(y)] in g_{2,z} = phi([x, y]) in sl2 = g_{2,1}
+    on all nine basis pairs.
 
     Returns the list of failing pairs; empty means the map is a morphism
     from sl2 over Laurent coefficients to the contraction.
     """
+    basis = dict(zip(GENERATORS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     failures = []
-    for gx in GENERATORS:
-        for gy in GENERATORS:
-            x, y = {gx: 1}, {gy: 1}
-            lhs = bracket_elements(phi_isomorphism(x), phi_isomorphism(y))
-            rhs = phi_isomorphism(bracket_elements(x, y, bump=0))
+    for gx, x in basis.items():
+        for gy, y in basis.items():
+            lhs = bracket_coords(2, _Z, phi_isomorphism(x), phi_isomorphism(y))
+            rhs = phi_isomorphism(bracket_coords(2, 1, x, y))
             if lhs != rhs:
                 failures.append((gx, gy, lhs, rhs))
     return failures
@@ -110,12 +74,6 @@ CONTRACTION_RELATIONS = (
 )
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n}")
-
-
-_Z = Laurent.z_power(1)
 _ONE = IndexPoly([1], laurent=True)
 
 
@@ -136,7 +94,7 @@ def _contracted(n, support, w0, e, f, params, vanishing_reason=None):
 def contracted_induced(lam: int, n: int) -> WeightModule:
     """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z:
     f(p) = -z(p/n)(np - n + 2 lam)."""
-    _check_n(n)
+    check_positive(n=n)
     f_coeff = (affine(0, Fraction(-1, n)) * affine(2 * lam - n, n)).scale(_Z)
     return _contracted(n, Support("ge", 0), lam, (1, _ONE), (-1, f_coeff), {"lam": lam, "n": n})
 
@@ -144,7 +102,7 @@ def contracted_induced(lam: int, n: int) -> WeightModule:
 def contracted_produced(lam: int, n: int) -> WeightModule:
     """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z:
     e(p) = -z((p+1)/n)(np + 2 lam)."""
-    _check_n(n)
+    check_positive(n=n)
     e_coeff = (affine(Fraction(-1, n), Fraction(-1, n)) * affine(2 * lam, n)).scale(_Z)
     return _contracted(n, Support("ge", 0), lam, (1, e_coeff), (-1, _ONE), {"lam": lam, "n": n})
 

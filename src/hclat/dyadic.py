@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ord2, rat, residue
+from .scalars import check_positive, ord2, rat, residue
 from .weightmods import Support
 
 VARIANTS = ("q", "qp", "qpp")
@@ -44,8 +44,7 @@ class NoExtensionError(ValueError):
 def _validate(variant: str, n: int, m: int, eps, mu) -> tuple:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    check_positive(n=n, m=m)
     eps = residue(eps, n)
     mu = rat(mu)
     if mu.denominator != 1:

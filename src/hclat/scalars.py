@@ -22,11 +22,17 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def check_positive(**values) -> None:
+    """The one n >= 1 rule: ValueError naming the first value below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {name}={value}")
+
+
 def residue(eps, n: int) -> Fraction:
     """eps as a residue K/N with N dividing n and 0 <= eps < 1; n is
     checked first, as eps is read against it."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n}")
+    check_positive(n=n)
     eps = rat(eps)
     if not (0 <= eps < 1) or n % eps.denominator:
         raise ValueError(
@@ -141,30 +147,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a general Laurent polynomial")
-        result = Laurent.const(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __truediv__(self, other):
-        """Division by a rational or by a single-term Laurent polynomial."""
-        if isinstance(other, (int, Fraction)):
-            other = rat(other)
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return Laurent({e: c / other for e, c in self.coeffs.items()})
-        if isinstance(other, Laurent):
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero scalar")
-            if not other.is_monomial():
-                raise ValueError(f"can only divide by a monomial, got {other}")
-            (exp, c), = other.coeffs.items()
-            return Laurent({e - exp: cc / c for e, cc in self.coeffs.items()})
-        return NotImplemented
-
     def evaluate(self, c) -> Fraction:
         """Substitute z = c (a nonzero rational if negative exponents occur)."""
         c = rat(c)
@@ -182,7 +164,7 @@ class Laurent:
         """Multiply by z^k."""
         return Laurent({e + k: c for e, c in self.coeffs.items()})
 
-    # -- text and JSON forms -------------------------------------------
+    # -- text forms ----------------------------------------------------
 
     def __str__(self):
         if not self.coeffs:
@@ -206,13 +188,6 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({self})"
-
-    def to_json(self):
-        return [[exp, str(self.coeffs[exp])] for exp in sorted(self.coeffs)]
-
-    @classmethod
-    def from_json(cls, data) -> "Laurent":
-        return cls({int(exp): Fraction(c) for exp, c in data})
 
     _TERM = re.compile(
         r"^([+-]?\d+(?:/\d+)?|[+-])?\*?(z(?:\^([+-]?\d+))?)?$"
@@ -261,52 +236,6 @@ def as_laurent(x) -> Laurent:
     if isinstance(x, Laurent):
         return x
     return Laurent.const(rat(x))
-
-
-def scalar_to_json(x):
-    """JSON form: rationals as "num/den" strings, polynomials as [[exp, "c"], ...]."""
-    if isinstance(x, Laurent):
-        return x.to_json()
-    return str(rat(x))
-
-
-def scalar_from_json(data):
-    if isinstance(data, str):
-        return Fraction(data)
-    if isinstance(data, int):
-        return Fraction(data)
-    return Laurent.from_json(data)
-
-
-# -- linear algebra over Q -----------------------------------------------
-
-
-def rref(rows, ncols: int):
-    """Gauss-Jordan elimination over Q on the first ncols columns.
-
-    Returns (reduced rows, pivot columns): reduced row i has a 1 in column
-    pivots[i] and zeros in every other row of that column; the rows past
-    len(pivots) are zero in the first ncols columns.  Columns beyond ncols
-    (an augmented right-hand side) are carried along, not eliminated.
-    """
-    M = [[rat(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pividx = next((i for i in range(r, len(M)) if M[i][col]), None)
-        if pividx is None:
-            continue
-        M[r], M[pividx] = M[pividx], M[r]
-        piv = M[r][col]
-        prow = M[r] = [x / piv for x in M[r]]
-        support = [j for j, x in enumerate(prow) if x]
-        for i, row in enumerate(M):
-            factor = row[col]
-            if i != r and factor:
-                for j in support:
-                    row[j] -= factor * prow[j]
-        pivots.append(col)
-    return M, pivots
 
 
 # -- coefficient rings ---------------------------------------------------

@@ -125,7 +125,7 @@ def _iwasawa_reexpansion():
             for label in ("q", "qp", "qpp") if m == 2 * n else ("q", "qp"):
                 g = zforms.parabolic_form(n, m, label)
                 S = zforms.subalgebra(g, label)
-                table = zforms.iwasawa_decompose(g, S)
+                table = zforms.iwasawa_decompose(S)
                 frame = [S.basis[0], S.basis[1], (0, 0, 1)]
                 # E and F summed back from their coordinates in the frame
                 sums = [

@@ -295,7 +295,7 @@ def principal_series(
     if not in_ring(mu, ring):
         raise ValueError(f"mu = {mu} does not lie in {ring.name}")
 
-    table = iwasawa_decompose(g, subalgebra(g, label))
+    table = iwasawa_decompose(subalgebra(g, label))
     actions = {}
     for gen, shift in (("E", 1), ("F", -1)):
         _c_x, c_mu, c_w = table[gen]

@@ -5,21 +5,18 @@ Elements are coordinate triples over the ordered basis (E, F, H) with
 
     [H, E] = nE,   [H, F] = -nF,   [E, F] = mH,
     wt(E) = n,     wt(F) = -n,     wt(H) = 0.
+
+Every subalgebra basis has two vectors, so every frame and presentation
+is solved in closed form (``_solve_pair``); there is no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .scalars import (
-    in_ring,
-    localized_integers,
-    rat,
-    rref,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import check_positive, in_ring, localized_integers, rat
 
 # Elementary 2x2 matrices: e, f, h.
 MAT_E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
@@ -52,6 +49,9 @@ def mat_bracket(a, b):
 
 ZERO_MAT = ((Fraction(0),) * 2,) * 2
 
+# the index pairs i < j of a rank-3 bracket table
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 class NotSplitForm(ValueError):
     """The given presentation is not a split Z-form of (sl2, T^1)."""
@@ -67,8 +67,7 @@ class ZForm:
 
 
 def make_zform(n: int, m: int, q) -> ZForm:
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive integers, got n={n}, m={m}")
+    check_positive(n=n, m=m)
     q = rat(q)
     if q == 0:
         raise ValueError("realization parameter q must be nonzero")
@@ -80,14 +79,18 @@ def weights(g: ZForm):
     return (g.n, -g.n, 0)
 
 
-def bracket_coords(g: ZForm, u, v):
-    """Bracket of coordinate triples over the basis (E, F, H)."""
+def bracket_coords(n, m, u, v):
+    """Bracket of coordinate triples over the basis (E, F, H) of g_{n,m}.
+
+    m may be a Laurent polynomial: g_{2,z} is the contraction, and
+    g_{2,1} is sl2 in (e, f, h).
+    """
     uE, uF, uH = u
     vE, vF, vH = v
     return (
-        g.n * (uH * vE - uE * vH),
-        g.n * (uF * vH - uH * vF),
-        g.m * (uE * vF - uF * vE),
+        n * (uH * vE - uE * vH),
+        n * (uF * vH - uH * vF),
+        m * (uE * vF - uF * vE),
     )
 
 
@@ -107,7 +110,7 @@ def check_jacobi(g: ZForm) -> bool:
             for z in basis:
                 total = (0, 0, 0)
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    term = bracket_coords(g, bracket_coords(g, a, b), c)
+                    term = bracket_coords(g.n, g.m, bracket_coords(g.n, g.m, a, b), c)
                     total = tuple(s + t for s, t in zip(total, term))
                 if any(total):
                     return False
@@ -120,7 +123,7 @@ def check_realization_bracket(g: ZForm) -> bool:
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             lhs = mat_bracket(mats[i], mats[j])
-            coords = bracket_coords(g, x, y)
+            coords = bracket_coords(g.n, g.m, x, y)
             rhs = ZERO_MAT
             for c, mat in zip(coords, mats):
                 rhs = mat_add(rhs, mat_scale(c, mat))
@@ -178,56 +181,50 @@ def subalgebra(g: ZForm, label: str) -> Subalgebra:
 
 
 def bracket_closed_over_z(S: Subalgebra) -> bool:
-    """Check [X, Y] of every basis pair lies in the Z-span of the basis."""
-    for i, x in enumerate(S.basis):
-        for y in S.basis[i + 1:]:
-            target = bracket_coords(S.zform, x, y)
-            coeffs = _solve_rational(S.basis, target)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                return False
-    return True
+    """Check [X, Y] of the two basis vectors lies in their Z-span."""
+    X, Y = S.basis
+    coeffs = _solve_pair(X, Y, bracket_coords(S.zform.n, S.zform.m, X, Y))
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
-def _solve_rational(vectors, target):
-    """Solve sum c_i * vectors[i] = target exactly; None if unsolvable."""
-    ncols = len(vectors)
-    rows = [[v[k] for v in vectors] + [target[k]] for k in range(len(target))]
-    reduced, pivots = rref(rows, ncols)
-    if any(row[ncols] != 0 for row in reduced[len(pivots):]):
-        return None
-    coeffs = [Fraction(0)] * ncols
-    for row, col in zip(reduced, pivots):
-        coeffs[col] = row[ncols]
-    return coeffs
+def _solve_pair(u, v, target):
+    """(a, b) with a*u + b*v = target, or None if target is not in their
+    span: Cramer's rule on the first nonzero 2x2 minor, then a check of
+    every coordinate.  u and v must be independent."""
+    for i, j in combinations(range(len(u)), 2):
+        det = u[i] * v[j] - u[j] * v[i]
+        if det:
+            a = Fraction(target[i] * v[j] - target[j] * v[i], det)
+            b = Fraction(u[i] * target[j] - u[j] * target[i], det)
+            if all(a * x + b * y == t for x, y, t in zip(u, v, target)):
+                return a, b
+            return None
+    raise ValueError(f"{u} and {v} are linearly dependent")
 
 
-def iwasawa_decompose(g: ZForm, S: Subalgebra):
-    """Express E and F in the basis (X, Y, H) for a parabolic subalgebra.
+def iwasawa_decompose(S: Subalgebra):
+    """Express E and F in the frame (X, Y, H) of a parabolic subalgebra.
 
-    Returns {"E": (cX, cY, cH), "F": (cX, cY, cH)} with exact coefficients
-    over Z[1/2nm], re-verified by expansion.
+    The E- and F-coordinates of X and Y fix the X- and Y-coefficients;
+    the H-coefficient is what is left over.  Returns
+    {"E": (cX, cY, cH), "F": (cX, cY, cH)} with exact coefficients, each
+    checked to lie in Z[1/2nm].
     """
     if S.label not in ("q", "qp", "qpp"):
         raise ValueError(f"iwasawa decomposition needs label q, qp or qpp, not {S.label!r}")
-    ring = localized_integers(2 * g.n * g.m)
-    frame = [S.basis[0], S.basis[1], (0, 0, 1)]
+    ring = localized_integers(2 * S.zform.n * S.zform.m)
+    X, Y = S.basis
     table = {}
     for name, gen in (("E", (1, 0, 0)), ("F", (0, 1, 0))):
-        coeffs = _solve_rational(frame, gen)
-        if coeffs is None:
-            raise ValueError(f"{name} does not decompose in the frame of {S.label}")
+        cx, cy = _solve_pair(X[:2], Y[:2], gen[:2])
+        coeffs = (cx, cy, gen[2] - cx * X[2] - cy * Y[2])
         for c in coeffs:
             if not in_ring(c, ring):
                 raise ValueError(
                     f"decomposing {name} needs 1/{c.denominator}, and "
                     f"{c.denominator} is not invertible in {ring.name}"
                 )
-        check = (0, 0, 0)
-        for c, vec in zip(coeffs, frame):
-            check = tuple(s + c * v for s, v in zip(check, vec))
-        if tuple(check) != gen:
-            raise AssertionError("re-expansion failed; solver is inconsistent")
-        table[name] = tuple(coeffs)
+        table[name] = coeffs
     return table
 
 
@@ -238,8 +235,12 @@ def presentation(g: ZForm, order=(0, 1, 2), signs=(1, 1, 1)):
     """Bracket/weight/realization tables of g in a permuted, sign-flipped basis.
 
     Used to exercise classify on presentations that are not literally
-    (E, F, H) in that order.
+    (E, F, H) in that order.  Basis vector k is signs[k] (each +-1) times
+    generator order[k], so coefficient k of a bracket is read off as
+    signs[k] * target[order[k]].
     """
+    if sorted(order) != [0, 1, 2] or any(s not in (1, -1) for s in signs):
+        raise ValueError(f"order must permute (0, 1, 2) and signs be +-1, got {order}, {signs}")
     base = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     mats = realization(g)
     basis = [tuple(signs[k] * x for x in base[order[k]]) for k in range(3)]
@@ -247,11 +248,9 @@ def presentation(g: ZForm, order=(0, 1, 2), signs=(1, 1, 1)):
     weight_table = [wt[order[k]] for k in range(3)]
     real = [mat_scale(signs[k], mats[order[k]]) for k in range(3)]
     brackets = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            target = bracket_coords(g, basis[i], basis[j])
-            coeffs = _solve_rational(basis, target)
-            brackets[(i, j)] = tuple(coeffs)
+    for i, j in PAIRS:
+        target = bracket_coords(g.n, g.m, basis[i], basis[j])
+        brackets[(i, j)] = tuple(signs[k] * target[order[k]] for k in range(3))
     return brackets, weight_table, real
 
 
@@ -314,23 +313,48 @@ def presentation_to_json(brackets, weight_table, real):
     return {
         "weights": list(weight_table),
         "brackets": [
-            [i, j, [scalar_to_json(rat(c)) for c in coeffs]]
+            [i, j, [str(rat(c)) for c in coeffs]]
             for (i, j), coeffs in sorted(brackets.items())
         ],
-        "realization": [
-            [[scalar_to_json(x) for x in row] for row in mat] for mat in real
-        ],
+        "realization": [[[str(rat(x)) for x in row] for row in mat] for mat in real],
     }
+
+
+def _listed(value, count: int, what: str) -> list:
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError(f"{what} must be a list of {count}, got {value!r}")
+    return value
+
+
+def _rational(x) -> Fraction:
+    if type(x) not in (int, str):
+        raise ValueError(f"table entry {x!r} is neither an int nor a rational string")
+    return Fraction(x)
 
 
 def presentation_from_json(data):
-    brackets = {
-        (int(i), int(j)): tuple(scalar_from_json(c) for c in coeffs)
-        for i, j, coeffs in data["brackets"]
-    }
-    weight_table = [int(w) for w in data["weights"]]
+    """The tables of presentation_to_json, or ValueError naming the first
+    part out of shape: three integer weights, the brackets of the pairs
+    (0, 1), (0, 2) and (1, 2) with three entries each, and three 2x2
+    realization matrices; every entry is an int or a rational string."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a presentation table is a JSON object, not {type(data).__name__}")
+    weight_table = _listed(data.get("weights"), 3, "weights")
+    if any(type(w) is not int for w in weight_table):
+        raise ValueError(f"weights must be integers, got {weight_table!r}")
+    brackets = {}
+    for row in _listed(data.get("brackets"), 3, "brackets"):
+        i, j, coeffs = _listed(row, 3, "a bracket row")
+        if (i, j) not in PAIRS:
+            raise ValueError(f"bracket pair ({i!r}, {j!r}) is not one of {PAIRS}")
+        brackets[(i, j)] = tuple(_rational(c) for c in _listed(coeffs, 3, f"bracket ({i}, {j})"))
+    if len(brackets) != 3:
+        raise ValueError(f"brackets must give each of the pairs {PAIRS} once")
     real = [
-        tuple(tuple(scalar_from_json(x) for x in row) for row in mat)
-        for mat in data["realization"]
+        tuple(
+            tuple(_rational(x) for x in _listed(row, 2, "a realization row"))
+            for row in _listed(mat, 2, "a realization matrix")
+        )
+        for mat in _listed(data.get("realization"), 3, "realization")
     ]
     return brackets, weight_table, real

@@ -38,7 +38,7 @@ from hclat.borelweil import (
     maximality_certificate,
     minimal_lattice,
 )
-from hclat.scalars import rref
+from reference import rref
 
 
 def unit(rank, i, num=1, den=1):

@@ -88,6 +88,36 @@ def test_classify_from_presentation_tables(capsys, tmp_path):
     assert doc == {"n": 3, "m": 1, "abs_q": "2"}
 
 
+def _malformed(edit):
+    """A good presentation table of g_{2,3} with one edit applied."""
+    data = zforms.presentation_to_json(*zforms.presentation(zforms.make_zform(2, 3, 1)))
+    return edit(data)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [1, 2, 3],
+        [["n", "m", "q"]],
+        _malformed(lambda d: {k: v for k, v in d.items() if k != "brackets"}),
+        _malformed(lambda d: dict(d, brackets=d["brackets"][:2])),
+        _malformed(lambda d: dict(d, realization=d["realization"][:2])),
+        _malformed(lambda d: dict(d, brackets=[[0, 1, [None, "0", "0"]]] + d["brackets"][1:])),
+        _malformed(lambda d: dict(d, brackets=[[0, 1, [[[1, "2"]], "0", "0"]]] + d["brackets"][1:])),
+        {"n": None, "m": 1, "q": "1"},
+        {"n": 2.5, "m": 1, "q": "1"},
+    ],
+    ids=("list", "list-of-keys", "no-brackets", "missing-pair", "two-matrices",
+         "null-entry", "laurent-entry", "null-n", "fractional-n"),
+)
+def test_classify_malformed_table_is_an_error_document(capsys, tmp_path, table):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "classify", "--table", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_contract_vanishing_reason(capsys):
     doc = run_json(
         capsys,

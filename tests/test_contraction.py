@@ -9,7 +9,6 @@ import pytest
 
 from hclat.contraction import (
     GENERATORS,
-    bracket_elements,
     check_contraction_axioms,
     coefficient_roots,
     contracted_induced,
@@ -33,57 +32,66 @@ from hclat.weightmods import (
     principal_series,
     produced_module,
 )
-from hclat.zforms import make_zform
+from hclat.zforms import bracket_coords, make_zform
 
 
 lau = Laurent.parse
 
 
+Z = Laurent.z_power(1)
+
+
 def term(gen, degree):
-    """The homogeneous element z^degree times a generator."""
-    return {gen: Laurent.z_power(degree)}
+    """The homogeneous element z^degree times a generator, as a coordinate
+    triple over (e, f, h)."""
+    return tuple(
+        Laurent.z_power(degree) if g == gen else Laurent.const(0) for g in GENERATORS
+    )
+
+
+def contracted(x, y):
+    """The contraction bracket: that of g_{2,z}."""
+    return bracket_coords(2, Z, x, y)
+
+
+def only(gen, c):
+    """The triple with c on one generator and 0 elsewhere."""
+    return tuple(c if g == gen else 0 for g in GENERATORS)
 
 
 def test_bracket_basis_values():
-    assert bracket_elements(term("e", 0), term("f", 0)) == {"h": Laurent.z_power(1)}
-    assert bracket_elements(term("h", 0), term("e", 0)) == {"e": Laurent.const(2)}
-    assert bracket_elements(term("h", 0), term("f", 0)) == {"f": Laurent.const(-2)}
-    assert bracket_elements(term("e", 0), term("e", 3)) == {}
-    # degrees add, and odd-odd picks up one more z
-    assert bracket_elements(term("e", 2), term("f", 1)) == {"h": Laurent.z_power(4)}
-    assert bracket_elements(term("h", 2), term("e", 1)) == {"e": Laurent.z_power(3, 2)}
-    # without the bump it is the sl2 bracket
-    assert bracket_elements(term("e", 2), term("f", 1), bump=0) == {"h": Laurent.z_power(3)}
-    assert bracket_elements(term("h", 2), term("e", 1), bump=0) == {"e": Laurent.z_power(3, 2)}
-
-
-def test_bracket_rejects_unknown_generator():
-    with pytest.raises(ValueError, match="unknown generator"):
-        bracket_elements({"x": 1}, term("f", 0))
+    assert contracted(term("e", 0), term("f", 0)) == only("h", Z)
+    assert contracted(term("h", 0), term("e", 0)) == only("e", 2)
+    assert contracted(term("h", 0), term("f", 0)) == only("f", -2)
+    assert contracted(term("e", 0), term("e", 3)) == (0, 0, 0)
+    # degrees add, and [e, f] picks up one more z
+    assert contracted(term("e", 2), term("f", 1)) == only("h", Laurent.z_power(4))
+    assert contracted(term("h", 2), term("e", 1)) == only("e", Laurent.z_power(3, 2))
+    # at m = 1 it is the sl2 bracket
+    sl2 = bracket_coords(2, 1, term("e", 2), term("f", 1))
+    assert sl2 == only("h", Laurent.z_power(3))
+    sl2 = bracket_coords(2, 1, term("h", 2), term("e", 1))
+    assert sl2 == only("e", Laurent.z_power(3, 2))
 
 
 def test_bracket_antisymmetry_and_jacobi():
     degrees = (0, 1, 2)
-    basis = [({g: Laurent.z_power(a)}) for g in GENERATORS for a in degrees]
+    basis = [term(g, a) for g in GENERATORS for a in degrees]
     for x, y in itertools.product(basis, repeat=2):
-        lhs = bracket_elements(x, y)
-        rhs = bracket_elements(y, x)
-        neg = {g: c * Laurent.const(-1) for g, c in rhs.items()}
-        assert lhs == neg
+        assert contracted(x, y) == tuple(-c for c in contracted(y, x))
     for x, y, w in itertools.product(basis, repeat=3):
-        total = {}
+        total = (0, 0, 0)
         for a, b, c in ((x, y, w), (y, w, x), (w, x, y)):
-            for g, s in bracket_elements(a, bracket_elements(b, c)).items():
-                total[g] = total.get(g, Laurent.const(0)) + s
-        assert all(s.is_zero() for s in total.values())
+            total = tuple(s + t for s, t in zip(total, contracted(a, contracted(b, c))))
+        assert total == (0, 0, 0)
 
 
 def test_phi_is_bracket_preserving():
     assert phi_preserves_bracket() == []
-    assert phi_isomorphism({"h": 1}) == {"h": Laurent.const(1)}
-    assert phi_isomorphism({"f": 1}) == {"f": Laurent.z_power(-1)}
-    lhs = bracket_elements(phi_isomorphism({"e": 1}), phi_isomorphism({"f": 1}))
-    assert lhs == {"h": Laurent.const(1)}
+    assert phi_isomorphism((0, 0, 1)) == (0, 0, 1)
+    assert phi_isomorphism((0, 1, 0)) == (0, Laurent.z_power(-1), 0)
+    lhs = contracted(phi_isomorphism((1, 0, 0)), phi_isomorphism((0, 1, 0)))
+    assert lhs == (0, 0, 1)
 
 
 # -- the three families -------------------------------------------------------

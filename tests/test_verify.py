@@ -178,8 +178,8 @@ def _pinned_lines(suite, replaced):
 
 
 def test_raising_decomposition_reports_fail_not_traceback(monkeypatch, capsys):
-    def inconsistent(g, S):
-        raise AssertionError("re-expansion failed; solver is inconsistent")
+    def inconsistent(S):
+        raise ValueError(f"decomposing E in the frame of {S.label} needs 1/7")
 
     monkeypatch.setattr(zforms, "iwasawa_decompose", inconsistent)
     code, lines, err = _cli_table(capsys, "modules")
@@ -189,7 +189,7 @@ def test_raising_decomposition_reports_fail_not_traceback(monkeypatch, capsys):
         "modules",
         {
             "iwasawa_reexpansion": "iwasawa_reexpansion: fail "
-            "(AssertionError: re-expansion failed; solver is inconsistent, "
+            "(ValueError: decomposing E in the frame of q needs 1/7, "
             f"in {_raised_at(inconsistent, 1)})"
         },
     )

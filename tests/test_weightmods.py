@@ -247,7 +247,7 @@ def test_derive_ps_action_tables():
     # the q-frame coordinates (c_X, c_mu, c_w) of E and F over g_{2,3}, and
     # the principal series built from them: c_mu*mu + c_w*n(p + eps)
     gq = make_zform(2, 3, Fraction(1, 2))
-    table = iwasawa_decompose(gq, subalgebra(gq, "q"))
+    table = iwasawa_decompose(subalgebra(gq, "q"))
     assert table["E"][1:] == (Fraction(1, 24), Fraction(1, 4))
     assert table["F"][1:] == (Fraction(1, 2), Fraction(-3))
     eps, mu = Fraction(1, 2), Fraction(5)

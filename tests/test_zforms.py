@@ -1,11 +1,13 @@
 """Split Z-forms: brackets, realization, classification, parabolic frames."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hclat import zforms as zf
+from reference import rref, solve
 
 
 def test_make_zform_validation():
@@ -20,9 +22,9 @@ def test_make_zform_validation():
 def test_brackets_and_weights():
     g = zf.make_zform(2, 3, 1)
     E, F, H = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert zf.bracket_coords(g, H, E) == (2, 0, 0)
-    assert zf.bracket_coords(g, H, F) == (0, -2, 0)
-    assert zf.bracket_coords(g, E, F) == (0, 0, 3)
+    assert zf.bracket_coords(g.n, g.m, H, E) == (2, 0, 0)
+    assert zf.bracket_coords(g.n, g.m, H, F) == (0, -2, 0)
+    assert zf.bracket_coords(g.n, g.m, E, F) == (0, 0, 3)
     assert zf.weights(g) == (2, -2, 0)
 
 
@@ -135,18 +137,18 @@ def test_subalgebras_closed_over_z():
 
 def test_iwasawa_decompositions():
     gq = zf.make_zform(3, 2, Fraction(1, 2))
-    table = zf.iwasawa_decompose(gq, zf.subalgebra(gq, "q"))
+    table = zf.iwasawa_decompose(zf.subalgebra(gq, "q"))
     nm = 6
     assert table["E"] == (Fraction(-1, 4 * nm), Fraction(1, 4 * nm), Fraction(1, 6))
     assert table["F"] == (Fraction(1, 2), Fraction(1, 2), Fraction(-2))
 
     gp = zf.make_zform(3, 2, 6)
-    table = zf.iwasawa_decompose(gp, zf.subalgebra(gp, "qp"))
+    table = zf.iwasawa_decompose(zf.subalgebra(gp, "qp"))
     assert table["E"] == (Fraction(-1, 2), Fraction(1, 2), Fraction(2))
     assert table["F"] == (Fraction(1, 24), Fraction(1, 24), Fraction(-1, 6))
 
     gpp = zf.make_zform(2, 4, 2)
-    table = zf.iwasawa_decompose(gpp, zf.subalgebra(gpp, "qpp"))
+    table = zf.iwasawa_decompose(zf.subalgebra(gpp, "qpp"))
     assert table["E"] == (Fraction(-1, 2), Fraction(1, 2), 1)
     assert table["F"] == (Fraction(1, 2), Fraction(1, 2), -1)
 
@@ -161,7 +163,7 @@ def test_iwasawa_re_expansion_property():
             for label, qparam in cases:
                 g = zf.make_zform(n, m, qparam)
                 S = zf.subalgebra(g, label)
-                table = zf.iwasawa_decompose(g, S)
+                table = zf.iwasawa_decompose(S)
                 frame = [S.basis[0], S.basis[1], (0, 0, 1)]
                 for name, gen in (("E", (1, 0, 0)), ("F", (0, 1, 0))):
                     acc = (0, 0, 0)
@@ -173,31 +175,124 @@ def test_iwasawa_re_expansion_property():
 def test_iwasawa_rejects_non_parabolic():
     g = zf.make_zform(1, 1, 1)
     with pytest.raises(ValueError):
-        zf.iwasawa_decompose(g, zf.subalgebra(g, "b"))
+        zf.iwasawa_decompose(zf.subalgebra(g, "b"))
 
 
-def test_solve_rational_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+# -- the closed-form solves against elimination ---------------------------------
+#
+# reference.solve is rational Gauss-Jordan elimination (reference.rref), the
+# route the closed forms replaced; sympy, when it is importable, is a second
+# and independent one.
+
+
+def _sympy():
+    try:
+        import sympy
+    except ImportError:
+        return None
+    return sympy
+
+
+def _sympy_solve(sympy, vectors, target):
+    """The unique solution by sympy, or None when target is outside the span."""
+    A = sympy.Matrix([[v[k] for v in vectors] for k in range(len(target))])
+    try:
+        solution, params = A.gauss_jordan_solve(sympy.Matrix(target))
+    except ValueError:
+        return None
+    assert not params  # the columns are independent
+    return [Fraction(int(c.p), int(c.q)) for c in solution]
+
+
+def test_solve_pair_matches_elimination():
+    sympy = _sympy()
     rng = random.Random(20173)
-    for _ in range(80):
-        count = rng.randint(1, 4)
-        vectors = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(count)]
-        A = sympy.Matrix([[v[k] for v in vectors] for k in range(3)])
-        if rng.random() < 0.5:  # a consistent right-hand side
-            x = sympy.Matrix([rng.randint(-3, 3) for _ in range(count)])
-            target = tuple(int(c) for c in A * x)
+    solvable = unsolvable = dependent = 0
+    for _ in range(600):
+        size = rng.choice((2, 3))
+        u, v = (tuple(rng.randint(-3, 3) for _ in range(size)) for _ in range(2))
+        if rng.random() < 0.5:  # a target in the span
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            target = tuple(a * x + b * y for x, y in zip(u, v))
         else:
-            target = tuple(rng.randint(-3, 3) for _ in range(3))
-        b = sympy.Matrix(target)
-        try:
-            A.gauss_jordan_solve(b)
-            consistent = True
-        except ValueError:
-            consistent = False
-        coeffs = zf._solve_rational(vectors, target)
-        assert (coeffs is None) == (not consistent)
-        if not consistent:
+            target = tuple(rng.randint(-4, 4) for _ in range(size))
+        _, pivots = rref([[x, y] for x, y in zip(u, v)], 2)
+        if len(pivots) < 2:
+            dependent += 1
+            with pytest.raises(ValueError, match="dependent"):
+                zf._solve_pair(u, v, target)
             continue
-        assert A * sympy.Matrix(coeffs) == b
-        if A.rank() == count:  # the unique solution
-            assert sympy.Matrix(coeffs) == A.solve(b)
+        got = zf._solve_pair(u, v, target)
+        expected = solve([u, v], target)
+        assert got == (None if expected is None else tuple(expected))
+        if sympy is not None:
+            assert _sympy_solve(sympy, [u, v], target) == expected
+        solvable += got is not None
+        unsolvable += got is None
+    assert min(solvable, unsolvable, dependent) > 20
+
+
+def _frames():
+    """Every q and qp frame with n, m <= 4, and qpp with m = 2n."""
+    for n in range(1, 5):
+        for m in range(1, 5):
+            yield from ((n, m, label) for label in ("q", "qp"))
+        yield n, 2 * n, "qpp"
+
+
+def test_iwasawa_decompose_matches_elimination():
+    sympy = _sympy()
+    for n, m, label in _frames():
+        S = zf.subalgebra(zf.parabolic_form(n, m, label), label)
+        frame = [S.basis[0], S.basis[1], (0, 0, 1)]
+        table = zf.iwasawa_decompose(S)
+        for name, gen in (("E", (1, 0, 0)), ("F", (0, 1, 0))):
+            expected = solve(frame, gen)
+            assert list(table[name]) == expected, (n, m, label, name)
+            if sympy is not None:
+                assert _sympy_solve(sympy, frame, gen) == expected
+
+
+def test_presentation_matches_elimination():
+    """Every bracket coefficient of every presentation of g_{2,3} over all
+    six basis orders and eight sign patterns, against solving for it."""
+    g = zf.make_zform(2, 3, Fraction(1, 2))
+    base = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            brackets, _, _ = zf.presentation(g, order, signs)
+            basis = [tuple(signs[k] * x for x in base[order[k]]) for k in range(3)]
+            assert sorted(brackets) == list(zf.PAIRS)
+            for (i, j), coeffs in brackets.items():
+                target = zf.bracket_coords(g.n, g.m, basis[i], basis[j])
+                assert list(coeffs) == solve(basis, target), (order, signs, i, j)
+            if signs[order.index(2)] == 1:  # classify reads H as given
+                assert zf.classify(*zf.presentation(g, order, signs)) == (2, 3, Fraction(1, 2))
+    for order, signs in (((0, 1, 1), (1, 1, 1)), ((0, 1, 2), (2, 1, 1)), ((0, 1, 2), (1, 0, 1))):
+        with pytest.raises(ValueError, match="permute"):
+            zf.presentation(g, order, signs)
+
+
+def test_presentation_json_rejects_malformed_tables():
+    g = zf.make_zform(2, 3, 1)
+    good = zf.presentation_to_json(*zf.presentation(g))
+    bad = [
+        [good],
+        {"weights": good["weights"], "realization": good["realization"]},
+        dict(good, weights=[2, -2]),
+        dict(good, weights=[2, -2, "0"]),
+        dict(good, brackets=good["brackets"][:2]),
+        dict(good, brackets=good["brackets"][:2] + [good["brackets"][0]]),
+        dict(good, brackets=good["brackets"][:2] + [[2, 1, ["0", "0", "0"]]]),
+        dict(good, brackets=good["brackets"][:2] + [[[1], 2, ["0", "0", "0"]]]),
+        dict(good, brackets=good["brackets"][:2] + [[1, 2, ["0", "0"]]]),
+        dict(good, brackets=good["brackets"][:2] + [[1, 2, [None, "0", "0"]]]),
+        dict(good, brackets=good["brackets"][:2] + [[1, 2, [[[0, "1"]], "0", "0"]]]),
+        dict(good, brackets=good["brackets"][:2] + [[1, 2, ["x", "0", "0"]]]),
+        dict(good, realization=good["realization"][:2]),
+        dict(good, realization=good["realization"][:2] + [[["0", "0"]]]),
+        dict(good, realization=good["realization"][:2] + [[["0", "0"], ["0", 0.5]]]),
+    ]
+    for data in bad:
+        with pytest.raises(ValueError):
+            zf.presentation_from_json(data)
