@@ -47,6 +47,11 @@ print("smash product associativity on a sample triple:", left == right)
 
 # shifts must match the adjoint weight of the word or the product dies:
 # F lowers by n, so E (x) p_{-n} composes with F (x) p_0, E (x) p_n does not
+# (the PBW coefficients are ints; they print as Fractions, like v above)
+def fractions(terms):
+    return {lam: {key: Fraction(c) for key, c in elem.items()} for lam, elem in terms.items()}
+
+
 matched = hecke.smash_mul(hecke.smash(pbw.monomial(0, 0, 1), -g.n, g), b)
-print("(E (x) p_-n)(F (x) p_0) =", matched.terms)
-print("(E (x) p_n)(F (x) p_0)  =", hecke.smash_mul(a, b).terms)
+print("(E (x) p_-n)(F (x) p_0) =", fractions(matched.terms))
+print("(E (x) p_n)(F (x) p_0)  =", fractions(hecke.smash_mul(a, b).terms))

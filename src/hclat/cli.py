@@ -245,7 +245,7 @@ def _run_module(args) -> dict:
         if args.parabolic == "qpp":
             # m = 2n is a constraint between flags, so a usage error
             try:
-                zforms.parabolic_form(args.n, args.m, "qpp")
+                zforms.parabolic_q(args.n, args.m, "qpp")
             except ValueError as exc:
                 raise UsageError(exc) from None
         chi = weightmods.CharacterModule(args.eps, args.mu, args.parabolic)
@@ -261,10 +261,7 @@ def _table_doc(M, header: dict, lo: int, hi: int) -> dict:
         **header,
         "window": [lo, hi],
         "columns": ["index", "weight", *M.generators],
-        "rows": [
-            row[:2] + [str(c) for c in row[2:]]
-            for row in weightmods.module_rows(M, lo, hi)
-        ],
+        "rows": weightmods.module_rows(M, lo, hi),
     }
     if M.vanishing_reason is not None:
         doc["vanishing_reason"] = M.vanishing_reason

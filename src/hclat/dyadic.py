@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import check_positive, ord2, rat, residue
+from .scalars import check_positive, ord2, over_common_denominator, rat, residue
 from .weightmods import Support
 
 VARIANTS = ("q", "qp", "qpp")
@@ -161,17 +161,11 @@ def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
     return mu / 2 + n * (s - t + p + eps)
 
 
-def _over_common_denominator(*values) -> tuple:
-    """(D, [x * D for x in values]) for the least common denominator D."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def _chain(variant, n, m, eps, mu, p, depth) -> tuple:
     """(numerators, D): the first depth multipliers of the terminating chain
     as the integers a0 + b*s over one common denominator D, read off the
     multipliers at s = 0 and s = 1 (every chain has a nonzero slope)."""
-    den, (a0, a1) = _over_common_denominator(
+    den, (a0, a1) = over_common_denominator(
         _primary_multiplier(variant, n, m, eps, mu, p, 0),
         _primary_multiplier(variant, n, m, eps, mu, p, 1),
     )
@@ -246,7 +240,7 @@ def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
     """The transverse multipliers must all be integers; they move in integer
     steps, so a small grid check covers every (s, t).  They are affine in
     (s, t), so the grid is walked in integers over one common denominator."""
-    den, (a, a_s, a_t) = _over_common_denominator(
+    den, (a, a_s, a_t) = over_common_denominator(
         *(
             _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
             for s, t in ((0, 0), (1, 0), (0, 1))

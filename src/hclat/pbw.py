@@ -4,25 +4,33 @@ A monomial is an exponent triple (a, b, c) standing for F^a H^b E^c; an
 element is a dict mapping triples to scalars.  The defining relations are
 
     [H, E] = nE,   [H, F] = -nF,   [E, F] = mH.
+
+Every structure constant of the rewriting is an integer, so coefficients
+are ints; a coefficient becomes a Fraction only when a word carries a
+rational scalar (or an element is built or scaled with one).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .scalars import rat
 
 
+def _scalar(c):
+    """An int stays an int; anything else becomes an exact rational."""
+    return c if type(c) is int else rat(c)
+
+
 def monomial(a: int, b: int, c: int, coeff=1) -> dict:
     if a < 0 or b < 0 or c < 0:
         raise ValueError("PBW exponents must be nonnegative")
-    coeff = rat(coeff)
+    coeff = _scalar(coeff)
     return {(a, b, c): coeff} if coeff else {}
 
 
 def one() -> dict:
-    return {(0, 0, 0): Fraction(1)}
+    return {(0, 0, 0): 1}
 
 
 def _add(elem: dict, key, coeff) -> None:
@@ -41,7 +49,7 @@ def add(x: dict, y: dict) -> dict:
 
 
 def scale(x: dict, c) -> dict:
-    c = rat(c)
+    c = _scalar(c)
     return {k: v * c for k, v in x.items()} if c else {}
 
 
@@ -60,10 +68,10 @@ def left_mul_gen(gen: str, elem: dict, n: int, m: int) -> dict:
             # E F^a = F^a E + ma F^(a-1) H - (nm/2) a(a-1) F^(a-1),
             # then E H^b = sum_j C(b,j) (-n)^(b-j) H^j E
             for j in range(b + 1):
-                _add(out, (a, j, c + 1), coeff * comb(b, j) * Fraction(-n) ** (b - j))
+                _add(out, (a, j, c + 1), coeff * (comb(b, j) * (-n) ** (b - j)))
             if a:
                 _add(out, (a - 1, b + 1, c), m * a * coeff)
-                _add(out, (a - 1, b, c), -Fraction(n * m * a * (a - 1), 2) * coeff)
+                _add(out, (a - 1, b, c), -(n * m * a * (a - 1) // 2) * coeff)
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return out
@@ -76,11 +84,11 @@ def normal_form(word, g) -> dict:
     are central and multiply through.
     """
     elem = one()
-    factor = Fraction(1)
+    factor = 1
     for item in reversed(list(word)):
         if isinstance(item, tuple):
             gen, s = item
-            factor *= rat(s)
+            factor *= _scalar(s)
         else:
             gen = item
         elem = left_mul_gen(gen, elem, g.n, g.m)

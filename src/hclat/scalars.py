@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rat(x) -> Fraction:
@@ -40,6 +41,35 @@ def residue(eps, n: int) -> Fraction:
             f"got {eps}"
         )
     return eps
+
+
+def over_common_denominator(*values) -> tuple:
+    """(D, numerators): the least common denominator D of the Fractions
+    and each value times D, as integers in the given order."""
+    den = lcm(*(x.denominator for x in values))
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
+def format_terms(terms) -> str:
+    """The text of the sum of (num/den) z^exp over (exp, num, den) terms
+    with den > 0, in the order given (ascending exp): each ratio reduced
+    by one gcd, zero terms left out, "0" for none.  The one printing rule
+    of rationals (one term at exponent 0) and Laurent polynomials, as in
+    "-3/2" and "-2*z^-1 + 1/2*z"."""
+    text = ""
+    for exp, num, den in terms:
+        if not num:
+            continue
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+        if exp:
+            zpart = "z" if exp == 1 else f"z^{exp}"
+            mag = zpart if mag == "1" else f"{mag}*{zpart}"
+        if text:
+            text += f" - {mag}" if num < 0 else f" + {mag}"
+        else:
+            text = f"-{mag}" if num < 0 else mag
+    return text or "0"
 
 
 def ord2(x) -> int:
@@ -167,24 +197,9 @@ class Laurent:
     # -- text forms ----------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exp in sorted(self.coeffs):
-            c = self.coeffs[exp]
-            num, den = c.numerator, c.denominator
-            negative = num < 0
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if exp == 0:
-                body = mag
-            else:
-                zpart = "z" if exp == 1 else f"z^{exp}"
-                body = zpart if mag == "1" else f"{mag}*{zpart}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return format_terms(
+            (exp, c.numerator, c.denominator) for exp, c in sorted(self.coeffs.items())
+        )
 
     def __repr__(self):
         return f"Laurent({self})"

@@ -10,8 +10,9 @@ A check is a generator that yields one ``(ok, case)`` pair per grid point;
 ``case`` names the point and is read only when ``ok`` is false.  A finding,
 marked ``@_documented``, instead returns ``(mismatch_present, detail)``.
 The runner counts the grid, reports the first failing case, and turns a
-check that raises into ``fail`` with the exception and the function, file
-and line that raised it; the other checks still run.  To add a check,
+check that raises into ``fail`` with the exception, the function, file
+and line that raised it, and the line of this module that called into it
+(the check's own call site); the other checks still run.  To add a check,
 write one such function and list it under its suite in ``CHECKS``: its
 report name is the function's name without the leading underscore.
 """
@@ -663,13 +664,23 @@ def _outcome(check) -> tuple:
                 return "fail", str(case)
             grid += 1
     except Exception as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:  # the innermost frame raised it
+        tb = exc.__traceback__.tb_next or exc.__traceback__  # past this frame
+        call_site = None  # the check's call site: its last frame in this file
+        while tb.tb_next is not None:  # on to the innermost frame, which raised
+            if tb.tb_frame.f_code.co_filename == __file__:
+                call_site = tb
             tb = tb.tb_next
-        code = tb.tb_frame.f_code
-        where = f"{code.co_name} at {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
-        return "fail", f"{type(exc).__name__}: {exc}, in {where}"
+        detail = f"{type(exc).__name__}: {exc}, in {_frame(tb)}"
+        if call_site is not None:
+            detail += f", from {_frame(call_site)}"
+        return "fail", detail
     return "pass", f"grid={grid}"
+
+
+def _frame(tb) -> str:
+    """function at file:line of one traceback entry."""
+    code = tb.tb_frame.f_code
+    return f"{code.co_name} at {os.path.basename(code.co_filename)}:{tb.tb_lineno}"
 
 
 def run_suite(name: str) -> dict:

@@ -7,6 +7,12 @@ rational or Laurent coefficients).  Nothing infinite is ever materialized.
 Each bracket relation is proved once as a polynomial identity in p; only
 the indices next to a support boundary, where an action is clipped, and
 relations whose identity fails are evaluated index by index.
+
+Window tables are computed a generator column at a time, in integers: the
+window is clipped once to the indices whose source and target lie in the
+support, each coefficient polynomial is evaluated on its integer columns
+by Horner's rule, and each cell is printed from its (numerator,
+denominator) pairs by ``scalars.format_terms``.
 """
 
 from __future__ import annotations
@@ -14,9 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, lcm
+from math import comb
 
-from .scalars import CoefficientRing, Laurent, as_laurent, in_ring, rat, residue
+from .scalars import (
+    CoefficientRing,
+    Laurent,
+    as_laurent,
+    format_terms,
+    in_ring,
+    over_common_denominator,
+    rat,
+    residue,
+)
 from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
@@ -24,9 +39,10 @@ class IndexPoly:
     """A polynomial in the index p, coefficients in ascending degree.
 
     The coefficients are all Fractions, or all Laurent polynomials in z
-    (one Laurent coefficient, or laurent=True, lifts the rest).  A value
-    is computed in integers over one common denominator per power of z and
-    built as one Fraction or one Laurent.
+    (one Laurent coefficient, or laurent=True, lifts the rest).  They are
+    also held as integer columns, one per power of z (only z^0 for
+    Fractions): the exponent, one common denominator and the numerators
+    over it, highest degree first.  A value is computed on those columns.
     """
 
     __slots__ = ("coeffs", "laurent", "_columns")
@@ -42,27 +58,30 @@ class IndexPoly:
         if laurent:
             exps = sorted({e for c in coeffs for e in c.coeffs})
             self._columns = [
-                (e, *_column([c.coefficient(e) for c in coeffs])) for e in exps
+                (e, *over_common_denominator(*(c.coefficient(e) for c in reversed(coeffs))))
+                for e in exps
             ]
         else:
-            self._columns = _column(coeffs)
+            self._columns = [(0, *over_common_denominator(*reversed(coeffs)))]
 
-    def __call__(self, p: int):
-        if not self.laurent:
-            den, nums = self._columns
-            v = 0
-            for a in nums:
-                v = v * p + a
-            return Fraction(v, den)
-        out = {}
+    def terms(self, p: int) -> list:
+        """The value at p as (exponent, numerator, denominator) triples in
+        ascending exponent, by Horner's rule in integers; a numerator may
+        be 0 and a ratio need not be reduced."""
+        out = []
         for e, den, nums in self._columns:
             v = 0
             for a in nums:
                 v = v * p + a
-            if v:
-                out[e] = Fraction(v, den)
+            out.append((e, v, den))
+        return out
+
+    def __call__(self, p: int):
+        if not self.laurent:
+            ((_, v, den),) = self.terms(p)
+            return Fraction(v, den)
         value = Laurent()
-        value.coeffs = out
+        value.coeffs = {e: Fraction(v, den) for e, v, den in self.terms(p) if v}
         return value
 
     def __bool__(self) -> bool:
@@ -102,12 +121,6 @@ class IndexPoly:
         )
 
 
-def _column(values) -> tuple:
-    """(D, integer numerators over D, highest degree first) of Fractions."""
-    den = lcm(*(c.denominator for c in values))
-    return den, tuple(c.numerator * (den // c.denominator) for c in reversed(values))
-
-
 def affine(a, b) -> IndexPoly:
     """The polynomial a + b*p."""
     return IndexPoly([a, b])
@@ -126,6 +139,14 @@ class Support:
         if self.kind == "le":
             return p <= self.bound
         return True
+
+    def clip(self, lo: int, hi: int) -> tuple:
+        """The window lo..hi cut to the support; empty when lo > hi."""
+        if self.kind == "ge":
+            return max(lo, self.bound), hi
+        if self.kind == "le":
+            return lo, min(hi, self.bound)
+        return lo, hi
 
     def to_json(self):
         if self.kind == "all":
@@ -180,8 +201,7 @@ class WeightModule:
     def weight(self, p: int) -> int:
         """The T^1-exponent of the basis vector at p, read off the Cartan
         action: H(p), or (n/2)h(p) over the contraction, where H = (n/2)h."""
-        gen, scale = _cartan(self)
-        return _weight(scale, self.actions[gen][1](p))
+        return _weights(self, (p,))[0]
 
     def act_gen(self, gen: str, p: int):
         """Action of one generator on the basis vector at index p."""
@@ -210,16 +230,17 @@ class WeightModule:
         )
 
 
-def _cartan(M: WeightModule) -> tuple:
-    """The generator the weights are read off, and its factor."""
-    return ("H", Fraction(1)) if "H" in M.actions else ("h", Fraction(M.params["n"], 2))
-
-
-def _weight(scale, c) -> int:
-    """scale * c for a Fraction or a constant Laurent c, as an int."""
-    if isinstance(c, Laurent):
-        c = c.coefficient(0)
-    return c.numerator * scale.numerator // (c.denominator * scale.denominator)
+def _weights(M: WeightModule, indices) -> list:
+    """The weight at each index, in integers off the z^0 column of the
+    Cartan action: H(p), or (n/2)h(p) over the contraction."""
+    if "H" in M.actions:
+        gen, num, den = "H", 1, 1
+    else:
+        gen, num, den = "h", M.params["n"], 2
+    terms = M.actions[gen][1].terms
+    return [
+        sum(v * num // (d * den) for e, v, d in terms(p) if e == 0) for p in indices
+    ]
 
 
 def apply_vector(M: WeightModule, gen: str, vec: dict) -> dict:
@@ -386,11 +407,22 @@ def _sub_vec(x, y):
 
 
 def module_rows(M: WeightModule, lo: int, hi: int) -> list:
-    """Window table: [index, weight, one coefficient per generator] per index."""
+    """Window table: [index, weight, one printed coefficient per generator]
+    per supported index of lo..hi, computed a generator column at a time."""
     if M.vanishing_reason is not None:
         return []
-    indices = [p for p in range(lo, hi + 1) if M.support.contains(p)]
-    columns = [[M.coefficient(gen, p) for p in indices] for gen in M.generators]
-    gen, scale = _cartan(M)
-    weights = [_weight(scale, c) for c in columns[M.generators.index(gen)]]
-    return [list(row) for row in zip(indices, weights, *columns)]
+    lo, hi = M.support.clip(lo, hi)
+    indices = range(lo, hi + 1)
+    columns = [_printed_column(M.support, *M.actions[gen], lo, hi) for gen in M.generators]
+    return [list(row) for row in zip(indices, _weights(M, indices), *columns)]
+
+
+def _printed_column(support: Support, shift: int, poly: IndexPoly, lo: int, hi: int) -> list:
+    """The printed coefficients of one generator on the supported indices
+    lo..hi: "0" where the target p + shift leaves the support."""
+    first, last = support.clip(lo + shift, hi + shift)
+    first, last = first - shift, last - shift
+    if first > last:
+        return ["0"] * (hi - lo + 1)
+    cells = [format_terms(poly.terms(p)) for p in range(first, last + 1)]
+    return ["0"] * (first - lo) + cells + ["0"] * (hi - last)

@@ -135,15 +135,20 @@ def check_realization_bracket(g: ZForm) -> bool:
 # -- subalgebras ----------------------------------------------------------
 
 
-def parabolic_form(n: int, m: int, label: str) -> ZForm:
-    """The realization a parabolic label is defined over: q = 1/2 for q,
-    nm for qp, and n for qpp, which also needs m = 2n."""
+def parabolic_q(n: int, m: int, label: str) -> Fraction:
+    """The realization parameter a parabolic label is defined over: q = 1/2
+    for q, nm for qp, and n for qpp, which also needs m = 2n."""
     if label == "qpp" and m != 2 * n:
         raise ValueError(f"label qpp requires m = 2n; got n={n}, m={m}")
     realizations = {"q": Fraction(1, 2), "qp": n * m, "qpp": n}
     if label not in realizations:
         raise ValueError(f"parabolic label must be q, qp or qpp, not {label!r}")
-    return make_zform(n, m, realizations[label])
+    return rat(realizations[label])
+
+
+def parabolic_form(n: int, m: int, label: str) -> ZForm:
+    """The form g_{n,m} in the realization of a parabolic label."""
+    return make_zform(n, m, parabolic_q(n, m, label))
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class Subalgebra:
 def subalgebra(g: ZForm, label: str) -> Subalgebra:
     """Borel or parabolic subalgebra with exact basis expansions.
 
-    The parabolic labels need the realization of parabolic_form; maximal
+    The parabolic labels need the realization of parabolic_q; maximal
     contains q and needs its realization.
     """
     n, m = g.n, g.m
@@ -171,7 +176,7 @@ def subalgebra(g: ZForm, label: str) -> Subalgebra:
     if label not in bases:
         raise ValueError(f"unknown subalgebra label {label!r}; choose from {tuple(bases)}")
     if label not in ("b", "bbar"):
-        required = parabolic_form(n, m, "q" if label == "maximal" else label).q
+        required = parabolic_q(n, m, "q" if label == "maximal" else label)
         if g.q != required:
             raise ValueError(
                 f"label {label} is defined for realization parameter q = {required} "

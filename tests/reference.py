@@ -1,13 +1,23 @@
 """Reference routes that the library no longer takes, kept for the
-differential tests: rational Gauss-Jordan elimination.
+differential tests.
 
-The library solves its frames and presentations in closed form
-(``zforms._solve_pair``) and its lattices by weight lines
-(``borelweil.RowLattice``); ``rref`` is the general elimination both are
-checked against.
+- Rational Gauss-Jordan elimination.  The library solves its frames and
+  presentations in closed form (``zforms._solve_pair``) and its lattices
+  by weight lines (``borelweil.RowLattice``); ``rref`` is the general
+  elimination both are checked against.
+- Window tables cell by cell.  ``weightmods.module_rows`` computes a
+  generator column at a time in integers; ``module_rows`` here asks the
+  module for each cell through ``act_gen`` and prints it with ``str()``
+  (``laurent_text`` for Laurent polynomials, the printing rule written
+  out on its own).
+- PBW rewriting in Fractions.  ``pbw.left_mul_gen`` multiplies by integer
+  structure constants; ``left_mul_gen`` here builds each one as a Fraction.
 """
 
 from fractions import Fraction
+from math import comb
+
+from hclat.scalars import Laurent
 
 
 def rref(rows, ncols: int):
@@ -50,3 +60,77 @@ def solve(vectors, target):
     for row, col in zip(reduced, pivots):
         coeffs[col] = row[ncols]
     return coeffs
+
+
+def laurent_text(x: Laurent) -> str:
+    """A Laurent polynomial as text, ascending in the exponent:
+    "-2*z^-1 + 1/2 - z", "0" for zero."""
+    parts = []
+    for exp in sorted(x.coeffs):
+        c = x.coeffs[exp]
+        mag = str(abs(c.numerator)) if c.denominator == 1 else f"{abs(c.numerator)}/{c.denominator}"
+        if exp:
+            zpart = "z" if exp == 1 else f"z^{exp}"
+            mag = zpart if mag == "1" else f"{mag}*{zpart}"
+        sign = "-" if c < 0 else ("" if not parts else "+")
+        parts.append(f"{sign}{mag}" if not parts else f"{sign} {mag}")
+    return " ".join(parts) or "0"
+
+
+def module_rows(M, lo: int, hi: int) -> list:
+    """[index, weight, printed coefficient per generator] per supported
+    index, one act_gen call per cell; the weight is H(p), or (n/2)h(p)
+    over the contraction."""
+    if M.vanishing_reason is not None:
+        return []
+    cartan, scale = ("H", Fraction(1)) if "H" in M.actions else ("h", Fraction(M.params["n"], 2))
+    rows = []
+    for p in range(lo, hi + 1):
+        if not M.support.contains(p):
+            continue
+        h = M.coefficient(cartan, p)
+        weight = scale * (h.coefficient(0) if isinstance(h, Laurent) else h)
+        assert weight.denominator == 1, f"weight {weight} at {p} is not an integer"
+        cells = [M.coefficient(gen, p) for gen in M.generators]
+        rows.append(
+            [p, int(weight)]
+            + [laurent_text(c) if isinstance(c, Laurent) else str(c) for c in cells]
+        )
+    return rows
+
+
+def left_mul_gen(gen: str, elem: dict, n: int, m: int) -> dict:
+    """Left multiplication by one generator in the F < H < E order, with
+    every structure constant a Fraction."""
+    out: dict = {}
+
+    def add(key, c):
+        out[key] = out.get(key, 0) + c
+        if not out[key]:
+            del out[key]
+
+    for (a, b, c), coeff in elem.items():
+        if gen == "F":
+            add((a + 1, b, c), coeff)
+        elif gen == "H":
+            add((a, b + 1, c), coeff)
+            if a:
+                add((a, b, c), Fraction(-n * a) * coeff)
+        else:
+            for j in range(b + 1):
+                add((a, j, c + 1), coeff * comb(b, j) * Fraction(-n) ** (b - j))
+            if a:
+                add((a - 1, b + 1, c), Fraction(m * a) * coeff)
+                add((a - 1, b, c), -Fraction(n * m * a * (a - 1), 2) * coeff)
+    return out
+
+
+def normal_form(word, n: int, m: int) -> dict:
+    """The normal form of a word of generators and (generator, scalar)
+    pairs, built with the Fraction rewriting step from 1."""
+    elem = {(0, 0, 0): Fraction(1)}
+    for item in reversed(list(word)):
+        gen, s = item if isinstance(item, tuple) else (item, 1)
+        s = Fraction(s)
+        elem = {k: v * s for k, v in left_mul_gen(gen, elem, n, m).items() if s}
+    return elem

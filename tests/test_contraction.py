@@ -302,8 +302,8 @@ def test_specialize_random_fibers_satisfy_bracket():
 def test_contraction_rows_shape():
     rows = contraction_rows(contracted_induced(1, 1), 0, 3)
     assert [r[0] for r in rows] == [0, 1, 2, 3]
-    assert rows[2][2] == Laurent.const(1)
-    assert rows[2][3] == Laurent.z_power(1, -6)
+    assert rows[2][2] == str(Laurent.const(1))
+    assert rows[2][3] == str(Laurent.z_power(1, -6))
 
 
 def test_weights_read_off_h():

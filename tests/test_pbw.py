@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from hclat import pbw
 from hclat.zforms import ZERO_MAT, make_zform, mat_add, mat_mul, mat_scale, realization
 
@@ -189,3 +190,50 @@ def test_normal_form_matches_realization():
                 gen, s = item if isinstance(item, tuple) else (item, 1)
                 direct = mat_mul(direct, mat_scale(s, images[gen]))
             assert _evaluate(pbw.normal_form(word, g), images) == direct, (n, m, q, word)
+
+
+# -- integer coefficients against the Fraction rewriting ------------------------
+
+
+def _random_word(rng, scalars):
+    """A word of up to eight generators; with scalars, some items carry a
+    rational (or integral Fraction, or int) scalar."""
+    word = []
+    for _ in range(rng.randint(0, 8)):
+        gen = rng.choice("EFH")
+        if scalars and rng.random() < 0.4:
+            rational = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            gen = (gen, rng.choice((rational, rng.randint(-3, 3))))
+        word.append(gen)
+    return word
+
+
+@pytest.mark.parametrize("scalars", [False, True])
+def test_integer_rewriting_matches_fraction_reference(scalars):
+    rng = random.Random(1600 + scalars)
+    for n, m in [(1, 1), (2, 1), (1, 3), (3, 2), (4, 5)]:
+        g = make_zform(n, m, 1)
+        for _ in range(80):
+            word = _random_word(rng, scalars)
+            got = pbw.normal_form(word, g)
+            assert got == reference.normal_form(word, n, m), (n, m, word)
+            # one generator at a time, on an element with several terms
+            for gen in "EFH":
+                assert pbw.left_mul_gen(gen, got, n, m) == reference.left_mul_gen(gen, got, n, m)
+
+
+def test_words_without_rational_scalars_stay_integer():
+    rng = random.Random(1602)
+    for n, m in [(1, 1), (2, 3), (3, 2)]:
+        g = make_zform(n, m, 1)
+        for _ in range(80):
+            word = [item if rng.random() < 0.7 else (item, rng.randint(-3, 3))
+                    for item in _random_word(rng, False)]
+            x, y = pbw.normal_form(word, g), pbw.normal_form(_random_word(rng, False), g)
+            for elem in (x, pbw.mul(x, y, g), pbw.scale(x, -2), pbw.add(x, pbw.one())):
+                assert all(type(c) is int for c in elem.values()), (word, elem)
+    assert type(pbw.monomial(1, 0, 2, 3)[(1, 0, 2)]) is int
+    # a rational scalar makes the coefficients Fractions, equal where integral
+    half = pbw.normal_form([("E", Fraction(1, 2)), "F"], make_zform(1, 2, 1))
+    assert half == {(1, 0, 1): Fraction(1, 2), (0, 1, 0): 1}
+    assert all(type(c) is Fraction for c in half.values())

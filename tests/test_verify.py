@@ -1,6 +1,7 @@
 """The invariant suites: all pass on a healthy build, documented findings
 are labeled, and a corrupted build turns into a hard failure."""
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,14 @@ def _raised_at(func, offset):
     return f"{func.__name__} at {Path(__file__).name}:{func.__code__.co_firstlineno + offset}"
 
 
+def _called_at(check, callee):
+    """The call site the runner names for a raise below callee: the first
+    line of the check, in verify.py, that calls it."""
+    lines, first = inspect.getsourcelines(check)
+    offset = next(i for i, line in enumerate(lines) if f"{callee}(" in line)
+    return f"{check.__name__} at {Path(verify.__file__).name}:{first + offset}"
+
+
 def _cli_table(capsys, suite):
     code = main(["verify", "--suite", suite, "--format", "table"])
     out, err = capsys.readouterr()
@@ -190,7 +199,8 @@ def test_raising_decomposition_reports_fail_not_traceback(monkeypatch, capsys):
         {
             "iwasawa_reexpansion": "iwasawa_reexpansion: fail "
             "(ValueError: decomposing E in the frame of q needs 1/7, "
-            f"in {_raised_at(inconsistent, 1)})"
+            f"in {_raised_at(inconsistent, 1)}, "
+            f"from {_called_at(verify._iwasawa_reexpansion, 'iwasawa_decompose')})"
         },
     )
 
@@ -213,10 +223,13 @@ def test_raising_lattice_builder_keeps_the_report(monkeypatch, capsys):
     assert lines == _pinned_lines(
         "borelweil",
         {
-            name: f"{name}: fail (ValueError: boom, in {_raised_at(boom, 1)})"
+            name: f"{name}: fail (ValueError: boom, in {_raised_at(boom, 1)}, "
+            f"from {_called_at(getattr(verify, '_' + name), 'maximal_lattice')})"
             for name in callers
         },
     )
+    # the call sites tell the five checks apart
+    assert len({line.rsplit("from ", 1)[1] for line in lines if "boom" in line}) == 5
 
 
 def test_weight_multiplicity_one_fails_on_wrong_weights(monkeypatch):

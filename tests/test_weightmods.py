@@ -270,7 +270,7 @@ def test_module_rows_window():
     pro = wm.produced_module(g, 2)
     rows = wm.module_rows(pro, -2, 2)
     assert [r[0] for r in rows] == [0, 1, 2]
-    assert rows[0] == [0, 2, Fraction(-4), Fraction(0), Fraction(2)]
+    assert rows[0] == [0, 2, str(Fraction(-4)), str(Fraction(0)), str(Fraction(2))]
 
 
 # -- coefficient polynomials ----------------------------------------------------
