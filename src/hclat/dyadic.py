@@ -52,30 +52,39 @@ def _validate(variant: str, n: int, m: int, eps, mu) -> tuple:
     return eps, mu
 
 
+def _criterion(variant: str, n: int, m: int, eps: Fraction, mu: Fraction):
+    """(nonzero, boundary) for validated arguments.  The q support ends at
+    the top index -mu/2nm - eps and the qp support at the bottom index
+    mu/2nm - eps; the model is nonzero exactly when that index is an
+    integer.  qpp has no boundary, and is nonzero exactly for even mu."""
+    if variant == "qpp":
+        return mu % 2 == 0, None
+    boundary = (-mu if variant == "q" else mu) / (2 * n * m) - eps
+    if boundary.denominator != 1:
+        return False, None
+    return True, int(boundary)
+
+
 def nonvanishing(variant: str, n: int, m: int, eps, mu) -> bool:
     """Whether the integral model is nonzero for these parameters."""
-    eps, mu = _validate(variant, n, m, eps, mu)
-    if variant == "q":
-        return (mu / (2 * n * m) + eps).denominator == 1
-    if variant == "qp":
-        return (mu / (2 * n * m) - eps).denominator == 1
-    return mu % 2 == 0
+    return _criterion(variant, n, m, *_validate(variant, n, m, eps, mu))[0]
+
+
+def _boundary(variant: str, n: int, m: int, eps, mu) -> int:
+    nonzero, boundary = _criterion(variant, n, m, rat(eps), rat(mu))
+    if not nonzero:
+        raise ValueError("support boundary is not integral; criterion fails")
+    return boundary
 
 
 def top_index(n: int, m: int, eps, mu) -> int:
     """Top of the q-variant support: p = -mu/2nm - eps."""
-    value = -rat(mu) / (2 * n * m) - rat(eps)
-    if value.denominator != 1:
-        raise ValueError("support boundary is not integral; criterion fails")
-    return int(value)
+    return _boundary("q", n, m, eps, mu)
 
 
 def bottom_index(n: int, m: int, eps, mu) -> int:
     """Bottom of the qp-variant support: p = mu/2nm - eps."""
-    value = rat(mu) / (2 * n * m) - rat(eps)
-    if value.denominator != 1:
-        raise ValueError("support boundary is not integral; criterion fails")
-    return int(value)
+    return _boundary("qp", n, m, eps, mu)
 
 
 def _digit_sums(sign: int, boundary: int, window) -> dict:
@@ -92,10 +101,9 @@ def _digit_sums(sign: int, boundary: int, window) -> dict:
 
 def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the q-variant integral model."""
-    eps, mu = _validate("q", n, m, eps, mu)
-    if not nonvanishing("q", n, m, eps, mu):
+    nonzero, top = _criterion("q", n, m, *_validate("q", n, m, eps, mu))
+    if not nonzero:
         raise ValueError("criterion fails: the q-variant model vanishes")
-    top = top_index(n, m, eps, mu)
     if p > top:
         raise ValueError(f"index above top weight: p = {p} > {top}")
     return (top - p).bit_count()
@@ -103,10 +111,9 @@ def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
 
 def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the qp-variant integral model."""
-    eps, mu = _validate("qp", n, m, eps, mu)
-    if not nonvanishing("qp", n, m, eps, mu):
+    nonzero, bottom = _criterion("qp", n, m, *_validate("qp", n, m, eps, mu))
+    if not nonzero:
         raise ValueError("criterion fails: the qp-variant model vanishes")
-    bottom = bottom_index(n, m, eps, mu)
     if p < bottom:
         raise ValueError(f"index below bottom weight: p = {p} < {bottom}")
     return (p - bottom).bit_count()
@@ -291,16 +298,15 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
     """Assemble nonvanishing, support, and windowed exponents."""
     eps, mu = _validate(variant, n, m, eps, mu)
     lo, hi = window
-    if not nonvanishing(variant, n, m, eps, mu):
+    nonzero, boundary = _criterion(variant, n, m, eps, mu)
+    if not nonzero:
         return LatticeReport(variant, n, m, eps, mu, False, None, {}, window)
     if variant == "q":
-        top = top_index(n, m, eps, mu)
-        support = Support("le", top)
-        exponents = _digit_sums(1, top, window)
+        support = Support("le", boundary)
+        exponents = _digit_sums(1, boundary, window)
     elif variant == "qp":
-        bottom = bottom_index(n, m, eps, mu)
-        support = Support("ge", bottom)
-        exponents = _digit_sums(-1, bottom, window)
+        support = Support("ge", boundary)
+        exponents = _digit_sums(-1, boundary, window)
     else:
         support = Support("all")
         exponents = dict.fromkeys(range(lo, hi + 1), 0)

@@ -2,16 +2,23 @@
 componentwise products, homogeneous parts of graded maps, and the smash
 product with an enveloping algebra.
 
+Elements are plain dicts keyed by normalized characters, as PBW elements
+are: an R(T) element is {lambda: coefficient}, and an element of
+U(g) # R(T) is {lambda: PBW dict}, each the sum of its terms a (x) p_lambda.
+The constructors normalize their key, and the products keep the keys of
+their normalized arguments.  An element does not carry its algebra: the
+form g and the character lattice are arguments of the product, as g is of
+pbw.mul.
+
 Only finitely supported elements are ever materialized; windowed evaluation
 stands in for the full product of lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pbw
-from .scalars import rat
 
 
 @dataclass(frozen=True)
@@ -44,49 +51,14 @@ def cyclic(order: int) -> CharacterLattice:
     return CharacterLattice("Z/n", order)
 
 
-@dataclass
-class HeckeElement:
-    """A finitely supported element of R(T) = (+) k p_lambda."""
-
-    lattice: CharacterLattice
-    support: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for lam, c in self.support.items():
-            key = self.lattice.normalize(lam)
-            total = clean.get(key, 0) + c
-            if total == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = total
-        self.support = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.lattice == other.lattice
-            and self.support == other.support
-        )
+def p(lam: int, lattice: CharacterLattice = INTEGERS) -> dict:
+    """The projection p_lambda as an element {lambda: 1} of R(T)."""
+    return {lattice.normalize(lam): 1}
 
 
-def p(lam: int, lattice: CharacterLattice = INTEGERS) -> HeckeElement:
-    return HeckeElement(lattice, {lam: rat(1)})
-
-
-def hecke_mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+def hecke_mul(x: dict, y: dict) -> dict:
     """Componentwise product: R(T) is a product of base-ring copies."""
-    _same_lattice(x, y)
-    out = {}
-    for lam, c in x.support.items():
-        if lam in y.support:
-            out[lam] = c * y.support[lam]
-    return HeckeElement(x.lattice, out)
-
-
-def _same_lattice(x, y):
-    if x.lattice != y.lattice:
-        raise ValueError("elements live over different character lattices")
+    return {lam: c * y[lam] for lam, c in x.items() if lam in y}
 
 
 # -- graded vectors -------------------------------------------------------
@@ -120,64 +92,28 @@ def hom_component(f: dict, nu: int, lattice: CharacterLattice = INTEGERS) -> dic
 # -- smash product --------------------------------------------------------
 
 
-@dataclass
-class SmashElement:
-    """An element of U(g) # R(T): finitely many terms a (x) p_lambda."""
-
-    zform: object
-    lattice: CharacterLattice
-    terms: dict = field(default_factory=dict)  # normalized lambda -> UEAElement
-
-    def __post_init__(self):
-        clean = {}
-        for lam, elem in self.terms.items():
-            key = self.lattice.normalize(lam)
-            merged = pbw.add(clean.get(key, {}), elem)
-            if merged:
-                clean[key] = merged
-            else:
-                clean.pop(key, None)
-        self.terms = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SmashElement)
-            and self.zform == other.zform
-            and self.lattice == other.lattice
-            and self.terms == other.terms
-        )
+def smash(a: dict, lam: int, lattice: CharacterLattice = INTEGERS) -> dict:
+    """The element a (x) p_lambda of U(g) # R(T)."""
+    return {lattice.normalize(lam): dict(a)} if a else {}
 
 
-def smash(a: dict, lam: int, g, lattice: CharacterLattice = INTEGERS) -> SmashElement:
-    return SmashElement(g, lattice, {lam: dict(a)})
+def smash_mul(x: dict, y: dict, g, lattice: CharacterLattice = INTEGERS) -> dict:
+    """(a (x) p_lambda)(b (x) p_mu) = a.p_(lambda-mu)b (x) p_mu, bilinearly.
 
-
-def _adjoint_component(elem: dict, residue: int, g, lattice: CharacterLattice) -> dict:
-    """Monomials of elem whose adjoint weight restricts to the residue."""
-    residue = lattice.normalize(residue)
-    return {
-        key: c
-        for key, c in elem.items()
-        if lattice.normalize(g.n * (key[2] - key[0])) == residue
-    }
-
-
-def smash_mul(x: SmashElement, y: SmashElement) -> SmashElement:
-    """(a (x) p_lambda)(b (x) p_mu) = a.p_(lambda-mu)b (x) p_mu, bilinearly."""
-    _same_smash_algebra(x, y)
-    g, lattice = x.zform, x.lattice
-    out: dict = {}
-    for lam, a in x.terms.items():
-        for mu, b in y.terms.items():
-            component = _adjoint_component(b, lam - mu, g, lattice)
-            if not component:
-                continue
-            prod = pbw.mul(a, component, g)
-            if prod:
-                out[mu] = pbw.add(out.get(mu, {}), prod)
-    return SmashElement(g, lattice, out)
-
-
-def _same_smash_algebra(x, y):
-    if x.zform != y.zform or x.lattice != y.lattice:
-        raise ValueError("smash elements live over different algebras")
+    p_(lambda-mu)b keeps the monomials F^i H^j E^k of b whose adjoint
+    weight n(k - i) restricts to lambda - mu.
+    """
+    out = {}
+    for mu, b in y.items():
+        parts: dict = {}
+        for key, c in b.items():
+            weight = lattice.normalize(g.n * (key[2] - key[0]))
+            parts.setdefault(weight, {})[key] = c
+        total: dict = {}
+        for lam, a in x.items():
+            part = parts.get(lattice.normalize(lam - mu))
+            if part:
+                total = pbw.add(total, pbw.mul(a, part, g))
+        if total:
+            out[mu] = total
+    return out

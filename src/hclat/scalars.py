@@ -204,46 +204,35 @@ class Laurent:
     def __repr__(self):
         return f"Laurent({self})"
 
+    # one signed term: a coefficient, z with an exponent, or both, with an
+    # optional "*" between them; whitespace may surround the sign and "*"
     _TERM = re.compile(
-        r"^([+-]?\d+(?:/\d+)?|[+-])?\*?(z(?:\^([+-]?\d+))?)?$"
+        r"\s*([+-]?)\s*(?:(\d+)(?:/(\d+))?)?(?:\s*(\*)?\s*(z)(?:\^([+-]?\d+))?)?\s*"
     )
 
     @classmethod
     def parse(cls, text: str) -> "Laurent":
-        """Parse strings like "1/2", "z", "-2*z^-1 + 3", "2z^2 - z"."""
+        """Parse strings like "1/2", "z", "-2*z^-1 + 3", "2z^2 - z".
+
+        Every term after the first needs its sign, and any character no
+        term consumes raises ValueError, as do a bare sign and a zero
+        denominator.
+        """
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial string")
-        # split into signed terms at top-level +/-
-        terms = re.findall(r"[+-]?[^+-]+(?:\^[+-]?\d+)?", s.replace(" ", ""))
-        # the findall above can split inside z^-1; re-join fragments that
-        # start right after a '^'
-        joined, buf = [], ""
-        for piece in terms:
-            if buf.endswith("^"):
-                buf += piece
-            else:
-                if buf:
-                    joined.append(buf)
-                buf = piece
-        if buf:
-            joined.append(buf)
-        out = Laurent()
-        for term in joined:
-            mo = cls._TERM.match(term.replace(" ", ""))
-            if not mo or (mo.group(1) is None and mo.group(2) is None):
-                raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
-            coeff_s, zpart, exp_s = mo.groups()
-            if coeff_s in (None, "+", "-"):
-                coeff = Fraction(1 if coeff_s != "-" else -1)
-            else:
-                coeff = Fraction(coeff_s)
-            if zpart is None:
-                exp = 0
-            else:
-                exp = int(exp_s) if exp_s is not None else 1
-            out = out + Laurent({exp: coeff})
-        return out
+        coeffs, pos = {}, 0
+        while pos < len(s):
+            mo = cls._TERM.match(s, pos)
+            sign, num, den, star, z, exp = mo.groups()
+            unsigned = pos and not sign  # only the first term may omit its sign
+            if unsigned or not (num or z) or (star and not num) or den and not int(den):
+                raise ValueError(f"cannot parse polynomial {text!r} at {s[pos:]!r}")
+            coeff = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+            key = (int(exp) if exp else 1) if z else 0
+            coeffs[key] = coeffs.get(key, 0) + (-coeff if sign == "-" else coeff)
+            pos = mo.end()
+        return Laurent(coeffs)
 
 
 def as_laurent(x) -> Laurent:

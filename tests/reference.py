@@ -12,11 +12,17 @@ differential tests.
   out on its own).
 - PBW rewriting in Fractions.  ``pbw.left_mul_gen`` multiplies by integer
   structure constants; ``left_mul_gen`` here builds each one as a Fraction.
+- The smash product through element objects.  ``hecke.smash_mul`` takes
+  plain term dicts and builds its result once; ``SmashElement`` here
+  re-normalizes and merges every term of every element it builds, and
+  ``smash_mul`` filters the right factor once per pair of terms.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from hclat import pbw
 from hclat.scalars import Laurent
 
 
@@ -134,3 +140,49 @@ def normal_form(word, n: int, m: int) -> dict:
         s = Fraction(s)
         elem = {k: v * s for k, v in left_mul_gen(gen, elem, n, m).items() if s}
     return elem
+
+
+@dataclass
+class SmashElement:
+    """An element of U(g) # R(T): finitely many terms a (x) p_lambda, its
+    lambdas normalized and merged, zero terms dropped, on construction."""
+
+    zform: object
+    lattice: object
+    terms: dict = field(default_factory=dict)  # normalized lambda -> PBW dict
+
+    def __post_init__(self):
+        clean = {}
+        for lam, elem in self.terms.items():
+            key = self.lattice.normalize(lam)
+            merged = pbw.add(clean.get(key, {}), elem)
+            if merged:
+                clean[key] = merged
+            else:
+                clean.pop(key, None)
+        self.terms = clean
+
+
+def _adjoint_component(elem: dict, residue: int, g, lattice) -> dict:
+    """Monomials of elem whose adjoint weight restricts to the residue."""
+    residue = lattice.normalize(residue)
+    return {
+        key: c
+        for key, c in elem.items()
+        if lattice.normalize(g.n * (key[2] - key[0])) == residue
+    }
+
+
+def smash_mul(x: SmashElement, y: SmashElement) -> SmashElement:
+    """(a (x) p_lambda)(b (x) p_mu) = a.p_(lambda-mu)b (x) p_mu, bilinearly."""
+    g, lattice = x.zform, x.lattice
+    out: dict = {}
+    for lam, a in x.terms.items():
+        for mu, b in y.terms.items():
+            component = _adjoint_component(b, lam - mu, g, lattice)
+            if not component:
+                continue
+            prod = pbw.mul(a, component, g)
+            if prod:
+                out[mu] = pbw.add(out.get(mu, {}), prod)
+    return SmashElement(g, lattice, out)

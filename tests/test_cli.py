@@ -258,6 +258,15 @@ def test_usage_error_eps_residue(capsys):
     assert "dividing n = 2" in err
 
 
+@pytest.mark.parametrize("mu", ["--z", "*z", "++1", "+", "1/0z"])
+def test_usage_error_malformed_polynomial(capsys, mu):
+    argv = ["contract", "--kind", "ps", "--eps", "0", f"--mu={mu}", "--window", "0:1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "cannot parse polynomial" in capsys.readouterr().err
+
+
 def test_usage_error_bad_window():
     with pytest.raises(SystemExit) as exc:
         main(["module", "--kind", "ind", "--lambda", "1", "--window", "3:1"])

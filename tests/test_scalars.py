@@ -64,6 +64,31 @@ def test_laurent_parse_round_trip():
         assert Laurent.parse(str(p)) == p
 
 
+@pytest.mark.parametrize(
+    "text, coeffs",
+    [
+        ("-2*z^-1 + 3", {-1: -2, 0: 3}),
+        ("2z^2 - z", {2: 2, 1: -1}),
+        ("1/2z", {1: Fraction(1, 2)}),
+        ("z^-2+5z", {-2: 1, 1: 5}),
+        ("1-z^-2", {0: 1, -2: -1}),
+        (" +3 * z^+2 - 5/3 ", {2: 3, 0: Fraction(-5, 3)}),
+        ("z - z", {}),
+    ],
+)
+def test_laurent_parse_values(text, coeffs):
+    assert Laurent.parse(text) == Laurent(coeffs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["--z", "*z", "++1", "+", "-", "1+", "1/0z", "1/0", "3*", "1 2", "z^", "2z3", "z z", "1.5"],
+)
+def test_laurent_parse_rejects_what_it_does_not_consume(text):
+    with pytest.raises(ValueError):
+        Laurent.parse(text)
+
+
 def test_laurent_product_matches_evaluation():
     """Multiplying then evaluating agrees with evaluating then multiplying."""
     rng = random.Random(3)
