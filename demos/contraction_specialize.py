@@ -7,8 +7,8 @@ from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
 
 lau = Laurent.parse
 
-# the contracted algebra keeps z as a formal parameter; its bracket carries
-# a parity bump and phi matches it against sl2 after clearing z
+# the contracted algebra keeps z as a formal parameter; its bracket is that
+# of g_{2,z}, and phi matches it against sl2 after clearing z
 print("phi preserves the bracket:", contraction.phi_preserves_bracket() == [])
 print()
 

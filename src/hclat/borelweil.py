@@ -154,8 +154,10 @@ def check_lattice_axioms(L: FiniteLattice) -> list:
 def ladder_lattice(lam: int, n: int) -> FiniteLattice:
     """Rank lam+2n+1 lattice on v_{lam+2n-2i} with E v_(i) = (lam+2n-i+1)
     v_(i-1) and F v_(i) = (i+1) v_(i+1)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
     w = lam + 2 * n
-    if w < 0 or n < 0:
+    if w < 0:
         raise ValueError(f"lam + 2n = {w} must be nonnegative")
     return FiniteLattice([w - 2 * i for i in range(w + 1)],
                          [0] + [w - i + 1 for i in range(1, w + 1)],

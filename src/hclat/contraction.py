@@ -172,8 +172,7 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
     roots = []
     for p in range(lo, hi + 1):
         for gen in ("e", "f"):
-            _, poly = M.actions[gen]
-            if not poly(p):
+            if not M.coefficient(gen, p):
                 roots.append((gen, p))
     return roots
 
@@ -195,8 +194,7 @@ def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
     failures = []
     for p in range(lo, hi + 1):
         for gen in GENERATORS:
-            _, poly = M.actions[gen]
-            if not in_ring(poly(p), POLY):
+            if not in_ring(M.coefficient(gen, p), POLY):
                 failures.append((gen, p))
     return {
         "closed": not failures,
@@ -230,62 +228,34 @@ def specialize(M: WeightModule, c) -> WeightModule:
 
 
 def specialize_matches(specialized: WeightModule, reference: WeightModule, window) -> bool:
-    """Whether a diagonal change of basis identifies the two modules.
+    """Whether a diagonal change of basis identifies the two modules on
+    the window lo..hi.
 
-    The gauge is forced by the E-chain (or the F-chain across E-zeros)
-    from the anchor index; every action of every generator is then checked
-    against it on the window.  Supports must agree there too.
+    A gauge g multiplies E(p) by g(p+1)/g(p) and divides F(p+1) by the
+    same ratio, so H, the zero sets of E and F and the product E(p)F(p+1)
+    are invariants, and no two edges constrain each other.  The modules
+    match exactly when the shifts are E +1, F -1, H 0 on both, and the
+    supports and these invariants agree at every window index and on
+    every edge inside the window.
     """
+    S, R = specialized, reference
+    for M in (S, R):
+        if [M.actions.get(gen, (None,))[0] for gen in "EFH"] != [1, -1, 0]:
+            return False
     lo, hi = window
     for p in range(lo, hi + 1):
-        if specialized.support.contains(p) != reference.support.contains(p):
+        if S.support.contains(p) != R.support.contains(p):
             return False
-    indices = [p for p in range(lo, hi + 1) if reference.support.contains(p)]
-    if not indices:
-        return True
-    anchor = 0 if reference.support.contains(0) else indices[0]
-    gauge = {anchor: rat(1)}
-    p = anchor
-    while p + 1 <= indices[-1]:
-        step = _gauge_step(specialized, reference, p, gauge[p], 1)
-        if step is None:
+        if S.coefficient("H", p) != R.coefficient("H", p):
             return False
-        gauge[p + 1] = step
-        p += 1
-    p = anchor
-    while p - 1 >= indices[0]:
-        step = _gauge_step(specialized, reference, p, gauge[p], -1)
-        if step is None:
-            return False
-        gauge[p - 1] = step
-        p -= 1
-    for p in indices:
-        for gen in ("E", "F", "H"):
-            hits_s, hits_r = specialized.act_gen(gen, p), reference.act_gen(gen, p)
-            if [t for t, _ in hits_s] != [t for t, _ in hits_r]:
+        for gen in ("E", "F"):
+            if (S.coefficient(gen, p) == 0) != (R.coefficient(gen, p) == 0):
                 return False
-            for (target, a), (_, A) in zip(hits_s, hits_r):
-                if target in gauge and a * gauge[target] != A * gauge[p]:
-                    return False
-    return True
-
-
-def _gauge_step(S, R, p, base, step):
-    """The gauge at p + step from the one at p, by the X-chain at p or,
-    across its zero, by the Y-chain at p + step: (X, Y) is (E, F) going
-    up and (F, E) going down."""
-    x, y = ("E", "F") if step == 1 else ("F", "E")
-    a, A = S.coefficient(x, p), R.coefficient(x, p)
-    if (a == 0) != (A == 0):
-        return None
-    if a != 0:
-        return base * A / a
-    b, B = S.coefficient(y, p + step), R.coefficient(y, p + step)
-    if (b == 0) != (B == 0):
-        return None
-    if b != 0:
-        return base * b / B
-    return base
+    return all(
+        S.coefficient("E", p) * S.coefficient("F", p + 1)
+        == R.coefficient("E", p) * R.coefficient("F", p + 1)
+        for p in range(lo, hi)
+    )
 
 
 def contraction_rows(M: WeightModule, lo: int, hi: int) -> list:

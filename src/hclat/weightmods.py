@@ -198,28 +198,18 @@ class WeightModule:
         """Generator names in table-column order."""
         return tuple(self.actions)
 
-    def weight(self, p: int) -> int:
-        """The T^1-exponent of the basis vector at p, read off the Cartan
-        action: H(p), or (n/2)h(p) over the contraction, where H = (n/2)h."""
-        return _weights(self, (p,))[0]
-
-    def act_gen(self, gen: str, p: int):
-        """Action of one generator on the basis vector at index p."""
-        if self.vanishing_reason is not None or not self.support.contains(p):
-            return []
-        shift, poly = self.actions[gen]
-        target = p + shift
-        if not self.support.contains(target):
-            return []
-        c = poly(p)
-        if not c:
-            return []
-        return [(target, c)]
-
     def coefficient(self, gen: str, p: int):
-        """The printed coefficient: action coefficient after clipping."""
-        hits = self.act_gen(gen, p)
-        return hits[0][1] if hits else rat(0)
+        """The scalar by which gen sends the basis vector at p to the one at
+        p + shift: 0 on the zero module, or when p or p + shift leaves the
+        support."""
+        shift, poly = self.actions[gen]
+        if (
+            self.vanishing_reason is not None
+            or not self.support.contains(p)
+            or not self.support.contains(p + shift)
+        ):
+            return rat(0)
+        return poly(p) or rat(0)
 
     def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
         """Copy with one generator's action replaced (for negative controls)."""
@@ -241,18 +231,6 @@ def _weights(M: WeightModule, indices) -> list:
     return [
         sum(v * num // (d * den) for e, v, d in terms(p) if e == 0) for p in indices
     ]
-
-
-def apply_vector(M: WeightModule, gen: str, vec: dict) -> dict:
-    out = {}
-    for p, c in vec.items():
-        for p2, c2 in M.act_gen(gen, p):
-            total = out.get(p2, 0) + c2 * c
-            if not total:
-                out.pop(p2, None)
-            else:
-                out[p2] = total
-    return out
 
 
 # -- the explicit families -------------------------------------------------
@@ -379,31 +357,23 @@ def _proof(M: WeightModule, relation) -> tuple:
 
 
 def _failures_at(M: WeightModule, p: int, relations) -> list:
-    """The relations evaluated on the basis vector at p, with clipping."""
-    v = {p: rat(1)}
-    image = {gen: apply_vector(M, gen, v) for gen in M.actions}
+    """The relations evaluated on the basis vector at p, with clipping:
+    [X, Y] v_p = (X(p+s_Y)Y(p) - Y(p+s_X)X(p)) v_{p+s_X+s_Y} against
+    c*T v_p = c*T(p) v_{p+s_T}, each discrepancy keyed by its index."""
+    at = M.coefficient
     failures = []
     for label, x, y, target, c in relations:
-        bracket = _sub_vec(apply_vector(M, x, image[y]), apply_vector(M, y, image[x]))
-        diff = _sub_vec(bracket, _scale_vec(image[target], c))
+        s_x, s_y, s_t = (M.actions[gen][0] for gen in (x, y, target))
+        bracket = at(x, p + s_y) * at(y, p) - at(y, p + s_x) * at(x, p)
+        scaled = c * at(target, p)
+        if s_t == s_x + s_y:
+            terms = ((p + s_t, bracket - scaled),)
+        else:
+            terms = ((p + s_x + s_y, bracket), (p + s_t, -scaled))
+        diff = {q: d for q, d in terms if d}
         if diff:
             failures.append((p, label, diff))
     return failures
-
-
-def _scale_vec(vec, c):
-    return {p: c * s for p, s in vec.items() if c * s}
-
-
-def _sub_vec(x, y):
-    out = dict(x)
-    for p, c in y.items():
-        total = out.get(p, 0) - c
-        if not total:
-            out.pop(p, None)
-        else:
-            out[p] = total
-    return out
 
 
 def module_rows(M: WeightModule, lo: int, hi: int) -> list:

@@ -5,11 +5,18 @@ differential tests.
   presentations in closed form (``zforms._solve_pair``) and its lattices
   by weight lines (``borelweil.RowLattice``); ``rref`` is the general
   elimination both are checked against.
+- Actions as lists of hits.  ``WeightModule.coefficient`` is the one
+  per-index read of a module; ``act_gen`` here returns the clipped image
+  of one basis vector as a list of (target, coefficient) pairs, the
+  general sparse-vector route the windowed axiom check is built on.
 - Window tables cell by cell.  ``weightmods.module_rows`` computes a
   generator column at a time in integers; ``module_rows`` here asks the
-  module for each cell through ``act_gen`` and prints it with ``str()``
-  (``laurent_text`` for Laurent polynomials, the printing rule written
-  out on its own).
+  module for each cell through ``coefficient`` and prints it with
+  ``str()`` (``laurent_text`` for Laurent polynomials, the printing rule
+  written out on its own).
+- Specialization by a gauge walk.  ``contraction.specialize_matches``
+  compares gauge invariants; ``specialize_matches`` here builds the gauge
+  index by index from an anchor and checks every action against it.
 - PBW rewriting in Fractions.  ``pbw.left_mul_gen`` multiplies by integer
   structure constants; ``left_mul_gen`` here builds each one as a Fraction.
 - The smash product through element objects.  ``hecke.smash_mul`` takes
@@ -68,6 +75,87 @@ def solve(vectors, target):
     return coeffs
 
 
+def act_gen(M, gen: str, p: int) -> list:
+    """The image of the basis vector at p under one generator, as a list
+    of (target, coefficient) hits: empty on the zero module, off the
+    support at either end, or where the coefficient vanishes."""
+    if M.vanishing_reason is not None or not M.support.contains(p):
+        return []
+    shift, poly = M.actions[gen]
+    target = p + shift
+    if not M.support.contains(target):
+        return []
+    c = poly(p)
+    return [(target, c)] if c else []
+
+
+def _coefficient(M, gen: str, p: int):
+    hits = act_gen(M, gen, p)
+    return hits[0][1] if hits else Fraction(0)
+
+
+def specialize_matches(specialized, reference, window) -> bool:
+    """Whether a diagonal change of basis identifies the two modules.
+
+    The gauge is forced by the E-chain (or the F-chain across E-zeros)
+    from the anchor index, 0 when the reference supports it and else the
+    first supported window index; every action of every generator is then
+    checked against it on the window.  Supports must agree there too.
+    With 0 supported but outside the window, the walk reads coefficients
+    the window leaves out.
+    """
+    lo, hi = window
+    for p in range(lo, hi + 1):
+        if specialized.support.contains(p) != reference.support.contains(p):
+            return False
+    indices = [p for p in range(lo, hi + 1) if reference.support.contains(p)]
+    if not indices:
+        return True
+    anchor = 0 if reference.support.contains(0) else indices[0]
+    gauge = {anchor: Fraction(1)}
+    p = anchor
+    while p + 1 <= indices[-1]:
+        step = _gauge_step(specialized, reference, p, gauge[p], 1)
+        if step is None:
+            return False
+        gauge[p + 1] = step
+        p += 1
+    p = anchor
+    while p - 1 >= indices[0]:
+        step = _gauge_step(specialized, reference, p, gauge[p], -1)
+        if step is None:
+            return False
+        gauge[p - 1] = step
+        p -= 1
+    for p in indices:
+        for gen in ("E", "F", "H"):
+            hits_s, hits_r = act_gen(specialized, gen, p), act_gen(reference, gen, p)
+            if [t for t, _ in hits_s] != [t for t, _ in hits_r]:
+                return False
+            for (target, a), (_, A) in zip(hits_s, hits_r):
+                if target in gauge and a * gauge[target] != A * gauge[p]:
+                    return False
+    return True
+
+
+def _gauge_step(S, R, p, base, step):
+    """The gauge at p + step from the one at p, by the X-chain at p or,
+    across its zero, by the Y-chain at p + step: (X, Y) is (E, F) going
+    up and (F, E) going down."""
+    x, y = ("E", "F") if step == 1 else ("F", "E")
+    a, A = _coefficient(S, x, p), _coefficient(R, x, p)
+    if (a == 0) != (A == 0):
+        return None
+    if a != 0:
+        return base * A / a
+    b, B = _coefficient(S, y, p + step), _coefficient(R, y, p + step)
+    if (b == 0) != (B == 0):
+        return None
+    if b != 0:
+        return base * b / B
+    return base
+
+
 def laurent_text(x: Laurent) -> str:
     """A Laurent polynomial as text, ascending in the exponent:
     "-2*z^-1 + 1/2 - z", "0" for zero."""
@@ -85,7 +173,7 @@ def laurent_text(x: Laurent) -> str:
 
 def module_rows(M, lo: int, hi: int) -> list:
     """[index, weight, printed coefficient per generator] per supported
-    index, one act_gen call per cell; the weight is H(p), or (n/2)h(p)
+    index, one coefficient call per cell; the weight is H(p), or (n/2)h(p)
     over the contraction."""
     if M.vanishing_reason is not None:
         return []

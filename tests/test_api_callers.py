@@ -1,14 +1,19 @@
 """No public API that only tests call.
 
 Every public module-level function and class of ``src/hclat``, and every
-public method of those classes, must occur as a word somewhere a user of
-the library would reach it: in ``src/`` outside its own definition, in
-``demos/`` or in ``perfbench/``.  Names that only tests and library users
-call stay on a short allowlist, each with its reason.
+public method of those classes, must be read somewhere a user of the
+library would reach it: in ``src/`` outside its own definition, in
+``demos/`` or in ``perfbench/``.  A read is a name in the syntax tree: a
+bare name, an attribute after a dot, or a ``from ... import`` of it; a
+word in a comment or a docstring is not a read.  A method also counts as
+read when its dotted ``Class.name`` occurs in ``perfbench/``, where the
+tracer resolves names such as ``RowLattice.coordinates`` from strings.
+Names that only tests and library users call stay on a short allowlist,
+each with its reason.
 
-Every private module-level function must occur as a word in ``src/``
-outside its own definition: a helper nothing calls, or a verify check
-that no suite lists, is dead code.
+Every private module-level function must be read in ``src/`` outside its
+own definition: a helper nothing calls, or a verify check that no suite
+lists, is dead code.
 
 Every parameter of every function and lambda in ``src/hclat``, except
 ``self`` and ``cls``, must be read in that function's body: a parameter
@@ -50,27 +55,51 @@ def _private_functions(tree):
                 yield node.name, node
 
 
+def _reads(tree):
+    """(name, is_attribute, line) of each name the tree reads: bare
+    names, attributes after a dot and the names of ``from ... import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, False, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, True, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, False, node.lineno
+
+
 def _unreferenced(defs, folders=()):
-    """The names of ``defs`` that occur nowhere outside their own definition:
-    not in the rest of their module, another module of ``src/hclat``, or a
-    script in ``folders``."""
-    texts = {path: path.read_text() for path in SRC}
-    outside = "\n".join(
-        path.read_text()
+    """The names of ``defs`` that nothing reads outside their own
+    definition: not the rest of their module, another module of
+    ``src/hclat``, or a script in ``folders``.  A method is read only as
+    an attribute, or where ``perfbench/`` names it as ``Class.name``."""
+    trees = {path: ast.parse(path.read_text()) for path in SRC}
+    reads = [
+        (name, attribute, path, line)
+        for path, tree in trees.items()
+        for name, attribute, line in _reads(tree)
+    ]
+    reads += [
+        (name, attribute, path, 0)
         for folder in folders
         for path in sorted((ROOT / folder).glob("*.py"))
-    )
+        for name, attribute, _ in _reads(ast.parse(path.read_text()))
+    ]
+    perfbench = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
     missing = []
-    for path, text in texts.items():
-        lines = text.splitlines()
-        others = "\n".join(t for p, t in texts.items() if p != path)
-        for name, node in defs(ast.parse(text)):
-            rest = "\n".join(
-                line for i, line in enumerate(lines, 1)
-                if not node.lineno <= i <= node.end_lineno
+    for path, tree in trees.items():
+        for name, node in defs(tree):
+            method = "." in name
+            word = name.rsplit(".", 1)[-1]
+            read = any(
+                seen == word
+                and (attribute or not method)
+                and (other != path or not node.lineno <= line <= node.end_lineno)
+                for seen, attribute, other, line in reads
             )
-            word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
-            if not any(word.search(t) for t in (rest, others, outside)):
+            if method and not read:
+                read = re.search(rf"\b{re.escape(name)}\b", perfbench) is not None
+            if not read:
                 missing.append(f"{path.stem}.{name}")
     return missing
 

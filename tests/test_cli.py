@@ -339,6 +339,12 @@ def test_contracted_ps_names_n_before_eps(n):
         )
 
 
+def test_bw_dual_names_a_negative_n(capsys):
+    code, out, err = run(capsys, "bw", "--lambda", "3", "--op", "dual", "--n", "-1")
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "n must be nonnegative, got n=-1"
+
+
 def test_bw_counit_rejects_n_zero(capsys):
     code, out, err = run(capsys, "bw", "--lambda", "2", "--op", "counit", "--n", "0")
     assert code == 1

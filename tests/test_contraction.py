@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from hclat.contraction import (
     GENERATORS,
     check_contraction_axioms,
@@ -26,6 +27,8 @@ from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
 from hclat.weightmods import (
     CharacterModule,
     IndexPoly,
+    Support,
+    WeightModule,
     check_module_axioms,
     gnm_relations,
     induced_module,
@@ -100,16 +103,16 @@ def test_phi_is_bracket_preserving():
 def test_induced_coefficients():
     M = contracted_induced(1, 1)
     assert M.coefficient("f", 2) == Laurent.z_power(1, -6)
-    assert M.act_gen("f", 0) == []  # boundary
+    assert M.coefficient("f", 0) == 0  # boundary
     assert M.coefficient("e", 5) == Laurent.const(1)
     assert M.coefficient("h", 2) == Laurent.const(6)
-    assert M.weight(2) == 3
+    assert contraction_rows(M, 2, 2)[0][1] == 3
 
 
 def test_produced_coefficients():
     P = contracted_produced(0, 1)
     assert P.coefficient("e", 0) == Laurent.const(0)
-    assert P.act_gen("f", 0) == []
+    assert P.coefficient("f", 0) == 0
     P2 = contracted_produced(2, 1)
     assert P2.coefficient("e", 1) == Laurent.z_power(1, -2 * 5)
     assert P2.coefficient("f", 3) == Laurent.const(1)
@@ -120,7 +123,7 @@ def test_ps_coefficients_and_weights():
     assert S.coefficient("e", 0) == Laurent.const(1)
     assert S.coefficient("h", 3) == Laurent.const(6)
     S2 = contracted_ps(Fraction(1, 2), lau("z"), LAURENT_RING, n=2)
-    assert S2.weight(1) == 3  # n(p + eps) = 2(1 + 1/2)
+    assert contraction_rows(S2, 1, 1)[0][1] == 3  # n(p + eps) = 2(1 + 1/2)
     assert S2.coefficient("h", 1) == Laurent.const(3)
 
 
@@ -171,7 +174,7 @@ def test_contraction_axioms_reject_undeformed_sl2_module():
 def test_ps_vanishing_marker_over_poly():
     V = contracted_ps(0, lau("1+z"), POLY)
     assert V.vanishing_reason is not None
-    assert V.act_gen("e", 0) == []
+    assert V.coefficient("e", 0) == 0
     ok = contracted_ps(0, lau("z+z^2"), POLY)
     assert ok.vanishing_reason is None
 
@@ -274,6 +277,123 @@ def test_specialize_mismatch_detected():
     assert not specialize_matches(S, tampered, (0, 30))
 
 
+def test_specialize_mismatch_on_invariants():
+    g = make_zform(1, 1, 1)
+    S = specialize(contracted_induced(3, 1), 1)
+    R = induced_module(g, 3)
+    # H differs, with E, F and every product E(p)F(p+1) unchanged
+    assert not specialize_matches(S, R.with_action("H", 0, IndexPoly([3, 2])), (0, 30))
+    # E vanishes at the top of the window, where no edge sees it
+    assert not specialize_matches(S, R.with_action("E", 1, IndexPoly([-3, 1])), (3, 3))
+    # a gauge change keeps every invariant
+    _, e_coeff = R.actions["E"]
+    _, f_coeff = R.actions["F"]
+    gauged = R.with_action("E", 1, e_coeff.scale(5))
+    gauged = gauged.with_action("F", -1, f_coeff.scale(Fraction(1, 5)))
+    assert specialize_matches(S, gauged, (0, 30))
+    # a module without the E, F, H shifts does not match
+    assert not specialize_matches(S, R.with_action("F", 1, f_coeff), (0, 30))
+    assert not specialize_matches(contracted_induced(3, 1), R, (0, 30))
+
+
+def test_specialize_matches_a_window_without_zero():
+    # the reference's E(p) = p - 2 vanishes at 2, outside the window (3, 3):
+    # the gauge walk from index 0 reads it, the invariants do not
+    S = specialize(contracted_induced(3, 1), 1)
+    R = induced_module(make_zform(1, 1, 1), 3).with_action("E", 1, IndexPoly([-2, 1]))
+    assert specialize_matches(S, R, (3, 3))
+    assert not reference.specialize_matches(S, R, (3, 3))
+    assert not specialize_matches(S, R, (2, 3))
+
+
+def _fibre_pair(rng):
+    """A fibre of a contracted ind, pro or ps module and its g_{n,m}
+    reference, the reference possibly off by one parameter."""
+    n = rng.randint(1, 3)
+    kind = rng.choice(("ind", "pro", "ps"))
+    if kind == "ps":
+        eps = Fraction(rng.randrange(n), n)
+        mu = Laurent({
+            1: rng.choice((1, 2, 6, Fraction(2, 3))),
+            rng.randint(0, 2): rng.randint(-2, 2),
+        })
+        S = specialize(contracted_ps(eps, mu, LAURENT_RING, n), 1)
+        mu_ref = n * mu.evaluate(1) + rng.choice((0, 0, 0, 1))
+        return S, principal_series(n, 1, CharacterModule(eps, mu_ref, "q"), QQ)
+    m = rng.randint(1, 3)
+    lam = rng.randint(-5, 5)
+    contracted_family, family = {
+        "ind": (contracted_induced, induced_module),
+        "pro": (contracted_produced, produced_module),
+    }[kind]
+    S = specialize(contracted_family(lam, n), m)
+    return S, family(make_zform(n, m, 1), lam + rng.choice((0, 0, 0, 1)))
+
+
+def _tamper(rng, S, R, window):
+    """R scaled on one generator, changed by a gauge, given a random
+    coefficient polynomial, or cut to a half-line (alone or with S)."""
+    how = rng.choice(("none", "scale", "gauge", "poly", "cut"))
+    gen = rng.choice(("E", "F", "H"))
+    shift, poly = R.actions[gen]
+    c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2)))
+    if how == "scale":
+        R = R.with_action(gen, shift, poly.scale(c))
+    elif how == "gauge":
+        # g(p) = c^p, or g(p) = p! where every F(p) has the factor p
+        (_, e_coeff), (_, f_coeff) = R.actions["E"], R.actions["F"]
+        if rng.random() < 0.5 and f_coeff and not f_coeff.coeffs[0]:
+            e_coeff, f_coeff = e_coeff * IndexPoly([1, 1]), IndexPoly(f_coeff.coeffs[1:])
+        else:
+            e_coeff, f_coeff = e_coeff.scale(c), f_coeff.scale(1 / c)
+        R = R.with_action("E", 1, e_coeff).with_action("F", -1, f_coeff)
+    elif how == "poly":
+        coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(3)]
+        R = R.with_action(gen, shift, IndexPoly(coeffs[: rng.randint(0, 3)]))
+    elif how == "cut":
+        bound = rng.choice((window[0], window[1], rng.randint(-6, 6)))
+        cut = Support(rng.choice(("ge", "le")), bound)
+        R = dataclasses.replace(R, support=cut)
+        if rng.random() < 0.5:
+            S = dataclasses.replace(S, support=cut)
+    return S, R
+
+
+def test_specialize_matches_agrees_with_the_gauge_walk():
+    rng = random.Random(1800)
+    outcomes = []
+    for _ in range(1200):
+        lo, hi = rng.randint(-8, 0), rng.randint(0, 8)
+        S, R = _tamper(rng, *_fibre_pair(rng), (lo, hi))
+        want = reference.specialize_matches(S, R, (lo, hi))
+        assert specialize_matches(S, R, (lo, hi)) == want, (S.params, R.params, lo, hi)
+        outcomes.append(want)
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 300
+
+
+def test_specialize_matches_reads_only_the_window(monkeypatch):
+    read = []
+    coefficient, evaluate = WeightModule.coefficient, IndexPoly.__call__
+
+    def spy_coefficient(self, gen, p):
+        read.append(p)
+        return coefficient(self, gen, p)
+
+    def spy_evaluate(self, p):
+        read.append(p)
+        return evaluate(self, p)
+
+    rng = random.Random(1801)
+    pairs = [_fibre_pair(rng) for _ in range(30)]
+    monkeypatch.setattr(WeightModule, "coefficient", spy_coefficient)
+    monkeypatch.setattr(IndexPoly, "__call__", spy_evaluate)
+    for S, R in pairs:
+        for lo, hi in ((3, 3), (4, 9), (-9, -4), (-2, 5)):
+            read.clear()
+            specialize_matches(S, R, (lo, hi))
+            assert read and all(lo <= p <= hi for p in read), (lo, hi, read)
+
+
 def test_specialize_degenerate_fiber():
     fiber = specialize(contracted_induced(1, 1), 0)
     assert fiber.relations == gnm_relations(1, 0)
@@ -317,5 +437,10 @@ def test_weights_read_off_h():
         for module in (M, specialize(M, 2)):
             rows = contraction_rows(module, -6, 6)
             assert [row[1] for row in rows] == [w0 + n * row[0] for row in rows]
-            assert [module.weight(row[0]) for row in rows] == [row[1] for row in rows]
+            if "H" in module.actions:
+                weights = [module.coefficient("H", row[0]) for row in rows]
+            else:
+                weights = [n * module.coefficient("h", row[0]).constant_value() / 2
+                           for row in rows]
+            assert weights == [row[1] for row in rows]
             assert all(type(row[1]) is int for row in rows)

@@ -1,6 +1,6 @@
 """Window tables column by column in integers, against the cell-by-cell
-route of ``reference.module_rows`` (one ``act_gen`` call and one ``str()``
-per cell, the weight read off H or h).
+route of ``reference.module_rows`` (one ``coefficient`` call and one
+``str()`` per cell, the weight read off H or h).
 
 Seeded draws cover every constructed family, the fibres of the
 contraction, random coefficient polynomials on every support kind, and
@@ -139,8 +139,7 @@ def test_columns_take_no_per_cell_route(monkeypatch):
         ct.contracted_ps(Fraction(0), Laurent.parse("z^-1 + 2z"), LAURENT_RING),
     ]
     expected = [reference.module_rows(M, -3, 3) for M in modules]
-    for name in ("act_gen", "coefficient"):
-        monkeypatch.setattr(wm.WeightModule, name, refuse)
+    monkeypatch.setattr(wm.WeightModule, "coefficient", refuse)
     monkeypatch.setattr(Fraction, "__str__", refuse)
     monkeypatch.setattr(Laurent, "__str__", refuse)
     assert [wm.module_rows(M, -3, 3) for M in modules] == expected

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from hclat import contraction as ct
 from hclat import pbw
 from hclat import weightmods as wm
@@ -67,13 +68,21 @@ def produced_value_by_pbw(word_gen, p, q, lam, g):
     return total
 
 
+def image(M, gen, p):
+    """The image of the basis vector at p as {target: coefficient}, read
+    through ``coefficient``."""
+    c = M.coefficient(gen, p)
+    return {p + M.actions[gen][0]: c} if c else {}
+
+
 def test_induced_example_g11():
     g = make_zform(1, 1, 1)
     ind = wm.induced_module(g, 1)
-    assert ind.act_gen("F", 2) == [(1, Fraction(-3))]
-    assert ind.act_gen("F", 0) == []
-    assert ind.act_gen("E", 4) == [(5, Fraction(1))]
-    assert ind.weight(3) == 4
+    assert ind.actions["F"][0] == -1 and ind.actions["E"][0] == 1
+    assert ind.coefficient("F", 2) == Fraction(-3)
+    assert ind.coefficient("F", 0) == 0
+    assert ind.coefficient("E", 4) == Fraction(1)
+    assert wm.module_rows(ind, 3, 3)[0][1] == 4
 
 
 def test_induced_matches_pbw_evaluation():
@@ -83,16 +92,16 @@ def test_induced_matches_pbw_evaluation():
             ind = wm.induced_module(g, lam)
             for p in range(0, 9):
                 for gen in ("E", "F", "H"):
-                    direct = dict(ind.act_gen(gen, p))
+                    direct = image(ind, gen, p)
                     assert induced_vector_by_pbw(gen, p, lam, g) == direct
 
 
 def test_produced_example_g11():
     g = make_zform(1, 1, 1)
     pro = wm.produced_module(g, 1)
-    assert pro.act_gen("E", 0) == [(1, Fraction(-1))]
-    assert pro.act_gen("F", 0) == []
-    assert pro.act_gen("F", 5) == [(4, Fraction(1))]
+    assert pro.coefficient("E", 0) == Fraction(-1)
+    assert pro.coefficient("F", 0) == 0
+    assert pro.coefficient("F", 5) == Fraction(1)
 
 
 def test_produced_matches_pbw_evaluation():
@@ -102,9 +111,9 @@ def test_produced_matches_pbw_evaluation():
             pro = wm.produced_module(g, lam)
             for p in range(0, 7):
                 for gen in ("E", "F", "H"):
-                    image = dict(pro.act_gen(gen, p))
+                    hits = image(pro, gen, p)
                     for q in range(0, 9):
-                        assert produced_value_by_pbw(gen, p, q, lam, g) == image.get(
+                        assert produced_value_by_pbw(gen, p, q, lam, g) == hits.get(
                             q, Fraction(0)
                         )
 
@@ -136,7 +145,7 @@ def test_ps_q_example():
     for p in range(-6, 7):
         assert ps.coefficient("E", p) == Fraction(p + 1, 2)
         assert ps.coefficient("F", p) == 1 - p
-        assert ps.weight(p) == p
+    assert [row[1] for row in wm.module_rows(ps, -6, 6)] == list(range(-6, 7))
 
 
 def test_ps_qpp_coefficients():
@@ -221,9 +230,10 @@ def test_weight_equals_h_eigenvalue():
         rows = wm.module_rows(M, -20, 20)
         for p in range(-20, 21):
             if M.support.contains(p):
-                assert M.coefficient("H", p) == M.weight(p) == exponent(p)
-                assert type(M.weight(p)) is int
-        assert [row[1] for row in rows] == [M.weight(row[0]) for row in rows]
+                assert M.coefficient("H", p) == exponent(p)
+        assert [row[1] for row in rows] == [M.coefficient("H", row[0]) for row in rows]
+        assert [row[1] for row in rows] == [exponent(row[0]) for row in rows]
+        assert all(type(row[1]) is int for row in rows)
 
 
 def test_character_validation():
@@ -340,7 +350,7 @@ def test_every_action_is_a_polynomial():
 def reference_apply(M, gen, vec):
     out = {}
     for p, c in vec.items():
-        for p2, c2 in M.act_gen(gen, p):
+        for p2, c2 in reference.act_gen(M, gen, p):
             total = out.get(p2, 0) + c2 * c
             if total:
                 out[p2] = total
