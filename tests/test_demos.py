@@ -53,6 +53,8 @@ def test_lattices_borelweil_output_is_pinned():
         "contraction_specialize",
         "hecke_projections",
         "verify_report",
+        "classify_forms",
+        "dyadic_exponents",
     ],
 )
 def test_demo_output_is_pinned(name):
