@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
+from .scalars import check_positive
+
 _ZERO = Fraction(0)
 
 
@@ -385,8 +387,7 @@ def maximality_certificate(L: FiniteLattice, primes) -> dict:
 def counit_fraction_witness(lam: int, n: int) -> dict:
     """The functional phi(v_{lam+2n-2i}) = 1/n at i = n, else 0, checked to
     be a homomorphism to the rationals-mod-1 character of weight lam."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_positive(n=n)
     L = ladder_lattice(lam, n)
     phi = [Fraction(1, n) if i == n else 0 for i in range(L.rank)]
     problems = [f"phi lives off the weight-{lam} line at index {i}"

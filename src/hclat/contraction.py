@@ -32,36 +32,22 @@ from .weightmods import (
     gnm_relations,
     module_rows,
 )
-from .zforms import bracket_coords
+from .zforms import bracket_failures
 
 GENERATORS = ("e", "f", "h")
 _Z = Laurent.z_power(1)
-_Z_INV = Laurent.z_power(-1)
-
-
-def phi_isomorphism(x) -> tuple:
-    """Identity on the parabolic part {e, h}, multiplication by z^-1 on f:
-    (x_e, x_f, x_h) goes to (x_e, x_f z^-1, x_h)."""
-    x_e, x_f, x_h = x
-    return (x_e, x_f * _Z_INV, x_h)
 
 
 def phi_preserves_bracket() -> list:
-    """Check [phi(x), phi(y)] in g_{2,z} = phi([x, y]) in sl2 = g_{2,1}
-    on all nine basis pairs.
+    """Check that phi: sl2 = g_{2,1} -> g_{2,z}, the identity on e and h
+    and multiplication by z^-1 on f, preserves the bracket on all nine
+    basis pairs.
 
-    Returns the list of failing pairs; empty means the map is a morphism
-    from sl2 over Laurent coefficients to the contraction.
+    Returns the failing pairs (gx, gy, lhs, rhs); empty means phi is a
+    morphism from sl2 over Laurent coefficients to the contraction.
     """
-    basis = dict(zip(GENERATORS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    failures = []
-    for gx, x in basis.items():
-        for gy, y in basis.items():
-            lhs = bracket_coords(2, _Z, phi_isomorphism(x), phi_isomorphism(y))
-            rhs = phi_isomorphism(bracket_coords(2, 1, x, y))
-            if lhs != rhs:
-                failures.append((gx, gy, lhs, rhs))
-    return failures
+    failures = bracket_failures((1, Laurent.z_power(-1), 1), (2, 1), (2, _Z))
+    return [(GENERATORS[i], GENERATORS[j], lhs, rhs) for i, j, lhs, rhs in failures]
 
 
 # -- contracted modules -------------------------------------------------------

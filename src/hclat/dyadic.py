@@ -53,7 +53,7 @@ def _validate(variant: str, n: int, m: int, eps, mu) -> tuple:
 
 
 def _criterion(variant: str, n: int, m: int, eps: Fraction, mu: Fraction):
-    """(nonzero, boundary) for validated arguments.  The q support ends at
+    """(nonzero, boundary) once n and m are checked.  The q support ends at
     the top index -mu/2nm - eps and the qp support at the bottom index
     mu/2nm - eps; the model is nonzero exactly when that index is an
     integer.  qpp has no boundary, and is nonzero exactly for even mu."""
@@ -70,21 +70,20 @@ def nonvanishing(variant: str, n: int, m: int, eps, mu) -> bool:
     return _criterion(variant, n, m, *_validate(variant, n, m, eps, mu))[0]
 
 
-def _boundary(variant: str, n: int, m: int, eps, mu) -> int:
-    nonzero, boundary = _criterion(variant, n, m, rat(eps), rat(mu))
-    if not nonzero:
-        raise ValueError("support boundary is not integral; criterion fails")
-    return boundary
-
-
 def top_index(n: int, m: int, eps, mu) -> int:
     """Top of the q-variant support: p = -mu/2nm - eps."""
-    return _boundary("q", n, m, eps, mu)
+    nonzero, top = _criterion("q", n, m, *_validate("q", n, m, eps, mu))
+    if not nonzero:
+        raise ValueError("criterion fails: the q-variant model vanishes")
+    return top
 
 
 def bottom_index(n: int, m: int, eps, mu) -> int:
     """Bottom of the qp-variant support: p = mu/2nm - eps."""
-    return _boundary("qp", n, m, eps, mu)
+    nonzero, bottom = _criterion("qp", n, m, *_validate("qp", n, m, eps, mu))
+    if not nonzero:
+        raise ValueError("criterion fails: the qp-variant model vanishes")
+    return bottom
 
 
 def _digit_sums(sign: int, boundary: int, window) -> dict:
@@ -101,9 +100,7 @@ def _digit_sums(sign: int, boundary: int, window) -> dict:
 
 def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the q-variant integral model."""
-    nonzero, top = _criterion("q", n, m, *_validate("q", n, m, eps, mu))
-    if not nonzero:
-        raise ValueError("criterion fails: the q-variant model vanishes")
+    top = top_index(n, m, eps, mu)
     if p > top:
         raise ValueError(f"index above top weight: p = {p} > {top}")
     return (top - p).bit_count()
@@ -111,9 +108,7 @@ def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
 
 def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the qp-variant integral model."""
-    nonzero, bottom = _criterion("qp", n, m, *_validate("qp", n, m, eps, mu))
-    if not nonzero:
-        raise ValueError("criterion fails: the qp-variant model vanishes")
+    bottom = bottom_index(n, m, eps, mu)
     if p < bottom:
         raise ValueError(f"index below bottom weight: p = {p} < {bottom}")
     return (p - bottom).bit_count()
@@ -127,14 +122,13 @@ def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
     boundary -mu/2nm - eps_raw must be an integer, and the exponent is
     s2(boundary - p) as for exponent_M.
     """
-    eps_raw = rat(eps_raw)
-    mu = rat(mu)
-    boundary = -mu / (2 * n * m) - eps_raw
-    if boundary.denominator != 1:
+    check_positive(n=n, m=m)
+    nonzero, top = _criterion("q", n, m, rat(eps_raw), rat(mu))
+    if not nonzero:
         raise ValueError("criterion fails for the raw argument")
-    if p > boundary:
-        raise ValueError(f"index above top weight: p = {p} > {boundary}")
-    return (int(boundary) - p).bit_count()
+    if p > top:
+        raise ValueError(f"index above top weight: p = {p} > {top}")
+    return (top - p).bit_count()
 
 
 def dyadic_defect_sum(s: int) -> int:

@@ -6,6 +6,10 @@ Elements are coordinate triples over the ordered basis (E, F, H) with
     [H, E] = nE,   [H, F] = -nF,   [E, F] = mH,
     wt(E) = n,     wt(F) = -n,     wt(H) = 0.
 
+``bracket_coords`` is the one bracket.  The realization in sl2 = g_{2,1}
+is diagonal on these coordinates and is checked by ``bracket_failures``;
+2x2 matrices appear only in presentation tables.
+
 Every subalgebra basis has two vectors, so every frame and presentation
 is solved in closed form (``_solve_pair``); there is no elimination.
 """
@@ -18,38 +22,9 @@ from itertools import combinations
 
 from .scalars import check_positive, in_ring, localized_integers, rat
 
-# Elementary 2x2 matrices: e, f, h.
-MAT_E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-MAT_F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-MAT_H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-
-
-def mat_scale(c, mat):
-    c = rat(c)
-    return tuple(tuple(c * x for x in row) for row in mat)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def mat_bracket(a, b):
-    prod1, prod2 = mat_mul(a, b), mat_mul(b, a)
-    return tuple(
-        tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(prod1, prod2)
-    )
-
-
-ZERO_MAT = ((Fraction(0),) * 2,) * 2
-
-# the index pairs i < j of a rank-3 bracket table
+# the basis (E, F, H) as coordinate triples, and the index pairs i < j
+# of a rank-3 bracket table
+BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -95,19 +70,34 @@ def bracket_coords(n, m, u, v):
 
 
 def realization(g: ZForm):
-    """Images of (E, F, H) as 2x2 traceless rational matrices."""
-    return (
-        mat_scale(g.q, MAT_E),
-        mat_scale(Fraction(g.n * g.m, 2) / g.q, MAT_F),
-        mat_scale(Fraction(g.n, 2), MAT_H),
-    )
+    """The realization E -> qe, F -> (nm/2q)f, H -> (n/2)h of g in sl2,
+    as its scales on the (e, f, h) coordinates."""
+    return (g.q, Fraction(g.n * g.m, 2) / g.q, Fraction(g.n, 2))
+
+
+def _scaled(scales, x) -> tuple:
+    return tuple(s * c for s, c in zip(scales, x))
+
+
+def bracket_failures(scales, source, target) -> list:
+    """The basis pairs (i, j, lhs, rhs) on which the diagonal map
+    x -> (scales[k] * x_k) from g_source to g_target breaks the bracket:
+    lhs = [f(X_i), f(X_j)] differs from rhs = f([X_i, X_j]).  source and
+    target are the (n, m) pairs of bracket_coords."""
+    failures = []
+    for i, x in enumerate(BASIS):
+        for j, y in enumerate(BASIS):
+            lhs = bracket_coords(*target, _scaled(scales, x), _scaled(scales, y))
+            rhs = _scaled(scales, bracket_coords(*source, x, y))
+            if lhs != rhs:
+                failures.append((i, j, lhs, rhs))
+    return failures
 
 
 def check_jacobi(g: ZForm) -> bool:
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for x in basis:
-        for y in basis:
-            for z in basis:
+    for x in BASIS:
+        for y in BASIS:
+            for z in BASIS:
                 total = (0, 0, 0)
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                     term = bracket_coords(g.n, g.m, bracket_coords(g.n, g.m, a, b), c)
@@ -118,18 +108,7 @@ def check_jacobi(g: ZForm) -> bool:
 
 
 def check_realization_bracket(g: ZForm) -> bool:
-    mats = realization(g)
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            lhs = mat_bracket(mats[i], mats[j])
-            coords = bracket_coords(g.n, g.m, x, y)
-            rhs = ZERO_MAT
-            for c, mat in zip(coords, mats):
-                rhs = mat_add(rhs, mat_scale(c, mat))
-            if lhs != rhs:
-                return False
-    return True
+    return not bracket_failures(realization(g), (g.n, g.m), (2, 1))
 
 
 # -- subalgebras ----------------------------------------------------------
@@ -161,22 +140,19 @@ class Subalgebra:
 def subalgebra(g: ZForm, label: str) -> Subalgebra:
     """Borel or parabolic subalgebra with exact basis expansions.
 
-    The parabolic labels need the realization of parabolic_q; maximal
-    contains q and needs its realization.
+    The parabolic labels need the realization of parabolic_q.
     """
     n, m = g.n, g.m
     bases = {
         "b": ((1, 0, 0), (0, 0, 1)),
-        "bbar": ((0, 1, 0), (0, 0, 1)),
         "q": ((-2 * n * m, 1, 2 * m), (2 * n * m, 1, 0)),
         "qp": ((-1, 2 * n * m, 2 * m), (1, 2 * n * m, 0)),
         "qpp": ((-1, 1, 2), (1, 1, 0)),
-        "maximal": ((-2 * n * m, 1, 2 * m), (-2 * n, 0, 1)),
     }
     if label not in bases:
         raise ValueError(f"unknown subalgebra label {label!r}; choose from {tuple(bases)}")
-    if label not in ("b", "bbar"):
-        required = parabolic_q(n, m, "q" if label == "maximal" else label)
+    if label != "b":
+        required = parabolic_q(n, m, label)
         if g.q != required:
             raise ValueError(
                 f"label {label} is defined for realization parameter q = {required} "
@@ -246,17 +222,22 @@ def presentation(g: ZForm, order=(0, 1, 2), signs=(1, 1, 1)):
     """
     if sorted(order) != [0, 1, 2] or any(s not in (1, -1) for s in signs):
         raise ValueError(f"order must permute (0, 1, 2) and signs be +-1, got {order}, {signs}")
-    base = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    mats = realization(g)
-    basis = [tuple(signs[k] * x for x in base[order[k]]) for k in range(3)]
+    basis = [tuple(signs[k] * x for x in BASIS[order[k]]) for k in range(3)]
     wt = weights(g)
     weight_table = [wt[order[k]] for k in range(3)]
-    real = [mat_scale(signs[k], mats[order[k]]) for k in range(3)]
+    scales = realization(g)
+    real = [_matrix(_scaled(scales, x)) for x in basis]
     brackets = {}
     for i, j in PAIRS:
         target = bracket_coords(g.n, g.m, basis[i], basis[j])
         brackets[(i, j)] = tuple(signs[k] * target[order[k]] for k in range(3))
     return brackets, weight_table, real
+
+
+def _matrix(x) -> tuple:
+    """The 2x2 matrix x_e e + x_f f + x_h h of sl2."""
+    x_e, x_f, x_h = x
+    return ((x_h, x_e), (x_f, -x_h))
 
 
 def classify(brackets, weight_table, real):
@@ -302,14 +283,12 @@ def classify(brackets, weight_table, real):
     m = int(c)
 
     r_e, r_f, r_h = real[ie], real[jf], real[kh]
-    r_f = mat_scale(f_sign, r_f)
-    if r_h != mat_scale(Fraction(n, 2), MAT_H):
+    if r_h != _matrix((0, 0, Fraction(n, 2))):
         raise NotSplitForm("realization of H is not (n/2)h")
     q = rat(r_e[0][1])
-    if q == 0 or r_e[0][0] != 0 or r_e[1][0] != 0 or r_e[1][1] != 0:
+    if q == 0 or r_e != _matrix((q, 0, 0)):
         raise NotSplitForm("realization of E is not a nonzero multiple of e")
-    expected_f = mat_scale(Fraction(n * m, 2) / q, MAT_F)
-    if r_f != expected_f:
+    if r_f != _matrix((0, f_sign * Fraction(n * m, 2) / q, 0)):
         raise NotSplitForm("realization of F is not (nm/2q)f")
     return (n, m, abs(q))
 

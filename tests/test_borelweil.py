@@ -1148,7 +1148,7 @@ def test_counit_witness_checks_pass_on_grid():
 
 
 def test_counit_witness_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got n=0$"):
         counit_fraction_witness(0, 0)
     with pytest.raises(ValueError, match="must be nonnegative"):
         counit_fraction_witness(-5, 1)

@@ -348,7 +348,7 @@ def test_bw_dual_names_a_negative_n(capsys):
 def test_bw_counit_rejects_n_zero(capsys):
     code, out, err = run(capsys, "bw", "--lambda", "2", "--op", "counit", "--n", "0")
     assert code == 1
-    assert "n must be positive" in json.loads(out)["error"]["message"]
+    assert json.loads(out)["error"]["message"] == "n must be a positive integer, got n=0"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+from hclat import contraction
 from hclat.contraction import (
     GENERATORS,
     check_contraction_axioms,
@@ -17,7 +18,6 @@ from hclat.contraction import (
     contracted_ps,
     contraction_rows,
     generic_irreducibility,
-    phi_isomorphism,
     phi_preserves_bracket,
     polynomial_lattice,
     specialize,
@@ -89,12 +89,14 @@ def test_bracket_antisymmetry_and_jacobi():
         assert total == (0, 0, 0)
 
 
-def test_phi_is_bracket_preserving():
+def test_phi_is_bracket_preserving(monkeypatch):
     assert phi_preserves_bracket() == []
-    assert phi_isomorphism((0, 0, 1)) == (0, 0, 1)
-    assert phi_isomorphism((0, 1, 0)) == (0, Laurent.z_power(-1), 0)
-    lhs = contracted(phi_isomorphism((1, 0, 0)), phi_isomorphism((0, 1, 0)))
+    # [phi(e), phi(f)] = [e, z^-1 f] = z * z^-1 h = phi(h)
+    lhs = contracted((1, 0, 0), (0, Laurent.z_power(-1), 0))
     assert lhs == (0, 0, 1)
+    # failing pairs are named by generator
+    monkeypatch.setattr(contraction, "bracket_failures", lambda *_: [(0, 1, "lhs", "rhs")])
+    assert phi_preserves_bracket() == [("e", "f", "lhs", "rhs")]
 
 
 # -- the three families -------------------------------------------------------

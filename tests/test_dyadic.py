@@ -198,6 +198,22 @@ def test_parameter_validation():
         nonvanishing("q", 1, 1, 0, Fraction(1, 2))
     with pytest.raises(ValueError):
         dyadic_defect_sum(-1)
+    # the boundary helpers validate like the exponents they bound
+    for call, args in (
+        (top_index, (0, 1, 0, 0)),
+        (top_index, (-1, 1, 0, 0)),
+        (bottom_index, (1, 0, 0, 0)),
+        (exponent_M_raw, (0, 0, 1, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            call(*args)
+    for edge in (top_index, bottom_index):
+        with pytest.raises(ValueError, match="mu must be an integer"):
+            edge(1, 1, 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="vanishes"):
+        top_index(2, 1, Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match="vanishes"):
+        bottom_index(1, 1, 0, 1)
 
 
 # -- assembled reports --------------------------------------------------------

@@ -8,10 +8,9 @@ import pytest
 
 import reference
 from hclat import pbw
-from hclat.zforms import ZERO_MAT, make_zform, mat_add, mat_mul, mat_scale, realization
+from hclat.zforms import make_zform, realization
 
 RANK = {"F": 0, "H": 1, "E": 2}
-IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def slow_normal_form(word, g):
@@ -158,6 +157,34 @@ def test_commutator_defining_relations():
         assert commutator(E, F, g) == pbw.scale(H, m)
 
 
+# -- 2x2 matrices: the reference algebra the realization extends to ------------
+
+IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+ZERO_MAT = ((Fraction(0),) * 2,) * 2
+
+
+def mat_scale(c, mat):
+    return tuple(tuple(c * x for x in row) for row in mat)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def _images(g):
+    """E -> qe, F -> (nm/2q)f, H -> (n/2)h in 2x2 matrices, from the scales
+    of realization(g)."""
+    s_e, s_f, s_h = realization(g)
+    return {"E": ((0, s_e), (0, 0)), "F": ((0, 0), (s_f, 0)), "H": ((s_h, 0), (0, -s_h))}
+
+
 def _evaluate(elem, images):
     """sum coeff * F^a H^b E^c of a normal form, in 2x2 matrices."""
     total = ZERO_MAT
@@ -177,7 +204,7 @@ def test_normal_form_matches_realization():
     rng = random.Random(20261018)
     for n, m, q in [(1, 1, 1), (2, 3, Fraction(1, 2)), (3, 2, 6), (1, 4, Fraction(-2, 3))]:
         g = make_zform(n, m, q)
-        images = dict(zip("EFH", realization(g)))
+        images = _images(g)
         for _ in range(60):
             word = []
             for _ in range(rng.randint(0, 7)):
