@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from hclat import contraction, weightmods
-from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
+from hclat.scalars import LAURENT_RING, POLY, Laurent
 
 lau = Laurent.parse
 
@@ -22,9 +22,7 @@ print("axiom violations:", contraction.check_contraction_axioms(S, range(-20, 21
 print()
 
 # setting z = 1 lands in an honest weight module for the reference form
-ref = weightmods.principal_series(
-    1, 1, weightmods.CharacterModule(Fraction(0), Fraction(2), "q"), QQ
-)
+ref = weightmods.principal_series(1, 1, "q", Fraction(0), Fraction(2))
 specialized = contraction.specialize(S, 1)
 print("specialize(z = 1) matches the q-series at mu = 2:",
       contraction.specialize_matches(specialized, ref, (-30, 30)))

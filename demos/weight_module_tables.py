@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from hclat import weightmods, zforms
-from hclat.scalars import QQ
 
 # the induced module acts over Z: E shifts up with coefficient 1, F comes
 # back down with an integer polynomial in the index
@@ -17,8 +16,7 @@ print()
 
 # principal series: the parabolic label decides the realization and the
 # coefficient shapes
-chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "q")
-P = weightmods.principal_series(2, 3, chi, QQ)
+P = weightmods.principal_series(2, 3, "q", Fraction(1, 2), Fraction(5))
 print("principal series over the q-parabolic, eps = 1/2, mu = 5:")
 print("  p  weight  E      F      H")
 for p, w, e, f, h in weightmods.module_rows(P, -2, 2):
@@ -28,9 +26,9 @@ print()
 
 # the qp-series has two candidate F-coefficients in circulation; only the
 # halved one satisfies [E, F] = mH, the other misses by a factor of two
-chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-derived = weightmods.principal_series(2, 3, chi, QQ)
-alternate = weightmods.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
+n, m, eps, mu = 2, 3, Fraction(1, 2), Fraction(5)
+derived = weightmods.principal_series(n, m, "qp", eps, mu)
+alternate = derived.with_action("F", -1, weightmods.affine(mu / (2 * n * m) - eps, -1))
 print("qp-series F-coefficient at p = 0:")
 print("  derived:  ", derived.coefficient("F", 0))
 print("  alternate:", alternate.coefficient("F", 0))

@@ -389,6 +389,9 @@ def counit_fraction_witness(lam: int, n: int) -> dict:
     be a homomorphism to the rationals-mod-1 character of weight lam."""
     check_positive(n=n)
     L = ladder_lattice(lam, n)
+    if n >= L.rank:
+        raise ValueError(f"phi needs weight {lam}, below the ladder's lowest "
+                         f"weight {L.weights[-1]}")
     phi = [Fraction(1, n) if i == n else 0 for i in range(L.rank)]
     problems = [f"phi lives off the weight-{lam} line at index {i}"
                 for i, (x, w) in enumerate(zip(phi, L.weights)) if x and w != lam]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import borelweil, contraction, dyadic, weightmods, zforms
 from . import verify as verify_suites
-from .scalars import LAURENT_RING, POLY, QQ, Laurent, residue
+from .scalars import LAURENT_RING, POLY, Laurent, residue
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -248,8 +248,7 @@ def _run_module(args) -> dict:
                 zforms.parabolic_q(args.n, args.m, "qpp")
             except ValueError as exc:
                 raise UsageError(exc) from None
-        chi = weightmods.CharacterModule(args.eps, args.mu, args.parabolic)
-        M = weightmods.principal_series(args.n, args.m, chi, QQ)
+        M = weightmods.principal_series(args.n, args.m, args.parabolic, args.eps, args.mu)
         heading = {"parabolic": args.parabolic, "eps": str(args.eps), "mu": str(args.mu)}
     header = {"kind": args.kind, "n": args.n, "m": args.m, **heading}
     return _table_doc(M, header, lo, hi)
@@ -458,18 +457,20 @@ def main(argv=None) -> int:
         print(f"hclat {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
-        if args.format == "json":
-            error_doc = {
-                "error": {"type": type(exc).__name__, "message": str(exc)}
-            }
-            _emit(render_json(error_doc), args.out)
-        else:
+        if args.format != "json":
             print(f"hclat {args.command}: error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        text = render_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        code = EXIT_DOMAIN
+    else:
+        text = _RENDERERS[args.format](doc)
+        code = EXIT_DOMAIN if args.command == "verify" and not doc["passed"] else EXIT_OK
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"hclat {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(_RENDERERS[args.format](doc), args.out)
-    if args.command == "verify" and not doc["passed"]:
-        return EXIT_DOMAIN
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ CONTRACTION_RELATIONS = (
 )
 
 
-_ONE = IndexPoly([1], laurent=True)
+_ONE = IndexPoly([Laurent.const(1)])
 
 
 def _contracted(n, support, w0, e, f, params, vanishing_reason=None):
@@ -72,7 +72,7 @@ def _contracted(n, support, w0, e, f, params, vanishing_reason=None):
     actions = {
         "e": e,
         "f": f,
-        "h": (0, IndexPoly([Fraction(2 * w0, n), 2], laurent=True)),
+        "h": (0, IndexPoly([Laurent.const(Fraction(2 * w0, n)), 2])),
     }
     return WeightModule(CONTRACTION_RELATIONS, support, actions, params, vanishing_reason)
 

@@ -23,32 +23,32 @@ from . import pbw
 
 @dataclass(frozen=True)
 class CharacterLattice:
-    """Z (characters of T^1) or Z/n (characters of the n-th roots of unity)."""
+    """The characters of T^1 (order 0: Z) or of the n-th roots of unity
+    (order n: Z/n)."""
 
-    kind: str
     order: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("Z", "Z/n"):
-            raise ValueError(f"unknown lattice kind {self.kind!r}")
-        if self.kind == "Z/n" and self.order < 1:
-            raise ValueError("cyclic lattice needs order >= 1")
+        if self.order < 0:
+            raise ValueError(f"lattice order must be nonnegative, got {self.order}")
 
     def normalize(self, lam: int) -> int:
         lam = int(lam)
-        return lam if self.kind == "Z" else lam % self.order
+        return lam % self.order if self.order else lam
 
     def elements(self):
-        if self.kind != "Z/n":
+        if not self.order:
             raise ValueError("only the cyclic lattice is finite")
         return range(self.order)
 
 
-INTEGERS = CharacterLattice("Z")
+INTEGERS = CharacterLattice()
 
 
 def cyclic(order: int) -> CharacterLattice:
-    return CharacterLattice("Z/n", order)
+    if order < 1:
+        raise ValueError("cyclic lattice needs order >= 1")
+    return CharacterLattice(order)
 
 
 def p(lam: int, lattice: CharacterLattice = INTEGERS) -> dict:

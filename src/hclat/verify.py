@@ -210,11 +210,10 @@ def _module_families() -> list:
             eps = Fraction(k, n)
             for mu in (Fraction(-2), Fraction(1, 3), Fraction(2 * n * m)):
                 for label in ("q", "qp"):
-                    chi = weightmods.CharacterModule(eps, mu, label)
                     out.append(
                         (
                             f"ps_{label}({n},{m},{eps},{mu})",
-                            weightmods.principal_series(n, m, chi, scalars.QQ),
+                            weightmods.principal_series(n, m, label, eps, mu),
                         )
                     )
     for n in (1, 2):
@@ -222,11 +221,10 @@ def _module_families() -> list:
         for k in range(n):
             eps = Fraction(k, n)
             for mu in (Fraction(-1), Fraction(4)):
-                chi = weightmods.CharacterModule(eps, mu, "qpp")
                 out.append(
                     (
                         f"ps_qpp({n},{m},{eps},{mu})",
-                        weightmods.principal_series(n, m, chi, scalars.QQ),
+                        weightmods.principal_series(n, m, "qpp", eps, mu),
                     )
                 )
     return out
@@ -261,8 +259,7 @@ def _ps_vanishing_index():
         eps = Fraction(rng.randrange(n), n)
         target = rng.randint(-6, 6)
         mu = 2 * n * m * (target - eps)
-        chi = weightmods.CharacterModule(eps, Fraction(mu), "q")
-        ps = weightmods.principal_series(n, m, chi, scalars.QQ)
+        ps = weightmods.principal_series(n, m, "q", eps, Fraction(mu))
         zeros_e = [p for p in range(-40, 41) if ps.coefficient("E", p) == 0]
         # F vanishes at a single index when mu/2nm - eps is an integer
         zeros_f = None
@@ -290,9 +287,10 @@ def _weight_correctness():
 
 @_documented
 def _qp_alternate_f_coefficient():
-    chi = weightmods.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-    derived = weightmods.principal_series(2, 3, chi, scalars.QQ)
-    printed = weightmods.principal_series(2, 3, chi, scalars.QQ, alternate_qp_f=True)
+    n, m, eps, mu = 2, 3, Fraction(1, 2), Fraction(5)
+    derived = weightmods.principal_series(n, m, "qp", eps, mu)
+    # the alternate printed coefficient mu/2nm - p - eps, twice the derived one
+    printed = derived.with_action("F", -1, weightmods.affine(mu / (2 * n * m) - eps, -1))
     window = range(-20, 21)
     derived_ok = weightmods.check_module_axioms(derived, window) == []
     printed_fails = weightmods.check_module_axioms(printed, window) != []
@@ -583,7 +581,7 @@ def _counit_fraction_surjectivity():
     # counit_fraction_witness raises ValueError naming what is not a homomorphism
     for n in range(1, 21):
         for lam in range(-5, 6):
-            if lam + 2 * n < 0:
+            if lam < -n:
                 continue
             fraction = borelweil.counit_fraction_witness(lam, n)["fraction"]
             yield (

@@ -22,16 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
-from .scalars import (
-    CoefficientRing,
-    Laurent,
-    as_laurent,
-    format_terms,
-    in_ring,
-    over_common_denominator,
-    rat,
-    residue,
-)
+from .scalars import Laurent, as_laurent, format_terms, over_common_denominator, rat, residue
 from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
@@ -39,23 +30,23 @@ class IndexPoly:
     """A polynomial in the index p, coefficients in ascending degree.
 
     The coefficients are all Fractions, or all Laurent polynomials in z
-    (one Laurent coefficient, or laurent=True, lifts the rest).  They are
-    also held as integer columns, one per power of z (only z^0 for
-    Fractions): the exponent, one common denominator and the numerators
-    over it, highest degree first.  A value is computed on those columns.
+    (one Laurent coefficient lifts the rest; the zero polynomial has no
+    coefficients and Fraction values).  They are also held as integer
+    columns, one per power of z (only z^0 for Fractions): the exponent,
+    one common denominator and the numerators over it, highest degree
+    first.  A value is computed on those columns.
     """
 
-    __slots__ = ("coeffs", "laurent", "_columns")
+    __slots__ = ("coeffs", "_columns")
 
-    def __init__(self, coeffs, laurent: bool = False):
+    def __init__(self, coeffs):
         coeffs = list(coeffs)
-        laurent = laurent or any(isinstance(c, Laurent) for c in coeffs)
+        laurent = any(isinstance(c, Laurent) for c in coeffs)
         coeffs = [as_laurent(c) if laurent else rat(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.laurent = laurent
-        if laurent:
+        if coeffs and laurent:
             exps = sorted({e for c in coeffs for e in c.coeffs})
             self._columns = [
                 (e, *over_common_denominator(*(c.coefficient(e) for c in reversed(coeffs))))
@@ -77,7 +68,7 @@ class IndexPoly:
         return out
 
     def __call__(self, p: int):
-        if not self.laurent:
+        if not (self.coeffs and isinstance(self.coeffs[0], Laurent)):
             ((_, v, den),) = self.terms(p)
             return Fraction(v, den)
         value = Laurent()
@@ -94,7 +85,7 @@ class IndexPoly:
 
     def __add__(self, other: "IndexPoly") -> "IndexPoly":
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return IndexPoly([a + b for a, b in pairs], self.laurent or other.laurent)
+        return IndexPoly([a + b for a, b in pairs])
 
     def __sub__(self, other: "IndexPoly") -> "IndexPoly":
         return self + other.scale(-1)
@@ -104,20 +95,17 @@ class IndexPoly:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IndexPoly(out, self.laurent or other.laurent)
+        return IndexPoly(out)
 
     def scale(self, c) -> "IndexPoly":
         """c times the polynomial, for an int, Fraction or Laurent c."""
-        return IndexPoly(
-            [a * c for a in self.coeffs], self.laurent or isinstance(c, Laurent)
-        )
+        return IndexPoly([a * c for a in self.coeffs])
 
     def shift(self, k: int) -> "IndexPoly":
         """The polynomial p -> P(p + k), by the binomial theorem."""
         c, n = self.coeffs, len(self.coeffs)
         return IndexPoly(
-            [sum(c[i] * (comb(i, j) * k ** (i - j)) for i in range(j, n)) for j in range(n)],
-            self.laurent,
+            [sum(c[i] * (comb(i, j) * k ** (i - j)) for i in range(j, n)) for j in range(n)]
         )
 
 
@@ -152,15 +140,6 @@ class Support:
         if self.kind == "all":
             return {"kind": "all"}
         return {"kind": self.kind, "bound": self.bound}
-
-
-@dataclass(frozen=True)
-class CharacterModule:
-    """A rank-one module k_{eps,mu} over a parabolic frame: X.1 = 0, Y.1 = mu."""
-
-    eps: Fraction
-    mu: object
-    presentation: str  # parabolic label (q, qp or qpp): it fixes the realization
 
 
 def gnm_relations(n, m) -> tuple:
@@ -212,7 +191,7 @@ class WeightModule:
         return poly(p) or rat(0)
 
     def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
-        """Copy with one generator's action replaced (for negative controls)."""
+        """Copy with one generator's action replaced."""
         return replace(
             self,
             actions={**self.actions, gen: (shift, poly)},
@@ -262,50 +241,28 @@ def produced_module(g: ZForm, lam: int) -> WeightModule:
     return WeightModule(gnm_relations(n, m), Support("ge", 0), actions, {"n": n, "lambda": lam})
 
 
-def principal_series(
-    n: int,
-    m: int,
-    chi: CharacterModule,
-    ring: CoefficientRing,
-    alternate_qp_f: bool = False,
-) -> WeightModule:
-    """The principal series over g_{n,m} attached to a character.
+def principal_series(n: int, m: int, label: str, eps, mu) -> WeightModule:
+    """The principal series over g_{n,m} and Q induced from the character
+    k_{eps,mu} (X.1 = 0, Y.1 = mu) of the parabolic label (q, qp or qpp),
+    which fixes the realization by zforms.parabolic_form.
 
-    The character's parabolic label (q, qp or qpp) fixes the realization,
-    by zforms.parabolic_form.  Basis w^{n(p+eps)} over all p in Z; the
-    counit sends every basis vector to 1.  With gen = c_X X + c_Y Y + c_H H
-    in the Iwasawa frame of the label, gen acts on the weight-w vector by
-    c_Y*mu + c_H*w.  The model needs 1/2nm in the base ring (1/2 for qpp),
-    and eps a residue mod n.  alternate_qp_f installs the alternate printed
-    F-coefficient for the qp family (kept for the cross-check driver; it
-    fails [E,F] = mH).
+    Basis w^{n(p+eps)} over all p in Z; the counit sends every basis vector
+    to 1.  With gen = c_X X + c_Y Y + c_H H in the Iwasawa frame of the
+    label, gen acts on the weight-w vector by c_Y*mu + c_H*w.  eps is a
+    residue mod n and mu a rational.  The model needs 1/2nm (1/2 for qpp):
+    its integral models are what the dyadic exponent routines compute.
     """
-    label = chi.presentation
     g = parabolic_form(n, m, label)
-    needed = 2 if label == "qpp" else 2 * n * m
-    if not in_ring(Fraction(1, needed), ring):
-        raise ValueError(
-            f"principal series over {label} needs 1/{needed} in the base ring; "
-            f"{ring.name} does not contain it. Integral behaviour at this "
-            "boundary is what the dyadic exponent routines compute."
-        )
-    eps = residue(chi.eps, n)
-    mu = chi.mu
-    if not in_ring(mu, ring):
-        raise ValueError(f"mu = {mu} does not lie in {ring.name}")
-
+    eps = residue(eps, n)
+    mu = rat(mu)
     table = iwasawa_decompose(subalgebra(g, label))
     actions = {}
     for gen, shift in (("E", 1), ("F", -1)):
         _c_x, c_mu, c_w = table[gen]
         # c_mu*mu + c_w*n(p + eps)
         actions[gen] = (shift, affine(c_mu * mu + c_w * n * eps, c_w * n))
-    if alternate_qp_f and label == "qp":
-        # the alternate printed coefficient: mu/2nm - p - eps (twice the
-        # bracket-consistent one)
-        actions["F"] = (-1, affine(mu * Fraction(1, 2 * n * m) - eps, -1))
     actions["H"] = (0, affine(n * eps, n))
-    params = {"n": n, "eps": eps, "mu": mu, "alternate_qp_f": alternate_qp_f}
+    params = {"n": n, "eps": eps, "mu": mu}
     return WeightModule(gnm_relations(n, m), Support("all"), actions, params)
 
 

@@ -1140,7 +1140,7 @@ def test_counit_witness_examples():
 def test_counit_witness_checks_pass_on_grid():
     for lam in range(-5, 6):
         for n in range(1, 9):
-            if lam + 2 * n < 0:
+            if lam < -n:
                 continue
             report = counit_fraction_witness(lam, n)
             assert report["weight_check"] and report["f_check"] and report["h_check"]
@@ -1152,6 +1152,9 @@ def test_counit_witness_rejects_bad_inputs():
         counit_fraction_witness(0, 0)
     with pytest.raises(ValueError, match="must be nonnegative"):
         counit_fraction_witness(-5, 1)
+    # the ladder of (-3, 2) has weights 1, -1: no weight -3 for phi
+    with pytest.raises(ValueError, match=r"^phi needs weight -3, below the ladder's lowest weight -1$"):
+        counit_fraction_witness(-3, 2)
 
 
 # -- serialization ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import argparse
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -351,6 +352,27 @@ def test_bw_counit_rejects_n_zero(capsys):
     assert json.loads(out)["error"]["message"] == "n must be a positive integer, got n=0"
 
 
+def test_bw_counit_rejects_a_weight_the_ladder_lacks(capsys):
+    # the ladder of lambda = -3, n = 2 has weights 1, -1
+    code, out, err = run(capsys, "bw", "--lambda", "-3", "--op", "counit", "--n", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": "phi needs weight -3, below the ladder's lowest weight -1",
+    }
+
+
+@pytest.mark.parametrize("lam", ["1", "-1"], ids=["document", "domain-error"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_an_error_message(capsys, tmp_path, lam, target):
+    # lambda = -1 has no minimal lattice, so its error document is what fails to land
+    path = tmp_path / "missing" / "doc.json" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "bw", "--lambda", lam, "--op", "min", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("hclat bw: error: [Errno ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -512,3 +534,27 @@ def test_repeated_usage_error_is_identical(capsys):
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and "empty" in errors[0]
+
+
+# -- help text ------------------------------------------------------------------
+
+
+def _help_text(capsys) -> str:
+    """`hclat --help` and each subcommand's --help, each after its command line."""
+    (subparsers,) = (
+        a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parts = []
+    for argv in [["--help"]] + [[name, "--help"] for name in subparsers.choices]:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        parts.append(f"$ hclat {' '.join(argv)}\n{capsys.readouterr().out}")
+    return "\n".join(parts)
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    # argparse wraps its help at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = Path(__file__).resolve().parent / "cli_help.out"
+    assert _help_text(capsys) == pinned.read_text(encoding="utf-8")

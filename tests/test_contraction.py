@@ -23,9 +23,8 @@ from hclat.contraction import (
     specialize,
     specialize_matches,
 )
-from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
+from hclat.scalars import LAURENT_RING, POLY, Laurent
 from hclat.weightmods import (
-    CharacterModule,
     IndexPoly,
     Support,
     WeightModule,
@@ -150,7 +149,7 @@ def test_bracket_axioms_across_families():
 def test_contraction_axioms_negative_control():
     M = contracted_induced(1, 1)
     # an f-action that lost its factor z: [e,f] is no longer z*h
-    corrupt = M.with_action("f", -1, IndexPoly([0, -1, -1], laurent=True))
+    corrupt = M.with_action("f", -1, IndexPoly([0, -1, Laurent.const(-1)]))
     failures = check_contraction_axioms(corrupt, range(0, 15))
     assert {label for _, label, _ in failures} == {"[e,f]=z*h"}
     assert {p for p, _, _ in failures} == set(range(0, 15))
@@ -267,7 +266,7 @@ def test_specialize_ps_matches_reference():
     ]
     for n, eps, text, mu_ref in cases:
         S = specialize(contracted_ps(eps, lau(text), LAURENT_RING, n), 1)
-        R = principal_series(n, 1, CharacterModule(eps, mu_ref, "q"), QQ)
+        R = principal_series(n, 1, "q", eps, mu_ref)
         assert specialize_matches(S, R, (-12, 12)), (n, eps, text)
 
 
@@ -321,7 +320,7 @@ def _fibre_pair(rng):
         })
         S = specialize(contracted_ps(eps, mu, LAURENT_RING, n), 1)
         mu_ref = n * mu.evaluate(1) + rng.choice((0, 0, 0, 1))
-        return S, principal_series(n, 1, CharacterModule(eps, mu_ref, "q"), QQ)
+        return S, principal_series(n, 1, "q", eps, mu_ref)
     m = rng.randint(1, 3)
     lam = rng.randint(-5, 5)
     contracted_family, family = {

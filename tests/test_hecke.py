@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 import reference
 from hclat import hecke, pbw
 from hclat.zforms import make_zform
@@ -44,6 +46,20 @@ def test_cyclic_lattice_normalization():
     # the constructors normalize their one key
     assert hecke.p(-1, lattice) == {2: 1}
     assert hecke.smash(pbw.monomial(0, 0, 1), 7, lattice) == {1: {(0, 0, 1): 1}}
+
+
+def test_lattice_is_given_by_its_order():
+    # order 0 is Z, where nothing folds
+    assert hecke.CharacterLattice(0) == hecke.INTEGERS
+    assert hecke.INTEGERS.normalize(-7) == -7 and hecke.cyclic(1).normalize(-7) == 0
+    assert list(hecke.cyclic(2).elements()) == [0, 1]
+    for order in (0, -2):
+        with pytest.raises(ValueError, match=r"^cyclic lattice needs order >= 1$"):
+            hecke.cyclic(order)
+    with pytest.raises(ValueError, match=r"^lattice order must be nonnegative, got -3$"):
+        hecke.CharacterLattice(-3)
+    with pytest.raises(ValueError, match=r"^only the cyclic lattice is finite$"):
+        hecke.INTEGERS.elements()
 
 
 def test_cyclic_type_decomposition():

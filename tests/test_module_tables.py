@@ -15,7 +15,7 @@ import pytest
 import reference
 from hclat import contraction as ct
 from hclat import weightmods as wm
-from hclat.scalars import LAURENT_RING, POLY, QQ, Laurent
+from hclat.scalars import LAURENT_RING, POLY, Laurent
 from hclat.zforms import make_zform
 
 
@@ -60,10 +60,13 @@ def test_principal_series(label):
         for m in (2 * n,) if label == "qpp" else (1, 2, 3):
             for _ in range(4):
                 eps = Fraction(rng.randrange(n), n)
-                chi = wm.CharacterModule(eps, _random_fraction(rng), label)
-                for alternate in (False, True) if label == "qp" else (False,):
-                    M = wm.principal_series(n, m, chi, QQ, alternate_qp_f=alternate)
-                    _assert_same(M, _windows(rng, 2))
+                mu = _random_fraction(rng)
+                M = wm.principal_series(n, m, label, eps, mu)
+                _assert_same(M, _windows(rng, 2))
+                if label == "qp":
+                    # the alternate printed F-coefficient mu/2nm - p - eps
+                    F = wm.affine(mu / (2 * n * m) - eps, -1)
+                    _assert_same(M.with_action("F", -1, F), _windows(rng, 2))
 
 
 @pytest.mark.parametrize("ring", [POLY, LAURENT_RING], ids=lambda r: r.name)
@@ -106,11 +109,11 @@ def test_random_index_polynomials_on_every_support(laurent):
         w0 = rng.randint(-4, 4)
         draw = (lambda: _random_laurent(rng)) if laurent else (lambda: _random_fraction(rng))
         e, f = (
-            (rng.randint(-2, 2), wm.IndexPoly([draw() for _ in range(rng.randint(0, 3))], laurent))
+            (rng.randint(-2, 2), wm.IndexPoly([draw() for _ in range(rng.randint(0, 3))]))
             for _ in range(2)
         )
         if laurent:
-            h = wm.IndexPoly([Fraction(2 * w0, n), 2], laurent=True)
+            h = wm.IndexPoly([Laurent.const(Fraction(2 * w0, n)), 2])
             actions = {"e": e, "f": f, "h": (0, h)}
         else:
             actions = {"E": e, "F": f, "H": (0, wm.affine(w0, n))}
@@ -135,7 +138,7 @@ def test_columns_take_no_per_cell_route(monkeypatch):
     g = make_zform(2, 3, 1)
     modules = [
         wm.induced_module(g, 2),
-        wm.principal_series(2, 3, wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp"), QQ),
+        wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5)),
         ct.contracted_ps(Fraction(0), Laurent.parse("z^-1 + 2z"), LAURENT_RING),
     ]
     expected = [reference.module_rows(M, -3, 3) for M in modules]

@@ -16,10 +16,17 @@ import reference
 from hclat import contraction as ct
 from hclat import pbw
 from hclat import weightmods as wm
-from hclat.scalars import QQ, Laurent, localized_integers
+from hclat.scalars import Laurent
 from hclat.zforms import iwasawa_decompose, make_zform, subalgebra
 
 SWAP = {"E": "F", "F": "E", "H": "H"}
+
+
+def printed_qp(n, m, eps, mu):
+    """The qp-series with the alternate printed F-coefficient
+    mu/2nm - p - eps, twice the bracket-consistent one."""
+    derived = wm.principal_series(n, m, "qp", eps, mu)
+    return derived.with_action("F", -1, wm.affine(mu / (2 * n * m) - eps, -1))
 
 
 def normal_form_ehf(word, g):
@@ -140,8 +147,7 @@ def test_duality_pairing_coefficients():
 
 
 def test_ps_q_example():
-    chi = wm.CharacterModule(Fraction(0), Fraction(2), "q")
-    ps = wm.principal_series(1, 1, chi, QQ)
+    ps = wm.principal_series(1, 1, "q", Fraction(0), Fraction(2))
     for p in range(-6, 7):
         assert ps.coefficient("E", p) == Fraction(p + 1, 2)
         assert ps.coefficient("F", p) == 1 - p
@@ -154,8 +160,7 @@ def test_ps_qpp_coefficients():
         for k in range(n):
             eps = Fraction(k, n)
             for mu in (Fraction(0), Fraction(3), Fraction(-5, 2)):
-                chi = wm.CharacterModule(eps, mu, "qpp")
-                ps = wm.principal_series(n, 2 * n, chi, QQ)
+                ps = wm.principal_series(n, 2 * n, "qpp", eps, mu)
                 for p in range(-5, 6):
                     assert ps.coefficient("E", p) == mu / 2 + n * (p + eps)
                     assert ps.coefficient("F", p) == mu / 2 - n * (p + eps)
@@ -163,8 +168,7 @@ def test_ps_qpp_coefficients():
 
 def test_ps_qp_derived_f_coefficient():
     """qp-series F-coefficient is half of (mu/2nm - p - eps)."""
-    chi = wm.CharacterModule(Fraction(1, 2), Fraction(7), "qp")
-    ps = wm.principal_series(2, 3, chi, QQ)
+    ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(7))
     n, m, mu, eps = 2, 3, Fraction(7), Fraction(1, 2)
     for p in range(-5, 6):
         assert ps.coefficient("F", p) == Fraction(1, 2) * (
@@ -174,10 +178,11 @@ def test_ps_qp_derived_f_coefficient():
 
 
 def test_ps_alternate_qp_coefficient_breaks_bracket():
-    chi = wm.CharacterModule(Fraction(0), Fraction(5), "qp")
-    derived = wm.principal_series(2, 3, chi, QQ)
+    derived = wm.principal_series(2, 3, "qp", Fraction(0), Fraction(5))
     assert wm.check_module_axioms(derived, range(-25, 26)) == []
-    alternate = wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
+    alternate = printed_qp(2, 3, Fraction(0), Fraction(5))
+    for p in range(-10, 11):
+        assert alternate.coefficient("F", p) == 2 * derived.coefficient("F", p)
     failures = wm.check_module_axioms(alternate, range(-25, 26))
     assert failures and all(name == "[E,F]=mH" for _, name, _ in failures)
 
@@ -190,8 +195,7 @@ def test_ps_bracket_axioms_grid():
                 eps = Fraction(k, n)
                 for mu in (Fraction(1), Fraction(-7, 3)):
                     for label in ("q", "qp"):
-                        chi = wm.CharacterModule(eps, mu, label)
-                        ps = wm.principal_series(n, m, chi, QQ)
+                        ps = wm.principal_series(n, m, label, eps, mu)
                         assert wm.check_module_axioms(ps, window) == [], label
 
 
@@ -205,7 +209,7 @@ def test_ps_vanishing_index_unique():
         eps = Fraction(k, n)
         target = rng.randint(-6, 6)
         mu = 2 * n * m * (target - eps)  # makes mu/2nm + eps an integer
-        ps = wm.principal_series(n, m, wm.CharacterModule(eps, Fraction(mu), "q"), QQ)
+        ps = wm.principal_series(n, m, "q", eps, Fraction(mu))
         zeros_e = [p for p in range(-40, 41) if ps.coefficient("E", p) == 0]
         assert zeros_e == [-target]
         if (Fraction(mu) / (2 * n * m) - eps).denominator == 1:
@@ -222,7 +226,7 @@ def test_weight_equals_h_eigenvalue():
         (wm.induced_module(g, -4), lambda p: -4 + 3 * p),
         (wm.produced_module(g, 2), lambda p: 2 + 3 * p),
         (
-            wm.principal_series(3, 2, wm.CharacterModule(eps, Fraction(5), "q"), QQ),
+            wm.principal_series(3, 2, "q", eps, Fraction(5)),
             lambda p: 3 * (p + eps),
         ),
     ]
@@ -238,19 +242,13 @@ def test_weight_equals_h_eigenvalue():
 
 def test_character_validation():
     with pytest.raises(ValueError, match="residue"):
-        wm.principal_series(2, 1, wm.CharacterModule(Fraction(1, 3), Fraction(1), "q"), QQ)
+        wm.principal_series(2, 1, "q", Fraction(1, 3), Fraction(1))
     with pytest.raises(ValueError, match="q, qp or qpp"):
-        wm.principal_series(2, 1, wm.CharacterModule(Fraction(0), Fraction(1), "nope"), QQ)
-
-
-def test_ps_ring_requirements():
-    chi = wm.CharacterModule(Fraction(0), Fraction(1), "q")
-    # 1/12 exists in Z[1/12] but not Z[1/3]
-    wm.principal_series(2, 3, chi, localized_integers(12))
-    with pytest.raises(ValueError, match="dyadic"):
-        wm.principal_series(2, 3, chi, localized_integers(3))
-    chipp = wm.CharacterModule(Fraction(0), Fraction(2), "qpp")
-    wm.principal_series(3, 6, chipp, localized_integers(2))
+        wm.principal_series(2, 1, "nope", Fraction(0), Fraction(1))
+    # the series is over Q: a Laurent mu belongs to the contraction
+    for mu in (Laurent.parse("2z"), Laurent.const(3)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            wm.principal_series(2, 1, "q", Fraction(0), mu)
 
 
 def test_derive_ps_action_tables():
@@ -261,7 +259,7 @@ def test_derive_ps_action_tables():
     assert table["E"][1:] == (Fraction(1, 24), Fraction(1, 4))
     assert table["F"][1:] == (Fraction(1, 2), Fraction(-3))
     eps, mu = Fraction(1, 2), Fraction(5)
-    ps = wm.principal_series(2, 3, wm.CharacterModule(eps, mu, "q"), QQ)
+    ps = wm.principal_series(2, 3, "q", eps, mu)
     for gen, shift, c_mu, c_w in (("E", 1, Fraction(1, 24), Fraction(1, 4)),
                                   ("F", -1, Fraction(1, 2), Fraction(-3))):
         assert ps.actions[gen] == (shift, wm.affine(c_mu * mu + c_w * 2 * eps, c_w * 2))
@@ -306,10 +304,11 @@ def direct_value(coeffs, p, laurent):
 @pytest.mark.parametrize("laurent", [False, True])
 def test_index_poly_matches_direct_evaluation(laurent):
     rng = random.Random(6 + laurent)
-    kind = Laurent if laurent else Fraction
     for _ in range(100):
         a, b = random_index_poly(rng, laurent), random_index_poly(rng, laurent)
-        P, Q = wm.IndexPoly(a, laurent), wm.IndexPoly(b, laurent)
+        P, Q = wm.IndexPoly(a), wm.IndexPoly(b)
+        # the zero polynomial has Fraction values
+        kind = Laurent if laurent and P else Fraction
         k = rng.randint(-4, 4)
         c = rng.choice((2, Fraction(-3, 4), Laurent.z_power(1, 5) if laurent else 7))
         for p in range(-6, 7):
@@ -321,25 +320,30 @@ def test_index_poly_matches_direct_evaluation(laurent):
             assert P.scale(c)(p) == value * c
             assert P.shift(k)(p) == P(p + k)
         assert bool(P) == any(a)
-        assert P - P == wm.IndexPoly([], laurent) and not (P - P)
+        assert P - P == wm.IndexPoly([]) and not (P - P)
 
 
 def test_index_poly_lifts_to_laurent_and_strips_zeros():
     P = wm.IndexPoly([1, Laurent.z_power(1), 0])
-    assert P.laurent and P.coeffs == (Laurent.const(1), Laurent.z_power(1))
-    assert P(2) == Laurent({0: 1, 1: 2})
+    assert P.coeffs == (Laurent.const(1), Laurent.z_power(1))
+    assert all(type(c) is Laurent for c in P.coeffs)
+    # a Fraction next to a Laurent coefficient is lifted, wherever it sits
+    Q = wm.IndexPoly([Laurent.z_power(-1), Fraction(1, 2)])
+    assert [type(c) for c in Q.coeffs] == [Laurent, Laurent]
+    assert type(Q(2)) is Laurent and Q(2) == Laurent({-1: 1, 0: 1})
+    assert type(P(2)) is Laurent and P(2) == Laurent({0: 1, 1: 2})
+    assert wm.IndexPoly([Laurent(), 0]).coeffs == () and wm.IndexPoly([Laurent()])(1) == 0
     assert wm.IndexPoly([0, 0]).coeffs == () and wm.IndexPoly([])(5) == 0
     assert wm.IndexPoly([Fraction(1, 2), 3]) == wm.affine(Fraction(1, 2), 3)
 
 
 def test_every_action_is_a_polynomial():
     g = make_zform(2, 3, 6)
-    chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
     for M in (
         wm.induced_module(g, 1),
         wm.produced_module(g, -2),
-        wm.principal_series(2, 3, chi, QQ),
-        wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True),
+        wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5)),
+        printed_qp(2, 3, Fraction(1, 2), Fraction(5)),
     ):
         assert all(isinstance(poly, wm.IndexPoly) for _, poly in M.actions.values())
 
@@ -402,11 +406,9 @@ def differential_modules(rng):
         eps = Fraction(rng.randrange(n), n)
         mu = Fraction(rng.randint(-12, 12), rng.choice((1, 3)))
         label = rng.choice(("q", "qp"))
-        ps = wm.principal_series(n, m, wm.CharacterModule(eps, mu, label), QQ)
+        ps = wm.principal_series(n, m, label, eps, mu)
         out.append(ps)
-        out.append(wm.principal_series(
-            n, m, wm.CharacterModule(eps, mu, "qp"), QQ, alternate_qp_f=True
-        ))
+        out.append(printed_qp(n, m, eps, mu))
         # the principal series cut to a half-line is no submodule: its
         # proved relations fail next to the cut
         bound = rng.randint(-4, 4)
@@ -415,9 +417,7 @@ def differential_modules(rng):
         gen = rng.choice(("E", "F", "H"))
         poly = wm.IndexPoly(random_index_poly(rng, False))
         out.append(ps.with_action(gen, rng.randint(-1, 1), poly))
-    out.append(wm.principal_series(
-        2, 4, wm.CharacterModule(Fraction(1, 2), Fraction(3), "qpp"), QQ
-    ))
+    out.append(wm.principal_series(2, 4, "qpp", Fraction(1, 2), Fraction(3)))
     poly_mu = Laurent.parse("2z+z^2")
     cind = ct.contracted_induced(2, 2)
     out += [
@@ -426,7 +426,7 @@ def differential_modules(rng):
         ct.contracted_ps(Fraction(1, 2), Laurent.parse("z^-1+3z"), ct.LAURENT_RING, n=2),
         ct.contracted_ps(0, poly_mu, ct.POLY),
         ct.contracted_ps(0, Laurent.parse("1+z"), ct.POLY),  # the zero module
-        cind.with_action("f", -1, wm.IndexPoly([0, -1, -1], laurent=True)),
+        cind.with_action("f", -1, wm.IndexPoly([0, -1, Laurent.const(-1)])),
         replace(ct.contracted_ps(0, poly_mu, ct.POLY), support=wm.Support("ge", 1)),
         ct.specialize(ct.contracted_induced(3, 1), 1),
         ct.specialize(ct.contracted_produced(1, 2), Fraction(2, 3)),
@@ -461,13 +461,13 @@ def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
     # F lowers the index, so [H,F] and [E,F] touch p - 1 at p = 0
     assert seen == [(0, ("[H,F]=-nF", "[E,F]=mH"))]
     seen.clear()
-    chi = wm.CharacterModule(Fraction(1, 2), Fraction(5), "qp")
-    assert wm.check_module_axioms(wm.principal_series(2, 3, chi, QQ), range(-50, 51)) == []
+    ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5))
+    assert wm.check_module_axioms(ps, range(-50, 51)) == []
     assert seen == []
     cut = replace(wm.produced_module(g, 1), support=wm.Support("le", 4))
     wm.check_module_axioms(cut, range(-50, 51))
     assert seen == [(4, ("[H,E]=nE", "[E,F]=mH"))]
     seen.clear()
-    alternate = wm.principal_series(2, 3, chi, QQ, alternate_qp_f=True)
+    alternate = printed_qp(2, 3, Fraction(1, 2), Fraction(5))
     assert len(wm.check_module_axioms(alternate, range(-5, 6))) == 11
     assert seen == [(p, ("[E,F]=mH",)) for p in range(-5, 6)]
