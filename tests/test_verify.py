@@ -78,7 +78,7 @@ lattice_bracket_axioms: pass (grid=46)
 minimal_maximal_hom_rank_one: pass (grid=13)
 dual_roundtrip_to_maximal: pass (grid=9)
 admissible_model_crosscheck: pass (grid=13)
-counit_fraction_surjectivity: pass (grid=216)
+counit_fraction_surjectivity: pass (grid=210)
 weight_multiplicity_one: pass (grid=13)
 result: pass"""
 
