@@ -28,8 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "hclat").glob("*.py"))
 
 ALLOWED = {
-    # the negative controls corrupt one action of a working module with it
-    "WeightModule.with_action",
     # the dense constructor and its input guard, for tests and library
     # users who hold E and F as matrices
     "FiniteLattice.from_matrices",
