@@ -13,22 +13,24 @@ when the sum runs to the boundary: M_p = s2(top - p), and likewise
 N_p = s2(p - bottom), whatever n, m and eps are.  Each exponent costs
 one int.bit_count(), however far p lies from the boundary.
 
-Oracle route.  The oracle never consults the formulas.  It walks the
-extension recurrence once, in integers: the multiplier of step s is affine
-in s, so it is (a0 + b*s)/D over one common denominator D.  The prefix
-product stays exactly reduced, and its numerator keeps only the primes of
-D, the only ones that can cancel a denominator.  The least e that makes
-2^e times every prefix product integral is the exponent of the largest
-reduced prefix denominator, which must be a power of two.
+Oracle route.  The oracle never consults the formulas.  It reads the
+extension recurrence in integers: the multiplier of step s is affine in
+s, and every chain of one (variant, n, m, eps, mu) is a slice of one
+progression (a0 + b*t)/d.  The least e that makes 2^e times every prefix
+product integral is the largest 2-adic exponent of a prefix denominator,
+and a denominator with an odd prime rules out every e.  Both are running
+maxima of the prefix sums of v_rho(d) - v_rho(a_t), one sweep of the
+progression per prime rho of d, so a window of indices costs
+O(window + depth) integer valuations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .scalars import check_positive, ord2, over_common_denominator, rat, residue
+from .scalars import check_positive, over_common_denominator, rat, residue
 from .weightmods import Support
 
 VARIANTS = ("q", "qp", "qpp")
@@ -132,10 +134,10 @@ def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
 
 
 def dyadic_defect_sum(s: int) -> int:
-    """sum_{l=1..s} (1 - ord2(l)), computed literally."""
+    """sum_{l=1..s} (1 - v2(l)), computed literally on integer valuations."""
     if s < 0:
         raise ValueError("argument must be nonnegative")
-    return sum(1 - ord2(l) for l in range(1, s + 1))
+    return sum(1 - _valuation(l, 2) for l in range(1, s + 1))
 
 
 # -- the brute-force oracle ------------------------------------------------
@@ -162,48 +164,167 @@ def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
     return mu / 2 + n * (s - t + p + eps)
 
 
-def _chain(variant, n, m, eps, mu, p, depth) -> tuple:
-    """(numerators, D): the first depth multipliers of the terminating chain
-    as the integers a0 + b*s over one common denominator D, read off the
-    multipliers at s = 0 and s = 1 (every chain has a nonzero slope)."""
-    den, (a0, a1) = over_common_denominator(
-        _primary_multiplier(variant, n, m, eps, mu, p, 0),
-        _primary_multiplier(variant, n, m, eps, mu, p, 1),
-    )
-    return range(a0, a0 + (a1 - a0) * depth, a1 - a0), den
+def _valuation(x: int, rho: int) -> int:
+    """Exponent of the prime rho in the nonzero integer x."""
+    if rho == 2:
+        return (x & -x).bit_length() - 1
+    v = 0
+    while x % rho == 0:
+        x //= rho
+        v += 1
+    return v
 
 
-def _least_exponent(chain, d: int, cap):
-    """Least e >= 0 such that 2^e times every prefix product of the
-    multipliers a/d (a in chain) is an integer, or None when there is none
-    (or none up to cap, unless cap is None).
+def _prime_factors(d: int) -> list:
+    """The primes of d >= 1 in increasing order, by trial division (the
+    progression of every model has d = 1 or 2)."""
+    out, rho = [], 2
+    while rho * rho <= d:
+        if d % rho == 0:
+            out.append(rho)
+            while d % rho == 0:
+                d //= rho
+        rho += 1
+    return out + [d] if d > 1 else out
 
-    The prefix product stays exactly reduced as num/den, and num keeps only
-    its primes of d: no other prime can cancel a denominator.  e is then
-    the exponent of the largest reduced denominator, and a denominator
-    with an odd factor rules out every e.
+
+def _chain_maxima(a0: int, b: int, rho: int, vd: int, chains: list, cap) -> list:
+    """For each chain (start, end): the largest S[j] - S[start] over
+    start <= j <= end, where S[j + 1] - S[j] = vd - v_rho(a0 + b*j), or
+    None when that exceeds cap (never, when cap is None).
+
+    The starts increase and the ends never decrease, so one sweep over j
+    serves every chain, with two deques of running maxima: of S over the
+    open windows, and of S[start] over the open chains, so that the sweep
+    stops once S has passed the cap of every chain still open.  No chain
+    steps over a zero of the progression, so a zero adds no term.
     """
-    limit = None if cap is None else 1 << cap
-    num = den = worst = 1
-    for a in chain:
-        x = num * a
-        num, g = 1, gcd(x, d)
-        while g > 1:
-            num *= g
-            x //= g
-            g = gcd(x, g)
-        den *= d
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        if den & (den - 1):
-            return None
-        if den > worst:
-            if limit is not None and den > limit:
-                return None
-            worst = den
-    return worst.bit_length() - 1
+    count = len(chains)
+    out, base = [None] * count, [0] * count
+    maxima = deque()  # (j, S[j]) with S[j] decreasing
+    bases = deque()  # (k, S[start of chain k]) with S decreasing
+    k_open = k_close = 0
+    j, s = chains[0][0], 0
+    while True:
+        while maxima and maxima[-1][1] <= s:
+            maxima.pop()
+        maxima.append((j, s))
+        while k_open < count and chains[k_open][0] == j:
+            base[k_open] = s
+            while bases and bases[-1][1] <= s:
+                bases.pop()
+            bases.append((k_open, s))
+            k_open += 1
+        while k_close < count and chains[k_close][1] == j:
+            while maxima[0][0] < chains[k_close][0]:
+                maxima.popleft()
+            value = maxima[0][1] - base[k_close]
+            out[k_close] = None if cap is not None and value > cap else value
+            k_close += 1
+        while bases and bases[0][0] < k_close:
+            bases.popleft()
+        if k_close == count or (k_open == count and cap is not None and s > bases[0][1] + cap):
+            return out
+        a = a0 + b * j
+        if a:
+            s += vd - _valuation(a, rho)
+        j += 1
+
+
+def _least_exponents(a0: int, b: int, d: int, chains: list, cap) -> list:
+    """For each chain (start, end) as in _chain_maxima: the least e >= 0
+    such that 2^e times every prefix product of the multipliers
+    (a0 + b*t)/d, start <= t < end, is an integer, or None when there is
+    none (or none up to 2^cap, unless cap is None)."""
+    exponents = [0] * len(chains)
+    for rho in _prime_factors(d) if chains else ():
+        maxima = _chain_maxima(
+            a0, b, rho, _valuation(d, rho), chains, cap if rho == 2 else 0
+        )
+        if rho == 2:
+            exponents = maxima
+        else:
+            exponents = [None if x is None else e for e, x in zip(exponents, maxima)]
+    return exponents
+
+
+def _secondary_failure(den: int, a: int, a_s: int, a_t: int, width: int):
+    """The transverse multipliers (a + a_s*s + a_t*t)/den must all be
+    integers; they move in integer steps, so a small grid check covers
+    every (s, t).  The message for the first one that is not, or None."""
+    if a_s % den == 0 and a_t % den == 0:
+        width = min(width, 0)  # every point has the residue of the first
+    for s in range(min(width, 4) + 1):
+        for t in range(min(width, 4) + 1):
+            x = a + a_s * s + a_t * t
+            if x % den:
+                return (
+                    f"no extension: transverse multiplier {Fraction(x, den)} at "
+                    f"(s={s}, t={t}) is not an integer"
+                )
+    return None
+
+
+def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
+    """What oracle_min_exponent answers at each index lo..hi of validated
+    parameters: the least exponent, or the message of its NoExtensionError.
+
+    Every chain is a slice of one progression (a0 + b*t)/d: q reads
+    t = p + s, and qp and qpp read t = s - p.  A prefix product from
+    t = start to j has, at each prime rho of d, the exponent
+    S[j] - S[start] in its denominator, for the prefix sums S of
+    v_rho(d) - v_rho(a_t); so one sweep of each progression
+    (_least_exponents) serves the whole window.  q and qp chains must reach
+    the progression's zero within depth; qpp chains stop there or at depth,
+    with at most 2^_EXPONENT_CAP to spend.  The transverse multipliers are
+    affine in p too, read off over one common denominator.
+    """
+    qpp = variant == "qpp"
+    d, (a0, a1) = over_common_denominator(
+        *(_primary_multiplier(variant, n, m, eps, mu, 0, t) for t in (0, 1))
+    )
+    b = a1 - a0
+    zero = -a0 // b if a0 % b == 0 else None
+    sign = 1 if variant == "q" else -1
+    indices = range(lo, hi + 1) if sign > 0 else range(hi, lo - 1, -1)
+    ends = []
+    for p in indices:
+        t = sign * p
+        if zero is not None and t <= zero < t + depth:
+            ends.append(zero)
+        else:
+            ends.append(t + max(depth, 0) if qpp else None)
+    chains = [(sign * p, end) for p, end in zip(indices, ends) if end is not None]
+    exponents = _least_exponents(a0, b, d, chains, _EXPONENT_CAP if qpp else None)
+    den, (c, c_s, c_t, c_p) = over_common_denominator(
+        *(
+            _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+            for p, s, t in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
+        )
+    )
+    never = f"no extension: the chain never terminates within depth {depth}"
+    answers, found = [], iter(exponents)
+    for p, end in zip(indices, ends):
+        if end is None:
+            answers.append(never)
+            continue
+        e = next(found)
+        if qpp and e is None:
+            answers.append("no extension: every tested exponent fails (odd mu)")
+            continue
+        width = min(depth, 32) if qpp else end - sign * p
+        failure = _secondary_failure(den, c + (c_p - c) * p, c_s - c, c_t - c, width)
+        if failure is None and e is None:
+            failure = "no extension: a prefix product has a denominator with an odd factor"
+        answers.append(e if failure is None else failure)
+    return answers if sign > 0 else answers[::-1]
+
+
+# The window that oracle_check_report is checking, as (the oracle's
+# validated arguments but p, the first index, the answers): the oracle keeps
+# its one call per index and reads its answer here.  At most one entry,
+# removed when the check ends.
+_WINDOW_TABLES: list = []
 
 
 def oracle_min_exponent(
@@ -211,50 +332,25 @@ def oracle_min_exponent(
 ) -> int:
     """Least e >= 0 such that phi(1) = 2^e extends integrally, by iteration.
 
-    Walks the recurrence once, in integers.  For q and qp the chain must
+    Reads the recurrence in integers (_oracle_table): from the table of the
+    window oracle_check_report is checking, whose arguments it validated,
+    or else from a table of this one index.  For q and qp the chain must
     terminate (hit a zero coefficient) within depth, else there is no
     extension at all; for qpp nothing need terminate, and integrality must
     hold along the whole walked chain with at most 2^_EXPONENT_CAP to
     spend.  Raises NoExtensionError when the module over Z vanishes.
     """
-    eps, mu = _validate(variant, n, m, eps, mu)
-    chain, d = _chain(variant, n, m, eps, mu, p, depth)
-    if 0 in chain:
-        chain = chain[: chain.index(0)]
-    elif variant != "qpp":
-        raise NoExtensionError(
-            f"no extension: the chain never terminates within depth {depth}"
-        )
-    qpp = variant == "qpp"
-    e = _least_exponent(chain, d, _EXPONENT_CAP if qpp else None)
-    if qpp and e is None:
-        raise NoExtensionError("no extension: every tested exponent fails (odd mu)")
-    _check_secondary(variant, n, m, eps, mu, p, min(depth, 32) if qpp else len(chain))
-    if e is None:
-        raise NoExtensionError(
-            "no extension: a prefix product has a denominator with an odd factor"
-        )
-    return e
-
-
-def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
-    """The transverse multipliers must all be integers; they move in integer
-    steps, so a small grid check covers every (s, t).  They are affine in
-    (s, t), so the grid is walked in integers over one common denominator."""
-    den, (a, a_s, a_t) = over_common_denominator(
-        *(
-            _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
-            for s, t in ((0, 0), (1, 0), (0, 1))
-        )
-    )
-    for s in range(min(width, 4) + 1):
-        for t in range(min(width, 4) + 1):
-            x = a + (a_s - a) * s + (a_t - a) * t
-            if x % den:
-                raise NoExtensionError(
-                    f"no extension: transverse multiplier {Fraction(x, den)} at "
-                    f"(s={s}, t={t}) is not an integer"
-                )
+    args = (variant, n, m, eps, mu, depth)
+    for key, lo, answers in _WINDOW_TABLES:
+        if key == args and 0 <= p - lo < len(answers):
+            break
+    else:
+        eps, mu = _validate(variant, n, m, eps, mu)
+        lo, answers = p, _oracle_table(variant, n, m, eps, mu, depth, p, p)
+    answer = answers[p - lo]
+    if isinstance(answer, str):
+        raise NoExtensionError(answer)
+    return answer
 
 
 # -- assembled reports ------------------------------------------------------
@@ -309,18 +405,26 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
 
 def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> bool:
     """Re-derive every reported exponent with the brute-force oracle; for a
-    vanishing model, check that no index of the window extends."""
-    args = (report.n, report.m, report.eps, report.mu, depth)
-    if not report.nonzero:
-        lo, hi = report.window
-        for p in range(lo, hi + 1):
-            try:
-                oracle_min_exponent(report.variant, p, *args)
-            except NoExtensionError:
-                continue
-            return False
-        return True
-    return all(
-        oracle_min_exponent(report.variant, p, *args) == value
-        for p, value in report.exponents.items()
+    vanishing model, check that no index of the window extends.  The oracle
+    reads one table of the whole window, built here."""
+    eps, mu = _validate(report.variant, report.n, report.m, report.eps, report.mu)
+    args = (report.n, report.m, eps, mu, depth)
+    lo, hi = report.window
+    _WINDOW_TABLES.append(
+        ((report.variant, *args), lo, _oracle_table(report.variant, *args, lo, hi))
     )
+    try:
+        if not report.nonzero:
+            for p in range(lo, hi + 1):
+                try:
+                    oracle_min_exponent(report.variant, p, *args)
+                except NoExtensionError:
+                    continue
+                return False
+            return True
+        return all(
+            oracle_min_exponent(report.variant, p, *args) == value
+            for p, value in report.exponents.items()
+        )
+    finally:
+        _WINDOW_TABLES.pop()

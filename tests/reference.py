@@ -23,14 +23,26 @@ differential tests.
   plain term dicts and builds its result once; ``SmashElement`` here
   re-normalizes and merges every term of every element it builds, and
   ``smash_mul`` filters the right factor once per pair of terms.
+- The dyadic oracle one index at a time.  ``dyadic.oracle_min_exponent``
+  reads a table that one sweep of the recurrence's progression builds for
+  a whole window; ``walk_oracle`` here walks each index's chain on its
+  own, keeping the prefix product reduced with gcds (``_least_exponent``),
+  and checks the transverse grid of that index alone.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hclat import pbw
-from hclat.scalars import Laurent
+from hclat.dyadic import (
+    _EXPONENT_CAP,
+    NoExtensionError,
+    _primary_multiplier,
+    _secondary_multiplier,
+    _validate,
+)
+from hclat.scalars import Laurent, over_common_denominator
 
 
 def rref(rows, ncols: int):
@@ -274,3 +286,88 @@ def smash_mul(x: SmashElement, y: SmashElement) -> SmashElement:
             if prod:
                 out[mu] = pbw.add(out.get(mu, {}), prod)
     return SmashElement(g, lattice, out)
+
+
+def _chain(variant, n, m, eps, mu, p, depth) -> tuple:
+    """(numerators, D): the first depth multipliers of the terminating chain
+    as the integers a0 + b*s over one common denominator D, read off the
+    multipliers at s = 0 and s = 1 (every chain has a nonzero slope)."""
+    den, (a0, a1) = over_common_denominator(
+        _primary_multiplier(variant, n, m, eps, mu, p, 0),
+        _primary_multiplier(variant, n, m, eps, mu, p, 1),
+    )
+    return range(a0, a0 + (a1 - a0) * depth, a1 - a0), den
+
+
+def _least_exponent(chain, d: int, cap):
+    """Least e >= 0 such that 2^e times every prefix product of the
+    multipliers a/d (a in chain) is an integer, or None when there is none
+    (or none up to cap, unless cap is None).
+
+    The prefix product stays exactly reduced as num/den, and num keeps only
+    its primes of d: no other prime can cancel a denominator.  e is then
+    the exponent of the largest reduced denominator, and a denominator
+    with an odd factor rules out every e.
+    """
+    limit = None if cap is None else 1 << cap
+    num = den = worst = 1
+    for a in chain:
+        x = num * a
+        num, g = 1, gcd(x, d)
+        while g > 1:
+            num *= g
+            x //= g
+            g = gcd(x, g)
+        den *= d
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        if den & (den - 1):
+            return None
+        if den > worst:
+            if limit is not None and den > limit:
+                return None
+            worst = den
+    return worst.bit_length() - 1
+
+
+def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
+    """The transverse multipliers of index p on the grid s, t <= min(width, 4),
+    in integers over one common denominator."""
+    den, (a, a_s, a_t) = over_common_denominator(
+        *(
+            _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+            for s, t in ((0, 0), (1, 0), (0, 1))
+        )
+    )
+    for s in range(min(width, 4) + 1):
+        for t in range(min(width, 4) + 1):
+            x = a + (a_s - a) * s + (a_t - a) * t
+            if x % den:
+                raise NoExtensionError(
+                    f"no extension: transverse multiplier {Fraction(x, den)} at "
+                    f"(s={s}, t={t}) is not an integer"
+                )
+
+
+def walk_oracle(variant, p, n, m, eps, mu, depth) -> int:
+    """``dyadic.oracle_min_exponent`` by one walk of index p's own chain."""
+    eps, mu = _validate(variant, n, m, eps, mu)
+    chain, d = _chain(variant, n, m, eps, mu, p, depth)
+    if 0 in chain:
+        chain = chain[: chain.index(0)]
+    elif variant != "qpp":
+        raise NoExtensionError(
+            f"no extension: the chain never terminates within depth {depth}"
+        )
+    qpp = variant == "qpp"
+    e = _least_exponent(chain, d, _EXPONENT_CAP if qpp else None)
+    if qpp and e is None:
+        raise NoExtensionError("no extension: every tested exponent fails (odd mu)")
+    _check_secondary(variant, n, m, eps, mu, p, min(depth, 32) if qpp else len(chain))
+    if e is None:
+        raise NoExtensionError(
+            "no extension: a prefix product has a denominator with an odd factor"
+        )
+    return e

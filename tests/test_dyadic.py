@@ -6,12 +6,12 @@ from math import gcd
 
 import pytest
 
+import reference
 from hclat import dyadic
 from hclat.dyadic import (
     ORACLE_DEPTH,
     LatticeReport,
     NoExtensionError,
-    _least_exponent,
     bottom_index,
     dyadic_defect_sum,
     exponent_M,
@@ -421,14 +421,15 @@ def test_least_exponent_matches_fraction_walk():
                 want = None
                 break
             want = max(want, den.bit_length() - 1)
-        assert _least_exponent(chain, d, cap) == want, (chain, d, cap)
-    assert _least_exponent([1, 2], 3, None) is None  # 1/3: no power of two
-    assert _least_exponent([1, 1, 1], 2, 2) is None  # needs 2^3 > 2^cap
+        assert reference._least_exponent(chain, d, cap) == want, (chain, d, cap)
+    assert reference._least_exponent([1, 2], 3, None) is None  # 1/3: no power of two
+    assert reference._least_exponent([1, 1, 1], 2, 2) is None  # needs 2^3 > 2^cap
 
 
 def test_oracle_walk_keeps_its_integers_small(monkeypatch):
-    # the numerator keeps only the primes of D, so a full-depth walk never
-    # builds a bignum: every gcd the walk takes has word-sized operands
+    # the reference walk's numerator keeps only the primes of D, so a
+    # full-depth walk never builds a bignum: every gcd the walk takes has
+    # word-sized operands
     widest = [0]
 
     def spy(*args):
@@ -441,8 +442,8 @@ def test_oracle_walk_keeps_its_integers_small(monkeypatch):
         ("qp", 4000, 3, 2, Fraction(1, 3), 16),
     ]
     want = [exponent_M(-4000, 1, 1, 0, 0), exponent_N(4000, 3, 2, Fraction(1, 3), 16)]
-    monkeypatch.setattr(dyadic, "gcd", spy)
-    assert [oracle_min_exponent(*walk) for walk in walks] == [0] + want
+    monkeypatch.setattr(reference, "gcd", spy)
+    assert [reference.walk_oracle(*walk, ORACLE_DEPTH) for walk in walks] == [0] + want
     assert 0 < widest[0] <= 64
 
 
@@ -451,7 +452,7 @@ def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
         raise AssertionError("the oracle consulted the formula route")
 
     for name in ("_digit_sums", "exponent_M", "exponent_N", "exponent_M_raw",
-                 "dyadic_defect_sum", "ord2"):
+                 "dyadic_defect_sum"):
         monkeypatch.setattr(dyadic, name, forbidden)
     assert oracle_min_exponent("q", -3, 1, 1, 0, -2) == 1
     assert oracle_min_exponent("qp", 2, 1, 1, 0, 2) == 1
@@ -562,3 +563,170 @@ def test_exponent_far_from_the_boundary_is_a_digit_sum():
     report = integral_model("q", 1, 1, 0, mu, (0, 0))
     assert report.exponents == {0: bin(10_000_000).count("1")}
     assert exponent_N(10**12, 1, 1, 0, 0) == bin(10**12).count("1")
+
+
+# -- the window sweep against the per-index walk ------------------------------
+
+
+def answer(route, *args):
+    """What an oracle route returns, or the message of the NoExtensionError
+    it raises: the entries of a window table."""
+    try:
+        return route(*args)
+    except NoExtensionError as exc:
+        return str(exc)
+
+
+def oracle_anchor(variant, n, m, eps, mu):
+    """Where the chains change behaviour: the q or qp support boundary (if
+    it is an index), or the qpp index whose chain starts at its zero.  The
+    chains that terminate within depth end depth indices further on, below
+    the q boundary and above the others."""
+    if variant == "q":
+        anchor = -Fraction(mu, 2 * n * m) - eps
+    elif variant == "qp":
+        anchor = Fraction(mu, 2 * n * m) - eps
+    else:
+        anchor = -eps - Fraction(mu, 2 * n)
+    return int(anchor)
+
+
+def test_window_sweep_matches_per_index_walk():
+    # seeded: every variant, eps = k/n and m with n, m <= 3, vanishing and
+    # nonzero models, depths from -1 to ORACLE_DEPTH (64 and 65 straddle the
+    # qpp cap), and windows across the support boundary or across the
+    # index whose chain stops terminating within depth; every index gets the
+    # walk's exponent, or its exception message
+    rng = random.Random(20261019)
+    seen = set()
+    for case in range(300):
+        variant = ("q", "qp", "qpp")[case % 3]
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        eps = Fraction(rng.randrange(n), n)
+        mus = range(-40, 41)
+        if case % 2:
+            mus = [mu for mu in mus if nonvanishing(variant, n, m, eps, mu)]
+        mu = rng.choice(mus)
+        depth = rng.choice(
+            (-1, 0, 1, 2, 64, 65, rng.randint(1, 80), rng.randint(1, ORACLE_DEPTH), ORACLE_DEPTH)
+        )
+        edge = oracle_anchor(variant, n, m, eps, mu)
+        edge += rng.choice((0, 0, -depth if variant == "q" else depth))
+        lo = edge - rng.randint(0, 10)
+        hi = edge + rng.randint(0, 10)
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), depth, lo, hi)
+        walks = [
+            answer(reference.walk_oracle, variant, p, n, m, eps, mu, depth)
+            for p in range(lo, hi + 1)
+        ]
+        assert table == walks, (variant, n, m, eps, mu, depth, lo, hi)
+        for entry in table:
+            seen.add((variant, entry if isinstance(entry, str) else int))
+    outcomes = {
+        variant: {a if a is int else a.split(":")[1].split()[0] for v, a in seen if v == variant}
+        for variant in ("q", "qp", "qpp")
+    }
+    # "the chain never terminates", "every tested exponent fails" and
+    # "transverse multiplier": a q or qp chain terminates only on a nonzero
+    # model, whose transverse multipliers are integers, and no model has an
+    # odd prime in its denominator
+    assert outcomes["q"] == outcomes["qp"] == {int, "the"}
+    assert outcomes["qpp"] == {int, "every", "transverse"}
+
+
+def test_direct_calls_agree_with_the_window_table():
+    # a call outside oracle_check_report builds a table of its one index
+    for variant, n, m, eps, mu, depth in (
+        ("q", 2, 3, Fraction(1, 2), 18, 40),
+        ("qp", 3, 1, Fraction(2, 3), -16, 4096),
+        ("qpp", 1, 2, 0, 5, 70),
+        ("qpp", 2, 1, Fraction(1, 2), 6, 300),
+    ):
+        lo = oracle_anchor(variant, n, m, eps, mu) - 6
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), depth, lo, lo + 12)
+        for p, entry in zip(range(lo, lo + 13), table):
+            assert answer(oracle_min_exponent, variant, p, n, m, eps, mu, depth) == entry
+
+
+def test_oracle_check_report_builds_one_table(monkeypatch):
+    # one sweep per report, one oracle call per index, and no table kept
+    builds, calls = [], []
+    table, oracle = dyadic._oracle_table, dyadic.oracle_min_exponent
+    monkeypatch.setattr(dyadic, "_oracle_table", lambda *a: builds.append(a) or table(*a))
+    monkeypatch.setattr(dyadic, "oracle_min_exponent", lambda *a: calls.append(a) or oracle(*a))
+    report = integral_model("qp", 1, 1, 0, 2, (1, 40))
+    assert oracle_check_report(report)
+    assert len(builds) == 1 and len(calls) == 40
+    report = integral_model("q", 2, 1, Fraction(1, 2), 0, (-4, 4))
+    assert oracle_check_report(report, depth=300)
+    assert len(builds) == 2 and len(calls) == 49
+    assert dyadic._WINDOW_TABLES == []
+
+
+def test_least_exponents_match_the_gcd_walk_on_odd_denominators():
+    # progressions over denominators with odd primes, which no model has,
+    # with chains cut as the oracle cuts them: at depth or at the zero
+    rng = random.Random(11)
+    for _ in range(300):
+        d = rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 5, 36, 45))
+        b = rng.choice((-3, -2, -1, 1, 2, 3)) * rng.randint(1, 4)
+        a0 = rng.randint(-30, 30)
+        zero = -a0 // b if a0 % b == 0 else None
+        depth = rng.randint(0, 40)
+        starts = sorted(rng.sample(range(-40, 40), rng.randint(1, 12)))
+        chains = [
+            (t, zero if zero is not None and t <= zero < t + depth else t + depth)
+            for t in starts
+        ]
+        cap = rng.choice((None, 0, 3, 64))
+        want = [
+            reference._least_exponent(range(a0 + b * t, a0 + b * end, b), d, cap)
+            for t, end in chains
+        ]
+        assert dyadic._least_exponents(a0, b, d, chains, cap) == want, (a0, b, d, chains, cap)
+
+
+def test_secondary_failure_names_the_first_failing_grid_point():
+    # transverse slopes that are not integers, which no model has: the grid
+    # is walked in (s, t) order, not collapsed to its first point
+    rng = random.Random(5)
+    for _ in range(300):
+        den = rng.choice((1, 2, 3, 4, 6))
+        a, a_s, a_t = (rng.randint(-12, 12) for _ in range(3))
+        width = rng.randint(-1, 6)
+        side = range(min(width, 4) + 1)
+        bad = [(s, t) for s in side for t in side if (a + a_s * s + a_t * t) % den]
+        want = None
+        if bad:
+            s, t = bad[0]
+            want = (
+                f"no extension: transverse multiplier {Fraction(a + a_s * s + a_t * t, den)}"
+                f" at (s={s}, t={t}) is not an integer"
+            )
+        assert dyadic._secondary_failure(den, a, a_s, a_t, width) == want
+
+
+def test_limit_windows_match_the_formulas():
+    # the costliest oracle documents the CLI accepts, against the closed
+    # forms rather than the slow walk
+    for variant, n, m, eps, mu, window in (
+        ("q", 1, 1, 0, 0, (-4095, -2095)),
+        ("qp", 1, 1, 0, 0, (2095, 4095)),
+        ("qp", 3, 2, Fraction(1, 3), 16, (1 + 4095 - 2000, 1 + 4095)),
+        ("qpp", 1, 2, 0, 123456789012345678901234567890, (0, 2000)),
+        ("qpp", 2, 4, Fraction(1, 2), 10**42 + 2, (-1000, 1000)),
+    ):
+        report = integral_model(variant, n, m, eps, mu, window)
+        assert len(report.exponents) == 2001
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), ORACLE_DEPTH, *window)
+        formula = exponent_M if variant == "q" else exponent_N
+        for p, value in zip(range(window[0], window[1] + 1), table):
+            want = 0 if variant == "qpp" else formula(p, n, m, eps, mu)
+            assert value == want == report.exponents[p], (variant, p)
+        assert oracle_check_report(report)
+    # one past the reach: the farthest chain no longer terminates
+    table = dyadic._oracle_table("q", 1, 1, 0, Fraction(0), ORACLE_DEPTH, -4096, -4095)
+    assert table == [
+        "no extension: the chain never terminates within depth 4096",
+        bin(4095).count("1"),
+    ]
