@@ -5,6 +5,13 @@ are emitted as JSON (default), CSV, or an aligned text table; every
 number is an exact string, never a decimal float.  Exit status: 0 on
 success, 1 on a domain error (as a machine-readable error object in JSON
 mode), 2 on a usage error.
+
+A command line that starts with a subcommand is parsed once, by that
+subcommand's parser; leftover tokens get argparse's top-level
+"unrecognized arguments" error.  Any other command line goes through the
+top-level parser.  The JSON of a document is exactly
+``json.dumps(doc, indent=2) + "\n"``, built from the C encoder's compact
+output.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import borelweil, contraction, dyadic, weightmods, zforms
 from . import verify as verify_suites
@@ -188,22 +197,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> frozenset:
-    """The option strings that take a value, over every subcommand."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.option_strings and action.nargs != 0:
-            flags.update(action.option_strings)
-    return frozenset(flags)
-
-
-# Built once per process: parse_args makes a fresh Namespace on every call
-# and every default is immutable, so documents cannot leak into each other.
+# Built once per process: parse_known_args makes a fresh Namespace on every
+# call and every default is immutable, so documents cannot leak into each
+# other.
 _PARSER = build_parser()
-_VALUE_FLAGS = _value_flags(_PARSER)
+(_SUBPARSERS,) = (
+    action.choices
+    for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+# The option strings that take a value, over every subcommand.
+_VALUE_FLAGS = frozenset(
+    flag
+    for sub in _SUBPARSERS.values()
+    for action in sub._actions
+    if action.nargs != 0
+    for flag in action.option_strings
+)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of one command line, by the subcommand's parser alone.
+
+    The top-level parser would hand argv[1:] to that same parser; going
+    straight there saves a second parse.  Leftover tokens get the top-level
+    "unrecognized arguments" error that argparse prints; every other argv
+    (empty, -h, an unknown command) goes through the top-level parser.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -388,8 +416,54 @@ _HANDLERS = {
 # -- rendering -----------------------------------------------------------------
 
 
+# Compact JSON with a NUL between the items of a list or dict.  ensure_ascii
+# writes a NUL inside a string as \u0000, so every raw NUL in its output is
+# one of these separators, and _indented turns it into a line break.  It
+# only ever sees scalars and lists of scalars, which cannot hold a cycle.
+_FLAT = json.JSONEncoder(check_circular=False, separators=("\0", ": ")).encode
+# The scalar types of a document; anything else (no document holds a
+# non-integral number) takes the general path of _indented.
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a number, bool or None as a string."""
+    return encode_basestring_ascii(key) if isinstance(key, str) else _FLAT({key: 0})[1:-4]
+
+
+def _indented(value, newline: str) -> str:
+    """json.dumps(value, indent=2) for a value whose own line starts with
+    `newline` (a line break and the indent of its depth).
+
+    A list or dict of scalars is one C-encoder call, and so is a list of
+    nonempty lists of scalars (table rows, matrices, exponent pairs); any
+    other nesting recurses.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _FLAT(value)
+    inner = newline + "  "
+    kinds = {*map(type, value.values() if isinstance(value, dict) else value)}
+    if kinds <= _SCALARS:
+        flat = _FLAT(value)
+        return flat[0] + inner + flat[1:-1].replace("\0", "," + inner) + newline + flat[-1]
+    if isinstance(value, dict):
+        items = (_key(k) + ": " + _indented(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if (
+        kinds <= {list, tuple}
+        and all(value)
+        and {*map(type, chain.from_iterable(value))} <= _SCALARS
+    ):
+        deeper = inner + "  "
+        body = _FLAT(value)[2:-2].replace("]\0[", inner + "]," + inner + "[" + deeper)
+        body = body.replace("\0", "," + deeper)
+        return "[" + inner + "[" + deeper + body + inner + "]" + newline + "]"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly json.dumps(doc, indent=2) + "\\n", built with the C encoder."""
+    return _indented(doc, "\n") + "\n"
 
 
 def _scalar_cell(value):
@@ -421,7 +495,7 @@ def render_table(doc: dict) -> str:
         return verify_suites.format_report(doc) + "\n"
     if "rows" in doc:
         table = [doc["columns"]] + [[str(x) for x in row] for row in doc["rows"]]
-        widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+        widths = [max(map(len, column)) for column in zip(*table)]
         lines = [
             "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
             for row in table
@@ -450,7 +524,7 @@ def _emit(text: str, out_path) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _PARSER.parse_args(_normalize_argv(list(argv)))
+    args = _parse(_normalize_argv(list(argv)))
     try:
         doc = _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -146,7 +146,9 @@ def dyadic_defect_sum(s: int) -> int:
 def _primary_multiplier(variant, n, m, eps, mu, p, s) -> Fraction:
     """Coefficient on step s of the extension's terminating chain.
 
-    q walks up the E-powers; qp and qpp walk up the F-powers.
+    Each variant's chain reads one coefficient of its principal series:
+    q the E coefficient at p + s, qp the F coefficient at p - s, and qpp
+    the E coefficient at p - s.
     """
     if variant == "q":
         return mu / (4 * n * m) + Fraction(s + p + eps, 1) / 2

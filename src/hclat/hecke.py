@@ -33,7 +33,13 @@ class CharacterLattice:
             raise ValueError(f"lattice order must be nonnegative, got {self.order}")
 
     def normalize(self, lam: int) -> int:
-        lam = int(lam)
+        """The representative of the character lam; a non-integral lam
+        (Fraction(7, 2), 3.9) is no character and raises ValueError."""
+        if type(lam) is not int:
+            whole = int(lam)
+            if whole != lam:
+                raise ValueError(f"a character must be an integer, got {lam!r}")
+            lam = whole
         return lam % self.order if self.order else lam
 
     def elements(self):
@@ -97,23 +103,36 @@ def smash(a: dict, lam: int, lattice: CharacterLattice = INTEGERS) -> dict:
     return {lattice.normalize(lam): dict(a)} if a else {}
 
 
-def smash_mul(x: dict, y: dict, g, lattice: CharacterLattice = INTEGERS) -> dict:
-    """(a (x) p_lambda)(b (x) p_mu) = a.p_(lambda-mu)b (x) p_mu, bilinearly.
+def smash_right(y: dict, g, lattice: CharacterLattice = INTEGERS):
+    """Right multiplication x -> xy in U(g) # R(T).
 
-    p_(lambda-mu)b keeps the monomials F^i H^j E^k of b whose adjoint
-    weight n(k - i) restricts to lambda - mu.
+    y is split by adjoint weight here, once for every product it is the
+    right factor of: p_(lambda-mu)b keeps the monomials F^i H^j E^k of b
+    whose adjoint weight n(k - i) restricts to lambda - mu.
     """
-    out = {}
+    split = []
     for mu, b in y.items():
         parts: dict = {}
         for key, c in b.items():
             weight = lattice.normalize(g.n * (key[2] - key[0]))
             parts.setdefault(weight, {})[key] = c
-        total: dict = {}
-        for lam, a in x.items():
-            part = parts.get(lattice.normalize(lam - mu))
-            if part:
-                total = pbw.add(total, pbw.mul(a, part, g))
-        if total:
-            out[mu] = total
-    return out
+        split.append((mu, parts))
+
+    def times(x: dict) -> dict:
+        out = {}
+        for mu, parts in split:
+            total: dict = {}
+            for lam, a in x.items():
+                part = parts.get(lattice.normalize(lam - mu))
+                if part:
+                    total = pbw.add(total, pbw.mul(a, part, g))
+            if total:
+                out[mu] = total
+        return out
+
+    return times
+
+
+def smash_mul(x: dict, y: dict, g, lattice: CharacterLattice = INTEGERS) -> dict:
+    """(a (x) p_lambda)(b (x) p_mu) = a.p_(lambda-mu)b (x) p_mu, bilinearly."""
+    return smash_right(y, g, lattice)(x)

@@ -66,13 +66,14 @@ def _smash_associativity():
         elements = [
             hecke.smash(a, lam, lattice) for a in monos for lam in range(-2, 3)
         ]
-        # every pair product once, so each triple costs two more products
-        pairs = [
-            [hecke.smash_mul(x, y, g, lattice) for y in elements] for x in elements
-        ]
+        # every pair product once, and every right factor split by weight
+        # once, so each triple costs two more products
+        times = [hecke.smash_right(y, g, lattice) for y in elements]
+        pairs = [[right(x) for right in times] for x in elements]
+        times_pair = [[hecke.smash_right(y, g, lattice) for y in row] for row in pairs]
         for i, j, k in itertools.product(range(len(elements)), repeat=3):
-            lhs = hecke.smash_mul(pairs[i][j], elements[k], g, lattice)
-            rhs = hecke.smash_mul(elements[i], pairs[j][k], g, lattice)
+            lhs = times[k](pairs[i][j])
+            rhs = times_pair[j][k](elements[i])
             yield lhs == rhs, "associativity failed on a monomial triple"
 
 

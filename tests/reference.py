@@ -28,6 +28,9 @@ differential tests.
   a whole window; ``walk_oracle`` here walks each index's chain on its
   own, keeping the prefix product reduced with gcds (``_least_exponent``),
   and checks the transverse grid of that index alone.
+- Table widths row by row.  ``cli.render_table`` takes the width of each
+  column with one ``max`` over that column; ``render_table_rows`` here
+  takes it by indexing every row at every column position.
 """
 
 from dataclasses import dataclass, field
@@ -371,3 +374,20 @@ def walk_oracle(variant, p, n, m, eps, mu, depth) -> int:
             "no extension: a prefix product has a denominator with an odd factor"
         )
     return e
+
+
+def render_table_rows(doc: dict) -> str:
+    """``cli.render_table`` of a document with rows: the header line, then
+    the columns and rows left-justified to each column's widest cell."""
+    table = [doc["columns"]] + [[str(x) for x in row] for row in doc["rows"]]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    header = [
+        f"{key} = {value}"
+        for key, value in doc.items()
+        if key not in ("rows", "columns")
+    ]
+    return "\n".join(["; ".join(header)] + lines) + "\n"

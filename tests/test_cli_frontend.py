@@ -1,0 +1,240 @@
+"""The command line's front end against the routes it replaced.
+
+- Parsing.  ``cli.main`` hands a command line that starts with a
+  subcommand straight to that subcommand's parser.  For every benchmark
+  document, every fuzzed document and the edge cases below, that gives the
+  same namespace, or the same exit code, stdout and stderr, as the
+  top-level ``_PARSER.parse_args``; the rest of ``main`` reads only the
+  namespace.
+- JSON.  ``cli.render_json`` builds indented JSON with the C encoder; it
+  must return exactly ``json.dumps(doc, indent=2) + "\\n"``, for every
+  document of the four benchmark pools and for seeded random values.
+- Tables.  ``cli.render_table`` must match ``reference.render_table_rows``.
+"""
+
+import contextlib
+import io
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import reference
+import test_cli_fuzz
+from hclat import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LAMBDA2 = ["bw", "--lambda", "2", "--op", "min"]
+WINDOW = ["--mu", "0", "--window", "0:1"]
+EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["bw", "-h"],
+    ["bw", "--he"],
+    ["latt"],
+    ["Bw", "--lambda", "2", "--op", "min"],
+    ["--format", "csv", *LAMBDA2],
+    ["bw"],
+    [*LAMBDA2, "--bogus", "x"],
+    [*LAMBDA2, "stray"],
+    [*LAMBDA2, "stray", "--bogus=1", "-z"],
+    ["lattice", "--var", "q", *WINDOW],
+    ["lattice", "--variant", "q", *WINDOW, "--oracle=1"],
+    ["lattice", "--variant", "q", *WINDOW, "--o"],
+    ["lattice", "--variant", "q", *WINDOW, "--", "x"],
+    ["bw", "--lambda", "-3", "--op", "min"],
+    ["verify", "--suite", "every"],
+]
+
+
+def _outcome(parse, argv) -> tuple:
+    """(namespace or exit code, stdout, stderr) of parsing one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(cli._normalize_argv(list(argv))))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _golden_argvs() -> list:
+    record = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    return [text.split() for documents in record.values() for text in documents]
+
+
+def _fuzz_argvs(tmp_path) -> list:
+    rng = random.Random(20261019)
+    argvs = [test_cli_fuzz.draw(rng, tmp_path) for _ in range(test_cli_fuzz.DOCUMENTS)]
+    return argvs + [text.split() for text in test_cli_fuzz.LIMIT_DOCUMENTS]
+
+
+def test_subcommand_parser_matches_the_top_level_parser(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help at $COLUMNS
+    argvs = _golden_argvs() + _fuzz_argvs(tmp_path) + EDGE_ARGVS
+    mismatches = [
+        argv for argv in argvs
+        if _outcome(cli._parse, argv) != _outcome(cli._PARSER.parse_args, argv)
+    ]
+    assert mismatches == []
+    results = [_outcome(cli._parse, argv)[0] for argv in EDGE_ARGVS]
+    assert 0 in results and 2 in results  # help and usage errors both reached
+
+
+def _main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_matches_main_through_the_top_level_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    new = [_main(argv) for argv in EDGE_ARGVS]
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    assert new == [_main(argv) for argv in EDGE_ARGVS]
+    # the leftover tokens are named in the top-level usage error
+    code, out, err = new[EDGE_ARGVS.index([*LAMBDA2, "--bogus", "x"])]
+    assert code == 2 and out == ""
+    assert err.startswith("usage: hclat [-h]")
+    assert err.endswith("hclat: error: unrecognized arguments: --bogus x\n")
+
+
+def test_subcommand_argv_never_reaches_the_top_level_parser(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subcommand argv reached _PARSER.parse_args")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    table = tmp_path / "form.json"
+    table.write_text(json.dumps({"n": 1, "m": 1, "q": "1/2"}))
+    argvs = [
+        ["classify", "--table", str(table)],
+        ["module", "--kind", "ind", "--lambda", "1", "--window", "0:1"],
+        ["lattice", "--variant", "q", "--mu", "0", "--window", "-2:0"],
+        ["contract", "--kind", "ind", "--lambda", "1", "--window", "0:1"],
+        LAMBDA2,
+        ["verify", "--suite", "contraction"],
+        ["bw", "-h"],
+        [*LAMBDA2, "stray"],
+        ["lattice", "--variant", "q", "--mu", "0", "--window", "1:0"],
+    ]
+    codes = [_main(argv)[0] for argv in argvs]
+    assert codes == [0] * 6 + [0, 2, 2]
+
+
+# -- rendering ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pool_documents():
+    """The document of every command line in the four benchmark pools: each
+    command line once, in JSON, with the renderer swapped for a recorder."""
+    record = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    argvs = {}
+    for text in (text for documents in record.values() for text in documents):
+        argv = text.split()
+        if "--format" in argv:
+            at = argv.index("--format")
+            del argv[at:at + 2]
+        argvs[" ".join(argv)] = argv
+    documents = []
+
+    def keep(doc):
+        documents.append(doc)
+        return ""
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(ROOT)  # classify documents name their tables relative to it
+        patch.setattr(cli, "render_json", keep)
+        patch.setitem(cli._RENDERERS, "json", keep)
+        for argv in argvs.values():
+            _main(argv)
+    return documents
+
+
+def test_pool_documents_cover_every_shape(pool_documents):
+    keys = {key for doc in pool_documents for key in doc}
+    assert {"rows", "exponents", "E", "embedding", "checks", "error", "support"} <= keys
+    assert len(pool_documents) > 400
+
+
+def test_render_json_matches_json_dumps_on_pool_documents(pool_documents):
+    mismatches = [
+        doc for doc in pool_documents
+        if cli.render_json(doc) != json.dumps(doc, indent=2) + "\n"
+    ]
+    assert mismatches == []
+
+
+TEXTS = ("", "a", "\0", "]\0[", "[\0]", "\\", '"', "é漢字", "\N{SNOWMAN}", ",", "\n", "x\0y")
+
+
+def _scalar(rng):
+    return rng.choice((
+        rng.choice(TEXTS), rng.randint(-5, 5), 10**30, -(10**30),
+        True, False, None, 1.5,
+    ))
+
+
+def _value(rng, depth=0):
+    roll = rng.random()
+    if depth > 4 or roll < 0.3:
+        return _scalar(rng)
+    if roll < 0.5:
+        return [_scalar(rng) for _ in range(rng.randint(0, 4))]
+    if roll < 0.65:  # table-like: lists of scalar lists, some empty
+        return [[_scalar(rng) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 3))]
+    if roll < 0.75:
+        return tuple(_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if roll < 0.85:
+        return [_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    keys = TEXTS + (1, -3, True, False, None, 2.5)
+    return {rng.choice(keys): _value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_render_json_matches_json_dumps_on_random_values():
+    rng = random.Random(2026)
+    values = [_value(rng) for _ in range(4000)]
+    mismatches = [
+        value for value in values
+        if cli.render_json(value) != json.dumps(value, indent=2) + "\n"
+    ]
+    assert mismatches == []
+    # the draw holds the separators' look-alikes inside lists and tables
+    text = repr(values)
+    assert "']\\x00['" in text and "[[" in text and "{}" in text
+    assert any(isinstance(value, tuple) and value for value in values)
+
+
+def test_render_json_refuses_what_json_refuses():
+    for value in ({(1, 2): 0}, {"a": [object()]}, [{"a": {1j: 0}}]):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli.render_json(value)
+        assert str(got.value) == str(expected.value)
+
+
+def test_render_table_matches_the_row_by_row_widths(pool_documents):
+    tables = [doc for doc in pool_documents if "rows" in doc]
+    assert len(tables) > 50
+    rng = random.Random(7)
+    for _ in range(200):
+        width = rng.randint(1, 5)
+        tables.append({
+            "kind": "random",
+            "columns": [f"c{k}" * rng.randint(1, 3) for k in range(width)],
+            "rows": [
+                [rng.choice((rng.randint(-10**6, 10**6), "", "é漢", "1/3")) for _ in range(width)]
+                for _ in range(rng.randint(0, 6))
+            ],
+        })
+    for doc in tables:
+        assert cli.render_table(doc) == reference.render_table_rows(doc)

@@ -48,6 +48,20 @@ def test_cyclic_lattice_normalization():
     assert hecke.smash(pbw.monomial(0, 0, 1), 7, lattice) == {1: {(0, 0, 1): 1}}
 
 
+def test_non_integral_characters_are_refused():
+    for call in (
+        lambda: hecke.p(Fraction(7, 2)),
+        lambda: hecke.project({3: 1}, 3.9),
+        lambda: hecke.cyclic(3).normalize(Fraction(-1, 2)),
+    ):
+        with pytest.raises(ValueError, match=r"^a character must be an integer, got "):
+            call()
+    # integral values of other types are characters
+    assert hecke.p(Fraction(6, 2)) == {3: 1}
+    assert hecke.cyclic(3).normalize(Fraction(-8, 2)) == 2
+    assert hecke.project({3: 1}, 3.0) == {3: 1}
+
+
 def test_lattice_is_given_by_its_order():
     # order 0 is Z, where nothing folds
     assert hecke.CharacterLattice(0) == hecke.INTEGERS
@@ -198,6 +212,20 @@ def _reference_mul(x, y, g, lattice):
         reference.SmashElement(g, lattice, x), reference.SmashElement(g, lattice, y)
     )
     return product.terms
+
+
+def test_smash_right_reused_matches_smash_mul():
+    """Seeded: one right multiplier, split once, applied to many left
+    factors in turn gives each product that smash_mul gives on its own."""
+    rng = random.Random(2606)
+    g = make_zform(2, 3, 1)
+    for lattice in (hecke.INTEGERS, hecke.cyclic(2), hecke.cyclic(3)):
+        for _ in range(15):
+            y = _random_element(rng, lattice)
+            times = hecke.smash_right(y, g, lattice)
+            for _ in range(8):
+                x = _random_element(rng, lattice)
+                assert times(x) == hecke.smash_mul(x, y, g, lattice)
 
 
 def test_smash_mul_matches_reference():
