@@ -68,12 +68,12 @@ def _smash_associativity():
         ]
         # every pair product once, and every right factor split by weight
         # once, so each triple costs two more products
-        times = [hecke.smash_right(y, g, lattice) for y in elements]
-        pairs = [[right(x) for right in times] for x in elements]
-        times_pair = [[hecke.smash_right(y, g, lattice) for y in row] for row in pairs]
+        right = [hecke.smash_right(y, g, lattice) for y in elements]
+        pairs = [[times(x) for times in right] for x in elements]
+        right_pairs = [[hecke.smash_right(y, g, lattice) for y in row] for row in pairs]
         for i, j, k in itertools.product(range(len(elements)), repeat=3):
-            lhs = times[k](pairs[i][j])
-            rhs = times_pair[j][k](elements[i])
+            lhs = right[k](pairs[i][j])
+            rhs = right_pairs[j][k](elements[i])
             yield lhs == rhs, "associativity failed on a monomial triple"
 
 
