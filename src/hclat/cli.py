@@ -419,7 +419,8 @@ _HANDLERS = {
 # Compact JSON with a NUL between the items of a list or dict.  ensure_ascii
 # writes a NUL inside a string as \u0000, so every raw NUL in its output is
 # one of these separators, and _indented turns it into a line break.  It
-# only ever sees scalars and lists of scalars, which cannot hold a cycle.
+# only ever sees scalars and containers of scalars at most two deep, which
+# cannot hold a cycle.
 _FLAT = json.JSONEncoder(check_circular=False, separators=("\0", ": ")).encode
 # The scalar types of a document; anything else (no document holds a
 # non-integral number) takes the general path of _indented.
