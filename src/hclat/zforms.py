@@ -310,7 +310,8 @@ def _listed(value, count: int, what: str) -> list:
     return value
 
 
-def _rational(x) -> Fraction:
+def rational_entry(x) -> Fraction:
+    """A table entry read exactly: an int or a rational string, never a float."""
     if type(x) not in (int, str):
         raise ValueError(f"table entry {x!r} is neither an int nor a rational string")
     return Fraction(x)
@@ -331,12 +332,13 @@ def presentation_from_json(data):
         i, j, coeffs = _listed(row, 3, "a bracket row")
         if (i, j) not in PAIRS:
             raise ValueError(f"bracket pair ({i!r}, {j!r}) is not one of {PAIRS}")
-        brackets[(i, j)] = tuple(_rational(c) for c in _listed(coeffs, 3, f"bracket ({i}, {j})"))
+        coeffs = _listed(coeffs, 3, f"bracket ({i}, {j})")
+        brackets[(i, j)] = tuple(rational_entry(c) for c in coeffs)
     if len(brackets) != 3:
         raise ValueError(f"brackets must give each of the pairs {PAIRS} once")
     real = [
         tuple(
-            tuple(_rational(x) for x in _listed(row, 2, "a realization row"))
+            tuple(rational_entry(x) for x in _listed(row, 2, "a realization row"))
             for row in _listed(mat, 2, "a realization matrix")
         )
         for mat in _listed(data.get("realization"), 3, "realization")

@@ -107,9 +107,10 @@ def _malformed(edit):
         _malformed(lambda d: dict(d, brackets=[[0, 1, [[[1, "2"]], "0", "0"]]] + d["brackets"][1:])),
         {"n": None, "m": 1, "q": "1"},
         {"n": 2.5, "m": 1, "q": "1"},
+        {"n": 1, "m": 1, "q": 0.5},
     ],
     ids=("list", "list-of-keys", "no-brackets", "missing-pair", "two-matrices",
-         "null-entry", "laurent-entry", "null-n", "fractional-n"),
+         "null-entry", "laurent-entry", "null-n", "fractional-n", "float-q"),
 )
 def test_classify_malformed_table_is_an_error_document(capsys, tmp_path, table):
     path = tmp_path / "table.json"

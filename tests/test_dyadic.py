@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import reference
-from hclat import dyadic
+from hclat import dyadic, weightmods
 from hclat.dyadic import (
     ORACLE_DEPTH,
     LatticeReport,
@@ -459,6 +459,36 @@ def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
     assert oracle_min_exponent("qpp", -2, 1, 2, 0, 4) == 0
     with pytest.raises(NoExtensionError):
         oracle_min_exponent("qpp", 0, 1, 2, 0, 3)
+
+
+# the coefficient of the principal series each oracle chain reads at step s
+# (and transverse step t): (generator, index) of the primary chain and of
+# the transverse one
+CHAIN_COEFFICIENTS = {
+    "q": (lambda p, s: ("E", p + s), lambda p, s, t: ("F", p - s + t)),
+    "qp": (lambda p, s: ("F", p - s), lambda p, s, t: ("E", p + s - t)),
+    "qpp": (lambda p, s: ("E", p - s), lambda p, s, t: ("E", p + s - t)),
+}
+
+
+def test_oracle_chains_are_principal_series_coefficients():
+    rng = random.Random(27)
+    for _ in range(400):
+        variant = rng.choice(dyadic.VARIANTS)
+        n = rng.randint(1, 4)
+        m = 2 * n if variant == "qpp" else rng.randint(1, 4)
+        eps = Fraction(rng.randrange(n), n)
+        mu = Fraction(rng.randint(-60, 60))
+        p, s, t = rng.randint(-30, 30), rng.randint(0, 30), rng.randint(0, 30)
+        module = weightmods.principal_series(n, m, variant, eps, mu)
+        primary, transverse = CHAIN_COEFFICIENTS[variant]
+        case = (variant, n, m, eps, mu, p, s, t)
+        assert dyadic._primary_multiplier(variant, n, m, eps, mu, p, s) == (
+            module.coefficient(*primary(p, s))
+        ), case
+        assert dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t) == (
+            module.coefficient(*transverse(p, s, t))
+        ), case
 
 
 def test_oracle_depth_bounds_the_chain():

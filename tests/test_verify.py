@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hclat import borelweil, contraction, dyadic, verify, zforms
+from hclat import borelweil, contraction, dyadic, scalars, verify, zforms
 from hclat.cli import main, render_csv, render_json
 
 HERE = Path(__file__).resolve().parent
@@ -128,6 +128,28 @@ def test_corrupted_exponent_formula_fails(monkeypatch):
     # the first failing case of the grid, not a later one
     oracle = _by_name(report, "formula_oracle_equivalence")
     assert oracle["detail"] == "M_-1(1,1,0,-8) = 3 != 2"
+
+
+def test_empty_grid_fails(monkeypatch):
+    # every dyadic grid point is filtered out by the criterion
+    monkeypatch.setattr(dyadic, "nonvanishing", lambda *args: False)
+    report = verify.run_suite("lattice")
+    assert not report["passed"]
+    for name in (
+        "formula_oracle_equivalence",
+        "criterion_boundary_exponent",
+        "mirror_identity_corrected",
+    ):
+        check = _by_name(report, name)
+        assert (check["status"], check["detail"]) == ("fail", "empty grid"), name
+
+
+def test_readme_quotes_the_raising_check_detail(monkeypatch):
+    # the parabolic frames solved over Z[1/4] instead of Z[1/2nm]
+    monkeypatch.setattr(zforms, "localized_integers", lambda N: scalars.localized_integers(4))
+    status, detail = verify._outcome(verify._iwasawa_reexpansion)
+    readme = " ".join((HERE.parent / "README.md").read_text().split())
+    assert f"iwasawa_reexpansion: {status} ({detail})" in readme
 
 
 def test_runner_counts_the_grid_and_keeps_the_first_failing_case(monkeypatch):
