@@ -55,65 +55,76 @@ def _validate(variant: str, n: int, m: int, eps, mu) -> tuple:
 
 
 def _criterion(variant: str, n: int, m: int, eps: Fraction, mu: Fraction):
-    """(nonzero, boundary) once n and m are checked.  The q support ends at
-    the top index -mu/2nm - eps and the qp support at the bottom index
-    mu/2nm - eps; the model is nonzero exactly when that index is an
-    integer.  qpp has no boundary, and is nonzero exactly for even mu."""
+    """The support of the model once n and m are checked, or None when the
+    model vanishes.  The q support ends at the top index -mu/2nm - eps and
+    the qp support at the bottom index mu/2nm - eps; the model is nonzero
+    exactly when that index is an integer.  qpp has every index, and is
+    nonzero exactly for even mu."""
     if variant == "qpp":
-        return mu % 2 == 0, None
+        return Support("all") if mu % 2 == 0 else None
     boundary = (-mu if variant == "q" else mu) / (2 * n * m) - eps
     if boundary.denominator != 1:
-        return False, None
-    return True, int(boundary)
+        return None
+    return Support("le" if variant == "q" else "ge", int(boundary))
+
+
+def _edge(variant: str, n: int, m: int, eps, mu, p=None, raw=False) -> Support:
+    """The support of the nonzero q or qp model, which ends at its top or
+    bottom index; ValueError when the model vanishes, or when p is given
+    and lies outside the support.  raw takes eps as any rational, not only
+    a residue mod n, and mu as any rational (exponent_M_raw)."""
+    if raw:
+        check_positive(n=n, m=m)
+        support = _criterion(variant, n, m, rat(eps), rat(mu))
+    else:
+        support = _criterion(variant, n, m, *_validate(variant, n, m, eps, mu))
+    if support is None:
+        raise ValueError(
+            "criterion fails for the raw argument"
+            if raw
+            else f"criterion fails: the {variant}-variant model vanishes"
+        )
+    if p is not None and not support.contains(p):
+        if variant == "q":
+            raise ValueError(f"index above top weight: p = {p} > {support.bound}")
+        raise ValueError(f"index below bottom weight: p = {p} < {support.bound}")
+    return support
+
+
+def _exponents(support: Support, lo: int, hi: int) -> dict:
+    """{p: exponent} over the window lo..hi cut to the support of a nonzero
+    model, from the boundary outwards: s2(|p - boundary|) for q and qp,
+    and 0 for qpp."""
+    lo, hi = support.clip(lo, hi)
+    if support.kind == "all":
+        return dict.fromkeys(range(lo, hi + 1), 0)
+    indices = range(hi, lo - 1, -1) if support.kind == "le" else range(lo, hi + 1)
+    return {p: (support.bound - p).bit_count() for p in indices}
 
 
 def nonvanishing(variant: str, n: int, m: int, eps, mu) -> bool:
     """Whether the integral model is nonzero for these parameters."""
-    return _criterion(variant, n, m, *_validate(variant, n, m, eps, mu))[0]
+    return _criterion(variant, n, m, *_validate(variant, n, m, eps, mu)) is not None
 
 
 def top_index(n: int, m: int, eps, mu) -> int:
     """Top of the q-variant support: p = -mu/2nm - eps."""
-    nonzero, top = _criterion("q", n, m, *_validate("q", n, m, eps, mu))
-    if not nonzero:
-        raise ValueError("criterion fails: the q-variant model vanishes")
-    return top
+    return _edge("q", n, m, eps, mu).bound
 
 
 def bottom_index(n: int, m: int, eps, mu) -> int:
     """Bottom of the qp-variant support: p = mu/2nm - eps."""
-    nonzero, bottom = _criterion("qp", n, m, *_validate("qp", n, m, eps, mu))
-    if not nonzero:
-        raise ValueError("criterion fails: the qp-variant model vanishes")
-    return bottom
-
-
-def _digit_sums(sign: int, boundary: int, window) -> dict:
-    """{p: s2(|p - boundary|)} for every p of window on the support side
-    of boundary, from the boundary outwards: sign = 1 gives M_p (support
-    p <= boundary), sign = -1 gives N_p (support p >= boundary)."""
-    lo, hi = window
-    if sign > 0:
-        indices = range(min(hi, boundary), lo - 1, -1)
-    else:
-        indices = range(max(lo, boundary), hi + 1)
-    return {p: (p - boundary).bit_count() for p in indices}
+    return _edge("qp", n, m, eps, mu).bound
 
 
 def exponent_M(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the q-variant integral model."""
-    top = top_index(n, m, eps, mu)
-    if p > top:
-        raise ValueError(f"index above top weight: p = {p} > {top}")
-    return (top - p).bit_count()
+    return _exponents(_edge("q", n, m, eps, mu, p), p, p)[p]
 
 
 def exponent_N(p: int, n: int, m: int, eps, mu) -> int:
     """2-adic exponent at index p for the qp-variant integral model."""
-    bottom = bottom_index(n, m, eps, mu)
-    if p < bottom:
-        raise ValueError(f"index below bottom weight: p = {p} < {bottom}")
-    return (p - bottom).bit_count()
+    return _exponents(_edge("qp", n, m, eps, mu, p), p, p)[p]
 
 
 def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
@@ -124,13 +135,7 @@ def exponent_M_raw(p: int, n: int, m: int, eps_raw, mu) -> int:
     boundary -mu/2nm - eps_raw must be an integer, and the exponent is
     s2(boundary - p) as for exponent_M.
     """
-    check_positive(n=n, m=m)
-    nonzero, top = _criterion("q", n, m, rat(eps_raw), rat(mu))
-    if not nonzero:
-        raise ValueError("criterion fails for the raw argument")
-    if p > top:
-        raise ValueError(f"index above top weight: p = {p} > {top}")
-    return (top - p).bit_count()
+    return _exponents(_edge("q", n, m, eps_raw, mu, p, raw=True), p, p)[p]
 
 
 def dyadic_defect_sum(s: int) -> int:
@@ -322,11 +327,11 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
     return answers if sign > 0 else answers[::-1]
 
 
-# The window that oracle_check_report is checking, as (the oracle's
-# validated arguments but p, the first index, the answers): the oracle keeps
-# its one call per index and reads its answer here.  At most one entry,
-# removed when the check ends.
-_WINDOW_TABLES: list = []
+def _extension(answer) -> int:
+    """The exponent an _oracle_table answer holds, or its NoExtensionError."""
+    if isinstance(answer, str):
+        raise NoExtensionError(answer)
+    return answer
 
 
 def oracle_min_exponent(
@@ -334,25 +339,15 @@ def oracle_min_exponent(
 ) -> int:
     """Least e >= 0 such that phi(1) = 2^e extends integrally, by iteration.
 
-    Reads the recurrence in integers (_oracle_table): from the table of the
-    window oracle_check_report is checking, whose arguments it validated,
-    or else from a table of this one index.  For q and qp the chain must
-    terminate (hit a zero coefficient) within depth, else there is no
-    extension at all; for qpp nothing need terminate, and integrality must
-    hold along the whole walked chain with at most 2^_EXPONENT_CAP to
-    spend.  Raises NoExtensionError when the module over Z vanishes.
+    Reads the recurrence in integers, from the _oracle_table of this one
+    index.  For q and qp the chain must terminate (hit a zero coefficient)
+    within depth, else there is no extension at all; for qpp nothing need
+    terminate, and integrality must hold along the whole walked chain with
+    at most 2^_EXPONENT_CAP to spend.  Raises NoExtensionError when the
+    module over Z vanishes.
     """
-    args = (variant, n, m, eps, mu, depth)
-    for key, lo, answers in _WINDOW_TABLES:
-        if key == args and 0 <= p - lo < len(answers):
-            break
-    else:
-        eps, mu = _validate(variant, n, m, eps, mu)
-        lo, answers = p, _oracle_table(variant, n, m, eps, mu, depth, p, p)
-    answer = answers[p - lo]
-    if isinstance(answer, str):
-        raise NoExtensionError(answer)
-    return answer
+    eps, mu = _validate(variant, n, m, eps, mu)
+    return _extension(_oracle_table(variant, n, m, eps, mu, depth, p, p)[0])
 
 
 # -- assembled reports ------------------------------------------------------
@@ -389,44 +384,24 @@ class LatticeReport:
 def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeReport:
     """Assemble nonvanishing, support, and windowed exponents."""
     eps, mu = _validate(variant, n, m, eps, mu)
-    lo, hi = window
-    nonzero, boundary = _criterion(variant, n, m, eps, mu)
-    if not nonzero:
-        return LatticeReport(variant, n, m, eps, mu, False, None, {}, window)
-    if variant == "q":
-        support = Support("le", boundary)
-        exponents = _digit_sums(1, boundary, window)
-    elif variant == "qp":
-        support = Support("ge", boundary)
-        exponents = _digit_sums(-1, boundary, window)
-    else:
-        support = Support("all")
-        exponents = dict.fromkeys(range(lo, hi + 1), 0)
-    return LatticeReport(variant, n, m, eps, mu, True, support, exponents, window)
+    support = _criterion(variant, n, m, eps, mu)
+    exponents = {} if support is None else _exponents(support, *window)
+    return LatticeReport(
+        variant, n, m, eps, mu, support is not None, support, exponents, window
+    )
 
 
 def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> bool:
-    """Re-derive every reported exponent with the brute-force oracle; for a
-    vanishing model, check that no index of the window extends.  The oracle
-    reads one table of the whole window, built here."""
+    """Re-derive every reported exponent with the brute-force oracle, from
+    one table of the window; for a vanishing model, check that no index of
+    the window extends.  An exponent outside the window raises ValueError,
+    and an index of a nonzero model that does not extend NoExtensionError."""
     eps, mu = _validate(report.variant, report.n, report.m, report.eps, report.mu)
-    args = (report.n, report.m, eps, mu, depth)
     lo, hi = report.window
-    _WINDOW_TABLES.append(
-        ((report.variant, *args), lo, _oracle_table(report.variant, *args, lo, hi))
-    )
-    try:
-        if not report.nonzero:
-            for p in range(lo, hi + 1):
-                try:
-                    oracle_min_exponent(report.variant, p, *args)
-                except NoExtensionError:
-                    continue
-                return False
-            return True
-        return all(
-            oracle_min_exponent(report.variant, p, *args) == value
-            for p, value in report.exponents.items()
-        )
-    finally:
-        _WINDOW_TABLES.pop()
+    outside = [p for p in report.exponents if not lo <= p <= hi]
+    if outside:
+        raise ValueError(f"exponent index {outside[0]} lies outside the window {lo}..{hi}")
+    table = _oracle_table(report.variant, report.n, report.m, eps, mu, depth, lo, hi)
+    if not report.nonzero:
+        return all(isinstance(answer, str) for answer in table)
+    return all(_extension(table[p - lo]) == value for p, value in report.exponents.items())

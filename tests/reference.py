@@ -23,9 +23,10 @@ differential tests.
   plain term dicts and builds its result once; ``SmashElement`` here
   re-normalizes and merges every term of every element it builds, and
   ``smash_mul`` filters the right factor once per pair of terms.
-- The dyadic oracle one index at a time.  ``dyadic.oracle_min_exponent``
-  reads a table that one sweep of the recurrence's progression builds for
-  a whole window; ``walk_oracle`` here walks each index's chain on its
+- The dyadic oracle one index at a time.  ``dyadic._oracle_table``
+  answers a whole window from one sweep of the recurrence's progression
+  (``oracle_check_report`` reads one per report, ``oracle_min_exponent``
+  one of its own index); ``walk_oracle`` here walks each index's chain on its
   own, keeping the prefix product reduced with gcds (``_least_exponent``),
   and checks the transverse grid of that index alone.
 - Table widths row by row.  ``cli.render_table`` takes the width of each

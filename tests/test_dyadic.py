@@ -451,14 +451,19 @@ def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle consulted the formula route")
 
-    for name in ("_digit_sums", "exponent_M", "exponent_N", "exponent_M_raw",
-                 "dyadic_defect_sum"):
+    reports = [
+        integral_model("q", 1, 1, 0, -2, (-6, 3)),
+        integral_model("qp", 2, 1, Fraction(1, 2), 1, (-3, 3)),
+    ]
+    for name in ("_criterion", "_edge", "_exponents", "exponent_M", "exponent_N",
+                 "exponent_M_raw", "dyadic_defect_sum"):
         monkeypatch.setattr(dyadic, name, forbidden)
     assert oracle_min_exponent("q", -3, 1, 1, 0, -2) == 1
     assert oracle_min_exponent("qp", 2, 1, 1, 0, 2) == 1
     assert oracle_min_exponent("qpp", -2, 1, 2, 0, 4) == 0
     with pytest.raises(NoExtensionError):
         oracle_min_exponent("qpp", 0, 1, 2, 0, 3)
+    assert all(oracle_check_report(report, depth=256) for report in reports)
 
 
 # the coefficient of the principal series each oracle chain reads at step s
@@ -665,7 +670,7 @@ def test_window_sweep_matches_per_index_walk():
 
 
 def test_direct_calls_agree_with_the_window_table():
-    # a call outside oracle_check_report builds a table of its one index
+    # a direct call builds the table of its one index
     for variant, n, m, eps, mu, depth in (
         ("q", 2, 3, Fraction(1, 2), 18, 40),
         ("qp", 3, 1, Fraction(2, 3), -16, 4096),
@@ -679,18 +684,48 @@ def test_direct_calls_agree_with_the_window_table():
 
 
 def test_oracle_check_report_builds_one_table(monkeypatch):
-    # one sweep per report, one oracle call per index, and no table kept
+    # one sweep per report, read directly: no oracle_min_exponent call
     builds, calls = [], []
     table, oracle = dyadic._oracle_table, dyadic.oracle_min_exponent
     monkeypatch.setattr(dyadic, "_oracle_table", lambda *a: builds.append(a) or table(*a))
     monkeypatch.setattr(dyadic, "oracle_min_exponent", lambda *a: calls.append(a) or oracle(*a))
     report = integral_model("qp", 1, 1, 0, 2, (1, 40))
     assert oracle_check_report(report)
-    assert len(builds) == 1 and len(calls) == 40
+    assert len(builds) == 1 and calls == []
     report = integral_model("q", 2, 1, Fraction(1, 2), 0, (-4, 4))
     assert oracle_check_report(report, depth=300)
-    assert len(builds) == 2 and len(calls) == 49
-    assert dyadic._WINDOW_TABLES == []
+    assert len(builds) == 2 and calls == []
+
+
+def test_oracle_check_report_rejects_an_exponent_outside_the_window():
+    # the table covers the window only: an index beyond either end is
+    # refused, not read from a wrapped-around entry
+    for p in (-10, -4, 2, 5):
+        report = integral_model("q", 1, 1, 0, -2, (-3, 1))
+        report.exponents[p] = 0
+        with pytest.raises(ValueError, match=f"exponent index {p} lies outside the window -3..1"):
+            oracle_check_report(report)
+    report = integral_model("q", 2, 1, Fraction(1, 2), 0, (-4, 4))
+    report.exponents[-5] = 0
+    with pytest.raises(ValueError, match="outside the window"):
+        oracle_check_report(report)
+
+
+def test_qpp_oracle_reads_n_only():
+    # the qpp chains are E coefficients of the series, which hold n, eps
+    # and mu but not m: the table at any m is the table at m = 2n, the only
+    # m a qpp principal series accepts
+    rng = random.Random(2718)
+    for n in (1, 2, 3):
+        for eps in residues(n):
+            for mu in range(-6, 7):
+                for m in (1, 2, 3, 5):
+                    depth = rng.choice((0, 1, 40, 64, 65, ORACLE_DEPTH))
+                    lo = oracle_anchor("qpp", n, m, eps, mu) - rng.randint(0, 6)
+                    args = (eps, Fraction(mu), depth, lo, lo + rng.randint(0, 8))
+                    assert dyadic._oracle_table("qpp", n, m, *args) == dyadic._oracle_table(
+                        "qpp", n, 2 * n, *args
+                    ), (n, m, eps, mu, depth, lo)
 
 
 def test_least_exponents_match_the_gcd_walk_on_odd_denominators():

@@ -62,15 +62,21 @@ MUTATIONS = {
         "_denominator_invertible(value.denominator, ring.localized_at)",
         "_denominator_invertible(ring.localized_at, value.denominator)",
     ),
+    # M_p and N_p share one digit sum of bound - p: top - p on the q side,
+    # -(p - bottom) on the qp side
     "formula_oracle_equivalence": (
-        dyadic, "exponent_M", "(top - p).bit_count()", "(top - p - 1).bit_count()"
+        dyadic, "_exponents", "(support.bound - p).bit_count()",
+        "(support.bound - p - 1).bit_count()",
     ),
     "criterion_boundary_exponent": (
-        dyadic, "exponent_M", "(top - p).bit_count()", "(top + 1 - p).bit_count()"
+        dyadic, "_exponents", "(support.bound - p).bit_count()",
+        "(support.bound + 1 - p).bit_count()",
     ),
     "unbounded_violation_rejected": (dyadic, "_criterion", "/ (2 * n * m)", "/ (n * m)"),
+    # p - bottom + 1 on the qp side
     "mirror_identity_corrected": (
-        dyadic, "exponent_N", "(p - bottom).bit_count()", "(p - bottom + 1).bit_count()"
+        dyadic, "_exponents", "(support.bound - p).bit_count()",
+        "(support.bound - p - 1).bit_count()",
     ),
     "mirror_identity_printed": (
         dyadic, "_criterion", '(-mu if variant == "q" else mu)', "mu"
