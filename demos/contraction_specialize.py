@@ -35,7 +35,7 @@ for text in ("2z", "1 + z", "z^2", "1"):
     if M.vanishing_reason is not None:
         print(f"mu = {str(mu):<6}: zero module ({M.vanishing_reason.split(',')[0]})")
         continue
-    lat = contraction.polynomial_lattice(Fraction(0), mu, (-6, 6))
+    lat = contraction.polynomial_lattice(mu, (-6, 6))
     print(f"mu = {str(mu):<6}: polynomial lattice closed = {lat['closed']}")
 print()
 

@@ -163,14 +163,15 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
     return roots
 
 
-def polynomial_lattice(eps, mu, window, n: int = 1) -> dict:
-    """Closure of the polynomial-basis lattice under all three actions."""
+def polynomial_lattice(mu, window) -> dict:
+    """Closure of the polynomial-basis lattice under all three actions, for
+    n = 1, whose only residue eps is 0."""
     mu = as_laurent(mu)
     if not mu.is_zero() and mu.min_exp() < 1:
         raise ValueError(
             f"mu = {mu} must lie in z*Q[z] (no constant term, no poles)"
         )
-    M = contracted_ps(eps, mu, POLY, n)
+    M = contracted_ps(0, mu, POLY)
     lo, hi = window
     failures = []
     for p in range(lo, hi + 1):

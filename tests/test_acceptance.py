@@ -192,7 +192,7 @@ def test_criterion_5_contraction_consistency():
                 assert M.vanishing_reason is not None, f"mu={mu_text} should vanish"
             else:
                 assert M.vanishing_reason is None
-                report = contraction.polynomial_lattice(Fraction(0), mu, (-12, 12))
+                report = contraction.polynomial_lattice(mu, (-12, 12))
                 assert report["closed"], mu_text
 
 

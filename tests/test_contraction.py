@@ -224,15 +224,15 @@ def test_root_search_finds_both_sides():
 
 def test_polynomial_lattice_closed():
     for text in ("2z", "z^2", "z", "z+3z^4", "0"):
-        report = polynomial_lattice(0, lau(text), (-8, 8))
+        report = polynomial_lattice(lau(text), (-8, 8))
         assert report["closed"] and report["failures"] == []
 
 
 def test_polynomial_lattice_precondition():
     with pytest.raises(ValueError, match="constant term"):
-        polynomial_lattice(0, lau("1"), (-4, 4))
+        polynomial_lattice(lau("1"), (-4, 4))
     with pytest.raises(ValueError, match="constant term"):
-        polynomial_lattice(0, lau("z^-1"), (-4, 4))
+        polynomial_lattice(lau("z^-1"), (-4, 4))
 
 
 # -- specialization -----------------------------------------------------------
