@@ -22,7 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
 from . import borelweil, contraction, dyadic, weightmods, zforms
@@ -251,8 +251,24 @@ def _run_classify(args) -> dict:
     return {"n": n, "m": m, "abs_q": str(q_abs)}
 
 
+def _check_kind_flags(args, ps_flags: dict) -> None:
+    """--lambda applies only to --kind ind and pro, and each of ps_flags
+    (flag -> parsed value) only to --kind ps: a usage error names the
+    first given flag that does not apply."""
+    if args.kind == "ps":
+        given, kinds = {"--lambda": args.lam}, "ind and pro"
+    else:
+        given, kinds = ps_flags, "ps"
+    for flag, value in given.items():
+        if value is not None:
+            raise UsageError(f"{flag} applies only to --kind {kinds}, not --kind {args.kind}")
+
+
 def _run_module(args) -> dict:
     lo, hi = args.window
+    _check_kind_flags(
+        args, {"--parabolic": args.parabolic, "--eps": args.eps, "--mu": args.mu}
+    )
     if args.kind in ("ind", "pro"):
         if args.lam is None:
             raise UsageError(f"--kind {args.kind} requires --lambda")
@@ -326,6 +342,7 @@ def _check_oracle_reach(report) -> None:
 def _run_contract(args) -> dict:
     lo, hi = args.window
     ring = POLY if args.ring == "poly" else LAURENT_RING
+    _check_kind_flags(args, {"--eps": args.eps, "--mu": args.mu})
     if args.kind in ("ind", "pro"):
         if args.lam is None:
             raise UsageError(f"--kind {args.kind} requires --lambda")
@@ -483,8 +500,7 @@ def render_csv(doc: dict) -> str:
         writer.writerow(["result", "", "pass" if doc["passed"] else "FAIL", ""])
     elif "rows" in doc:
         writer.writerow(doc["columns"])
-        for row in doc["rows"]:
-            writer.writerow(row)
+        writer.writerows(doc["rows"])
     else:
         for key, value in doc.items():
             writer.writerow([key, _scalar_cell(value)])
@@ -495,12 +511,9 @@ def render_table(doc: dict) -> str:
     if "checks" in doc:
         return verify_suites.format_report(doc) + "\n"
     if "rows" in doc:
-        table = [doc["columns"]] + [[str(x) for x in row] for row in doc["rows"]]
-        widths = [max(map(len, column)) for column in zip(*table)]
-        lines = [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in table
-        ]
+        columns = [list(map(str, column)) for column in zip(doc["columns"], *doc["rows"])]
+        line = "  ".join(f"{{:<{max(map(len, texts))}}}" for texts in columns).format
+        lines = list(map(str.rstrip, starmap(line, zip(*columns))))
         header = [
             f"{key} = {value}"
             for key, value in doc.items()

@@ -9,7 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, floordiv
 
 
 def rat(x) -> Fraction:
@@ -50,26 +52,43 @@ def over_common_denominator(*values) -> tuple:
     return den, tuple(x.numerator * (den // x.denominator) for x in values)
 
 
-def format_terms(terms) -> str:
-    """The text of the sum of (num/den) z^exp over (exp, num, den) terms
-    with den > 0, in the order given (ascending exp): each ratio reduced
-    by one gcd, zero terms left out, "0" for none.  The one printing rule
-    of rationals (one term at exponent 0) and Laurent polynomials, as in
-    "-3/2" and "-2*z^-1 + 1/2*z"."""
-    text = ""
-    for exp, num, den in terms:
-        if not num:
-            continue
-        g = gcd(num, den)
-        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
-        if exp:
-            zpart = "z" if exp == 1 else f"z^{exp}"
-            mag = zpart if mag == "1" else f"{mag}*{zpart}"
-        if text:
-            text += f" - {mag}" if num < 0 else f" + {mag}"
-        else:
-            text = f"-{mag}" if num < 0 else mag
-    return text or "0"
+def _reduced(nums, den: int) -> list:
+    """The texts of the ratios nums[i]/den, each reduced by one gcd: the
+    reduced numerator, then "/d" unless the denominator reduces to 1."""
+    if den == 1:
+        return list(map(str, nums))
+    gcds = list(map(gcd, nums, repeat(den)))
+    suffix = {g: "" if g == den else f"/{den // g}" for g in set(gcds)}
+    return list(map(add, map(str, map(floordiv, nums, gcds)), map(suffix.__getitem__, gcds)))
+
+
+def _texts(exp: int, den: int, nums, as_terms: bool) -> list:
+    """The texts of the values nums[i]/den times z^exp: signed, as in
+    "-3/2" (exp = 0 only), or as_terms, the pieces " + a" and " - b" of a
+    sum, "" for 0.  A constant column is printed once."""
+    if len(nums) > 1 and nums.count(nums[0]) == len(nums):
+        return _texts(exp, den, nums[:1], as_terms) * len(nums)
+    if not as_terms:
+        return _reduced(nums, den)
+    mags = _reduced(list(map(abs, nums)), den)
+    if exp:
+        zpart = "z" if exp == 1 else f"z^{exp}"
+        mags = [zpart if mag == "1" else f"{mag}*{zpart}" for mag in mags]
+    return [(" - " if v < 0 else " + ") + mag if v else "" for v, mag in zip(nums, mags)]
+
+
+def format_columns(columns) -> list:
+    """The printed rows of the sums of (num/den) z^exp over integer
+    columns (exp, den, nums) with den > 0, in ascending exp; row i reads
+    nums[i] of every column.  Each ratio is reduced by one gcd, zero terms
+    are left out and a row with none prints "0".  The one printing rule of
+    rationals (one column at exponent 0) and Laurent polynomials, as in
+    "-3/2" and "-2*z^-1 + 1/2*z", computed a column at a time: the pieces
+    of a row are joined, then its lead sign is fixed."""
+    if len(columns) == 1 and columns[0][0] == 0:
+        return _texts(*columns[0], as_terms=False)
+    rows = map("".join, zip(*(_texts(*column, as_terms=True) for column in columns)))
+    return [(row[3:] if row[1] == "+" else "-" + row[3:]) if row else "0" for row in rows]
 
 
 def ord2(x) -> int:
@@ -197,9 +216,8 @@ class Laurent:
     # -- text forms ----------------------------------------------------
 
     def __str__(self):
-        return format_terms(
-            (exp, c.numerator, c.denominator) for exp, c in sorted(self.coeffs.items())
-        )
+        columns = [(exp, c.denominator, (c.numerator,)) for exp, c in sorted(self.coeffs.items())]
+        return format_columns(columns)[0] if columns else "0"
 
     def __repr__(self):
         return f"Laurent({self})"

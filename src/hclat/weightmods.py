@@ -9,20 +9,24 @@ the indices next to a support boundary, where an action is clipped, and
 relations whose identity fails are evaluated index by index.
 
 Window tables are computed a generator column at a time, in integers: the
-window is clipped once to the indices whose source and target lie in the
-support, each coefficient polynomial is evaluated on its integer columns
-by Horner's rule, and each cell is printed from its (numerator,
-denominator) pairs by ``scalars.format_terms``.
+window is clipped once to the support, each integer column of a
+coefficient polynomial is evaluated by Horner's rule at its first degree
++ 1 indices only and extended over the window by forward differences
+(nested ``itertools.accumulate`` over the constant top difference), the
+weights are read off the Cartan column's z^0 values, and each column is
+printed at once by ``scalars.format_columns``: one gcd per value, one
+denominator suffix per distinct gcd, the clipped cells "0".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb
+from operator import floordiv, mul
 
-from .scalars import Laurent, as_laurent, format_terms, over_common_denominator, rat, residue
+from .scalars import Laurent, as_laurent, format_columns, over_common_denominator, rat, residue
 from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
@@ -65,6 +69,31 @@ class IndexPoly:
             for a in nums:
                 v = v * p + a
             out.append((e, v, den))
+        return out
+
+    def column_values(self, lo: int, hi: int) -> list:
+        """The values at lo..hi (lo <= hi) as integer columns (exponent,
+        denominator, numerators at lo..hi) in ascending exponent.  Only
+        the first degree + 1 indices are evaluated, by ``terms``; the rest
+        of each column follows from its forward differences there, the
+        top one constant, by nested running sums."""
+        count = hi - lo + 1
+        if not self.coeffs:
+            return [(0, 1, [0] * count)]
+        head = [self.terms(p) for p in range(lo, lo + min(count, len(self.coeffs)))]
+        out = []
+        for k, (e, _, den) in enumerate(head[0]):
+            values = [row[k][1] for row in head]
+            if count > len(values):
+                diffs = []
+                while values:
+                    diffs.append(values[0])
+                    values = [b - a for a, b in zip(values, values[1:])]
+                values = repeat(diffs.pop(), count - len(diffs))
+                for start in reversed(diffs):
+                    values = accumulate(values, initial=start)
+                values = list(values)
+            out.append((e, den, values))
         return out
 
     def __call__(self, p: int):
@@ -199,19 +228,6 @@ class WeightModule:
         )
 
 
-def _weights(M: WeightModule, indices) -> list:
-    """The weight at each index, in integers off the z^0 column of the
-    Cartan action: H(p), or (n/2)h(p) over the contraction."""
-    if "H" in M.actions:
-        gen, num, den = "H", 1, 1
-    else:
-        gen, num, den = "h", M.params["n"], 2
-    terms = M.actions[gen][1].terms
-    return [
-        sum(v * num // (d * den) for e, v, d in terms(p) if e == 0) for p in indices
-    ]
-
-
 # -- the explicit families -------------------------------------------------
 
 
@@ -335,21 +351,30 @@ def _failures_at(M: WeightModule, p: int, relations) -> list:
 
 def module_rows(M: WeightModule, lo: int, hi: int) -> list:
     """Window table: [index, weight, one printed coefficient per generator]
-    per supported index of lo..hi, computed a generator column at a time."""
+    per supported index of lo..hi, computed a generator column at a time.
+    The weight is H(p), or (n/2)h(p) over the contraction, off the z^0
+    column of the Cartan action; a cell whose target p + shift leaves the
+    support prints "0"."""
     if M.vanishing_reason is not None:
         return []
     lo, hi = M.support.clip(lo, hi)
-    indices = range(lo, hi + 1)
-    columns = [_printed_column(M.support, *M.actions[gen], lo, hi) for gen in M.generators]
-    return [list(row) for row in zip(indices, _weights(M, indices), *columns)]
-
-
-def _printed_column(support: Support, shift: int, poly: IndexPoly, lo: int, hi: int) -> list:
-    """The printed coefficients of one generator on the supported indices
-    lo..hi: "0" where the target p + shift leaves the support."""
-    first, last = support.clip(lo + shift, hi + shift)
-    first, last = first - shift, last - shift
-    if first > last:
-        return ["0"] * (hi - lo + 1)
-    cells = [format_terms(poly.terms(p)) for p in range(first, last + 1)]
-    return ["0"] * (first - lo) + cells + ["0"] * (hi - last)
+    if lo > hi:
+        return []
+    cartan, num, den = ("H", 1, 1) if "H" in M.actions else ("h", M.params["n"], 2)
+    weights = [0] * (hi - lo + 1)
+    printed = []
+    for gen, (shift, poly) in M.actions.items():
+        columns = poly.column_values(lo, hi)
+        if gen == cartan:
+            for e, d, values in columns:
+                if e == 0:
+                    weights = list(map(floordiv, map(mul, values, repeat(num)), repeat(d * den)))
+        first, last = M.support.clip(lo + shift, hi + shift)
+        first, last = first - shift, last - shift
+        if first > last:
+            printed.append(["0"] * (hi - lo + 1))
+            continue
+        cut = slice(first - lo, last - lo + 1)
+        cells = format_columns([(e, d, values[cut]) for e, d, values in columns])
+        printed.append(["0"] * (first - lo) + cells + ["0"] * (hi - last))
+    return list(map(list, zip(range(lo, hi + 1), weights, *printed)))

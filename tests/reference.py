@@ -10,10 +10,13 @@ differential tests.
   of one basis vector as a list of (target, coefficient) pairs, the
   general sparse-vector route the windowed axiom check is built on.
 - Window tables cell by cell.  ``weightmods.module_rows`` computes a
-  generator column at a time in integers; ``module_rows`` here asks the
-  module for each cell through ``coefficient`` and prints it with
-  ``str()`` (``laurent_text`` for Laurent polynomials, the printing rule
-  written out on its own).
+  generator column at a time in integers, by forward differences, and
+  prints each column at once with ``scalars.format_columns``;
+  ``module_rows`` here asks the module for each cell through
+  ``coefficient`` and prints it with ``str()`` (``laurent_text`` for
+  Laurent polynomials, the printing rule written out on its own), and
+  ``format_terms`` prints one cell from its (exponent, numerator,
+  denominator) terms, as the table kernel did before it printed columns.
 - Specialization by a gauge walk.  ``contraction.specialize_matches``
   compares gauge invariants; ``specialize_matches`` here builds the gauge
   index by index from an anchor and checks every action against it.
@@ -29,11 +32,16 @@ differential tests.
   one of its own index); ``walk_oracle`` here walks each index's chain on its
   own, keeping the prefix product reduced with gcds (``_least_exponent``),
   and checks the transverse grid of that index alone.
-- Table widths row by row.  ``cli.render_table`` takes the width of each
-  column with one ``max`` over that column; ``render_table_rows`` here
-  takes it by indexing every row at every column position.
+- Tables row by row.  ``cli.render_table`` takes the width of each
+  column with one ``max`` over that column and applies one format string
+  per row; ``render_table_rows`` here takes each width by indexing every
+  row at every column position and pads every cell with ``ljust``.
+  ``cli.render_csv`` writes a document's rows with one ``writerows``;
+  ``render_csv_rows`` here writes them one ``writerow`` at a time.
 """
 
+import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -185,6 +193,26 @@ def laurent_text(x: Laurent) -> str:
         sign = "-" if c < 0 else ("" if not parts else "+")
         parts.append(f"{sign}{mag}" if not parts else f"{sign} {mag}")
     return " ".join(parts) or "0"
+
+
+def format_terms(terms) -> str:
+    """The text of the sum of (num/den) z^exp over (exp, num, den) terms
+    with den > 0, in the order given (ascending exp): each ratio reduced
+    by one gcd, zero terms left out, "0" for none."""
+    text = ""
+    for exp, num, den in terms:
+        if not num:
+            continue
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+        if exp:
+            zpart = "z" if exp == 1 else f"z^{exp}"
+            mag = zpart if mag == "1" else f"{mag}*{zpart}"
+        if text:
+            text += f" - {mag}" if num < 0 else f" + {mag}"
+        else:
+            text = f"-{mag}" if num < 0 else mag
+    return text or "0"
 
 
 def module_rows(M, lo: int, hi: int) -> list:
@@ -392,3 +420,14 @@ def render_table_rows(doc: dict) -> str:
         if key not in ("rows", "columns")
     ]
     return "\n".join(["; ".join(header)] + lines) + "\n"
+
+
+def render_csv_rows(doc: dict) -> str:
+    """``cli.render_csv`` of a document with rows: the columns, then one
+    ``writerow`` per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(doc["columns"])
+    for row in doc["rows"]:
+        writer.writerow(row)
+    return buf.getvalue()

@@ -484,6 +484,46 @@ def test_bw_rejects_n_where_it_does_not_apply(capsys, op):
     assert "--n" in err and op in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            "module --kind ind --lambda 1 --eps 1/2 --mu 3",
+            "hclat module: error: --eps applies only to --kind ps, not --kind ind\n",
+        ),
+        (
+            "module --kind pro --lambda 1 --parabolic q",
+            "hclat module: error: --parabolic applies only to --kind ps, not --kind pro\n",
+        ),
+        (
+            "module --kind ind --mu 3",
+            "hclat module: error: --mu applies only to --kind ps, not --kind ind\n",
+        ),
+        (
+            "module --kind ps --parabolic q --eps 0 --mu 1 --lambda 5",
+            "hclat module: error: --lambda applies only to --kind ind and pro, not --kind ps\n",
+        ),
+        (
+            "contract --kind ind --lambda 1 --eps 0",
+            "hclat contract: error: --eps applies only to --kind ps, not --kind ind\n",
+        ),
+        (
+            "contract --kind pro --lambda 1 --mu 3z --ring laurent",
+            "hclat contract: error: --mu applies only to --kind ps, not --kind pro\n",
+        ),
+        (
+            "contract --kind ps --eps 0 --mu 3z --lambda 2",
+            "hclat contract: error: "
+            "--lambda applies only to --kind ind and pro, not --kind ps\n",
+        ),
+    ],
+)
+def test_module_and_contract_reject_flags_the_kind_does_not_take(capsys, argv, err):
+    for fmt in ("json", "table"):
+        code, out, got = run(capsys, *argv.split(), "--window", "0:1", "--format", fmt)
+        assert (code, out, got) == (2, "", err)
+
+
 # -- one parser per process -----------------------------------------------------
 
 

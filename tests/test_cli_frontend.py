@@ -9,13 +9,18 @@
 - JSON.  ``cli.render_json`` builds indented JSON with the C encoder; it
   must return exactly ``json.dumps(doc, indent=2) + "\\n"``, for every
   document of the four benchmark pools and for seeded random values.
-- Tables.  ``cli.render_table`` must match ``reference.render_table_rows``.
+- Tables.  ``cli.render_table`` (one format string per row) must match
+  ``reference.render_table_rows`` (one ``ljust`` per cell), and
+  ``cli.render_csv`` (one ``writerows``) the bytes of one ``writerow`` per
+  row, ``reference.render_csv_rows``.
 """
 
 import contextlib
 import io
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,10 @@ import pytest
 import reference
 import test_cli_fuzz
 from hclat import cli
+from hclat import contraction as ct
+from hclat import weightmods as wm
+from hclat.scalars import LAURENT_RING, POLY, Laurent
+from hclat.zforms import make_zform
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -238,3 +247,35 @@ def test_render_table_matches_the_row_by_row_widths(pool_documents):
         })
     for doc in tables:
         assert cli.render_table(doc) == reference.render_table_rows(doc)
+
+
+def _table_docs() -> list:
+    """ps and contract-ps tables, one of them with its multi-term Laurent
+    e column moved last, so that the last column varies in width; and
+    tables with no rows (a window off the support, the zero module)."""
+    ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(-7, 3))
+    mu = Laurent.parse("-3z^-2 + 1/2 - 4z^3")
+    cps = ct.contracted_ps(Fraction(1, 2), mu, LAURENT_RING, n=2)
+    last_e = replace(cps, actions={gen: cps.actions[gen] for gen in ("h", "f", "e")})
+    empty = [
+        (wm.induced_module(make_zform(1, 1, 1), 2), -9, -1),
+        (ct.contracted_ps(Fraction(0), Laurent.parse("1 + z"), POLY), -4, 4),
+    ]
+    docs = [
+        cli._table_doc(M, {"kind": "test"}, lo, hi)
+        for M, lo, hi in [(ps, -120, 40), (cps, -30, 30), (last_e, -30, 30), *empty]
+    ]
+    assert [len(doc["rows"]) for doc in docs] == [161, 61, 61, 0, 0]
+    last = [row[-1] for row in docs[2]["rows"]]
+    assert len({*map(len, last)}) > 1 and all(" + " in cell or " - " in cell for cell in last)
+    return docs
+
+
+def test_render_table_and_csv_match_the_per_row_routes(pool_documents):
+    tables = _table_docs() + [doc for doc in pool_documents if "rows" in doc]
+    for doc in tables:
+        assert cli.render_table(doc) == reference.render_table_rows(doc)
+        assert cli.render_csv(doc) == reference.render_csv_rows(doc)
+    # a table with no rows is its header line and its column names
+    assert cli.render_table(tables[3]).splitlines()[1] == "index  weight  E  F  H"
+    assert cli.render_csv(tables[4]) == "index,weight,e,f,h\n"

@@ -4,18 +4,24 @@ route of ``reference.module_rows`` (one ``coefficient`` call and one
 
 Seeded draws cover every constructed family, the fibres of the
 contraction, random coefficient polynomials on every support kind, and
-windows inside, across and outside a support boundary.
+windows inside, across and outside a support boundary.  Fixed cases cover
+windows as wide as the CLI accepts, supported parts shorter than a
+column's degree + 1 (where no difference is extended), zero and constant
+polynomials, unreduced column ratios and parameters near 10^30; a guard
+counts the indices at which each polynomial is evaluated.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import reference
+from hclat import cli
 from hclat import contraction as ct
 from hclat import weightmods as wm
-from hclat.scalars import LAURENT_RING, POLY, Laurent
+from hclat.scalars import LAURENT_RING, POLY, Laurent, format_columns
 from hclat.zforms import make_zform
 
 
@@ -153,3 +159,146 @@ def test_laurent_str_matches_reference_text():
     for _ in range(300):
         x = _random_laurent(rng, lowest=-3)
         assert str(x) == reference.laurent_text(x), x.coeffs
+
+
+def _families(big=0):
+    """One module of every family and one fibre of each contracted family,
+    with lambda and mu shifted by big."""
+    g = make_zform(2, 3, 1)
+    cind = ct.contracted_induced(3 + big, 2)
+    mu = Laurent.parse("-3z^-2 + 1/2 - 4z") + big
+    cps = ct.contracted_ps(Fraction(1, 2), mu, LAURENT_RING, n=2)
+    return [
+        wm.induced_module(g, 4 + big),
+        wm.produced_module(g, -3 + big),
+        wm.principal_series(2, 3, "q", Fraction(1, 2), Fraction(5, 3) + big),
+        wm.principal_series(2, 3, "qp", Fraction(0), Fraction(-7, 6) + big),
+        wm.principal_series(2, 4, "qpp", Fraction(1, 2), Fraction(3) + big),
+        cind,
+        ct.contracted_produced(-2 + big, 3),
+        ct.contracted_ps(Fraction(0), Laurent.parse("2z + z^2") * (big + 1), POLY),
+        cps,
+        ct.specialize(cind, 3),
+        ct.specialize(cps, Fraction(-1, 2)),
+    ]
+
+
+def test_windows_at_the_width_limit():
+    width = cli.WINDOW_MAX_WIDTH
+    for M in _families():
+        for lo in (-width // 2, -7, -width + 3):
+            rows = wm.module_rows(M, lo, lo + width - 1)
+            assert rows == reference.module_rows(M, lo, lo + width - 1), lo
+        supported = width if M.support.kind == "all" else width - 7
+        assert len(wm.module_rows(M, -7, width - 8)) == supported
+
+
+def test_supported_part_shorter_than_a_column():
+    """One or two supported indices of quadratic columns, with the F column
+    cut further by its target, on both kinds of half-line."""
+    g = make_zform(2, 3, 1)
+    for M in (wm.induced_module(g, 4), wm.produced_module(g, -3), ct.contracted_induced(3, 2)):
+        assert max(len(poly.coeffs) for _, poly in M.actions.values()) == 3
+        flipped = replace(M, support=wm.Support("le", 5))
+        for lo, hi, count in ((-9, 0, 1), (-9, 1, 2), (0, 0, 1), (0, 1, 2), (1, 2, 2)):
+            # the mirror image of lo..hi across 0 cuts as many from p <= 5
+            mirror = (5 - hi, 5 - lo) if lo >= 0 else (5 - hi, 14)
+            for N, (a, b) in ((M, (lo, hi)), (flipped, mirror)):
+                rows = wm.module_rows(N, a, b)
+                assert len(rows) == count and rows == reference.module_rows(N, a, b)
+
+
+def test_zero_and_constant_polynomials():
+    zero, laurent_zero = wm.IndexPoly([]), wm.IndexPoly([Laurent()])
+    assert zero.coeffs == laurent_zero.coeffs == ()
+    cases = [
+        {"E": (1, zero), "F": (-1, wm.IndexPoly([Fraction(-3, 4)])), "H": (0, wm.affine(2, 1))},
+        {"E": (1, wm.IndexPoly([7])), "F": (-1, zero), "H": (0, wm.IndexPoly([5]))},
+        {"E": (1, zero), "F": (-1, zero), "H": (0, zero)},
+        {
+            "e": (1, wm.IndexPoly([Laurent.parse("-z^-1 + 2/3")])),
+            "f": (-1, laurent_zero),
+            "h": (0, wm.IndexPoly([Laurent.const(4), 2])),
+        },
+        {
+            # a Laurent column that is constant next to one that is not
+            "e": (1, wm.IndexPoly([Laurent.parse("1/2 - z^3"), Laurent.parse("-1/3")])),
+            "f": (-1, wm.IndexPoly([0, 0, Laurent.parse("z^-2")])),
+            "h": (0, wm.IndexPoly([0, 2])),
+        },
+    ]
+    for actions in cases:
+        for support in (wm.Support("all"), wm.Support("ge", -2), wm.Support("le", 1)):
+            M = wm.WeightModule((), support, actions, {"n": 2})
+            for lo, hi in ((-6, 6), (0, 0), (-2, -1), (-40, 40)):
+                assert wm.module_rows(M, lo, hi) == reference.module_rows(M, lo, hi)
+
+
+def test_unreduced_column_ratios():
+    """(2p^2 + 3p + 1)/6 and (p^2 - p)/4 reduce to every denominator that
+    divides 6 or 4 along the column, so each column prints several suffixes."""
+    quadratic = wm.IndexPoly([Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)])
+    pairs = wm.IndexPoly([0, Fraction(-1, 4), Fraction(1, 4)])
+    laurent = wm.IndexPoly(map(Laurent.parse, ("1/6 - 1/4*z", "1/2 + 1/4*z", "1/3")))
+    assert [den for _, den, _ in laurent.column_values(0, 0)] == [6, 4]
+    actions = {"E": (1, quadratic), "F": (-1, pairs), "H": (0, wm.affine(0, 1))}
+    M = wm.WeightModule((), wm.Support("all"), actions, {"n": 1})
+    rows = wm.module_rows(M, -30, 30)
+    assert rows == reference.module_rows(M, -30, 30)
+    assert {cell.partition("/")[2] for row in rows for cell in row[2:4]} == {"", "2", "3", "6"}
+    actions = {"e": (1, laurent), "h": (0, wm.IndexPoly([0, 2]))}
+    C = wm.WeightModule((), wm.Support("all"), actions, {"n": 2})
+    assert wm.module_rows(C, -30, 30) == reference.module_rows(C, -30, 30)
+
+
+def test_parameters_near_ten_to_the_thirty():
+    for big in (10**30, -(10**30) - 1, 3 * 10**29 + 7):
+        for M in _families(big):
+            for lo, hi in ((-40, 40), (-3, 2)):
+                assert wm.module_rows(M, lo, hi) == reference.module_rows(M, lo, hi)
+
+
+def test_each_column_is_evaluated_at_degree_plus_one_indices(monkeypatch):
+    width = cli.WINDOW_MAX_WIDTH
+    modules = _families()
+    expected = [reference.module_rows(M, -width // 2, width // 2) for M in modules]
+    calls = {}
+    terms = wm.IndexPoly.terms
+
+    def counted(poly, p):
+        calls[id(poly)] = calls.get(id(poly), 0) + 1
+        return terms(poly, p)
+
+    monkeypatch.setattr(wm.IndexPoly, "terms", counted)
+    for M, rows in zip(modules, expected):
+        calls.clear()
+        assert wm.module_rows(M, -width // 2, width // 2) == rows
+        polys = {id(poly): poly for _, poly in M.actions.values()}
+        assert calls and calls.keys() <= polys.keys()
+        assert all(count <= len(polys[key].coeffs) for key, count in calls.items()), calls
+
+
+def test_format_columns_matches_the_per_cell_route():
+    """Random integer columns, with zeros, constant columns and ratios
+    that are not reduced, printed per row by ``reference.format_terms``."""
+    rng = random.Random(1640)
+    for _ in range(400):
+        rows = rng.randint(1, 6)
+        exps = sorted(rng.sample(range(-3, 4), rng.randint(1, 4)))
+        columns = []
+        for e in exps:
+            den = rng.choice((1, 2, 4, 6, 12))
+            if rng.random() < 0.3:
+                nums = [rng.randint(-12, 12)] * rows
+            else:
+                nums = [rng.choice((0, rng.randint(-30, 30))) for _ in range(rows)]
+            columns.append((e, den, nums))
+        expected = [
+            reference.format_terms((e, nums[i], den) for e, den, nums in columns)
+            for i in range(rows)
+        ]
+        assert format_columns(columns) == expected, columns
+        x = Laurent({e: Fraction(nums[0], den) for e, den, nums in columns})
+        assert str(x) == reference.format_terms(
+            (e, c.numerator, c.denominator) for e, c in sorted(x.coeffs.items())
+        )
