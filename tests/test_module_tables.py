@@ -235,8 +235,9 @@ def test_zero_and_constant_polynomials():
 
 
 def test_unreduced_column_ratios():
-    """(2p^2 + 3p + 1)/6 and (p^2 - p)/4 reduce to every denominator that
-    divides 6 or 4 along the column, so each column prints several suffixes."""
+    """(2p^2 + 3p + 1)/6 and (p^2 - p)/4, held over the denominators 6 and
+    4, reduce to 1, 2, 3 or 6 along their columns, so a column prints
+    several suffixes; likewise a Laurent column pair over 6 and 4."""
     quadratic = wm.IndexPoly([Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)])
     pairs = wm.IndexPoly([0, Fraction(-1, 4), Fraction(1, 4)])
     laurent = wm.IndexPoly(map(Laurent.parse, ("1/6 - 1/4*z", "1/2 + 1/4*z", "1/3")))
