@@ -155,12 +155,8 @@ def coefficient_roots(eps, mu, window, n: int = 1) -> list:
     series over the window; the root-set route behind generic_irreducibility."""
     M = contracted_ps(eps, mu, LAURENT_RING, n)
     lo, hi = window
-    roots = []
-    for p in range(lo, hi + 1):
-        for gen in ("e", "f"):
-            if not M.coefficient(gen, p):
-                roots.append((gen, p))
-    return roots
+    zeros = {gen: set(M.zero_indices(gen, lo, hi)) for gen in ("e", "f")}
+    return [(gen, p) for p in range(lo, hi + 1) for gen in ("e", "f") if p in zeros[gen]]
 
 
 def polynomial_lattice(mu, window) -> dict:
@@ -173,11 +169,14 @@ def polynomial_lattice(mu, window) -> dict:
         )
     M = contracted_ps(0, mu, POLY)
     lo, hi = window
-    failures = []
-    for p in range(lo, hi + 1):
-        for gen in GENERATORS:
-            if not in_ring(M.coefficient(gen, p), POLY):
-                failures.append((gen, p))
+    # a value lies outside Q[z] exactly when a negative z-exponent column
+    # is nonzero at its index
+    poles = {gen: set() for gen in GENERATORS}
+    for gen in GENERATORS:
+        for e, _, values in M.coefficient_columns(gen, lo, hi):
+            if e < 0:
+                poles[gen].update(p for p, v in zip(range(lo, hi + 1), values) if v)
+    failures = [(gen, p) for p in range(lo, hi + 1) for gen in GENERATORS if p in poles[gen]]
     return {"closed": not failures, "failures": failures}
 
 

@@ -243,11 +243,13 @@ def _duality_pairing():
         g = zforms.make_zform(n, m, 1)
         for lam in (-4, 0, 1):
             ind = weightmods.induced_module(g, lam)
+            # E at p - 1 = -1..38 and F at 0..39, with E(-1) = F(0) = 0
+            ((_, d_e, e),) = ind.coefficient_columns("E", -1, 39)
+            ((_, d_f, f),) = ind.coefficient_columns("F", 0, 40)
             for p in range(0, 40):
-                ef = ind.coefficient("F", p) * ind.coefficient("E", p - 1)
-                fe = ind.coefficient("E", p) * ind.coefficient("F", p + 1)
+                # F(p)E(p - 1) = E(p)F(p + 1) + m(lam + np), times d_e*d_f
                 yield (
-                    ef == fe + m * (lam + n * p),
+                    f[p] * e[p] == e[p + 1] * f[p + 1] + m * (lam + n * p) * d_e * d_f,
                     f"pairing at (n,m,lam,p)=({n},{m},{lam},{p})",
                 )
 
@@ -261,11 +263,11 @@ def _ps_vanishing_index():
         target = rng.randint(-6, 6)
         mu = 2 * n * m * (target - eps)
         ps = weightmods.principal_series(n, m, "q", eps, Fraction(mu))
-        zeros_e = [p for p in range(-40, 41) if ps.coefficient("E", p) == 0]
+        zeros_e = ps.zero_indices("E", -40, 40)
         # F vanishes at a single index when mu/2nm - eps is an integer
         zeros_f = None
         if (Fraction(mu) / (2 * n * m) - eps).denominator == 1:
-            zeros_f = [p for p in range(-40, 41) if ps.coefficient("F", p) == 0]
+            zeros_f = ps.zero_indices("F", -40, 40)
         yield (
             zeros_e == [-target] and (zeros_f is None or len(zeros_f) == 1),
             f"zero sets E {zeros_e}, F {zeros_f} for (n,m,eps,mu)=({n},{m},{eps},{mu})",

@@ -4,7 +4,11 @@ principal series attached to the parabolic frames q, qp, qpp.
 Modules are intensional: a support predicate plus, per generator, an index
 shift and a coefficient polynomial in the index p (degree at most 2, with
 rational or Laurent coefficients).  Nothing infinite is ever materialized.
-Each bracket relation is proved once as a polynomial identity in p; only
+Each bracket relation is proved once as a polynomial identity in p, on
+integer grids: a coefficient polynomial is one common denominator and
+integer coefficients keyed by (z-exponent, p-degree), a shift takes
+integer binomials, a product is an integer convolution, and the two sides
+of a relation are compared by cross-multiplying their denominators.  Only
 the indices next to a support boundary, where an action is clipped, and
 relations whose identity fails are evaluated index by index.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
-from math import comb
+from math import comb, lcm
 from operator import floordiv, mul
 
 from .scalars import Laurent, as_laurent, format_columns, over_common_denominator, rat, residue
@@ -219,6 +223,30 @@ class WeightModule:
             return rat(0)
         return poly(p) or rat(0)
 
+    def coefficient_columns(self, gen: str, lo: int, hi: int) -> list:
+        """``coefficient`` at lo..hi, read at once: the integer columns
+        (exponent, denominator, numerators at lo..hi) of
+        ``IndexPoly.column_values``, with 0 in every column wherever
+        ``coefficient`` clips.  Empty when lo > hi."""
+        if lo > hi:
+            return []
+        shift, poly = self.actions[gen]
+        first, last = self.support.clip(lo, hi)
+        after, before = self.support.clip(lo + shift, hi + shift)
+        first, last = max(first, after - shift), min(last, before - shift)
+        if self.vanishing_reason is not None or first > last:
+            first, last = lo, lo - 1  # every value clipped
+        return [
+            (e, d, [0] * (first - lo) + values[first - lo : last - lo + 1] + [0] * (hi - last))
+            for e, d, values in poly.column_values(lo, hi)
+        ]
+
+    def zero_indices(self, gen: str, lo: int, hi: int) -> list:
+        """The indices of lo..hi at which ``coefficient`` is 0, read off
+        ``coefficient_columns``."""
+        columns = [values for _, _, values in self.coefficient_columns(gen, lo, hi)]
+        return [p for p, *row in zip(range(lo, hi + 1), *columns) if not any(row)]
+
     def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
         """Copy with one generator's action replaced."""
         return replace(
@@ -287,14 +315,27 @@ def check_module_axioms(M: WeightModule, window) -> list:
 
     Returns a list of (index, relation label, discrepancy) triples in
     window order, then relation order; empty means every relation holds
-    exactly on the window.  A relation whose discrepancy polynomial is
-    zero holds at every p whose five touched indices (p, p + s_X, p + s_Y,
-    p + s_X + s_Y and p + s_T) lie in the support, so it is evaluated only
-    at the indices next to a support boundary; any other relation is
-    evaluated at every index.
+    exactly on the window.  Each relation is first proved or refuted as a
+    polynomial identity in p on integer grids (``_proof``).  A proved
+    relation holds at every p whose five touched indices (p, p + s_X,
+    p + s_Y, p + s_X + s_Y and p + s_T) lie in the support, so it is
+    evaluated only at the indices next to a support boundary; any other
+    relation is evaluated at every index.  When every relation is proved,
+    only the window indices next to the boundary are visited: b <= p <
+    b - lo on a support p >= b, b - hi < p <= b on p <= b and none on all
+    of Z, with lo and hi the least and greatest touched offsets.
     """
-    contains = M.support.contains
+    support = M.support
+    contains = support.contains
     checks = [(relation, *_proof(M, relation)) for relation in M.relations]
+    if all(proved for _, proved, _, _ in checks):
+        if support.kind == "ge":
+            band = range(support.bound, support.bound - min(lo for *_, lo, _ in checks))
+        elif support.kind == "le":
+            band = range(support.bound - max(hi for *_, hi in checks) + 1, support.bound + 1)
+        else:
+            band = range(0)
+        window = [p for p in window if p in band]
     failures = []
     for p in window:
         if not contains(p):
@@ -314,19 +355,80 @@ def _proof(M: WeightModule, relation) -> tuple:
     zero as a polynomial in p, per target offset, and the least and
     greatest offset from p of the indices the relation touches.  A support
     is a half-line or all of Z, so p + lo and p + hi decide whether every
-    touched index lies in it."""
+    touched index lies in it.
+
+    The identity is decided on integer grids (``_grid``): X(p + s_Y)Y(p)
+    and Y(p + s_X)X(p) share the denominator D_X*D_Y, c*T has D_c*D_T, and
+    the bracket and c*T are compared by cross-multiplying the two."""
     _label, x, y, target, c = relation
     s_x, X = M.actions[x]
     s_y, Y = M.actions[y]
     s_t, T = M.actions[target]
-    bracket = X.shift(s_y) * Y - Y.shift(s_x) * X
-    scaled = T.scale(c)
+    (d_x, gx), (d_y, gy), (d_t, gt) = _grid(X), _grid(Y), _grid(T)
+    d_c, gc = _constant_grid(c)
+    xy = _product(_shifted(gx, s_y), gy)
+    yx = _product(_shifted(gy, s_x), gx)
+    scaled = _product(gc, gt)
     if s_t == s_x + s_y:
-        proved = not (bracket - scaled)
+        d = d_c * d_t
+        proved = _vanishes((d, xy), (-d, yx), (-d_x * d_y, scaled))
     else:
-        proved = not bracket and not scaled
+        proved = _vanishes((1, xy), (-1, yx)) and _vanishes((1, scaled))
     offsets = (0, s_x, s_y, s_x + s_y, s_t)
     return proved, min(offsets), max(offsets)
+
+
+def _grid(poly: IndexPoly) -> tuple:
+    """(D, grid): poly times D as integers keyed by (z-exponent,
+    p-degree), nonzero entries only, D the least common denominator of
+    its integer columns."""
+    den = lcm(*(d for _, d, _ in poly._columns))
+    grid = {}
+    for e, d, nums in poly._columns:
+        top = len(nums) - 1
+        for i, a in enumerate(nums):
+            if a:
+                grid[e, top - i] = a * (den // d)
+    return den, grid
+
+
+def _constant_grid(c) -> tuple:
+    """(D, grid) of an int, Fraction or Laurent constant, as in ``_grid``."""
+    if isinstance(c, Laurent):
+        den, nums = over_common_denominator(*c.coeffs.values())
+        return den, {(e, 0): a for e, a in zip(c.coeffs, nums)}
+    return c.denominator, ({(0, 0): c.numerator} if c else {})
+
+
+def _shifted(grid: dict, s: int) -> dict:
+    """The grid of p -> P(p + s), by integer binomials."""
+    if not s:
+        return grid
+    out = {}
+    for (e, k), a in grid.items():
+        for j in range(k + 1):
+            out[e, j] = out.get((e, j), 0) + a * comb(k, j) * s ** (k - j)
+    return out
+
+
+def _product(f: dict, g: dict) -> dict:
+    """The grid of a product: an integer convolution in both keys."""
+    out = {}
+    for (e1, k1), a in f.items():
+        for (e2, k2), b in g.items():
+            key = e1 + e2, k1 + k2
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def _vanishes(*terms) -> bool:
+    """Whether the sum of the integer multiples a*grid, over the (a, grid)
+    pairs, is the zero grid."""
+    total = {}
+    for a, grid in terms:
+        for key, v in grid.items():
+            total[key] = total.get(key, 0) + a * v
+    return not any(total.values())
 
 
 def _failures_at(M: WeightModule, p: int, relations) -> list:

@@ -1,0 +1,193 @@
+"""A/B timing of single ``hclat verify`` checks between two checkouts.
+
+Run from anywhere, with two checkouts of the repository (for example two
+``git archive`` exports, each in its own directory)::
+
+    python3 tests/ab_verify_checks.py --parent DIR --change DIR \
+        --suites modules,contraction --rounds 5 --out FILE
+
+Each round starts one fresh interpreter per side, alternating which side
+goes first from round to round.  An interpreter imports ``hclat.verify``
+from its checkout's ``src`` and times every check of the named suites
+``--repeats`` times, in suite order, through ``verify._outcome``; it also
+reports each check's status and detail, which must agree between the
+sides.  For each check the minimum over every run of every round is kept.
+A suite's total is the sum of its checks' minima.  With
+``--workload-pairs N`` the tool also runs ``perfbench/run.py --workload W
+--seconds S --trace 0`` N times per side for each workload W of
+``--workloads`` (default modules), alternating which side goes first, and
+keeps each run's result line and, per metric, each side's median and
+quartiles.  The JSON written to ``--out`` holds the environment record,
+the per-check minima and change/parent ratios, the suite totals, and the
+workload runs.  Standard library only; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+CHILD = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from hclat import verify
+
+suites, repeats = sys.argv[2].split(","), int(sys.argv[3])
+out = {}
+for suite in suites:
+    for check in verify.CHECKS[suite]:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            outcome = verify._outcome(check)
+            times.append(time.perf_counter() - start)
+        out[f"{suite}.{check.__name__.lstrip('_')}"] = {"s": times, "outcome": list(outcome)}
+print(json.dumps(out))
+"""
+
+
+def _env() -> dict:
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "cpu_model": cpu,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+    }
+
+
+def _child(root: str, suites: str, repeats: int) -> dict:
+    src = os.path.join(os.path.abspath(root), "src")
+    cmd = [sys.executable, "-c", CHILD, src, suites, str(repeats)]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=root)
+    return json.loads(done.stdout)
+
+
+def _workload(root: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
+    lines = done.stdout.strip().splitlines()
+    return {"exit": done.returncode, "result": json.loads(lines[-1]) if lines else None}
+
+
+def _quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _summary(runs: list) -> dict:
+    """Per metric, each side's median and quartiles over its runs, and the
+    number of pairs in which the change reads lower."""
+    ok = [run for run in runs if run["result"] is not None]
+    out = {
+        "pairs": len({run["pair"] for run in runs}),
+        "correct": all(run["result"]["correct"] for run in ok) and len(ok) == len(runs),
+        "failed": sum(run["result"]["failed"] for run in ok),
+    }
+    by_pair = {}
+    for run in ok:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+    for metric in ok[0]["result"]["metrics"] if ok else ():
+        values = {side: [pair[side][metric]["value"] for pair in by_pair.values() if side in pair]
+                  for side in ("parent", "change")}
+        wins = sum(
+            pair["change"][metric]["value"] < pair["parent"][metric]["value"]
+            for pair in by_pair.values() if len(pair) == 2
+        )
+        out[metric] = {side: _quartiles(v) for side, v in values.items() if v}
+        out[metric]["change_lower_pairs"] = wins
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--suites", default="modules,contraction")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=1, help="runs per check per interpreter")
+    ap.add_argument("--workloads", default="modules")
+    ap.add_argument("--workload-pairs", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=10, help="run.py --seconds per workload run")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    sides = {"parent": args.parent, "change": args.change}
+    best = {side: {} for side in sides}
+    outcomes = {side: {} for side in sides}
+    for r in range(args.rounds):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for side in order:
+            for name, rec in _child(sides[side], args.suites, args.repeats).items():
+                best[side][name] = min(best[side].get(name, float("inf")), *rec["s"])
+                outcomes[side][name] = rec["outcome"]
+        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+
+    checks = {}
+    totals = {suite: {"parent_ms": 0.0, "change_ms": 0.0} for suite in args.suites.split(",")}
+    for name in best["parent"]:
+        p_ms, c_ms = best["parent"][name] * 1e3, best["change"][name] * 1e3
+        checks[name] = {
+            "parent_ms": round(p_ms, 3),
+            "change_ms": round(c_ms, 3),
+            "ratio": round(c_ms / p_ms, 3),
+            "outcome": outcomes["change"][name],
+        }
+        suite = name.split(".")[0]
+        totals[suite]["parent_ms"] += p_ms
+        totals[suite]["change_ms"] += c_ms
+    for total in totals.values():
+        total["ratio"] = round(total["change_ms"] / total["parent_ms"], 3)
+        total["parent_ms"] = round(total["parent_ms"], 3)
+        total["change_ms"] = round(total["change_ms"], 3)
+
+    runs, summary = [], {}
+    for workload in args.workloads.split(",") if args.workload_pairs else ():
+        for k in range(args.workload_pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = _workload(sides[side], workload, 3 + k, args.seconds)
+                runs.append({"workload": workload, "side": side, "pair": k, "first": order[0], **run})
+                print(f"{workload} pair {k + 1}/{args.workload_pairs}: {side} done", file=sys.stderr)
+        summary[workload] = _summary([run for run in runs if run["workload"] == workload])
+
+    doc = {
+        "environment": _env(),
+        "method": (
+            f"{args.rounds} rounds, one fresh interpreter per side per round, sides "
+            f"alternating first; each interpreter runs every check {args.repeats} time(s) "
+            "through verify._outcome; per check the minimum over all runs, per suite the "
+            "sum of its checks' minima"
+        ),
+        "suites": args.suites.split(","),
+        "rounds": args.rounds,
+        "repeats": args.repeats,
+        "outcomes_identical": outcomes["parent"] == outcomes["change"],
+        "checks": checks,
+        "suite_totals": totals,
+        "workload_summary": summary,
+        "workload_runs": runs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0 if doc["outcomes_identical"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

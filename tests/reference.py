@@ -9,6 +9,11 @@ differential tests.
   per-index read of a module; ``act_gen`` here returns the clipped image
   of one basis vector as a list of (target, coefficient) pairs, the
   general sparse-vector route the windowed axiom check is built on.
+- Relation proofs in Fractions.  ``weightmods._proof`` decides each
+  bracket relation on integer grids (one common denominator and integer
+  coefficients keyed by z-exponent and p-degree); ``proof`` here builds
+  the discrepancy polynomial out of ``IndexPoly`` arithmetic over
+  Fractions and Laurent polynomials (``shift``, ``*``, ``-``, ``scale``).
 - Window tables cell by cell.  ``weightmods.module_rows`` computes a
   generator column at a time in integers, by forward differences, and
   prints each column at once with ``scalars.format_columns``;
@@ -111,6 +116,24 @@ def act_gen(M, gen: str, p: int) -> list:
         return []
     c = poly(p)
     return [(target, c)] if c else []
+
+
+def proof(M, relation) -> tuple:
+    """(proved, lo, hi) as ``weightmods._proof`` returns it: whether
+    [X, Y] - c*T is zero as a polynomial in p, per target offset, and the
+    least and greatest offset from p of the indices the relation touches."""
+    _label, x, y, target, c = relation
+    s_x, X = M.actions[x]
+    s_y, Y = M.actions[y]
+    s_t, T = M.actions[target]
+    bracket = X.shift(s_y) * Y - Y.shift(s_x) * X
+    scaled = T.scale(c)
+    if s_t == s_x + s_y:
+        proved = not (bracket - scaled)
+    else:
+        proved = not bracket and not scaled
+    offsets = (0, s_x, s_y, s_x + s_y, s_t)
+    return proved, min(offsets), max(offsets)
 
 
 def _coefficient(M, gen: str, p: int):

@@ -14,7 +14,7 @@ import pytest
 
 import reference
 from hclat import contraction as ct
-from hclat import pbw
+from hclat import pbw, verify
 from hclat import weightmods as wm
 from hclat.scalars import Laurent
 from hclat.zforms import iwasawa_decompose, make_zform, subalgebra
@@ -447,6 +447,128 @@ def test_axiom_check_matches_windowed_reference():
     assert controls >= 20  # the negative controls do fail
 
 
+# -- the integer relation proofs against the Fraction route -------------------
+
+
+def doubled(M):
+    """M reindexed by p -> p/2: each shift doubled and each coefficient
+    P(p) replaced by P(p/2), so every relation identity carries over."""
+    actions = {
+        gen: (2 * shift, wm.IndexPoly([a * Fraction(1, 2**k) for k, a in enumerate(poly.coeffs)]))
+        for gen, (shift, poly) in M.actions.items()
+    }
+    return replace(M, actions=actions)
+
+
+def proof_modules(rng):
+    """The differential modules and every module the verify suites check,
+    with zero polynomials, z^-1 terms, c = z and shifts of +-2."""
+    out = differential_modules(rng)
+    out += [M for _, M in verify._module_families() + verify._contracted_families()]
+    g = make_zform(2, 3, 1)
+    ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5))
+    cps = ct.contracted_ps(Fraction(1, 2), Laurent.parse("z^-1+3z"), ct.LAURENT_RING, n=2)
+    out += [doubled(M) for M in (wm.produced_module(g, 1), ps, ct.contracted_induced(1, 2), cps)]
+    out += [
+        ps.with_action("E", 1, wm.IndexPoly([])),
+        ct.contracted_induced(2, 2).with_action("h", 0, wm.IndexPoly([])),
+        # c = z on Fraction coefficients, and a zero constant
+        replace(ps, relations=(("[E,F]=zH", "E", "F", "H", Laurent.z_power(1)),)),
+        replace(ps, relations=(("[E,F]=0", "E", "F", "H", 0),)),
+    ]
+    # random shifts in -2..2 and random coefficients, zero ones among them
+    for _ in range(30):
+        laurent = rng.random() < 0.5
+        M = cps if laurent else ps
+        for gen in M.actions:
+            poly = wm.IndexPoly(random_index_poly(rng, laurent))
+            M = M.with_action(gen, rng.randint(-2, 2), poly)
+        out.append(M)
+    return out
+
+
+def test_integer_proof_matches_fraction_reference():
+    rng = random.Random(31)
+    proved = refuted = 0
+    for M in proof_modules(rng):
+        for relation in M.relations:
+            got = wm._proof(M, relation)
+            assert got == reference.proof(M, relation), (relation, M.params, M.actions)
+            proved += got[0]
+            refuted += not got[0]
+    assert proved >= 100 and refuted >= 50
+
+
+def nudged(M, gen, degree, delta):
+    """M with delta added to the p^degree coefficient of gen's action."""
+    shift, poly = M.actions[gen]
+    coeffs = list(poly.coeffs) + [0] * (degree + 1 - len(poly.coeffs))
+    coeffs[degree] += delta
+    return M.with_action(gen, shift, wm.IndexPoly(coeffs))
+
+
+def test_nudged_coefficient_refutes_a_proved_relation():
+    """A proved relation [X, Y] = cT fails on both routes once T's constant
+    term moves by 1/7 or z^-1 (T neither X nor Y, c nonzero: the bracket
+    stays), or once the slope of a Cartan X moves (the bracket gains
+    delta*s_Y*Y(p), nonzero for s_Y nonzero and Y nonzero)."""
+    rng = random.Random(32)
+    controls = 0
+    for M in proof_modules(rng):
+        for relation in M.relations:
+            _label, x, y, target, c = relation
+            if not wm._proof(M, relation)[0]:
+                continue
+            delta = rng.choice((Fraction(1, 7), Laurent.z_power(-1)))
+            if target not in (x, y) and c != 0:
+                N = nudged(M, target, 0, delta)
+            elif M.actions[x][0] == 0 and M.actions[y][0] and M.actions[y][1]:
+                N = nudged(M, x, 1, delta)
+            else:
+                continue
+            assert not wm._proof(N, relation)[0], (relation, N.actions)
+            assert not reference.proof(N, relation)[0], (relation, N.actions)
+            controls += 1
+    assert controls >= 20
+
+
+def test_coefficient_columns_match_coefficient():
+    # cut supports, the zero module, zero polynomials and shifts of +-2
+    for M in proof_modules(random.Random(33)):
+        for gen in M.actions:
+            for lo, hi in ((-7, 7), (2, 2), (3, -3)):
+                columns = M.coefficient_columns(gen, lo, hi)
+                want = [M.coefficient(gen, p) for p in range(lo, hi + 1)]
+                got = [
+                    Laurent({e: Fraction(values[i], d) for e, d, values in columns})
+                    for i in range(len(want))
+                ]
+                assert got == want and (columns or lo > hi), (gen, lo, hi, M.actions)
+                zeros = [p for p, c in zip(range(lo, hi + 1), want) if not c]
+                assert M.zero_indices(gen, lo, hi) == zeros
+
+
+def test_axiom_check_builds_no_index_poly(monkeypatch):
+    g = make_zform(2, 3, 1)
+    modules = [
+        wm.induced_module(g, 1),
+        wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5)),
+        ct.contracted_induced(-2, 2),
+        ct.contracted_ps(Fraction(1, 2), Laurent.parse("z^-1+3z"), ct.LAURENT_RING, n=2),
+    ]
+    built = []
+    real = wm.IndexPoly.__init__
+
+    def counting(self, coeffs):
+        built.append(coeffs)
+        real(self, coeffs)
+
+    monkeypatch.setattr(wm.IndexPoly, "__init__", counting)
+    for M in modules:
+        assert wm.check_module_axioms(M, range(-30, 31)) == []
+    assert built == []
+
+
 def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
     seen = []
     real = wm._failures_at
@@ -468,6 +590,24 @@ def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
     wm.check_module_axioms(cut, range(-50, 51))
     assert seen == [(4, ("[H,E]=nE", "[E,F]=mH"))]
     seen.clear()
+    # a reversed range and an unordered list: the boundary indices only,
+    # in window order
+    both = ("[H,E]=nE", "[E,F]=mH")
+    seen.clear()
+    wm.check_module_axioms(cut, range(50, -51, -1))
+    wm.check_module_axioms(cut, [9, 4, -3, 0])
+    assert seen == [(4, both), (4, both)]
+    # shifts of +-2 put two indices next to the cut
+    wide = replace(doubled(wm.produced_module(g, 1)), support=wm.Support("le", 4))
+    seen.clear()
+    wm.check_module_axioms(wide, range(50, -51, -1))
+    wm.check_module_axioms(wide, [3, -7, 12, 4, 0])
+    assert seen == [(4, both), (3, both), (3, both), (4, both)]
+    # a window wholly off the support evaluates nothing
+    seen.clear()
+    assert wm.check_module_axioms(wide, range(5, 60)) == []
+    assert wm.check_module_axioms(wide, [9, 30, 5]) == []
+    assert seen == []
     alternate = printed_qp(2, 3, Fraction(1, 2), Fraction(5))
     assert len(wm.check_module_axioms(alternate, range(-5, 6))) == 11
     assert seen == [(p, ("[E,F]=mH",)) for p in range(-5, 6)]
