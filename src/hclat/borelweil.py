@@ -45,15 +45,6 @@ class RowLattice:
         self.scalars[j] = Fraction(g, c.denominator * den)
         return True
 
-    def add_row(self, vec) -> bool:
-        """Insert a weight vector given as a row (at most one nonzero
-        entry); returns True if the lattice grew."""
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        if len(support) > 1:
-            where = [j for j, _ in support]
-            raise ValueError(f"not a weight vector: nonzero entries at {where}")
-        return any(self.add(j, x.numerator, x.denominator) for j, x in support)
-
     def __eq__(self, other):
         return isinstance(other, RowLattice) and self.scalars == other.scalars
 
@@ -99,30 +90,6 @@ class FiniteLattice:
             raise ValueError(f"weights {w} repeat or are not descending")
         if not len(self.e) == len(self.f) == len(w) or w and (self.e[0] or self.f[-1]):
             raise ValueError("E and F must be chains with e_0 = 0 and a last f of 0")
-
-    @classmethod
-    def from_matrices(cls, weights, E, F, ambient=None, embedding=None) -> FiniteLattice:
-        """The lattice of dense E and F matrices, column convention: M[i][j]
-        is the u_i-coefficient of X u_j.  E must vanish off the
-        superdiagonal and F off the subdiagonal.  embedding, when given,
-        lists the basis rows in the coordinates of ambient; each must be a
-        weight vector."""
-        r = len(weights)
-        for name, M, step in (("E", E, -1), ("F", F, 1)):
-            if len(M) != r or any(len(row) != r for row in M):
-                raise ValueError(f"{name} is not {r}x{r}")
-            stray = [(i, j) for i in range(r) for j in range(r) if M[i][j] and i != j + step]
-            if stray:
-                raise ValueError(f"{name} is not bidiagonal: nonzero entries at {stray}")
-        e = [E[j - 1][j] if j else 0 for j in range(r)]
-        f = [F[j + 1][j] if j + 1 < r else 0 for j in range(r)]
-        inside = None
-        if embedding is not None:
-            lat = RowLattice(ambient.rank)
-            for row in embedding:
-                lat.add_row(row)
-            inside = (ambient, lat)
-        return cls(list(weights), e, f, inside)
 
     @property
     def rank(self) -> int:

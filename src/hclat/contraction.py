@@ -81,7 +81,8 @@ def contracted_induced(lam: int, n: int) -> WeightModule:
     """Basis y_{lam+np}, p >= 0; e raises by one step, f lowers with a z:
     f(p) = -z(p/n)(np - n + 2 lam)."""
     check_positive(n=n)
-    f_coeff = (affine(0, Fraction(-1, n)) * affine(2 * lam - n, n)).scale(_Z)
+    # -z (p/n) (2 lam - n + n p)
+    f_coeff = IndexPoly([0, _Z * Fraction(n - 2 * lam, n), -_Z])
     return _contracted(n, Support("ge", 0), lam, (1, _ONE), (-1, f_coeff), {"lam": lam, "n": n})
 
 
@@ -89,7 +90,8 @@ def contracted_produced(lam: int, n: int) -> WeightModule:
     """Basis y^{lam+np}, p >= 0; f lowers by one step, e raises with a z:
     e(p) = -z((p+1)/n)(np + 2 lam)."""
     check_positive(n=n)
-    e_coeff = (affine(Fraction(-1, n), Fraction(-1, n)) * affine(2 * lam, n)).scale(_Z)
+    # -z ((p + 1)/n) (2 lam + n p)
+    e_coeff = IndexPoly([_Z * Fraction(-2 * lam, n), _Z * Fraction(-2 * lam - n, n), -_Z])
     return _contracted(n, Support("ge", 0), lam, (1, e_coeff), (-1, _ONE), {"lam": lam, "n": n})
 
 

@@ -4,13 +4,18 @@ principal series attached to the parabolic frames q, qp, qpp.
 Modules are intensional: a support predicate plus, per generator, an index
 shift and a coefficient polynomial in the index p (degree at most 2, with
 rational or Laurent coefficients).  Nothing infinite is ever materialized.
+An ``IndexPoly`` holds values and columns only, no arithmetic: each family
+states its coefficient list directly, with the factored formula beside it.
 Each bracket relation is proved once as a polynomial identity in p, on
-integer grids: a coefficient polynomial is one common denominator and
-integer coefficients keyed by (z-exponent, p-degree), a shift takes
-integer binomials, a product is an integer convolution, and the two sides
-of a relation are compared by cross-multiplying their denominators.  Only
-the indices next to a support boundary, where an action is clipped, and
-relations whose identity fails are evaluated index by index.
+integer grids, the one polynomial arithmetic here: a coefficient
+polynomial is one common denominator and integer coefficients keyed by
+(z-exponent, p-degree), a shift takes integer binomials, a product is an
+integer convolution, and the two sides of a relation are compared by
+cross-multiplying their denominators.  Only the indices next to a support
+boundary, where an action is clipped, and relations whose identity fails
+are evaluated index by index.  One rule says where a generator is clipped
+(``WeightModule._unclipped``): p and p + shift must both lie in the
+support.
 
 Window tables are computed a generator column at a time, in integers: the
 window is clipped once to the support, each integer column of a
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import floordiv, mul
 
@@ -35,14 +40,16 @@ from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
 class IndexPoly:
-    """A polynomial in the index p, coefficients in ascending degree.
+    """A polynomial in the index p, coefficients in ascending degree: its
+    values and integer columns, with no arithmetic.
 
     The coefficients are all Fractions, or all Laurent polynomials in z
     (one Laurent coefficient lifts the rest; the zero polynomial has no
     coefficients and Fraction values).  They are also held as integer
     columns, one per power of z (only z^0 for Fractions): the exponent,
     one common denominator and the numerators over it, highest degree
-    first.  A value is computed on those columns.
+    first.  A value, at one index or over a window, is computed on those
+    columns; ``_proof`` reads them as integer grids.
     """
 
     __slots__ = ("coeffs", "_columns")
@@ -115,31 +122,6 @@ class IndexPoly:
         if not isinstance(other, IndexPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __add__(self, other: "IndexPoly") -> "IndexPoly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return IndexPoly([a + b for a, b in pairs])
-
-    def __sub__(self, other: "IndexPoly") -> "IndexPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "IndexPoly") -> "IndexPoly":
-        out = [0] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IndexPoly(out)
-
-    def scale(self, c) -> "IndexPoly":
-        """c times the polynomial, for an int, Fraction or Laurent c."""
-        return IndexPoly([a * c for a in self.coeffs])
-
-    def shift(self, k: int) -> "IndexPoly":
-        """The polynomial p -> P(p + k), by the binomial theorem."""
-        c, n = self.coeffs, len(self.coeffs)
-        return IndexPoly(
-            [sum(c[i] * (comb(i, j) * k ** (i - j)) for i in range(j, n)) for j in range(n)]
-        )
 
 
 def affine(a, b) -> IndexPoly:
@@ -214,14 +196,10 @@ class WeightModule:
         """The scalar by which gen sends the basis vector at p to the one at
         p + shift: 0 on the zero module, or when p or p + shift leaves the
         support."""
-        shift, poly = self.actions[gen]
-        if (
-            self.vanishing_reason is not None
-            or not self.support.contains(p)
-            or not self.support.contains(p + shift)
-        ):
+        first, last = self._unclipped(gen, p, p)
+        if first > last:
             return rat(0)
-        return poly(p) or rat(0)
+        return self.actions[gen][1](p) or rat(0)
 
     def coefficient_columns(self, gen: str, lo: int, hi: int) -> list:
         """``coefficient`` at lo..hi, read at once: the integer columns
@@ -230,16 +208,23 @@ class WeightModule:
         ``coefficient`` clips.  Empty when lo > hi."""
         if lo > hi:
             return []
-        shift, poly = self.actions[gen]
+        first, last = self._unclipped(gen, lo, hi)
+        return [
+            (e, d, [0] * (first - lo) + values[first - lo : last - lo + 1] + [0] * (hi - last))
+            for e, d, values in self.actions[gen][1].column_values(lo, hi)
+        ]
+
+    def _unclipped(self, gen: str, lo: int, hi: int) -> tuple:
+        """(first, last): the part of lo..hi where gen is not clipped, that
+        is where p and p + shift both lie in the support; (lo, lo - 1)
+        when there is none, and always on the zero module."""
+        shift = self.actions[gen][0]
         first, last = self.support.clip(lo, hi)
         after, before = self.support.clip(lo + shift, hi + shift)
         first, last = max(first, after - shift), min(last, before - shift)
         if self.vanishing_reason is not None or first > last:
-            first, last = lo, lo - 1  # every value clipped
-        return [
-            (e, d, [0] * (first - lo) + values[first - lo : last - lo + 1] + [0] * (hi - last))
-            for e, d, values in poly.column_values(lo, hi)
-        ]
+            return lo, lo - 1
+        return first, last
 
     def zero_indices(self, gen: str, lo: int, hi: int) -> list:
         """The indices of lo..hi at which ``coefficient`` is 0, read off
@@ -266,7 +251,8 @@ def induced_module(g: ZForm, lam: int) -> WeightModule:
     lam = int(lam)
     actions = {
         "E": (1, IndexPoly([1])),
-        "F": (-1, affine(0, Fraction(-m, 2)) * affine(2 * lam - n, n)),
+        # -(m/2) p (2 lam - n + n p)
+        "F": (-1, IndexPoly([0, Fraction(m * (n - 2 * lam), 2), Fraction(-m * n, 2)])),
         "H": (0, affine(lam, n)),
     }
     return WeightModule(gnm_relations(n, m), Support("ge", 0), actions, {"n": n, "lambda": lam})
@@ -278,7 +264,8 @@ def produced_module(g: ZForm, lam: int) -> WeightModule:
     n, m = g.n, g.m
     lam = int(lam)
     actions = {
-        "E": (1, affine(Fraction(-m, 2), Fraction(-m, 2)) * affine(2 * lam, n)),
+        # -(m/2) (p + 1) (2 lam + n p)
+        "E": (1, IndexPoly([-m * lam, Fraction(-m * (2 * lam + n), 2), Fraction(-m * n, 2)])),
         "F": (-1, IndexPoly([1])),
         "H": (0, affine(lam, n)),
     }
@@ -465,17 +452,13 @@ def module_rows(M: WeightModule, lo: int, hi: int) -> list:
     cartan, num, den = ("H", 1, 1) if "H" in M.actions else ("h", M.params["n"], 2)
     weights = [0] * (hi - lo + 1)
     printed = []
-    for gen, (shift, poly) in M.actions.items():
+    for gen, (_, poly) in M.actions.items():
         columns = poly.column_values(lo, hi)
         if gen == cartan:
             for e, d, values in columns:
                 if e == 0:
                     weights = list(map(floordiv, map(mul, values, repeat(num)), repeat(d * den)))
-        first, last = M.support.clip(lo + shift, hi + shift)
-        first, last = first - shift, last - shift
-        if first > last:
-            printed.append(["0"] * (hi - lo + 1))
-            continue
+        first, last = M._unclipped(gen, lo, hi)
         cut = slice(first - lo, last - lo + 1)
         cells = format_columns([(e, d, values[cut]) for e, d, values in columns])
         printed.append(["0"] * (first - lo) + cells + ["0"] * (hi - last))

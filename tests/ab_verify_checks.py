@@ -19,7 +19,11 @@ A suite's total is the sum of its checks' minima.  With
 keeps each run's result line and, per metric, each side's median and
 quartiles.  The JSON written to ``--out`` holds the environment record,
 the per-check minima and change/parent ratios, the suite totals, and the
-workload runs.  Standard library only; pytest does not collect it.
+workload runs.  Every child starts with ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` set to a fresh empty temporary directory, so it
+compiles every module from source: a ``__pycache__`` left in either
+checkout cannot let one side skip compilation.  Standard library only;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 CHILD = r"""
 import json, sys, time
@@ -64,14 +69,22 @@ def _env() -> dict:
         "platform": platform.platform(),
         "nproc": os.cpu_count(),
         "cpu_model": cpu,
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONPYCACHEPREFIX": "a fresh empty temporary directory per child",
     }
+
+
+def _run(cmd: list, root: str) -> subprocess.CompletedProcess:
+    """cmd run in root, reading and writing no bytecode."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        return subprocess.run(cmd, capture_output=True, text=True, cwd=root, env=env)
 
 
 def _child(root: str, suites: str, repeats: int) -> dict:
     src = os.path.join(os.path.abspath(root), "src")
-    cmd = [sys.executable, "-c", CHILD, src, suites, str(repeats)]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=root)
+    done = _run([sys.executable, "-c", CHILD, src, suites, str(repeats)], root)
+    done.check_returncode()
     return json.loads(done.stdout)
 
 
@@ -80,7 +93,7 @@ def _workload(root: str, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
+    done = _run(cmd, root)
     lines = done.stdout.strip().splitlines()
     return {"exit": done.returncode, "result": json.loads(lines[-1]) if lines else None}
 

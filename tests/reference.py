@@ -5,15 +5,23 @@ differential tests.
   presentations in closed form (``zforms._solve_pair``) and its lattices
   by weight lines (``borelweil.RowLattice``); ``rref`` is the general
   elimination both are checked against.
+- Lattices from dense matrices.  ``borelweil`` builds every
+  ``FiniteLattice`` from its E and F chains and every ``RowLattice`` one
+  weight line at a time (``RowLattice.add``); ``lattice_from_matrices``
+  here reads the chains off dense bidiagonal matrices, and ``add_row``
+  inserts a weight vector given as a dense row.
 - Actions as lists of hits.  ``WeightModule.coefficient`` is the one
   per-index read of a module; ``act_gen`` here returns the clipped image
   of one basis vector as a list of (target, coefficient) pairs, the
   general sparse-vector route the windowed axiom check is built on.
 - Relation proofs in Fractions.  ``weightmods._proof`` decides each
   bracket relation on integer grids (one common denominator and integer
-  coefficients keyed by z-exponent and p-degree); ``proof`` here builds
-  the discrepancy polynomial out of ``IndexPoly`` arithmetic over
-  Fractions and Laurent polynomials (``shift``, ``*``, ``-``, ``scale``).
+  coefficients keyed by z-exponent and p-degree), the only polynomial
+  arithmetic of the library; ``proof`` here builds the discrepancy
+  polynomial from the coefficient lists of the actions, with the plain
+  functions ``poly_add``, ``poly_sub``, ``poly_mul``, ``poly_scale`` and
+  ``poly_shift`` over Fractions and Laurent polynomials.  The tests that
+  gauge or rescale a module use the same functions.
 - Window tables cell by cell.  ``weightmods.module_rows`` computes a
   generator column at a time in integers, by forward differences, and
   prints each column at once with ``scalars.format_columns``;
@@ -49,9 +57,11 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd
 
 from hclat import pbw
+from hclat.borelweil import FiniteLattice, RowLattice
 from hclat.dyadic import (
     _EXPONENT_CAP,
     NoExtensionError,
@@ -104,6 +114,39 @@ def solve(vectors, target):
     return coeffs
 
 
+def add_row(lat: RowLattice, vec) -> bool:
+    """Insert a weight vector given as a row (at most one nonzero entry)
+    into lat; returns True if the lattice grew."""
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    if len(support) > 1:
+        where = [j for j, _ in support]
+        raise ValueError(f"not a weight vector: nonzero entries at {where}")
+    return any(lat.add(j, x.numerator, x.denominator) for j, x in support)
+
+
+def lattice_from_matrices(weights, E, F, ambient=None, embedding=None) -> FiniteLattice:
+    """The lattice of dense E and F matrices, column convention: M[i][j]
+    is the u_i-coefficient of X u_j.  E must vanish off the superdiagonal
+    and F off the subdiagonal.  embedding, when given, lists the basis
+    rows in the coordinates of ambient; each must be a weight vector."""
+    r = len(weights)
+    for name, M, step in (("E", E, -1), ("F", F, 1)):
+        if len(M) != r or any(len(row) != r for row in M):
+            raise ValueError(f"{name} is not {r}x{r}")
+        stray = [(i, j) for i in range(r) for j in range(r) if M[i][j] and i != j + step]
+        if stray:
+            raise ValueError(f"{name} is not bidiagonal: nonzero entries at {stray}")
+    e = [E[j - 1][j] if j else 0 for j in range(r)]
+    f = [F[j + 1][j] if j + 1 < r else 0 for j in range(r)]
+    inside = None
+    if embedding is not None:
+        lat = RowLattice(ambient.rank)
+        for row in embedding:
+            add_row(lat, row)
+        inside = (ambient, lat)
+    return FiniteLattice(list(weights), e, f, inside)
+
+
 def act_gen(M, gen: str, p: int) -> list:
     """The image of the basis vector at p under one generator, as a list
     of (target, coefficient) hits: empty on the zero module, off the
@@ -118,6 +161,35 @@ def act_gen(M, gen: str, p: int) -> list:
     return [(target, c)] if c else []
 
 
+def poly_add(a, b) -> list:
+    """The sum of two polynomials in p, as coefficient lists in ascending
+    degree (ints, Fractions or Laurent polynomials)."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def poly_sub(a, b) -> list:
+    return poly_add(a, poly_scale(b, -1))
+
+
+def poly_mul(a, b) -> list:
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_scale(a, c) -> list:
+    """c times the polynomial, for an int, Fraction or Laurent c."""
+    return [x * c for x in a]
+
+
+def poly_shift(a, k: int) -> list:
+    """The polynomial p -> P(p + k), by the binomial theorem."""
+    n = len(a)
+    return [sum(a[i] * (comb(i, j) * k ** (i - j)) for i in range(j, n)) for j in range(n)]
+
+
 def proof(M, relation) -> tuple:
     """(proved, lo, hi) as ``weightmods._proof`` returns it: whether
     [X, Y] - c*T is zero as a polynomial in p, per target offset, and the
@@ -126,12 +198,13 @@ def proof(M, relation) -> tuple:
     s_x, X = M.actions[x]
     s_y, Y = M.actions[y]
     s_t, T = M.actions[target]
-    bracket = X.shift(s_y) * Y - Y.shift(s_x) * X
-    scaled = T.scale(c)
+    X, Y = X.coeffs, Y.coeffs
+    bracket = poly_sub(poly_mul(poly_shift(X, s_y), Y), poly_mul(poly_shift(Y, s_x), X))
+    scaled = poly_scale(T.coeffs, c)
     if s_t == s_x + s_y:
-        proved = not (bracket - scaled)
+        proved = not any(poly_sub(bracket, scaled))
     else:
-        proved = not bracket and not scaled
+        proved = not any(bracket) and not any(scaled)
     offsets = (0, s_x, s_y, s_x + s_y, s_t)
     return proved, min(offsets), max(offsets)
 

@@ -8,8 +8,7 @@ bare name, an attribute after a dot, or a ``from ... import`` of it; a
 word in a comment or a docstring is not a read.  A method also counts as
 read when its dotted ``Class.name`` occurs in ``perfbench/``, where the
 tracer resolves names such as ``RowLattice.coordinates`` from strings.
-Names that only tests and library users call stay on a short allowlist,
-each with its reason.
+A name that only tests call belongs in ``tests/reference.py``.
 
 Every private module-level function must be read in ``src/`` outside its
 own definition: a helper nothing calls, or a verify check that no suite
@@ -26,13 +25,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "hclat").glob("*.py"))
-
-ALLOWED = {
-    # the dense constructor and its input guard, for tests and library
-    # users who hold E and F as matrices
-    "FiniteLattice.from_matrices",
-}
-
 
 def _public_defs(tree):
     """(qualified name, node) of each public function, class and method."""
@@ -107,8 +99,7 @@ def test_every_private_function_is_referenced():
 
 
 def test_every_public_name_has_a_caller():
-    uncalled = _unreferenced(_public_defs, ("demos", "perfbench"))
-    assert [name for name in uncalled if name.split(".", 1)[1] not in ALLOWED] == []
+    assert _unreferenced(_public_defs, ("demos", "perfbench")) == []
 
 
 def _unread_parameters(tree, stem):
@@ -135,11 +126,3 @@ def test_every_parameter_is_read():
     ]
     assert unread == []
 
-
-def test_allowlist_names_exist():
-    defined = {
-        name
-        for path in SRC
-        for name, _ in _public_defs(ast.parse(path.read_text()))
-    }
-    assert ALLOWED <= defined

@@ -45,7 +45,10 @@ MUTATIONS = {
         weightmods, "iwasawa_decompose", "cx, cy = _solve_pair", "cy, cx = _solve_pair"
     ),
     "duality_pairing": (
-        weightmods, "induced_module", "affine(2 * lam - n, n)", "affine(2 * lam + n, n)"
+        weightmods,
+        "induced_module",
+        "Fraction(m * (n - 2 * lam), 2)",
+        "Fraction(m * (n + 2 * lam), 2)",
     ),
     "ps_vanishing_index": (
         weightmods, "principal_series", "c_mu * mu + c_w * n * eps", "c_mu * mu - c_w * n * eps"
@@ -84,7 +87,7 @@ MUTATIONS = {
     "defect_sum_digit_identity": (dyadic, "dyadic_defect_sum", "range(1, s + 1)", "range(1, s)"),
     # contraction
     "contracted_bracket_relations": (
-        contraction, "contracted_induced", "affine(0, Fraction(-1, n))", "affine(0, Fraction(1, n))"
+        contraction, "contracted_induced", "Fraction(n - 2 * lam, n)", "Fraction(n + 2 * lam, n)"
     ),
     "phi_bracket_preserving": (
         contraction, "phi_preserves_bracket", "Laurent.z_power(-1)", "Laurent.z_power(1)"
