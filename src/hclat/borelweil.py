@@ -15,7 +15,6 @@ X(X^(k-1) v/(k-1)!)/k) to weight vectors; they generate U_Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
@@ -71,25 +70,29 @@ class RowLattice:
         return prod((c for c in self.scalars if c), start=Fraction(1))
 
 
-@dataclass
 class FiniteLattice:
     """Finite-rank lattice on u_0, u_1, ... with distinct descending weights
     w_i: H u_i = w_i u_i, E u_i = e_i u_(i-1) and F u_i = f_i u_(i+1), so
     e_0 and the last f are 0.  inside, when present, is the pair (ambient,
     RowLattice): the basis is c_j e_j over the ambient basis e_j, for the
-    nonzero scalars c_j of the RowLattice."""
+    nonzero scalars c_j of the RowLattice.  Two lattices are equal when
+    all four fields are."""
 
-    weights: list
-    e: list
-    f: list
-    inside: tuple = None
+    __slots__ = ("weights", "e", "f", "inside")
 
-    def __post_init__(self):
-        w = self.weights
-        if any(a <= b for a, b in zip(w, w[1:])):
-            raise ValueError(f"weights {w} repeat or are not descending")
-        if not len(self.e) == len(self.f) == len(w) or w and (self.e[0] or self.f[-1]):
+    def __init__(self, weights: list, e: list, f: list, inside: tuple = None):
+        if any(a <= b for a, b in zip(weights, weights[1:])):
+            raise ValueError(f"weights {weights} repeat or are not descending")
+        if not len(e) == len(f) == len(weights) or weights and (e[0] or f[-1]):
             raise ValueError("E and F must be chains with e_0 = 0 and a last f of 0")
+        self.weights, self.e, self.f, self.inside = weights, e, f, inside
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteLattice:
+            return NotImplemented
+        return (self.weights, self.e, self.f, self.inside) == (
+            other.weights, other.e, other.f, other.inside
+        )
 
     @property
     def rank(self) -> int:

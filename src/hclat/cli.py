@@ -12,6 +12,10 @@ subcommand's parser; leftover tokens get argparse's top-level
 top-level parser.  The JSON of a document is exactly
 ``json.dumps(doc, indent=2) + "\n"``, built from the C encoder's compact
 output.
+
+A process imports only the layers its documents run: ``scalars``,
+``borelweil`` and ``dyadic`` (the layers of ``bw`` and ``lattice``) at
+start-up, and every other layer in the first handler that needs it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from fractions import Fraction
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
-from . import borelweil, contraction, dyadic, weightmods, zforms
-from . import verify as verify_suites
+from . import borelweil, dyadic
 from .scalars import LAURENT_RING, POLY, Laurent, residue
 
 EXIT_OK = 0
@@ -188,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_bw)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
+    # verify.SUITES, written out so that start-up does not import verify
     p_verify.add_argument(
         "--suite", required=True,
-        choices=verify_suites.SUITES + ("all",),
+        choices=("hecke", "modules", "lattice", "contraction", "borelweil", "all"),
     )
     add_common(p_verify)
 
@@ -238,6 +242,8 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 def _run_classify(args) -> dict:
+    from . import zforms
+
     with open(args.table, encoding="utf-8") as handle:
         data = json.load(handle)
     if isinstance(data, dict) and {"n", "m", "q"} <= data.keys():
@@ -265,6 +271,8 @@ def _check_kind_flags(args, ps_flags: dict) -> None:
 
 
 def _run_module(args) -> dict:
+    from . import weightmods, zforms
+
     lo, hi = args.window
     _check_kind_flags(
         args, {"--parabolic": args.parabolic, "--eps": args.eps, "--mu": args.mu}
@@ -300,6 +308,8 @@ def _run_module(args) -> dict:
 
 def _table_doc(M, header: dict, lo: int, hi: int) -> dict:
     """The windowed coefficient table of a module, after its header keys."""
+    from . import weightmods
+
     doc = {
         **header,
         "window": [lo, hi],
@@ -340,6 +350,8 @@ def _check_oracle_reach(report) -> None:
 
 
 def _run_contract(args) -> dict:
+    from . import contraction
+
     lo, hi = args.window
     ring = POLY if args.ring == "poly" else LAURENT_RING
     _check_kind_flags(args, {"--eps": args.eps, "--mu": args.mu})
@@ -417,7 +429,9 @@ def _run_bw(args) -> dict:
 
 
 def _run_verify(args) -> dict:
-    return verify_suites.run_suite(args.suite)
+    from . import verify
+
+    return verify.run_suite(args.suite)
 
 
 _HANDLERS = {
@@ -509,7 +523,9 @@ def render_csv(doc: dict) -> str:
 
 def render_table(doc: dict) -> str:
     if "checks" in doc:
-        return verify_suites.format_report(doc) + "\n"
+        from . import verify
+
+        return verify.format_report(doc) + "\n"
     if "rows" in doc:
         columns = [list(map(str, column)) for column in zip(doc["columns"], *doc["rows"])]
         line = "  ".join(f"{{:<{max(map(len, texts))}}}" for texts in columns).format

@@ -27,11 +27,9 @@ O(window + depth) integer valuations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import check_positive, over_common_denominator, rat, residue
-from .weightmods import Support
+from .scalars import Support, check_positive, over_common_denominator, rat, residue
 
 VARIANTS = ("q", "qp", "qpp")
 
@@ -353,17 +351,18 @@ def oracle_min_exponent(
 # -- assembled reports ------------------------------------------------------
 
 
-@dataclass
 class LatticeReport:
-    variant: str
-    n: int
-    m: int
-    eps: Fraction
-    mu: Fraction
-    nonzero: bool
-    support: Support | None
-    exponents: dict
-    window: tuple
+    """The assembled model: nonvanishing, support (None when the module
+    vanishes) and the exponents of the window's indices, by index."""
+
+    __slots__ = ("variant", "n", "m", "eps", "mu", "nonzero", "support", "exponents", "window")
+
+    def __init__(
+        self, variant: str, n: int, m: int, eps: Fraction, mu: Fraction, nonzero: bool,
+        support: Support | None, exponents: dict, window: tuple,
+    ):
+        self.variant, self.n, self.m, self.eps, self.mu = variant, n, m, eps, mu
+        self.nonzero, self.support, self.exponents, self.window = nonzero, support, exponents, window
 
     def to_json(self, oracle_agrees=None):
         out = {

@@ -16,21 +16,30 @@ stands in for the full product of lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import pbw
 
 
-@dataclass(frozen=True)
 class CharacterLattice:
     """The characters of T^1 (order 0: Z) or of the n-th roots of unity
-    (order n: Z/n)."""
+    (order n: Z/n); equal and hashed by its order."""
 
-    order: int = 0
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"lattice order must be nonnegative, got {self.order}")
+    def __init__(self, order: int = 0):
+        if order < 0:
+            raise ValueError(f"lattice order must be nonnegative, got {order}")
+        self.order = order
+
+    def __eq__(self, other):
+        if other.__class__ is not CharacterLattice:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self):
+        return hash((self.order,))
+
+    def __repr__(self):
+        return f"CharacterLattice(order={self.order!r})"
 
     def normalize(self, lam: int) -> int:
         """The representative of the character lam; a non-integral lam

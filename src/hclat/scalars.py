@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: rationals, Laurent polynomials in z, coefficient rings.
+"""Exact scalar arithmetic: rationals, Laurent polynomials in z, coefficient
+rings, and the index supports of the weight modules.
 
 Everything downstream computes with these values; there is no floating point
 anywhere in the package.
@@ -7,7 +8,6 @@ anywhere in the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -263,18 +263,27 @@ def as_laurent(x) -> Laurent:
 # -- coefficient rings ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoefficientRing:
-    """One of Z, Z[1/N], Q, Q[z], Q[z,z^-1]."""
+    """One of Z, Z[1/N], Q, Q[z], Q[z,z^-1]; equal and hashed by its
+    fields."""
 
-    kind: str
-    localized_at: int = 1
+    __slots__ = ("kind", "localized_at")
 
-    def __post_init__(self):
-        if self.kind not in {"Z", "Z[1/N]", "Q", "Q[z]", "Q[z,z^-1]"}:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Z[1/N]" and self.localized_at < 1:
+    def __init__(self, kind: str, localized_at: int = 1):
+        if kind not in {"Z", "Z[1/N]", "Q", "Q[z]", "Q[z,z^-1]"}:
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Z[1/N]" and localized_at < 1:
             raise ValueError("localization requires N >= 1")
+        self.kind = kind
+        self.localized_at = localized_at
+
+    def __eq__(self, other):
+        if other.__class__ is not CoefficientRing:
+            return NotImplemented
+        return (self.kind, self.localized_at) == (other.kind, other.localized_at)
+
+    def __hash__(self):
+        return hash((self.kind, self.localized_at))
 
     @property
     def name(self) -> str:
@@ -316,3 +325,48 @@ def in_ring(x, ring: CoefficientRing) -> bool:
     if ring.kind == "Z[1/N]":
         return _denominator_invertible(value.denominator, ring.localized_at)
     return True
+
+
+# -- index supports --------------------------------------------------------
+
+
+class Support:
+    """Index predicate: p >= bound, p <= bound, or all integers; equal and
+    hashed by its fields, and equal to no tuple."""
+
+    __slots__ = ("kind", "bound")
+
+    def __init__(self, kind: str, bound: int = 0):
+        self.kind = kind  # "ge", "le", "all"
+        self.bound = bound
+
+    def __eq__(self, other):
+        if other.__class__ is not Support:
+            return NotImplemented
+        return (self.kind, self.bound) == (other.kind, other.bound)
+
+    def __hash__(self):
+        return hash((self.kind, self.bound))
+
+    def __repr__(self):
+        return f"Support(kind={self.kind!r}, bound={self.bound!r})"
+
+    def contains(self, p: int) -> bool:
+        if self.kind == "ge":
+            return p >= self.bound
+        if self.kind == "le":
+            return p <= self.bound
+        return True
+
+    def clip(self, lo: int, hi: int) -> tuple:
+        """The window lo..hi cut to the support; empty when lo > hi."""
+        if self.kind == "ge":
+            return max(lo, self.bound), hi
+        if self.kind == "le":
+            return lo, min(hi, self.bound)
+        return lo, hi
+
+    def to_json(self):
+        if self.kind == "all":
+            return {"kind": "all"}
+        return {"kind": self.kind, "bound": self.bound}

@@ -297,9 +297,11 @@ def _qp_alternate_f_coefficient():
     window = range(-20, 21)
     derived_ok = weightmods.check_module_axioms(derived, window) == []
     printed_fails = weightmods.check_module_axioms(printed, window) != []
+    # F at -10..10 over one denominator per module, cross-multiplied
+    ((_, d_printed, printed_f),) = printed.coefficient_columns("F", -10, 10)
+    ((_, d_derived, derived_f),) = derived.coefficient_columns("F", -10, 10)
     factor_two = all(
-        printed.coefficient("F", p) == 2 * derived.coefficient("F", p)
-        for p in range(-10, 11)
+        a * d_derived == 2 * b * d_printed for a, b in zip(printed_f, derived_f)
     )
     return (
         derived_ok and printed_fails and factor_two,

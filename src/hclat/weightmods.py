@@ -29,13 +29,20 @@ denominator suffix per distinct gcd, the clipped cells "0".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import floordiv, mul
 
-from .scalars import Laurent, as_laurent, format_columns, over_common_denominator, rat, residue
+from .scalars import (
+    Laurent,
+    Support,
+    as_laurent,
+    format_columns,
+    over_common_denominator,
+    rat,
+    residue,
+)
 from .zforms import ZForm, iwasawa_decompose, parabolic_form, subalgebra
 
 
@@ -129,34 +136,6 @@ def affine(a, b) -> IndexPoly:
     return IndexPoly([a, b])
 
 
-@dataclass(frozen=True)
-class Support:
-    """Index predicate: p >= bound, p <= bound, or all integers."""
-
-    kind: str  # "ge", "le", "all"
-    bound: int = 0
-
-    def contains(self, p: int) -> bool:
-        if self.kind == "ge":
-            return p >= self.bound
-        if self.kind == "le":
-            return p <= self.bound
-        return True
-
-    def clip(self, lo: int, hi: int) -> tuple:
-        """The window lo..hi cut to the support; empty when lo > hi."""
-        if self.kind == "ge":
-            return max(lo, self.bound), hi
-        if self.kind == "le":
-            return lo, min(hi, self.bound)
-        return lo, hi
-
-    def to_json(self):
-        if self.kind == "all":
-            return {"kind": "all"}
-        return {"kind": self.kind, "bound": self.bound}
-
-
 def gnm_relations(n, m) -> tuple:
     """The relation table of g_{n,m}: [H,E] = nE, [H,F] = -nF, [E,F] = mH."""
     return (
@@ -166,7 +145,6 @@ def gnm_relations(n, m) -> tuple:
     )
 
 
-@dataclass
 class WeightModule:
     """A weight module given by exact coefficient polynomials.
 
@@ -181,11 +159,17 @@ class WeightModule:
     fiber); vanishing_reason says why a model is the zero module.
     """
 
-    relations: tuple
-    support: Support
-    actions: dict
-    params: dict
-    vanishing_reason: str = None
+    __slots__ = ("relations", "support", "actions", "params", "vanishing_reason")
+
+    def __init__(
+        self, relations: tuple, support: Support, actions: dict, params: dict,
+        vanishing_reason: str = None,
+    ):
+        self.relations = relations
+        self.support = support
+        self.actions = actions
+        self.params = params
+        self.vanishing_reason = vanishing_reason
 
     @property
     def generators(self) -> tuple:
@@ -234,10 +218,9 @@ class WeightModule:
 
     def with_action(self, gen: str, shift: int, poly: IndexPoly) -> "WeightModule":
         """Copy with one generator's action replaced."""
-        return replace(
-            self,
-            actions={**self.actions, gen: (shift, poly)},
-            params=dict(self.params),
+        return WeightModule(
+            self.relations, self.support, {**self.actions, gen: (shift, poly)},
+            dict(self.params), self.vanishing_reason,
         )
 
 

@@ -16,7 +16,6 @@ is solved in closed form (``_solve_pair``); there is no elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,13 +31,25 @@ class NotSplitForm(ValueError):
     """The given presentation is not a split Z-form of (sl2, T^1)."""
 
 
-@dataclass(frozen=True)
 class ZForm:
-    """The split form g_{n,m} with realization parameter q."""
+    """The split form g_{n,m} with realization parameter q; equal and
+    hashed by its fields."""
 
-    n: int
-    m: int
-    q: Fraction
+    __slots__ = ("n", "m", "q")
+
+    def __init__(self, n: int, m: int, q: Fraction):
+        self.n, self.m, self.q = n, m, q
+
+    def __eq__(self, other):
+        if other.__class__ is not ZForm:
+            return NotImplemented
+        return (self.n, self.m, self.q) == (other.n, other.m, other.q)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.q))
+
+    def __repr__(self):
+        return f"ZForm(n={self.n!r}, m={self.m!r}, q={self.q!r})"
 
 
 def make_zform(n: int, m: int, q) -> ZForm:
@@ -130,11 +141,23 @@ def parabolic_form(n: int, m: int, label: str) -> ZForm:
     return make_zform(n, m, parabolic_q(n, m, label))
 
 
-@dataclass(frozen=True)
 class Subalgebra:
-    label: str
-    basis: tuple  # coordinate triples over (E, F, H)
-    zform: ZForm
+    """A labelled subalgebra of a form, equal and hashed by its fields."""
+
+    __slots__ = ("label", "basis", "zform")
+
+    def __init__(self, label: str, basis: tuple, zform: ZForm):
+        self.label = label
+        self.basis = basis  # coordinate triples over (E, F, H)
+        self.zform = zform
+
+    def __eq__(self, other):
+        if other.__class__ is not Subalgebra:
+            return NotImplemented
+        return (self.label, self.basis, self.zform) == (other.label, other.basis, other.zform)
+
+    def __hash__(self):
+        return hash((self.label, self.basis, self.zform))
 
 
 def subalgebra(g: ZForm, label: str) -> Subalgebra:

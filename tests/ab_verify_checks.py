@@ -17,9 +17,16 @@ A suite's total is the sum of its checks' minima.  With
 --seconds S --trace 0`` N times per side for each workload W of
 ``--workloads`` (default modules), alternating which side goes first, and
 keeps each run's result line and, per metric, each side's median and
-quartiles.  The JSON written to ``--out`` holds the environment record,
-the per-check minima and change/parent ratios, the suite totals, and the
-workload runs.  Every child starts with ``PYTHONDONTWRITEBYTECODE=1`` and
+quartiles.  With ``--imports K`` it also times start-up in K rounds of
+fresh interpreters per side, alternating which side goes first: the wall
+time of ``python -c pass`` and of ``import hclat.cli``, and one
+``perfbench/passrun.py --workload modules`` pass (seed = round), whose
+first document of each subcommand pays the layers that subcommand imports
+first; per subcommand it keeps the median of the per-round change minus
+parent latency of that first document.  The JSON written to ``--out``
+holds the environment record, the per-check minima and change/parent
+ratios, the suite totals, the start-up record and the workload runs.
+Every child starts with ``PYTHONDONTWRITEBYTECODE=1`` and
 ``PYTHONPYCACHEPREFIX`` set to a fresh empty temporary directory, so it
 compiles every module from source: a ``__pycache__`` left in either
 checkout cannot let one side skip compilation.  Standard library only;
@@ -36,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 CHILD = r"""
 import json, sys, time
@@ -88,6 +96,54 @@ def _child(root: str, suites: str, repeats: int) -> dict:
     return json.loads(done.stdout)
 
 
+def _wall(cmd: list, root: str) -> float:
+    """Seconds from spawning cmd in root to its exit, which must be 0."""
+    start = time.perf_counter()
+    _run(cmd, root).check_returncode()
+    return time.perf_counter() - start
+
+
+def _first_docs(root: str, seed: int) -> dict:
+    """Per subcommand, the seconds of its first document in one modules pass."""
+    cmd = [sys.executable, "perfbench/passrun.py", "--workload", "modules", "--seed", str(seed)]
+    done = _run(cmd, root)
+    done.check_returncode()
+    first = {}
+    for doc_id, _, _, seconds in json.loads(done.stdout.strip().splitlines()[-1])["docs"]:
+        first.setdefault(doc_id.split()[0], seconds)
+    return first
+
+
+def _startup(sides: dict, rounds: int) -> dict:
+    """Interleaved start-up timings (see the module docstring)."""
+    walls = {cmd: {side: [] for side in sides} for cmd in ("python -c pass", "import hclat.cli")}
+    moved = {}
+    for r in range(rounds):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        first = {}
+        for side in order:
+            src = os.path.join(os.path.abspath(sides[side]), "src")
+            walls["python -c pass"][side].append(_wall([sys.executable, "-c", "pass"], sides[side]))
+            walls["import hclat.cli"][side].append(_wall(
+                [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import hclat.cli", src],
+                sides[side],
+            ))
+            first[side] = _first_docs(sides[side], r)
+        for command, seconds in first["change"].items():
+            moved.setdefault(command, []).append(seconds - first["parent"][command])
+        print(f"start-up round {r + 1}/{rounds} done", file=sys.stderr)
+    out = {"rounds": rounds}
+    for cmd, by_side in walls.items():
+        out[cmd] = {side: _quartiles(values) for side, values in by_side.items()}
+        out[cmd]["change_lower_rounds"] = sum(
+            c < p for c, p in zip(by_side["change"], by_side["parent"])
+        )
+    out["first_doc_change_minus_parent_ms"] = {
+        command: _quartiles([1e3 * d for d in deltas]) for command, deltas in sorted(moved.items())
+    }
+    return out
+
+
 def _workload(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -137,6 +193,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="modules")
     ap.add_argument("--workload-pairs", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=10, help="run.py --seconds per workload run")
+    ap.add_argument("--imports", type=int, default=0, metavar="K", help="start-up rounds")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
@@ -169,6 +226,8 @@ def main(argv=None) -> int:
         total["parent_ms"] = round(total["parent_ms"], 3)
         total["change_ms"] = round(total["change_ms"], 3)
 
+    startup = _startup(sides, args.imports) if args.imports else None
+
     runs, summary = [], {}
     for workload in args.workloads.split(",") if args.workload_pairs else ():
         for k in range(args.workload_pairs):
@@ -193,6 +252,7 @@ def main(argv=None) -> int:
         "outcomes_identical": outcomes["parent"] == outcomes["change"],
         "checks": checks,
         "suite_totals": totals,
+        "startup": startup,
         "workload_summary": summary,
         "workload_runs": runs,
     }

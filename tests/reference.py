@@ -51,6 +51,13 @@ differential tests.
   row at every column position and pads every cell with ``ljust``.
   ``cli.render_csv`` writes a document's rows with one ``writerows``;
   ``render_csv_rows`` here writes them one ``writerow`` at a time.
+- Records as dataclasses.  The library's eight record classes are plain
+  classes with ``__slots__`` and only the dunders some caller uses, so
+  that no process imports ``dataclasses``; the dataclasses they replaced
+  are kept here as twins of the same names and fields (``FiniteLattice``,
+  ``LatticeReport``, ``CharacterLattice``, ``CoefficientRing``,
+  ``Support``, ``WeightModule``, ``ZForm``, ``Subalgebra``), with their
+  ``__post_init__`` checks, for the contract tests to compare against.
 """
 
 import csv
@@ -60,8 +67,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd
 
-from hclat import pbw
-from hclat.borelweil import FiniteLattice, RowLattice
+from hclat import borelweil, pbw
+from hclat.borelweil import RowLattice
 from hclat.dyadic import (
     _EXPONENT_CAP,
     NoExtensionError,
@@ -124,7 +131,7 @@ def add_row(lat: RowLattice, vec) -> bool:
     return any(lat.add(j, x.numerator, x.denominator) for j, x in support)
 
 
-def lattice_from_matrices(weights, E, F, ambient=None, embedding=None) -> FiniteLattice:
+def lattice_from_matrices(weights, E, F, ambient=None, embedding=None) -> borelweil.FiniteLattice:
     """The lattice of dense E and F matrices, column convention: M[i][j]
     is the u_i-coefficient of X u_j.  E must vanish off the superdiagonal
     and F off the subdiagonal.  embedding, when given, lists the basis
@@ -144,7 +151,7 @@ def lattice_from_matrices(weights, E, F, ambient=None, embedding=None) -> Finite
         for row in embedding:
             add_row(lat, row)
         inside = (ambient, lat)
-    return FiniteLattice(list(weights), e, f, inside)
+    return borelweil.FiniteLattice(list(weights), e, f, inside)
 
 
 def act_gen(M, gen: str, p: int) -> list:
@@ -527,3 +534,84 @@ def render_csv_rows(doc: dict) -> str:
     for row in doc["rows"]:
         writer.writerow(row)
     return buf.getvalue()
+
+
+# -- dataclass twins of the record classes ---------------------------------
+
+
+@dataclass
+class FiniteLattice:
+    weights: list
+    e: list
+    f: list
+    inside: tuple = None
+
+    def __post_init__(self):
+        w = self.weights
+        if any(a <= b for a, b in zip(w, w[1:])):
+            raise ValueError(f"weights {w} repeat or are not descending")
+        if not len(self.e) == len(self.f) == len(w) or w and (self.e[0] or self.f[-1]):
+            raise ValueError("E and F must be chains with e_0 = 0 and a last f of 0")
+
+
+@dataclass
+class LatticeReport:
+    variant: str
+    n: int
+    m: int
+    eps: Fraction
+    mu: Fraction
+    nonzero: bool
+    support: object
+    exponents: dict
+    window: tuple
+
+
+@dataclass(frozen=True)
+class CharacterLattice:
+    order: int = 0
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError(f"lattice order must be nonnegative, got {self.order}")
+
+
+@dataclass(frozen=True)
+class CoefficientRing:
+    kind: str
+    localized_at: int = 1
+
+    def __post_init__(self):
+        if self.kind not in {"Z", "Z[1/N]", "Q", "Q[z]", "Q[z,z^-1]"}:
+            raise ValueError(f"unknown ring kind {self.kind!r}")
+        if self.kind == "Z[1/N]" and self.localized_at < 1:
+            raise ValueError("localization requires N >= 1")
+
+
+@dataclass(frozen=True)
+class Support:
+    kind: str
+    bound: int = 0
+
+
+@dataclass
+class WeightModule:
+    relations: tuple
+    support: object
+    actions: dict
+    params: dict
+    vanishing_reason: str = None
+
+
+@dataclass(frozen=True)
+class ZForm:
+    n: int
+    m: int
+    q: Fraction
+
+
+@dataclass(frozen=True)
+class Subalgebra:
+    label: str
+    basis: tuple
+    zform: object

@@ -19,7 +19,6 @@ import contextlib
 import io
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,7 +255,10 @@ def _table_docs() -> list:
     ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(-7, 3))
     mu = Laurent.parse("-3z^-2 + 1/2 - 4z^3")
     cps = ct.contracted_ps(Fraction(1, 2), mu, LAURENT_RING, n=2)
-    last_e = replace(cps, actions={gen: cps.actions[gen] for gen in ("h", "f", "e")})
+    last_e = wm.WeightModule(
+        cps.relations, cps.support, {gen: cps.actions[gen] for gen in ("h", "f", "e")},
+        cps.params, cps.vanishing_reason,
+    )
     empty = [
         (wm.induced_module(make_zform(1, 1, 1), 2), -9, -1),
         (ct.contracted_ps(Fraction(0), Laurent.parse("1 + z"), POLY), -4, 4),

@@ -12,7 +12,6 @@ counts the indices at which each polynomial is evaluated.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -199,7 +198,9 @@ def test_supported_part_shorter_than_a_column():
     g = make_zform(2, 3, 1)
     for M in (wm.induced_module(g, 4), wm.produced_module(g, -3), ct.contracted_induced(3, 2)):
         assert max(len(poly.coeffs) for _, poly in M.actions.values()) == 3
-        flipped = replace(M, support=wm.Support("le", 5))
+        flipped = wm.WeightModule(
+            M.relations, wm.Support("le", 5), M.actions, M.params, M.vanishing_reason
+        )
         for lo, hi, count in ((-9, 0, 1), (-9, 1, 2), (0, 0, 1), (0, 1, 2), (1, 2, 2)):
             # the mirror image of lo..hi across 0 cuts as many from p <= 5
             mirror = (5 - hi, 5 - lo) if lo >= 0 else (5 - hi, 14)

@@ -7,7 +7,6 @@ characters, which is an independent route to the same numbers.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -424,7 +423,8 @@ def differential_modules(rng):
         # the principal series cut to a half-line is no submodule: its
         # proved relations fail next to the cut
         bound = rng.randint(-4, 4)
-        out.append(replace(ps, support=wm.Support(rng.choice(("ge", "le")), bound)))
+        cut = wm.Support(rng.choice(("ge", "le")), bound)
+        out.append(wm.WeightModule(ps.relations, cut, ps.actions, ps.params, ps.vanishing_reason))
         # a corrupted action, possibly with the wrong shift
         gen = rng.choice(("E", "F", "H"))
         poly = wm.IndexPoly(random_index_poly(rng, False))
@@ -432,6 +432,7 @@ def differential_modules(rng):
     out.append(wm.principal_series(2, 4, "qpp", Fraction(1, 2), Fraction(3)))
     poly_mu = Laurent.parse("2z+z^2")
     cind = ct.contracted_induced(2, 2)
+    cpoly = ct.contracted_ps(0, poly_mu, ct.POLY)
     out += [
         cind,
         ct.contracted_produced(-1, 3),
@@ -439,7 +440,10 @@ def differential_modules(rng):
         ct.contracted_ps(0, poly_mu, ct.POLY),
         ct.contracted_ps(0, Laurent.parse("1+z"), ct.POLY),  # the zero module
         cind.with_action("f", -1, wm.IndexPoly([0, -1, Laurent.const(-1)])),
-        replace(ct.contracted_ps(0, poly_mu, ct.POLY), support=wm.Support("ge", 1)),
+        wm.WeightModule(
+            cpoly.relations, wm.Support("ge", 1), cpoly.actions, cpoly.params,
+            cpoly.vanishing_reason,
+        ),
         ct.specialize(ct.contracted_induced(3, 1), 1),
         ct.specialize(ct.contracted_produced(1, 2), Fraction(2, 3)),
         ct.specialize(ct.contracted_ps(Fraction(1, 3), Laurent.parse("6z"), ct.LAURENT_RING, n=3), 0),
@@ -469,7 +473,7 @@ def doubled(M):
         gen: (2 * shift, wm.IndexPoly([a * Fraction(1, 2**k) for k, a in enumerate(poly.coeffs)]))
         for gen, (shift, poly) in M.actions.items()
     }
-    return replace(M, actions=actions)
+    return wm.WeightModule(M.relations, M.support, actions, M.params, M.vanishing_reason)
 
 
 def proof_modules(rng):
@@ -485,8 +489,14 @@ def proof_modules(rng):
         ps.with_action("E", 1, wm.IndexPoly([])),
         ct.contracted_induced(2, 2).with_action("h", 0, wm.IndexPoly([])),
         # c = z on Fraction coefficients, and a zero constant
-        replace(ps, relations=(("[E,F]=zH", "E", "F", "H", Laurent.z_power(1)),)),
-        replace(ps, relations=(("[E,F]=0", "E", "F", "H", 0),)),
+        wm.WeightModule(
+            (("[E,F]=zH", "E", "F", "H", Laurent.z_power(1)),), ps.support, ps.actions,
+            ps.params, ps.vanishing_reason,
+        ),
+        wm.WeightModule(
+            (("[E,F]=0", "E", "F", "H", 0),), ps.support, ps.actions, ps.params,
+            ps.vanishing_reason,
+        ),
     ]
     # random shifts in -2..2 and random coefficients, zero ones among them
     for _ in range(30):
@@ -598,7 +608,10 @@ def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
     ps = wm.principal_series(2, 3, "qp", Fraction(1, 2), Fraction(5))
     assert wm.check_module_axioms(ps, range(-50, 51)) == []
     assert seen == []
-    cut = replace(wm.produced_module(g, 1), support=wm.Support("le", 4))
+    pro = wm.produced_module(g, 1)
+    cut = wm.WeightModule(
+        pro.relations, wm.Support("le", 4), pro.actions, pro.params, pro.vanishing_reason
+    )
     wm.check_module_axioms(cut, range(-50, 51))
     assert seen == [(4, ("[H,E]=nE", "[E,F]=mH"))]
     seen.clear()
@@ -610,7 +623,10 @@ def test_proved_relations_run_only_next_to_the_boundary(monkeypatch):
     wm.check_module_axioms(cut, [9, 4, -3, 0])
     assert seen == [(4, both), (4, both)]
     # shifts of +-2 put two indices next to the cut
-    wide = replace(doubled(wm.produced_module(g, 1)), support=wm.Support("le", 4))
+    wide = doubled(pro)
+    wide = wm.WeightModule(
+        wide.relations, wm.Support("le", 4), wide.actions, wide.params, wide.vanishing_reason
+    )
     seen.clear()
     wm.check_module_axioms(wide, range(50, -51, -1))
     wm.check_module_axioms(wide, [3, -7, 12, 4, 0])
