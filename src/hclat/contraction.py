@@ -214,31 +214,25 @@ def specialize_matches(specialized: WeightModule, reference: WeightModule, windo
     are invariants, and no two edges constrain each other.  The modules
     match exactly when the shifts are E +1, F -1, H 0 on both, and the
     supports and these invariants agree at every window index and on
-    every edge inside the window.  Both modules have Fraction
-    coefficients, read as one integer column (denominator, numerators at
-    lo..hi) per generator and compared by cross-multiplying.
+    every edge inside the window.
     """
     S, R = specialized, reference
     for M in (S, R):
         if [M.actions.get(gen, (None,))[0] for gen in "EFH"] != [1, -1, 0]:
             return False
     lo, hi = window
-    if any(S.support.contains(p) != R.support.contains(p) for p in range(lo, hi + 1)):
-        return False
-    (_, s_dh, s_h), (_, s_de, s_e), (_, s_df, s_f) = (
-        column for gen in "HEF" for column in S.coefficient_columns(gen, lo, hi)
-    )
-    (_, r_dh, r_h), (_, r_de, r_e), (_, r_df, r_f) = (
-        column for gen in "HEF" for column in R.coefficient_columns(gen, lo, hi)
-    )
-    if any(a * r_dh != b * s_dh for a, b in zip(s_h, r_h)):
-        return False
-    for s_x, r_x in ((s_e, r_e), (s_f, r_f)):
-        if any((not a) != (not b) for a, b in zip(s_x, r_x)):
+    for p in range(lo, hi + 1):
+        if S.support.contains(p) != R.support.contains(p):
             return False
+        if S.coefficient("H", p) != R.coefficient("H", p):
+            return False
+        for gen in ("E", "F"):
+            if (S.coefficient(gen, p) == 0) != (R.coefficient(gen, p) == 0):
+                return False
     return all(
-        s_e[i] * s_f[i + 1] * r_de * r_df == r_e[i] * r_f[i + 1] * s_de * s_df
-        for i in range(hi - lo)
+        S.coefficient("E", p) * S.coefficient("F", p + 1)
+        == R.coefficient("E", p) * R.coefficient("F", p + 1)
+        for p in range(lo, hi)
     )
 
 

@@ -17,9 +17,10 @@ stands in for the full product of lines.
 from __future__ import annotations
 
 from . import pbw
+from .scalars import _Frozen
 
 
-class CharacterLattice:
+class CharacterLattice(_Frozen):
     """The characters of T^1 (order 0: Z) or of the n-th roots of unity
     (order n: Z/n); equal and hashed by its order."""
 
@@ -28,7 +29,7 @@ class CharacterLattice:
     def __init__(self, order: int = 0):
         if order < 0:
             raise ValueError(f"lattice order must be nonnegative, got {order}")
-        self.order = order
+        super().__init__(order)
 
     def __eq__(self, other):
         if other.__class__ is not CharacterLattice:

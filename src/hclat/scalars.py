@@ -260,10 +260,32 @@ def as_laurent(x) -> Laurent:
     return Laurent.const(rat(x))
 
 
+# -- frozen records --------------------------------------------------------
+
+
+class _Frozen:
+    """Base of the records equal and hashed by their fields.  __init__
+    sets each field once; assigning or deleting a field afterwards raises
+    AttributeError, as on a frozen dataclass, so a record's hash never
+    changes while it sits in a set or a dict."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {value!r} to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # -- coefficient rings ---------------------------------------------------
 
 
-class CoefficientRing:
+class CoefficientRing(_Frozen):
     """One of Z, Z[1/N], Q, Q[z], Q[z,z^-1]; equal and hashed by its
     fields."""
 
@@ -274,8 +296,7 @@ class CoefficientRing:
             raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "Z[1/N]" and localized_at < 1:
             raise ValueError("localization requires N >= 1")
-        self.kind = kind
-        self.localized_at = localized_at
+        super().__init__(kind, localized_at)
 
     def __eq__(self, other):
         if other.__class__ is not CoefficientRing:
@@ -330,15 +351,14 @@ def in_ring(x, ring: CoefficientRing) -> bool:
 # -- index supports --------------------------------------------------------
 
 
-class Support:
+class Support(_Frozen):
     """Index predicate: p >= bound, p <= bound, or all integers; equal and
     hashed by its fields, and equal to no tuple."""
 
     __slots__ = ("kind", "bound")
 
     def __init__(self, kind: str, bound: int = 0):
-        self.kind = kind  # "ge", "le", "all"
-        self.bound = bound
+        super().__init__(kind, bound)  # kind: "ge", "le", "all"
 
     def __eq__(self, other):
         if other.__class__ is not Support:

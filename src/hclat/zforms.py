@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import check_positive, in_ring, localized_integers, rat
+from .scalars import _Frozen, check_positive, in_ring, localized_integers, rat
 
 # the basis (E, F, H) as coordinate triples, and the index pairs i < j
 # of a rank-3 bracket table
@@ -31,14 +31,14 @@ class NotSplitForm(ValueError):
     """The given presentation is not a split Z-form of (sl2, T^1)."""
 
 
-class ZForm:
+class ZForm(_Frozen):
     """The split form g_{n,m} with realization parameter q; equal and
     hashed by its fields."""
 
     __slots__ = ("n", "m", "q")
 
     def __init__(self, n: int, m: int, q: Fraction):
-        self.n, self.m, self.q = n, m, q
+        super().__init__(n, m, q)
 
     def __eq__(self, other):
         if other.__class__ is not ZForm:
@@ -141,15 +141,13 @@ def parabolic_form(n: int, m: int, label: str) -> ZForm:
     return make_zform(n, m, parabolic_q(n, m, label))
 
 
-class Subalgebra:
+class Subalgebra(_Frozen):
     """A labelled subalgebra of a form, equal and hashed by its fields."""
 
     __slots__ = ("label", "basis", "zform")
 
     def __init__(self, label: str, basis: tuple, zform: ZForm):
-        self.label = label
-        self.basis = basis  # coordinate triples over (E, F, H)
-        self.zform = zform
+        super().__init__(label, basis, zform)  # basis: triples over (E, F, H)
 
     def __eq__(self, other):
         if other.__class__ is not Subalgebra:

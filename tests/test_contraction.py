@@ -374,26 +374,20 @@ def test_specialize_matches_agrees_with_the_gauge_walk():
 
 def test_specialize_matches_reads_only_the_window(monkeypatch):
     read = []
-    coefficient, columns = WeightModule.coefficient, WeightModule.coefficient_columns
-    terms = IndexPoly.terms
+    coefficient, evaluate = WeightModule.coefficient, IndexPoly.__call__
 
     def spy_coefficient(self, gen, p):
         read.append(p)
         return coefficient(self, gen, p)
 
-    def spy_columns(self, gen, lo, hi):
-        read.extend((lo, hi))
-        return columns(self, gen, lo, hi)
-
-    def spy_terms(self, p):
+    def spy_evaluate(self, p):
         read.append(p)
-        return terms(self, p)
+        return evaluate(self, p)
 
     rng = random.Random(1801)
     pairs = [_fibre_pair(rng) for _ in range(30)]
     monkeypatch.setattr(WeightModule, "coefficient", spy_coefficient)
-    monkeypatch.setattr(WeightModule, "coefficient_columns", spy_columns)
-    monkeypatch.setattr(IndexPoly, "terms", spy_terms)
+    monkeypatch.setattr(IndexPoly, "__call__", spy_evaluate)
     for S, R in pairs:
         for lo, hi in ((3, 3), (4, 9), (-9, -4), (-2, 5)):
             read.clear()

@@ -3,7 +3,8 @@ replaced, on every dunder a caller uses.
 
 Each class is checked against its dataclass twin in ``tests/reference.py``
 on seeded draws of field values, small enough that equal draws recur:
-equality and ``hash`` of the five frozen classes, equality (and no hash)
+equality and ``hash`` of the five frozen classes, their refusal to
+reassign or delete a field after construction, equality (and no hash)
 of ``FiniteLattice``, the reprs that demos and verify details print, the
 validation errors message for message, a reassigned ``LatticeReport``
 field, and the copy that ``WeightModule.with_action`` makes.
@@ -73,6 +74,27 @@ def test_frozen_classes_compare_and_hash_as_their_twins(name):
             equal_pairs += x == y
     assert equal_pairs > len(draws)  # some distinct draws are equal
     assert len({plain(*a) for a in draws}) == len({twin(*a) for a in draws})
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_classes_refuse_reassignment_as_their_twins(name):
+    plain, twin, draw = FROZEN[name]
+    rng = random.Random(3506)
+    for _ in range(10):
+        args = draw(rng)
+        for build in (plain, twin):
+            record = build(*args)
+            before = hash(record)
+            for field in plain(*args).__slots__:
+                value = getattr(record, field)
+                with pytest.raises(AttributeError):
+                    setattr(record, field, -1)
+                with pytest.raises(AttributeError):
+                    delattr(record, field)
+                assert getattr(record, field) == value
+            with pytest.raises(AttributeError):
+                record.extra = 0
+            assert hash(record) == before and record == build(*args)
 
 
 def test_support_is_no_tuple():
