@@ -8,7 +8,8 @@ chains of integers.  A lattice stable under Kostant's Z-form U_Z is the
 direct sum of its weight components, since the integer-valued polynomials
 in H lie in U_Z and separate the weights (Humphreys, section 27).  So each
 sublattice is its ambient plus a ``RowLattice``: one rational scalar per
-weight line.
+weight line, the only ``Fraction`` kept; chains, images and intertwiners
+are computed in integers, from its numerator and denominator.
 Closures apply E, F and the divided powers X^k/k! (as the chain
 X(X^(k-1) v/(k-1)!)/k) to weight vectors; they generate U_Z.
 """
@@ -185,15 +186,18 @@ def generated_lattice(ambient: FiniteLattice, vectors) -> FiniteLattice:
 
 def _from_row_lattice(lat: RowLattice, ambient: FiniteLattice) -> FiniteLattice:
     """The sublattice on the basis c_j e_j, where X c_j e_j = (c_j x_j /
-    c_(j+-1)) c_(j+-1) e_(j+-1) for the ambient chain coefficient x_j."""
+    c_(j+-1)) c_(j+-1) e_(j+-1) for the ambient chain coefficient x_j, an
+    exact quotient of integers cross-multiplied from the scalars."""
     c = lat.scalars
     chains = {-1: [], 1: []}
     for j in (j for j, cj in enumerate(c) if cj):
+        num, den = c[j].numerator, c[j].denominator
         for chain, step in ((ambient.e, -1), (ambient.f, 1)):
-            image = c[j] * chain[j]
-            if image and not lat.holds(j + step, image.numerator, image.denominator):
+            image = num * chain[j]
+            if image and not lat.holds(j + step, image, den):
                 raise RuntimeError("closure left the lattice; reduction bug")
-            chains[step].append(int(image / c[j + step]) if image else 0)
+            d = c[j + step] if image else 1  # an int has a numerator and a denominator
+            chains[step].append(image * d.denominator // (den * d.numerator))
     weights = [w for w, cj in zip(ambient.weights, c) if cj]
     return FiniteLattice(weights, chains[-1], chains[1], (ambient, lat))
 
@@ -216,22 +220,26 @@ def minimal_lattice(lam: int) -> FiniteLattice:
 
 def maximal_lattice(lam: int) -> FiniteLattice:
     """Dual of the divided-power closure of the lowest vector, embedded
-    back into the ladder with highest component normalized to Z."""
+    back into the ladder with highest component normalized to Z; its
+    intertwiner is two integer chains, made Fractions only when stored."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     amb = ladder_lattice(lam, 0)
     M = dual_lattice(generated_lattice(amb, [[0] * lam + [1]]))
-    # the diagonal intertwiner T(delta_a) = c_a v_a with c_0 = 1; up to the
-    # sign of each basis vector, M is the sublattice with scalars |c_a|
-    c = [Fraction(1)]
+    # the diagonal intertwiner T(delta_a) = c_a v_a with c_0 = 1, kept as
+    # c_a = num[a] / den[a] unreduced; up to the sign of each basis vector,
+    # M is the sublattice with scalars |c_a|.  F fixes c_b / c_(b-1) =
+    # f_(b-1) / f^M_(b-1), and E agrees when e^M_b f^M_(b-1) = e_b f_(b-1)
+    num, den = [1], [1]
     for b in range(lam):
         if M.f[b] == 0:
             raise ValueError("F-chain of the dual breaks; cannot identify")
-        c.append(c[b] * amb.f[b] / M.f[b])
-    if any(c[b - 1] * M.e[b] != c[b] * amb.e[b] for b in range(1, lam + 1)):
+        num.append(num[b] * amb.f[b])
+        den.append(den[b] * M.f[b])
+    if any(M.e[b] * M.f[b - 1] != amb.e[b] * amb.f[b - 1] for b in range(1, lam + 1)):
         raise ValueError("no diagonal intertwiner matches both actions")
     lat = RowLattice(amb.rank)
-    lat.scalars = [abs(x) for x in c]
+    lat.scalars = [Fraction(abs(a), abs(b)) for a, b in zip(num, den)]
     return _from_row_lattice(lat, amb)
 
 
@@ -279,28 +287,30 @@ def hom_lattice(A: FiniteLattice, B: FiniteLattice) -> dict:
     """
     where = {w: i for i, w in enumerate(B.weights)}
     s = [where.get(w) for w in A.weights] + [None]  # s[-1] is None too
-    zero, ratios = set(), {}  # ratios[q]: the values of t_q / t_(q-1)
+    zero, ratios = set(), {}  # ratios[q]: the values of t_q / t_(q-1), as reduced pairs
     for j, sj in enumerate(s[:-1]):
         eb, fb = (0, 0) if sj is None else (B.e[sj], B.f[sj])
         # a t_p = b t_q with q = p + 1; a term without unknown drops out
         for p, a, q, b in ((j - 1, A.e[j], j, eb), (j, fb, j + 1, A.f[j])):
             a, b = a if s[p] is not None else 0, b if s[q] is not None else 0
             if a and b and s[p] + 1 == s[q]:
-                ratios.setdefault(q, set()).add(Fraction(a, b))
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                ratios.setdefault(q, set()).add((a // g, b // g))
             else:  # one equation per unknown when their rows differ
                 zero.update(x for x, c in ((p, a), (q, b)) if c)
     runs = []  # [t, alive] per run of linked unknowns: one free scalar if alive
     for j in (j for j, sj in enumerate(s[:-1]) if sj is not None):
         if j not in ratios:
             runs.append([{}, True])
-        t = runs[-1][0]
-        t[j] = t[j - 1] * min(ratios[j]) if j in ratios else Fraction(1)
+        t = runs[-1][0]  # t[j] = (num, den): t_j = num / den, unreduced
+        (a, b), (num, den) = min(ratios.get(j, [(1, 1)])), t.get(j - 1, (1, 1))
+        t[j] = num * a, den * b
         runs[-1][1] &= len(ratios.get(j, ())) < 2 and j not in zero
     live = [t for t, alive in runs if alive]
     result = {"rank": len(live), "generator": None}
     if len(live) == 1:
-        ints = {j: int(x * lcm(*(y.denominator for y in live[0].values())))
-                for j, x in live[0].items()}
+        scale = lcm(*(den for _, den in live[0].values()))
+        ints = {j: num * scale // den for j, (num, den) in live[0].items()}
         unit = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
         result["generator"] = generator = [[0] * A.rank for _ in range(B.rank)]
         for j, x in ints.items():

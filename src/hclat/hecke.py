@@ -31,17 +31,6 @@ class CharacterLattice(_Frozen):
             raise ValueError(f"lattice order must be nonnegative, got {order}")
         super().__init__(order)
 
-    def __eq__(self, other):
-        if other.__class__ is not CharacterLattice:
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self):
-        return hash((self.order,))
-
-    def __repr__(self):
-        return f"CharacterLattice(order={self.order!r})"
-
     def normalize(self, lam: int) -> int:
         """The representative of the character lam; a non-integral lam
         (Fraction(7, 2), 3.9) is no character and raises ValueError."""

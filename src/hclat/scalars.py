@@ -264,16 +264,33 @@ def as_laurent(x) -> Laurent:
 
 
 class _Frozen:
-    """Base of the records equal and hashed by their fields.  __init__
-    sets each field once; assigning or deleting a field afterwards raises
-    AttributeError, as on a frozen dataclass, so a record's hash never
-    changes while it sits in a set or a dict."""
+    """Base of the records equal and hashed by their fields, as a frozen
+    dataclass is: a record equals only a record of its own class whose
+    fields, in __slots__ order, are equal, and its hash and repr are read
+    off those fields.  __init__ sets each field once; assigning or
+    deleting a field afterwards raises AttributeError, so a record's hash
+    never changes while it sits in a set or a dict."""
 
     __slots__ = ()
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {value!r} to field {name!r}")
@@ -297,14 +314,6 @@ class CoefficientRing(_Frozen):
         if kind == "Z[1/N]" and localized_at < 1:
             raise ValueError("localization requires N >= 1")
         super().__init__(kind, localized_at)
-
-    def __eq__(self, other):
-        if other.__class__ is not CoefficientRing:
-            return NotImplemented
-        return (self.kind, self.localized_at) == (other.kind, other.localized_at)
-
-    def __hash__(self):
-        return hash((self.kind, self.localized_at))
 
     @property
     def name(self) -> str:
@@ -359,17 +368,6 @@ class Support(_Frozen):
 
     def __init__(self, kind: str, bound: int = 0):
         super().__init__(kind, bound)  # kind: "ge", "le", "all"
-
-    def __eq__(self, other):
-        if other.__class__ is not Support:
-            return NotImplemented
-        return (self.kind, self.bound) == (other.kind, other.bound)
-
-    def __hash__(self):
-        return hash((self.kind, self.bound))
-
-    def __repr__(self):
-        return f"Support(kind={self.kind!r}, bound={self.bound!r})"
 
     def contains(self, p: int) -> bool:
         if self.kind == "ge":

@@ -40,17 +40,6 @@ class ZForm(_Frozen):
     def __init__(self, n: int, m: int, q: Fraction):
         super().__init__(n, m, q)
 
-    def __eq__(self, other):
-        if other.__class__ is not ZForm:
-            return NotImplemented
-        return (self.n, self.m, self.q) == (other.n, other.m, other.q)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.q))
-
-    def __repr__(self):
-        return f"ZForm(n={self.n!r}, m={self.m!r}, q={self.q!r})"
-
 
 def make_zform(n: int, m: int, q) -> ZForm:
     check_positive(n=n, m=m)
@@ -148,14 +137,6 @@ class Subalgebra(_Frozen):
 
     def __init__(self, label: str, basis: tuple, zform: ZForm):
         super().__init__(label, basis, zform)  # basis: triples over (E, F, H)
-
-    def __eq__(self, other):
-        if other.__class__ is not Subalgebra:
-            return NotImplemented
-        return (self.label, self.basis, self.zform) == (other.label, other.basis, other.zform)
-
-    def __hash__(self):
-        return hash((self.label, self.basis, self.zform))
 
 
 def subalgebra(g: ZForm, label: str) -> Subalgebra:

@@ -6,19 +6,30 @@ Run from anywhere, with two checkouts of the repository (for example two
     python3 tests/ab_verify_checks.py --parent DIR --change DIR \
         --suites modules,contraction --rounds 5 --out FILE
 
+    python3 tests/ab_verify_checks.py --parent DIR --change DIR \
+        --suites borelweil --setup "L = hclat.borelweil.maximal_lattice(128)" \
+        --call "max128=hclat.borelweil.maximal_lattice(128)" \
+        --call "cert128=hclat.borelweil.maximality_certificate(L, (2, 3, 5))" \
+        --workloads bw_query:10,modules:3 --seconds 20 --out FILE
+
 Each round starts one fresh interpreter per side, alternating which side
 goes first from round to round.  An interpreter imports ``hclat.verify``
 from its checkout's ``src`` and times every check of the named suites
 ``--repeats`` times, in suite order, through ``verify._outcome``; it also
 reports each check's status and detail, which must agree between the
 sides.  For each check the minimum over every run of every round is kept.
-A suite's total is the sum of its checks' minima.  With
-``--workload-pairs N`` the tool also runs ``perfbench/run.py --workload W
---seconds S --trace 0`` N times per side for each workload W of
-``--workloads`` (default modules), alternating which side goes first, and
-keeps each run's result line and, per metric, each side's median and
-quartiles.  With ``--imports K`` it also times start-up in K rounds of
-fresh interpreters per side, alternating which side goes first: the wall
+A suite's total is the sum of its checks' minima.  Each ``--call
+NAME=EXPR`` is timed the same way, in the same interpreters, after the
+``--setup`` statement has run once; both see the package as ``hclat``,
+with every layer imported, and a call's outcome is a digest of its value
+(of ``to_json()`` where the value has one).  With ``--workload-pairs N``
+the tool also runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` N times per side for each workload W of ``--workloads``
+(default modules; ``W:K`` runs K pairs of W instead), alternating which
+side goes first, with seed ``--seed`` + k in pair k, and keeps each run's
+result line and, per metric, each side's median and quartiles.  With
+``--imports K`` it also times start-up in K rounds of fresh interpreters
+per side, alternating which side goes first: the wall
 time of ``python -c pass`` and of ``import hclat.cli``, and one
 ``perfbench/passrun.py --workload modules`` pass (seed = round), whose
 first document of each subcommand pays the layers that subcommand imports
@@ -26,11 +37,13 @@ first; per subcommand it keeps the median of the per-round change minus
 parent latency of that first document.  The JSON written to ``--out``
 holds the environment record, the per-check minima and change/parent
 ratios, the suite totals, the start-up record and the workload runs.
-Every child starts with ``PYTHONDONTWRITEBYTECODE=1`` and
-``PYTHONPYCACHEPREFIX`` set to a fresh empty temporary directory, so it
-compiles every module from source: a ``__pycache__`` left in either
-checkout cannot let one side skip compilation.  Standard library only;
-pytest does not collect it.
+Every child starts with ``PYTHONDONTWRITEBYTECODE=1`` and no
+``PYTHONPYCACHEPREFIX``, after every ``__pycache__`` directory of its
+checkout has been removed: it compiles the checkout's modules from
+source, as a fresh checkout under ``perfbench/run.py`` does, and loads
+the standard library from its installed bytecode, so its start-up and
+memory figures are those of ``run.py``.  Standard library only; pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -39,18 +52,20 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 CHILD = r"""
-import json, sys, time
+import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
+import hclat
 from hclat import verify
 
 suites, repeats = sys.argv[2].split(","), int(sys.argv[3])
+setup, calls = sys.argv[4], json.loads(sys.argv[5])
 out = {}
 for suite in suites:
     for check in verify.CHECKS[suite]:
@@ -60,6 +75,17 @@ for suite in suites:
             outcome = verify._outcome(check)
             times.append(time.perf_counter() - start)
         out[f"{suite}.{check.__name__.lstrip('_')}"] = {"s": times, "outcome": list(outcome)}
+space = {"hclat": hclat}
+exec(setup, space)
+for name, expr in calls.items():
+    code, times = compile(expr, name, "eval"), []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        value = eval(code, space)
+        times.append(time.perf_counter() - start)
+    value = value.to_json() if hasattr(value, "to_json") else value
+    text = json.dumps(value, sort_keys=True, default=str).encode()
+    out[f"call.{name}"] = {"s": times, "outcome": ["pass", hashlib.sha256(text).hexdigest()[:16]]}
 print(json.dumps(out))
 """
 
@@ -78,20 +104,28 @@ def _env() -> dict:
         "nproc": os.cpu_count(),
         "cpu_model": cpu,
         "PYTHONDONTWRITEBYTECODE": "1",
-        "PYTHONPYCACHEPREFIX": "a fresh empty temporary directory per child",
+        "PYTHONPYCACHEPREFIX": "unset; each checkout's __pycache__ removed before each child",
     }
 
 
 def _run(cmd: list, root: str) -> subprocess.CompletedProcess:
-    """cmd run in root, reading and writing no bytecode."""
-    with tempfile.TemporaryDirectory() as cache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        return subprocess.run(cmd, capture_output=True, text=True, cwd=root, env=env)
+    """cmd run in root after removing the checkout's bytecode caches,
+    writing none: the checkout compiles from source, the standard library
+    loads warm."""
+    for path, dirs, _ in os.walk(root):
+        dirs[:] = [d for d in dirs if d != ".git"]
+        if "__pycache__" in dirs:
+            shutil.rmtree(os.path.join(path, "__pycache__"))
+            dirs.remove("__pycache__")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=root, env=env)
 
 
-def _child(root: str, suites: str, repeats: int) -> dict:
+def _child(root: str, suites: str, repeats: int, setup: str, calls: dict) -> dict:
     src = os.path.join(os.path.abspath(root), "src")
-    done = _run([sys.executable, "-c", CHILD, src, suites, str(repeats)], root)
+    cmd = [sys.executable, "-c", CHILD, src, suites, str(repeats), setup, json.dumps(calls)]
+    done = _run(cmd, root)
     done.check_returncode()
     return json.loads(done.stdout)
 
@@ -190,20 +224,29 @@ def main(argv=None) -> int:
     ap.add_argument("--suites", default="modules,contraction")
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--repeats", type=int, default=1, help="runs per check per interpreter")
-    ap.add_argument("--workloads", default="modules")
-    ap.add_argument("--workload-pairs", type=int, default=0)
+    ap.add_argument("--setup", default="", help="statement run once per interpreter")
+    ap.add_argument("--call", action="append", default=[], metavar="NAME=EXPR",
+                    help="an expression to time like a check (repeatable)")
+    ap.add_argument("--workloads", default="modules", help="W or W:K, comma-separated")
+    ap.add_argument("--workload-pairs", type=int, default=0, help="pairs per workload without :K")
+    ap.add_argument("--seed", type=int, default=3, help="run.py seed of the first workload pair")
     ap.add_argument("--seconds", type=float, default=10, help="run.py --seconds per workload run")
     ap.add_argument("--imports", type=int, default=0, metavar="K", help="start-up rounds")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
+    calls = dict(spec.split("=", 1) for spec in args.call)
+    pairs = {}
+    for spec in args.workloads.split(","):
+        workload, _, count = spec.partition(":")
+        pairs[workload] = int(count) if count else args.workload_pairs
     best = {side: {} for side in sides}
     outcomes = {side: {} for side in sides}
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            for name, rec in _child(sides[side], args.suites, args.repeats).items():
+            for name, rec in _child(sides[side], args.suites, args.repeats, args.setup, calls).items():
                 best[side][name] = min(best[side].get(name, float("inf")), *rec["s"])
                 outcomes[side][name] = rec["outcome"]
         print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
@@ -219,6 +262,8 @@ def main(argv=None) -> int:
             "outcome": outcomes["change"][name],
         }
         suite = name.split(".")[0]
+        if suite == "call":
+            continue
         totals[suite]["parent_ms"] += p_ms
         totals[suite]["change_ms"] += c_ms
     for total in totals.values():
@@ -229,14 +274,15 @@ def main(argv=None) -> int:
     startup = _startup(sides, args.imports) if args.imports else None
 
     runs, summary = [], {}
-    for workload in args.workloads.split(",") if args.workload_pairs else ():
-        for k in range(args.workload_pairs):
+    for workload, count in pairs.items():
+        for k in range(count):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                run = _workload(sides[side], workload, 3 + k, args.seconds)
+                run = _workload(sides[side], workload, args.seed + k, args.seconds)
                 runs.append({"workload": workload, "side": side, "pair": k, "first": order[0], **run})
-                print(f"{workload} pair {k + 1}/{args.workload_pairs}: {side} done", file=sys.stderr)
-        summary[workload] = _summary([run for run in runs if run["workload"] == workload])
+                print(f"{workload} pair {k + 1}/{count}: {side} done", file=sys.stderr)
+        if count:
+            summary[workload] = _summary([run for run in runs if run["workload"] == workload])
 
     doc = {
         "environment": _env(),
@@ -244,9 +290,12 @@ def main(argv=None) -> int:
             f"{args.rounds} rounds, one fresh interpreter per side per round, sides "
             f"alternating first; each interpreter runs every check {args.repeats} time(s) "
             "through verify._outcome; per check the minimum over all runs, per suite the "
-            "sum of its checks' minima"
+            "sum of its checks' minima; workload pair k runs run.py with seed "
+            f"{args.seed} + k and --seconds {args.seconds}"
         ),
         "suites": args.suites.split(","),
+        "setup": args.setup,
+        "calls": calls,
         "rounds": args.rounds,
         "repeats": args.repeats,
         "outcomes_identical": outcomes["parent"] == outcomes["change"],

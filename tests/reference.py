@@ -10,6 +10,13 @@ differential tests.
   weight line at a time (``RowLattice.add``); ``lattice_from_matrices``
   here reads the chains off dense bidiagonal matrices, and ``add_row``
   inserts a weight vector given as a dense row.
+- Lattice chains in Fractions.  ``borelweil._from_row_lattice``,
+  ``maximal_lattice`` and ``hom_lattice`` compute their chains, their
+  diagonal intertwiner and their ratio chains over the integers, from the
+  numerators and denominators of the stored scalars; ``from_row_lattice``,
+  ``maximal_lattice`` and ``hom_lattice`` here multiply and divide a
+  ``Fraction`` for every chain coefficient, intertwiner scalar and ratio,
+  as the library did before.
 - Actions as lists of hits.  ``WeightModule.coefficient`` is the one
   per-index read of a module; ``act_gen`` here returns the clipped image
   of one basis vector as a list of (target, coefficient) pairs, the
@@ -65,7 +72,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from hclat import borelweil, pbw
 from hclat.borelweil import RowLattice
@@ -152,6 +159,73 @@ def lattice_from_matrices(weights, E, F, ambient=None, embedding=None) -> borelw
             add_row(lat, row)
         inside = (ambient, lat)
     return borelweil.FiniteLattice(list(weights), e, f, inside)
+
+
+def from_row_lattice(lat: RowLattice, ambient) -> borelweil.FiniteLattice:
+    """The sublattice on the basis c_j e_j, each chain entry the Fraction
+    quotient (c_j x_j) / c_(j+-1)."""
+    c = lat.scalars
+    chains = {-1: [], 1: []}
+    for j in (j for j, cj in enumerate(c) if cj):
+        for chain, step in ((ambient.e, -1), (ambient.f, 1)):
+            image = c[j] * chain[j]
+            if image and not lat.holds(j + step, image.numerator, image.denominator):
+                raise RuntimeError("closure left the lattice; reduction bug")
+            chains[step].append(int(image / c[j + step]) if image else 0)
+    weights = [w for w, cj in zip(ambient.weights, c) if cj]
+    return borelweil.FiniteLattice(weights, chains[-1], chains[1], (ambient, lat))
+
+
+def maximal_lattice(lam: int) -> borelweil.FiniteLattice:
+    """The maximal lattice with its diagonal intertwiner built as a
+    Fraction chain and checked on E entry by entry."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    amb = borelweil.ladder_lattice(lam, 0)
+    M = borelweil.dual_lattice(borelweil.generated_lattice(amb, [[0] * lam + [1]]))
+    c = [Fraction(1)]
+    for b in range(lam):
+        if M.f[b] == 0:
+            raise ValueError("F-chain of the dual breaks; cannot identify")
+        c.append(c[b] * amb.f[b] / M.f[b])
+    if any(c[b - 1] * M.e[b] != c[b] * amb.e[b] for b in range(1, lam + 1)):
+        raise ValueError("no diagonal intertwiner matches both actions")
+    lat = RowLattice(amb.rank)
+    lat.scalars = [abs(x) for x in c]
+    return from_row_lattice(lat, amb)
+
+
+def hom_lattice(A, B) -> dict:
+    """borelweil.hom_lattice with each ratio t_q / t_(q-1) a Fraction and
+    the unknowns of a run a Fraction chain."""
+    where = {w: i for i, w in enumerate(B.weights)}
+    s = [where.get(w) for w in A.weights] + [None]
+    zero, ratios = set(), {}
+    for j, sj in enumerate(s[:-1]):
+        eb, fb = (0, 0) if sj is None else (B.e[sj], B.f[sj])
+        for p, a, q, b in ((j - 1, A.e[j], j, eb), (j, fb, j + 1, A.f[j])):
+            a, b = a if s[p] is not None else 0, b if s[q] is not None else 0
+            if a and b and s[p] + 1 == s[q]:
+                ratios.setdefault(q, set()).add(Fraction(a, b))
+            else:
+                zero.update(x for x, c in ((p, a), (q, b)) if c)
+    runs = []
+    for j in (j for j, sj in enumerate(s[:-1]) if sj is not None):
+        if j not in ratios:
+            runs.append([{}, True])
+        t = runs[-1][0]
+        t[j] = t[j - 1] * min(ratios[j]) if j in ratios else Fraction(1)
+        runs[-1][1] &= len(ratios.get(j, ())) < 2 and j not in zero
+    live = [t for t, alive in runs if alive]
+    result = {"rank": len(live), "generator": None}
+    if len(live) == 1:
+        ints = {j: int(x * lcm(*(y.denominator for y in live[0].values())))
+                for j, x in live[0].items()}
+        unit = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+        result["generator"] = generator = [[0] * A.rank for _ in range(B.rank)]
+        for j, x in ints.items():
+            generator[s[j]][j] = x // unit
+    return result
 
 
 def act_gen(M, gen: str, p: int) -> list:

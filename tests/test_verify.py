@@ -2,6 +2,7 @@
 are labeled, and a corrupted build turns into a hard failure."""
 
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -148,8 +149,14 @@ def test_readme_quotes_the_raising_check_detail(monkeypatch):
     # the parabolic frames solved over Z[1/4] instead of Z[1/2nm]
     monkeypatch.setattr(zforms, "localized_integers", lambda N: scalars.localized_integers(4))
     status, detail = verify._outcome(verify._iwasawa_reexpansion)
+    # the detail names the source lines of the raise and of the call ...
+    raised = _line_of(zforms.iwasawa_decompose, "raise ValueError(\n")  # the multi-line one
+    called = _called_at(verify._iwasawa_reexpansion, "iwasawa_decompose")
+    assert detail.endswith(f"in {raised}, from {called}")
+    # ... which README writes as N, so that no edit of the sources stales it
+    quoted = re.sub(r"\.py:\d+", ".py:N", f"iwasawa_reexpansion: {status} ({detail})")
     readme = " ".join((HERE.parent / "README.md").read_text().split())
-    assert f"iwasawa_reexpansion: {status} ({detail})" in readme
+    assert quoted in readme
 
 
 def test_runner_counts_the_grid_and_keeps_the_first_failing_case(monkeypatch):
@@ -184,12 +191,18 @@ def _raised_at(func, offset):
     return f"{func.__name__} at {Path(__file__).name}:{func.__code__.co_firstlineno + offset}"
 
 
+def _line_of(func, text):
+    """The frame the runner names for the first line of func's source that
+    holds text."""
+    lines, first = inspect.getsourcelines(func)
+    offset = next(i for i, line in enumerate(lines) if text in line)
+    return f"{func.__name__} at {Path(inspect.getsourcefile(func)).name}:{first + offset}"
+
+
 def _called_at(check, callee):
     """The call site the runner names for a raise below callee: the first
     line of the check, in verify.py, that calls it."""
-    lines, first = inspect.getsourcelines(check)
-    offset = next(i for i, line in enumerate(lines) if f"{callee}(" in line)
-    return f"{check.__name__} at {Path(verify.__file__).name}:{first + offset}"
+    return _line_of(check, f"{callee}(")
 
 
 def _cli_table(capsys, suite):
