@@ -383,5 +383,5 @@ def counit_fraction_witness(lam: int, n: int) -> dict:
                  for j, (x, w) in enumerate(zip(phi, L.weights)) if (x * w - lam * x) % 1 != 0]
     if problems:
         raise ValueError("; ".join(problems))
-    return {"lam": lam, "n": n, "fraction": Fraction(1, n) % 1,
+    return {"n": n, "fraction": Fraction(1, n) % 1,
             "weight_check": True, "f_check": True, "h_check": True}

@@ -30,7 +30,7 @@ from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
 from . import borelweil, dyadic
-from .scalars import LAURENT_RING, POLY, Laurent, residue
+from .scalars import LAURENT_RING, POLY, Laurent, rat, residue
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -91,7 +91,7 @@ def _window(text: str):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return rat(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r}")
 
@@ -257,10 +257,12 @@ def _run_classify(args) -> dict:
     return {"n": n, "m": m, "abs_q": str(q_abs)}
 
 
-def _check_kind_flags(args, ps_flags: dict) -> None:
-    """--lambda applies only to --kind ind and pro, and each of ps_flags
-    (flag -> parsed value) only to --kind ps: a usage error names the
-    first given flag that does not apply."""
+def _kind_heading(args, ps_flags: dict) -> dict:
+    """The header keys of a module or contract table's kind: "lambda" for
+    --kind ind and pro, one per flag of ps_flags (flag -> parsed value) for
+    --kind ps.  Each of these flags is required by its kinds and applies
+    only to them, and eps must be a residue for n: a usage error names the
+    first given flag that does not apply, else the first rule broken."""
     if args.kind == "ps":
         given, kinds = {"--lambda": args.lam}, "ind and pro"
     else:
@@ -268,32 +270,25 @@ def _check_kind_flags(args, ps_flags: dict) -> None:
     for flag, value in given.items():
         if value is not None:
             raise UsageError(f"{flag} applies only to --kind {kinds}, not --kind {args.kind}")
+    if args.kind != "ps":
+        if args.lam is None:
+            raise UsageError(f"--kind {args.kind} requires --lambda")
+        return {"lambda": args.lam}
+    if "--parabolic" in ps_flags and args.parabolic is None:
+        raise UsageError("--kind ps requires --parabolic")
+    if args.eps is None or args.mu is None:
+        raise UsageError("--kind ps requires --eps and --mu")
+    _check_eps_residue(args.eps, args.n)
+    return {flag[2:]: str(value) for flag, value in ps_flags.items()}
 
 
 def _run_module(args) -> dict:
     from . import weightmods, zforms
 
-    lo, hi = args.window
-    _check_kind_flags(
+    heading = _kind_heading(
         args, {"--parabolic": args.parabolic, "--eps": args.eps, "--mu": args.mu}
     )
-    if args.kind in ("ind", "pro"):
-        if args.lam is None:
-            raise UsageError(f"--kind {args.kind} requires --lambda")
-        g = zforms.make_zform(args.n, args.m, 1)
-        build = (
-            weightmods.induced_module
-            if args.kind == "ind"
-            else weightmods.produced_module
-        )
-        M = build(g, args.lam)
-        heading = {"lambda": args.lam}
-    else:
-        if args.parabolic is None:
-            raise UsageError("--kind ps requires --parabolic")
-        if args.eps is None or args.mu is None:
-            raise UsageError("--kind ps requires --eps and --mu")
-        _check_eps_residue(args.eps, args.n)
+    if args.kind == "ps":
         if args.parabolic == "qpp":
             # m = 2n is a constraint between flags, so a usage error
             try:
@@ -301,9 +296,11 @@ def _run_module(args) -> dict:
             except ValueError as exc:
                 raise UsageError(exc) from None
         M = weightmods.principal_series(args.n, args.m, args.parabolic, args.eps, args.mu)
-        heading = {"parabolic": args.parabolic, "eps": str(args.eps), "mu": str(args.mu)}
+    else:
+        build = weightmods.induced_module if args.kind == "ind" else weightmods.produced_module
+        M = build(zforms.make_zform(args.n, args.m, 1), args.lam)
     header = {"kind": args.kind, "n": args.n, "m": args.m, **heading}
-    return _table_doc(M, header, lo, hi)
+    return _table_doc(M, header, *args.window)
 
 
 def _table_doc(M, header: dict, lo: int, hi: int) -> dict:
@@ -352,27 +349,16 @@ def _check_oracle_reach(report) -> None:
 def _run_contract(args) -> dict:
     from . import contraction
 
-    lo, hi = args.window
     ring = POLY if args.ring == "poly" else LAURENT_RING
-    _check_kind_flags(args, {"--eps": args.eps, "--mu": args.mu})
-    if args.kind in ("ind", "pro"):
-        if args.lam is None:
-            raise UsageError(f"--kind {args.kind} requires --lambda")
-        build = (
-            contraction.contracted_induced
-            if args.kind == "ind"
-            else contraction.contracted_produced
-        )
-        M = build(args.lam, args.n)
-        heading = {"lambda": args.lam}
-    else:
-        if args.eps is None or args.mu is None:
-            raise UsageError("--kind ps requires --eps and --mu")
-        _check_eps_residue(args.eps, args.n)
+    heading = _kind_heading(args, {"--eps": args.eps, "--mu": args.mu})
+    if args.kind == "ps":
         M = contraction.contracted_ps(args.eps, args.mu, ring, n=args.n)
-        heading = {"eps": str(args.eps), "mu": str(args.mu)}
+    else:
+        ind = args.kind == "ind"
+        build = contraction.contracted_induced if ind else contraction.contracted_produced
+        M = build(args.lam, args.n)
     header = {"kind": args.kind, "n": args.n, **heading, "ring": ring.name}
-    return _table_doc(M, header, lo, hi)
+    return _table_doc(M, header, *args.window)
 
 
 def _run_bw(args) -> dict:
@@ -387,45 +373,20 @@ def _run_bw(args) -> dict:
             "(--lambda, plus 2*--n for dual and counit)"
         )
     if op == "min":
-        return {"op": op, "lambda": lam, **borelweil.minimal_lattice(lam).to_json()}
-    if op == "max":
-        return {"op": op, "lambda": lam, **borelweil.maximal_lattice(lam).to_json()}
-    if op == "dual":
-        ladder = borelweil.ladder_lattice(lam, n)
-        return {"op": op, "lambda": lam, **borelweil.dual_lattice(ladder).to_json()}
-    if op == "hom":
-        hom = borelweil.hom_lattice(
-            borelweil.minimal_lattice(lam), borelweil.maximal_lattice(lam)
-        )
-        return {
-            "op": op,
-            "lambda": lam,
-            "from": "minimal",
-            "to": "maximal",
-            "rank": hom["rank"],
-            "generator": hom["generator"],
-        }
-    if op == "certify":
-        report = borelweil.maximality_certificate(
-            borelweil.maximal_lattice(lam), (2, 3, 5)
-        )
-        return {
-            "op": op,
-            "lambda": lam,
-            "certified": report["certified"],
-            "failures": [list(pair) for pair in report["failures"]],
-            "primes": report["primes"],
-        }
-    witness = borelweil.counit_fraction_witness(lam, n)
-    return {
-        "op": op,
-        "lambda": lam,
-        "n": witness["n"],
-        "fraction": str(witness["fraction"]),
-        "weight_check": witness["weight_check"],
-        "f_check": witness["f_check"],
-        "h_check": witness["h_check"],
-    }
+        result = borelweil.minimal_lattice(lam).to_json()
+    elif op == "max":
+        result = borelweil.maximal_lattice(lam).to_json()
+    elif op == "dual":
+        result = borelweil.dual_lattice(borelweil.ladder_lattice(lam, n)).to_json()
+    elif op == "hom":
+        hom = borelweil.hom_lattice(borelweil.minimal_lattice(lam), borelweil.maximal_lattice(lam))
+        result = {"from": "minimal", "to": "maximal", **hom}
+    elif op == "certify":
+        result = borelweil.maximality_certificate(borelweil.maximal_lattice(lam), (2, 3, 5))
+    else:
+        result = borelweil.counit_fraction_witness(lam, n)
+        result["fraction"] = str(result["fraction"])
+    return {"op": op, "lambda": lam, **result}
 
 
 def _run_verify(args) -> dict:

@@ -15,12 +15,15 @@ from operator import add, floordiv
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, Fraction, or string like "-1/2" to an exact rational."""
+    """Coerce an int, Fraction, or string like "-1/2" to an exact rational;
+    exponent notation is refused, as Fraction would compute 10**9 of "1e9"."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"exponent notation is not an exact rational: {x!r}")
         return Fraction(x.strip())
     raise TypeError(f"not an exact rational: {x!r}")
 

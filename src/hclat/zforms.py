@@ -316,7 +316,7 @@ def rational_entry(x) -> Fraction:
     """A table entry read exactly: an int or a rational string, never a float."""
     if type(x) not in (int, str):
         raise ValueError(f"table entry {x!r} is neither an int nor a rational string")
-    return Fraction(x)
+    return rat(x)
 
 
 def presentation_from_json(data):

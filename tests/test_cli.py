@@ -524,6 +524,93 @@ def test_module_and_contract_reject_flags_the_kind_does_not_take(capsys, argv, e
         assert (code, out, got) == (2, "", err)
 
 
+RESIDUE_ERROR = "eps must be a residue K/N with N dividing n = 2 and 0 <= eps < 1; got "
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("module --kind ind", "hclat module: error: --kind ind requires --lambda\n"),
+        ("module --kind pro", "hclat module: error: --kind pro requires --lambda\n"),
+        ("contract --kind ind", "hclat contract: error: --kind ind requires --lambda\n"),
+        ("contract --kind pro", "hclat contract: error: --kind pro requires --lambda\n"),
+        ("module --kind ps", "hclat module: error: --kind ps requires --parabolic\n"),
+        (
+            "module --kind ps --eps 0 --mu 1",
+            "hclat module: error: --kind ps requires --parabolic\n",
+        ),
+        (
+            "module --kind ps --parabolic q --mu 1",
+            "hclat module: error: --kind ps requires --eps and --mu\n",
+        ),
+        (
+            "module --kind ps --parabolic q --eps 0",
+            "hclat module: error: --kind ps requires --eps and --mu\n",
+        ),
+        ("contract --kind ps --mu z", "hclat contract: error: --kind ps requires --eps and --mu\n"),
+        ("contract --kind ps --eps 0", "hclat contract: error: --kind ps requires --eps and --mu\n"),
+        (
+            "module --kind ps --parabolic q --n 2 --eps 1/3 --mu 1",
+            f"hclat module: error: {RESIDUE_ERROR}1/3\n",
+        ),
+        (
+            "module --kind ps --parabolic qpp --n 2 --m 4 --eps 1 --mu 1",
+            f"hclat module: error: {RESIDUE_ERROR}1\n",
+        ),
+        (
+            "contract --kind ps --n 2 --eps 1/3 --mu z",
+            f"hclat contract: error: {RESIDUE_ERROR}1/3\n",
+        ),
+        (
+            "contract --kind ps --n 2 --eps -1/2 --mu z",
+            f"hclat contract: error: {RESIDUE_ERROR}-1/2\n",
+        ),
+        (
+            "module --kind ps --parabolic qpp --n 2 --m 3 --eps 0 --mu 1",
+            "hclat module: error: label qpp requires m = 2n; got n=2, m=3\n",
+        ),
+    ],
+)
+def test_module_and_contract_kind_rule_usage_errors(capsys, argv, err):
+    """Each missing flag, non-residue eps and qpp shape, word for word."""
+    for fmt in ("json", "table"):
+        code, out, got = run(capsys, *argv.split(), "--window", "0:1", "--format", fmt)
+        assert (code, out, got) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("lattice --variant q --mu 1e10000000", "--mu"),
+        ("lattice --variant q --mu 1 --eps 1E100000000", "--eps"),
+        ("module --kind ps --parabolic q --eps 0 --mu 1e10000000", "--mu"),
+        ("module --kind ps --parabolic q --eps 1e10000000 --mu 1", "--eps"),
+        ("contract --kind ps --eps 1e10000000 --mu z", "--eps"),
+    ],
+)
+def test_exponent_notation_is_a_usage_error(capsys, argv, flag):
+    argv = argv.split() + ["--window", "0:1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    value = argv[argv.index(flag) + 1]
+    assert exc.value.code == 2
+    assert err.endswith(f"error: argument {flag}: not an exact fraction: {value!r}\n")
+
+
+def test_classify_table_with_exponent_notation_is_an_error_document(capsys, tmp_path):
+    table = tmp_path / "form.json"
+    table.write_text(json.dumps({"n": 1, "m": 1, "q": "1e10000000"}))
+    code, out, err = run(capsys, "classify", "--table", str(table))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": {
+            "type": "ValueError",
+            "message": "exponent notation is not an exact rational: '1e10000000'",
+        }
+    }
+
+
 # -- one parser per process -----------------------------------------------------
 
 

@@ -26,7 +26,7 @@ import pytest
 
 import reference
 import test_cli_fuzz
-from hclat import cli
+from hclat import borelweil, cli
 from hclat import contraction as ct
 from hclat import weightmods as wm
 from hclat.scalars import LAURENT_RING, POLY, Laurent
@@ -281,3 +281,13 @@ def test_render_table_and_csv_match_the_per_row_routes(pool_documents):
     # a table with no rows is its header line and its column names
     assert cli.render_table(tables[3]).splitlines()[1] == "index  weight  E  F  H"
     assert cli.render_csv(tables[4]) == "index,weight,e,f,h\n"
+
+
+def test_tuples_render_as_lists():
+    """bw --op certify prints the library's (prime, weight) tuples as they are."""
+    report = borelweil.maximality_certificate(borelweil.minimal_lattice(2), (2,))
+    assert report["failures"] and all(type(pair) is tuple for pair in report["failures"])
+    as_lists = {**report, "failures": [list(pair) for pair in report["failures"]]}
+    for render in (cli.render_json, cli.render_csv, cli.render_table):
+        assert render(report) == render(as_lists)
+    assert cli.render_json(report) == json.dumps(report, indent=2) + "\n"

@@ -3,10 +3,10 @@ fails fast.
 
 About a thousand documents run in process through ``cli.main``, drawn from
 every subcommand but ``verify`` and from edge values: 0, -1 and 10^30,
-``1/0``, reversed windows and windows at the width cap, malformed
-polynomials, and malformed or missing classify tables.  The costliest
-documents the command line accepts, ``lattice --oracle`` windows at the
-input limits, are listed explicitly.  Every document must exit 0, 1 or 2,
+``1/0``, exponent notation, reversed windows and windows at the width
+cap, malformed polynomials, and malformed or missing classify tables.  The
+costliest documents the command line accepts, ``lattice --oracle`` windows
+at the input limits, are listed explicitly.  Every document must exit 0, 1 or 2,
 raise nothing and print no traceback, and take at most CEILING_S seconds;
 a document over the ceiling runs once more, and fails only if both runs
 are over it.
@@ -28,7 +28,9 @@ TABLES = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "tables"
 BIG = str(10**30)
 WIDTH = cli.WINDOW_MAX_WIDTH
 EDGE_INTS = ("0", "-1", BIG)
-EDGE_FRACTIONS = ("0", "-1", BIG, "1/0", "1/2", "-2/3", "x")
+# exponent notation, which Fraction would expand to 10**k digits before any check
+EXPONENTS = ("1e10000000", "1E100000000", "-3e-2", "2.5e1")
+EDGE_FRACTIONS = ("0", "-1", BIG, "1/0", "1/2", "-2/3", "x") + EXPONENTS
 POLYNOMIALS = (
     "0", "z", "-2z", "2z^2 - z", "z^-1", "3*z^2 + 1/2*z", BIG + "z",
     "--z", "1 2", "z^", "1/0z", "z^1/2", "y", "",
@@ -43,6 +45,7 @@ MALFORMED_TABLES = (
     '{"n": 1, "m": -1, "q": "1"}',
     '{"n": 1, "m": 1, "q": "1/0"}',
     '{"n": 1, "m": 1, "q": "0"}',
+    '{"n": 1, "m": 1, "q": "1e10000000"}',
     '{"weights": [0, 1, -1], "brackets": [], "realization": []}',
     '{"weights": [], "brackets": [[0, 1, [null, "0", "0"]]], "realization": [[["1"]]]}',
 )
@@ -192,7 +195,7 @@ def test_fuzzed_documents_fail_fast(tmp_path):
     # the draw reaches every subcommand and each kind of edge
     assert {argv[0] for argv in documents} == {"classify", "module", "lattice", "contract", "bw"}
     text = json.dumps(documents)
-    for needle in (BIG, "1/0", "--oracle", "missing", "1/0z", "1 2"):
+    for needle in (BIG, "1/0", "--oracle", "missing", "1/0z", "1 2", *EXPONENTS):
         assert needle in text, needle
     widths = {width(argv) for argv in documents} - {None}
     assert {WIDTH, WIDTH + 1} <= widths and min(widths) < 1  # at, past the cap; reversed

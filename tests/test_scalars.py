@@ -152,6 +152,21 @@ def test_residue_rule():
             residue(Fraction(1, 3), n)
 
 
+@pytest.mark.parametrize("text", ["1e100000000", "1E5", "-3e-2", "2.5e1", " 1e0 "])
+def test_rat_refuses_exponent_notation(text):
+    """Fraction would compute the power of ten first: minutes for 1e100000000."""
+    with pytest.raises(ValueError, match=r"^exponent notation is not an exact rational: "):
+        rat(text)
+
+
+def test_rat_reads_integers_and_quotients():
+    assert [rat(t) for t in ("7", " -1/2 ", "6/4", "0.5")] == [
+        7, Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2)
+    ]
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+
+
 @pytest.mark.parametrize(
     "build, name",
     [
