@@ -17,11 +17,13 @@ Oracle route.  The oracle never consults the formulas.  It reads the
 extension recurrence in integers: the multiplier of step s is affine in
 s, and every chain of one (variant, n, m, eps, mu) is a slice of one
 progression (a0 + b*t)/d.  The least e that makes 2^e times every prefix
-product integral is the largest 2-adic exponent of a prefix denominator,
-and a denominator with an odd prime rules out every e.  Both are running
-maxima of the prefix sums of v_rho(d) - v_rho(a_t), one sweep of the
-progression per prime rho of d, so a window of indices costs
-O(window + depth) integer valuations.
+product integral is the largest 2-adic exponent of a prefix denominator:
+a running maximum of the prefix sums of 1 - v2(a_t), found for every
+chain of a window by one sweep of the progression, so a window of
+indices costs O(window + depth) integer valuations.  That one 2-adic
+sweep is all a model needs, because d is 1 or 2 wherever a chain exists
+(_oracle_table says why).  The transverse multipliers have integer
+slopes, so one point of their grid decides them all.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def dyadic_defect_sum(s: int) -> int:
     """sum_{l=1..s} (1 - v2(l)), computed literally on integer valuations."""
     if s < 0:
         raise ValueError("argument must be nonnegative")
-    return sum(1 - _valuation(l, 2) for l in range(1, s + 1))
+    return sum(1 - _valuation(l) for l in range(1, s + 1))
 
 
 # -- the brute-force oracle ------------------------------------------------
@@ -169,40 +171,23 @@ def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
     return mu / 2 + n * (s - t + p + eps)
 
 
-def _valuation(x: int, rho: int) -> int:
-    """Exponent of the prime rho in the nonzero integer x."""
-    if rho == 2:
-        return (x & -x).bit_length() - 1
-    v = 0
-    while x % rho == 0:
-        x //= rho
-        v += 1
-    return v
+def _valuation(x: int) -> int:
+    """Exponent of 2 in the nonzero integer x."""
+    return (x & -x).bit_length() - 1
 
 
-def _prime_factors(d: int) -> list:
-    """The primes of d >= 1 in increasing order, by trial division (the
-    progression of every model has d = 1 or 2)."""
-    out, rho = [], 2
-    while rho * rho <= d:
-        if d % rho == 0:
-            out.append(rho)
-            while d % rho == 0:
-                d //= rho
-        rho += 1
-    return out + [d] if d > 1 else out
+def _chain_maxima(a0: int, b: int, chains: list, cap) -> list:
+    """For each chain (start, end): the least e >= 0 such that 2^e times
+    every prefix product of the multipliers (a0 + b*t)/2, start <= t < end,
+    is an integer, or None when that exceeds cap (never, when cap is None).
 
-
-def _chain_maxima(a0: int, b: int, rho: int, vd: int, chains: list, cap) -> list:
-    """For each chain (start, end): the largest S[j] - S[start] over
-    start <= j <= end, where S[j + 1] - S[j] = vd - v_rho(a0 + b*j), or
-    None when that exceeds cap (never, when cap is None).
-
-    The starts increase and the ends never decrease, so one sweep over j
-    serves every chain, with two deques of running maxima: of S over the
-    open windows, and of S[start] over the open chains, so that the sweep
-    stops once S has passed the cap of every chain still open.  No chain
-    steps over a zero of the progression, so a zero adds no term.
+    That e is the largest S[j] - S[start] over start <= j <= end, where
+    S[j + 1] - S[j] = 1 - v2(a0 + b*j).  The starts increase and the ends
+    never decrease, so one sweep over j serves every chain, with two deques
+    of running maxima: of S over the open windows, and of S[start] over the
+    open chains, so that the sweep stops once S has passed the cap of every
+    chain still open.  No chain steps over a zero of the progression, so a
+    zero adds no term.
     """
     count = len(chains)
     out, base = [None] * count, [0] * count
@@ -232,42 +217,8 @@ def _chain_maxima(a0: int, b: int, rho: int, vd: int, chains: list, cap) -> list
             return out
         a = a0 + b * j
         if a:
-            s += vd - _valuation(a, rho)
+            s += 1 - _valuation(a)
         j += 1
-
-
-def _least_exponents(a0: int, b: int, d: int, chains: list, cap) -> list:
-    """For each chain (start, end) as in _chain_maxima: the least e >= 0
-    such that 2^e times every prefix product of the multipliers
-    (a0 + b*t)/d, start <= t < end, is an integer, or None when there is
-    none (or none up to 2^cap, unless cap is None)."""
-    exponents = [0] * len(chains)
-    for rho in _prime_factors(d) if chains else ():
-        maxima = _chain_maxima(
-            a0, b, rho, _valuation(d, rho), chains, cap if rho == 2 else 0
-        )
-        if rho == 2:
-            exponents = maxima
-        else:
-            exponents = [None if x is None else e for e, x in zip(exponents, maxima)]
-    return exponents
-
-
-def _secondary_failure(den: int, a: int, a_s: int, a_t: int, width: int):
-    """The transverse multipliers (a + a_s*s + a_t*t)/den must all be
-    integers; they move in integer steps, so a small grid check covers
-    every (s, t).  The message for the first one that is not, or None."""
-    if a_s % den == 0 and a_t % den == 0:
-        width = min(width, 0)  # every point has the residue of the first
-    for s in range(min(width, 4) + 1):
-        for t in range(min(width, 4) + 1):
-            x = a + a_s * s + a_t * t
-            if x % den:
-                return (
-                    f"no extension: transverse multiplier {Fraction(x, den)} at "
-                    f"(s={s}, t={t}) is not an integer"
-                )
-    return None
 
 
 def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
@@ -275,14 +226,21 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
     parameters: the least exponent, or the message of its NoExtensionError.
 
     Every chain is a slice of one progression (a0 + b*t)/d: q reads
-    t = p + s, and qp and qpp read t = s - p.  A prefix product from
-    t = start to j has, at each prime rho of d, the exponent
-    S[j] - S[start] in its denominator, for the prefix sums S of
-    v_rho(d) - v_rho(a_t); so one sweep of each progression
-    (_least_exponents) serves the whole window.  q and qp chains must reach
-    the progression's zero within depth; qpp chains stop there or at depth,
-    with at most 2^_EXPONENT_CAP to spend.  The transverse multipliers are
-    affine in p too, read off over one common denominator.
+    t = p + s, and qp and qpp read t = s - p.  Only d = 1 and d = 2 occur
+    where a chain exists.  The q and qp multiplier is (t - boundary)/2,
+    which has an integer zero only when the model is nonzero, so d = 2 on
+    every chain that terminates; the qpp multiplier mu/2 - n(t - eps) has
+    the denominator of mu/2, as n*eps is an integer.  For d = 2 a prefix
+    product from t = start to j has the 2-adic exponent S[j] - S[start] in
+    its denominator, for the prefix sums S of 1 - v2(a_t), so one sweep of
+    the progression (_chain_maxima) serves the whole window; for d = 1
+    every exponent is 0.  q and qp chains must reach the progression's zero
+    within depth; qpp chains stop there or at depth, with at most
+    2^_EXPONENT_CAP to spend.  The transverse multipliers move by +-nm (q,
+    qp) or +-n (qpp) per step of s or t, integers, so every point of the
+    transverse grid has the residue of (s, t) = (0, 0), and that one point
+    is tested, affine in p over one common denominator.  A qpp chain at a
+    negative depth is empty and tests nothing.
     """
     qpp = variant == "qpp"
     d, (a0, a1) = over_common_denominator(
@@ -300,12 +258,12 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
         else:
             ends.append(t + max(depth, 0) if qpp else None)
     chains = [(sign * p, end) for p, end in zip(indices, ends) if end is not None]
-    exponents = _least_exponents(a0, b, d, chains, _EXPONENT_CAP if qpp else None)
-    den, (c, c_s, c_t, c_p) = over_common_denominator(
-        *(
-            _secondary_multiplier(variant, n, m, eps, mu, p, s, t)
-            for p, s, t in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
-        )
+    if d == 2 and chains:
+        exponents = _chain_maxima(a0, b, chains, _EXPONENT_CAP if qpp else None)
+    else:
+        exponents = [0] * len(chains)
+    den, (c0, c1) = over_common_denominator(
+        *(_secondary_multiplier(variant, n, m, eps, mu, p, 0, 0) for p in (0, 1))
     )
     never = f"no extension: the chain never terminates within depth {depth}"
     answers, found = [], iter(exponents)
@@ -314,14 +272,16 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
             answers.append(never)
             continue
         e = next(found)
-        if qpp and e is None:
+        x = c0 + (c1 - c0) * p
+        if e is None:
             answers.append("no extension: every tested exponent fails (odd mu)")
-            continue
-        width = min(depth, 32) if qpp else end - sign * p
-        failure = _secondary_failure(den, c + (c_p - c) * p, c_s - c, c_t - c, width)
-        if failure is None and e is None:
-            failure = "no extension: a prefix product has a denominator with an odd factor"
-        answers.append(e if failure is None else failure)
+        elif depth >= 0 and x % den:
+            answers.append(
+                f"no extension: transverse multiplier {Fraction(x, den)} at "
+                "(s=0, t=0) is not an integer"
+            )
+        else:
+            answers.append(e)
     return answers if sign > 0 else answers[::-1]
 
 
@@ -392,9 +352,10 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
 
 def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> bool:
     """Re-derive every reported exponent with the brute-force oracle, from
-    one table of the window; for a vanishing model, check that no index of
-    the window extends.  An exponent outside the window raises ValueError,
-    and an index of a nonzero model that does not extend NoExtensionError."""
+    one table of the window, and check that no other index of the window
+    extends (for a vanishing model, no index at all).  An exponent outside
+    the window raises ValueError, and a reported index of a nonzero model
+    that does not extend NoExtensionError."""
     eps, mu = _validate(report.variant, report.n, report.m, report.eps, report.mu)
     lo, hi = report.window
     outside = [p for p in report.exponents if not lo <= p <= hi]
@@ -403,4 +364,10 @@ def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> boo
     table = _oracle_table(report.variant, report.n, report.m, eps, mu, depth, lo, hi)
     if not report.nonzero:
         return all(isinstance(answer, str) for answer in table)
-    return all(_extension(table[p - lo]) == value for p, value in report.exponents.items())
+    return all(
+        _extension(table[p - lo]) == value for p, value in report.exponents.items()
+    ) and all(
+        isinstance(answer, str)
+        for p, answer in enumerate(table, lo)
+        if p not in report.exponents
+    )

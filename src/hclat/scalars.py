@@ -29,9 +29,10 @@ def rat(x) -> Fraction:
 
 
 def check_positive(**values) -> None:
-    """The one n >= 1 rule: ValueError naming the first value below 1."""
+    """The one n >= 1 rule: ValueError naming the first value that is not
+    an int of at least 1."""
     for name, value in values.items():
-        if value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {name}={value}")
 
 

@@ -46,7 +46,7 @@ def make_zform(n: int, m: int, q) -> ZForm:
     q = rat(q)
     if q == 0:
         raise ValueError("realization parameter q must be nonzero")
-    return ZForm(int(n), int(m), q)
+    return ZForm(n, m, q)
 
 
 def weights(g: ZForm):

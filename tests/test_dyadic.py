@@ -23,7 +23,7 @@ from hclat.dyadic import (
     oracle_min_exponent,
     top_index,
 )
-from hclat.scalars import in_ring, localized_integers, ord2
+from hclat.scalars import in_ring, localized_integers, ord2, over_common_denominator
 
 
 def residues(n):
@@ -257,6 +257,23 @@ def test_oracle_check_report_agrees():
 def test_oracle_check_report_detects_tampering():
     report = integral_model("q", 1, 1, 0, -2, (-3, 1))
     report.exponents[-2] = 7
+    assert not oracle_check_report(report)
+
+
+def test_oracle_check_report_refuses_an_extension_outside_the_support(monkeypatch):
+    # top index -3: the window's indices above it must not extend, though
+    # the report holds no exponent for them
+    report = integral_model("q", 1, 1, 0, 6, (-5, 2))
+    assert report.support.bound == -3 and 0 not in report.exponents
+    assert oracle_check_report(report)
+    table = dyadic._oracle_table
+
+    def extends_at_zero(variant, n, m, eps, mu, depth, lo, hi):
+        answers = table(variant, n, m, eps, mu, depth, lo, hi)
+        answers[0 - lo] = 0
+        return answers
+
+    monkeypatch.setattr(dyadic, "_oracle_table", extends_at_zero)
     assert not oracle_check_report(report)
 
 
@@ -728,12 +745,49 @@ def test_qpp_oracle_reads_n_only():
                     ), (n, m, eps, mu, depth, lo)
 
 
-def test_least_exponents_match_the_gcd_walk_on_odd_denominators():
-    # progressions over denominators with odd primes, which no model has,
-    # with chains cut as the oracle cuts them: at depth or at the zero
+def test_models_reach_only_dyadic_progressions_and_integer_transverse_slopes():
+    # the two facts the oracle's one 2-adic sweep and one transverse point
+    # rest on, read off the multipliers rather than through the oracle: a
+    # chain terminates only where the progression has an integer zero, so
+    # only on a nonzero q or qp model, whose progression has d = 2, and
+    # every qpp progression has the denominator of mu/2; the transverse
+    # multipliers move by nm (q, qp) or n (qpp) per step of s, and back by
+    # as much per step of t
+    rng = random.Random(38)
+    for _ in range(3000):
+        variant = rng.choice(dyadic.VARIANTS)
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        eps = Fraction(rng.randrange(n), n)
+        mu = Fraction(rng.randint(-40, 40))
+        case = (variant, n, m, eps, mu)
+        d, (a0, a1) = over_common_denominator(
+            *(dyadic._primary_multiplier(variant, n, m, eps, mu, 0, t) for t in (0, 1))
+        )
+        if variant == "qpp":
+            assert d == (mu / 2).denominator, case
+        elif nonvanishing(variant, n, m, eps, mu):
+            assert d == 2, case
+        else:
+            assert a0 % (a1 - a0) != 0, case
+        p = rng.randint(-50, 50)
+        den, (c, c_s, c_t) = over_common_denominator(
+            *(
+                dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+                for s, t in ((0, 0), (1, 0), (0, 1))
+            )
+        )
+        slope = n if variant == "qpp" else n * m
+        assert c_s - c == slope * den and c_t - c == -slope * den, (*case, p)
+
+
+def test_chain_maxima_match_the_gcd_walk_on_model_denominators():
+    # progressions over the denominators models have, with chains cut as
+    # the oracle cuts them: at depth or at the zero.  The oracle sweeps
+    # d = 2 and reads every exponent of d = 1 as 0, which the general walk
+    # must confirm
     rng = random.Random(11)
     for _ in range(300):
-        d = rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 5, 36, 45))
+        d = rng.choice((1, 2))
         b = rng.choice((-3, -2, -1, 1, 2, 3)) * rng.randint(1, 4)
         a0 = rng.randint(-30, 30)
         zero = -a0 // b if a0 % b == 0 else None
@@ -748,27 +802,8 @@ def test_least_exponents_match_the_gcd_walk_on_odd_denominators():
             reference._least_exponent(range(a0 + b * t, a0 + b * end, b), d, cap)
             for t, end in chains
         ]
-        assert dyadic._least_exponents(a0, b, d, chains, cap) == want, (a0, b, d, chains, cap)
-
-
-def test_secondary_failure_names_the_first_failing_grid_point():
-    # transverse slopes that are not integers, which no model has: the grid
-    # is walked in (s, t) order, not collapsed to its first point
-    rng = random.Random(5)
-    for _ in range(300):
-        den = rng.choice((1, 2, 3, 4, 6))
-        a, a_s, a_t = (rng.randint(-12, 12) for _ in range(3))
-        width = rng.randint(-1, 6)
-        side = range(min(width, 4) + 1)
-        bad = [(s, t) for s in side for t in side if (a + a_s * s + a_t * t) % den]
-        want = None
-        if bad:
-            s, t = bad[0]
-            want = (
-                f"no extension: transverse multiplier {Fraction(a + a_s * s + a_t * t, den)}"
-                f" at (s={s}, t={t}) is not an integer"
-            )
-        assert dyadic._secondary_failure(den, a, a_s, a_t, width) == want
+        got = dyadic._chain_maxima(a0, b, chains, cap) if d == 2 else [0] * len(chains)
+        assert got == want, (a0, b, d, chains, cap)
 
 
 def test_limit_windows_match_the_formulas():

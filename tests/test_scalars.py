@@ -177,11 +177,13 @@ def test_rat_reads_integers_and_quotients():
         (lambda k: contraction.contracted_induced(0, k), "n"),
         (lambda k: contraction.contracted_produced(0, k), "n"),
         (lambda k: residue(0, k), "n"),
+        (lambda k: dyadic.integral_model("q", 1, k, 0, -4, (-3, 3)), "m"),
     ],
 )
-@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("k", [0, -3, 1.5, 2.0])
 def test_one_positive_rule(build, name, k):
-    """Every n and m below 1 is refused with the same message."""
+    """Every n and m below 1, and every one that is not an int, is refused
+    with the same message."""
     with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got {name}={k}$"):
         build(k)
 
