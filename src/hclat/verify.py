@@ -23,7 +23,6 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import prod
 
 from . import borelweil, contraction, dyadic, hecke, pbw, scalars, weightmods, zforms
 
@@ -530,23 +529,6 @@ def _minimal_maximal_hom_rank_one():
         )
 
 
-def _dual_roundtrip_to_maximal():
-    for lam in range(0, 9):
-        amb = borelweil.ladder_lattice(lam, 0)
-        bottom = [Fraction(1 if i == amb.rank - 1 else 0) for i in range(amb.rank)]
-        low = borelweil.generated_lattice(amb, [bottom])
-        D = borelweil.dual_lattice(low)
-        hom = borelweil.hom_lattice(D, borelweil.maximal_lattice(lam))
-        if hom["rank"] != 1:
-            yield False, f"lambda={lam}: dual comparison rank {hom['rank']}"
-            continue
-        # the square generator is monomial (diagonal by weight): |det| is
-        # the product of its nonzero entries, or 0 when a row is zero
-        entries = [abs(x) for row in hom["generator"] for x in row if x]
-        det = prod(entries) if len(entries) == len(hom["generator"]) else 0
-        yield det == 1, f"lambda={lam}: change of basis has |determinant| {det}"
-
-
 def _admissible_model_crosscheck():
     for lam in range(0, 13):
         yield (
@@ -620,7 +602,6 @@ CHECKS = {
     "borelweil": (
         _lattice_bracket_axioms,
         _minimal_maximal_hom_rank_one,
-        _dual_roundtrip_to_maximal,
         _admissible_model_crosscheck,
         _counit_fraction_surjectivity,
         _weight_multiplicity_one,
