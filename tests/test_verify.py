@@ -77,7 +77,6 @@ def test_format_report_lines(full_report):
 BORELWEIL_REPORT = """\
 lattice_bracket_axioms: pass (grid=46)
 minimal_maximal_hom_rank_one: pass (grid=13)
-dual_roundtrip_to_maximal: pass (grid=9)
 admissible_model_crosscheck: pass (grid=13)
 counit_fraction_surjectivity: pass (grid=210)
 weight_multiplicity_one: pass (grid=13)
@@ -251,7 +250,6 @@ def test_raising_lattice_builder_keeps_the_report(monkeypatch, capsys):
     callers = (
         "lattice_bracket_axioms",
         "minimal_maximal_hom_rank_one",
-        "dual_roundtrip_to_maximal",
         "admissible_model_crosscheck",
         "weight_multiplicity_one",
     )
@@ -263,8 +261,8 @@ def test_raising_lattice_builder_keeps_the_report(monkeypatch, capsys):
             for name in callers
         },
     )
-    # the call sites tell the five checks apart
-    assert len({line.rsplit("from ", 1)[1] for line in lines if "boom" in line}) == 5
+    # the call sites tell the four checks apart
+    assert len({line.rsplit("from ", 1)[1] for line in lines if "boom" in line}) == 4
 
 
 def test_weight_multiplicity_one_fails_on_wrong_weights(monkeypatch):
