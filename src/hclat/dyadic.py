@@ -258,10 +258,10 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
         else:
             ends.append(t + max(depth, 0) if qpp else None)
     chains = [(sign * p, end) for p, end in zip(indices, ends) if end is not None]
-    if d == 2 and chains:
-        exponents = _chain_maxima(a0, b, chains, _EXPONENT_CAP if qpp else None)
-    else:
+    if d == 1 or not chains:
         exponents = [0] * len(chains)
+    else:
+        exponents = _chain_maxima(a0, b, chains, _EXPONENT_CAP if qpp else None)
     den, (c0, c1) = over_common_denominator(
         *(_secondary_multiplier(variant, n, m, eps, mu, p, 0, 0) for p in (0, 1))
     )
