@@ -164,12 +164,12 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant")
     args = parser.parse_args(argv)
 
-    src = os.path.join(os.path.abspath(args.root), "src")
+    root = os.path.abspath(args.root)
     mutants = []  # (module path, function, source, line, rewrite, start, end, new)
     for dotted in args.functions:
         module, qualname = dotted.split(".", 1)
         path = os.path.join("src", "hclat", module + ".py")
-        with open(os.path.join(src, "hclat", module + ".py"), "rb") as fh:
+        with open(os.path.join(root, path), "rb") as fh:
             source = fh.read()
         func = _function(ast.parse(source), qualname)
         for site in _sites(source, func):
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     try:
         for k in range(args.jobs):
             copy = os.path.join(workdir, str(k))
-            shutil.copytree(src, os.path.join(copy, "src"),
+            shutil.copytree(os.path.join(root, "src"), os.path.join(copy, "src"),
                             ignore=shutil.ignore_patterns("__pycache__"))
             copies.put(copy)
         clean = _run(copies.queue[0], args.timeout)
