@@ -346,39 +346,35 @@ def _ring_inclusion_monotone():
             last = now
 
 
-def _dyadic_grid(variant: str, nmax: int = 2, mu_range: int = 8):
-    for n in range(1, nmax + 1):
-        for m in range(1, nmax + 1):
-            for k in range(n):
-                eps = Fraction(k, n)
-                for mu in range(-mu_range, mu_range + 1):
-                    if dyadic.nonvanishing(variant, n, m, eps, mu):
-                        yield n, m, eps, mu
+def _dyadic_grid(nmax: int = 3, mu_range: int = 10):
+    """(n, m, eps, mu) for n, m <= nmax, every residue eps mod n and
+    |mu| <= mu_range."""
+    for n, m in itertools.product(range(1, nmax + 1), repeat=2):
+        for k in range(n):
+            for mu in range(-mu_range, mu_range + 1):
+                yield n, m, Fraction(k, n), mu
 
 
 def _formula_oracle_equivalence():
-    for n, m, eps, mu in _dyadic_grid("q"):
-        top = dyadic.top_index(n, m, eps, mu)
-        for p in range(top - 5, top + 1):
-            got = dyadic.exponent_M(p, n, m, eps, mu)
-            want = dyadic.oracle_min_exponent("q", p, n, m, eps, mu)
-            yield got == want, f"M_{p}({n},{m},{eps},{mu}) = {got} != {want}"
-    for n, m, eps, mu in _dyadic_grid("qp"):
-        bottom = dyadic.bottom_index(n, m, eps, mu)
-        for p in range(bottom, bottom + 6):
-            got = dyadic.exponent_N(p, n, m, eps, mu)
-            want = dyadic.oracle_min_exponent("qp", p, n, m, eps, mu)
-            yield got == want, f"N_{p}({n},{m},{eps},{mu}) = {got} != {want}"
-    for n, m, eps, mu in _dyadic_grid("qpp"):
-        for p in range(-3, 4):
+    # every model, vanishing ones too, as `lattice --oracle` checks it: a
+    # nonzero q or qp model on its boundary +- 6, the others on -3..3
+    for variant in dyadic.VARIANTS:
+        for n, m, eps, mu in _dyadic_grid(nmax=2, mu_range=8):
+            report = dyadic.integral_model(variant, n, m, eps, mu, (-3, 3))
+            if report.support is not None and report.support.kind != "all":
+                edge = report.support.bound
+                report = dyadic.integral_model(variant, n, m, eps, mu, (edge - 6, edge + 6))
+            lo, hi = report.window
             yield (
-                dyadic.oracle_min_exponent("qpp", p, n, m, eps, mu) == 0,
-                f"qpp exponent at ({n},{m},{eps},{mu},{p})",
+                dyadic.oracle_check_report(report),
+                f"{variant}({n},{m},{eps},{mu}) on {lo}..{hi}",
             )
 
 
 def _criterion_boundary_exponent():
-    for n, m, eps, mu in _dyadic_grid("q", nmax=3, mu_range=10):
+    for n, m, eps, mu in _dyadic_grid():
+        if not dyadic.nonvanishing("q", n, m, eps, mu):
+            continue
         top = dyadic.top_index(n, m, eps, mu)
         yield (
             dyadic.exponent_M(top, n, m, eps, mu) == 0,
@@ -386,29 +382,10 @@ def _criterion_boundary_exponent():
         )
 
 
-def _unbounded_violation_rejected():
-    cases = [
-        ("q", 1, 1, Fraction(0), Fraction(1)),
-        ("q", 2, 3, Fraction(0), Fraction(5)),
-        ("q", 2, 1, Fraction(1, 2), Fraction(3)),
-        ("qp", 1, 2, Fraction(0), Fraction(2)),
-        ("qp", 3, 1, Fraction(1, 3), Fraction(1)),
-        ("qpp", 1, 2, Fraction(0), Fraction(3)),
-    ]
-    for variant, n, m, eps, mu in cases:
-        if dyadic.nonvanishing(variant, n, m, eps, mu):
-            yield False, f"{variant}({n},{m},{eps},{mu}) passes the criterion"
-            continue
-        try:
-            dyadic.oracle_min_exponent(variant, 0, n, m, eps, mu, depth=4096)
-            rejected = False
-        except dyadic.NoExtensionError:
-            rejected = True
-        yield rejected, f"oracle accepted violating {variant}({n},{m},{eps},{mu})"
-
-
 def _mirror_identity_corrected():
-    for n, m, eps, mu in _dyadic_grid("qp", nmax=3, mu_range=10):
+    for n, m, eps, mu in _dyadic_grid():
+        if not dyadic.nonvanishing("qp", n, m, eps, mu):
+            continue
         bottom = dyadic.bottom_index(n, m, eps, mu)
         for p in range(bottom, bottom + 5):
             got = dyadic.exponent_N(p, n, m, eps, mu)
@@ -431,8 +408,10 @@ def _mirror_identity_printed():
 def _defect_sum_digit_identity():
     for a in range(13):
         yield dyadic.dyadic_defect_sum(2**a - 1) == a, f"defect sum at 2^{a}-1"
-    for s in range(0, 400):
-        yield dyadic.dyadic_defect_sum(s) == bin(s).count("1"), f"defect sum at {s}"
+    total = 0  # the defect sum at s, one term at a time
+    for s in range(400):
+        yield total == bin(s).count("1"), f"defect sum at {s}"
+        total += 1 - scalars.ord2(s + 1)
 
 
 # -- contraction suite ----------------------------------------------------------
@@ -588,7 +567,6 @@ CHECKS = {
         _ring_inclusion_monotone,
         _formula_oracle_equivalence,
         _criterion_boundary_exponent,
-        _unbounded_violation_rejected,
         _mirror_identity_corrected,
         _mirror_identity_printed,
         _defect_sum_digit_identity,

@@ -17,8 +17,9 @@ goes first from round to round.  An interpreter imports ``hclat.verify``
 from its checkout's ``src`` and times every check of the named suites
 ``--repeats`` times, in suite order, through ``verify._outcome``; it also
 reports each check's status and detail, which must agree between the
-sides.  For each check the minimum over every run of every round is kept.
-A suite's total is the sum of its checks' minima.  Each ``--call
+sides.  For each check the minimum over every run of every round is kept;
+a check that only one side has reads null on the other.  A suite's total
+is the sum of its checks' minima.  Each ``--call
 NAME=EXPR`` is timed the same way, in the same interpreters, after the
 ``--setup`` statement has run once; both see the package as ``hclat``,
 with every layer imported, and a call's outcome is a digest of its value
@@ -253,19 +254,19 @@ def main(argv=None) -> int:
 
     checks = {}
     totals = {suite: {"parent_ms": 0.0, "change_ms": 0.0} for suite in args.suites.split(",")}
-    for name in best["parent"]:
-        p_ms, c_ms = best["parent"][name] * 1e3, best["change"][name] * 1e3
+    for name in {**best["parent"], **best["change"]}:
+        p_ms, c_ms = (1e3 * best[side][name] if name in best[side] else None for side in sides)
         checks[name] = {
-            "parent_ms": round(p_ms, 3),
-            "change_ms": round(c_ms, 3),
-            "ratio": round(c_ms / p_ms, 3),
-            "outcome": outcomes["change"][name],
+            "parent_ms": None if p_ms is None else round(p_ms, 3),
+            "change_ms": None if c_ms is None else round(c_ms, 3),
+            "ratio": None if None in (p_ms, c_ms) else round(c_ms / p_ms, 3),
+            "outcome": outcomes["parent" if c_ms is None else "change"][name],
         }
         suite = name.split(".")[0]
         if suite == "call":
             continue
-        totals[suite]["parent_ms"] += p_ms
-        totals[suite]["change_ms"] += c_ms
+        totals[suite]["parent_ms"] += p_ms or 0.0
+        totals[suite]["change_ms"] += c_ms or 0.0
     for total in totals.values():
         total["ratio"] = round(total["change_ms"] / total["parent_ms"], 3)
         total["parent_ms"] = round(total["parent_ms"], 3)

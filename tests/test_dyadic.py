@@ -260,6 +260,14 @@ def test_oracle_check_report_detects_tampering():
     assert not oracle_check_report(report)
 
 
+def test_oracle_check_report_reads_false_for_an_index_that_does_not_extend():
+    # index 0 lies above the top index -3, so the oracle refuses it: a
+    # disagreement, not a NoExtensionError
+    report = integral_model("q", 1, 1, 0, 6, (-5, 2))
+    report.exponents[0] = 0
+    assert oracle_check_report(report) is False
+
+
 def test_oracle_check_report_refuses_an_extension_outside_the_support(monkeypatch):
     # top index -3: the window's indices above it must not extend, though
     # the report holds no exponent for them

@@ -119,15 +119,15 @@ def test_corrupted_build_fails(monkeypatch):
 
 
 def test_corrupted_exponent_formula_fails(monkeypatch):
-    original = dyadic.exponent_M
+    original = dyadic._exponents
     monkeypatch.setattr(
-        dyadic, "exponent_M", lambda p, n, m, eps, mu: original(p, n, m, eps, mu) + 1
+        dyadic, "_exponents", lambda *args: {p: e + 1 for p, e in original(*args).items()}
     )
     report = verify.run_suite("lattice")
     assert not report["passed"]
     # the first failing case of the grid, not a later one
     oracle = _by_name(report, "formula_oracle_equivalence")
-    assert oracle["detail"] == "M_-1(1,1,0,-8) = 3 != 2"
+    assert oracle["detail"] == "q(1,1,0,-8) on -2..10"
 
 
 def test_empty_grid_fails(monkeypatch):
@@ -135,11 +135,7 @@ def test_empty_grid_fails(monkeypatch):
     monkeypatch.setattr(dyadic, "nonvanishing", lambda *args: False)
     report = verify.run_suite("lattice")
     assert not report["passed"]
-    for name in (
-        "formula_oracle_equivalence",
-        "criterion_boundary_exponent",
-        "mirror_identity_corrected",
-    ):
+    for name in ("criterion_boundary_exponent", "mirror_identity_corrected"):
         check = _by_name(report, name)
         assert (check["status"], check["detail"]) == ("fail", "empty grid"), name
 

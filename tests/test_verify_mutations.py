@@ -65,18 +65,17 @@ MUTATIONS = {
         "_denominator_invertible(value.denominator, ring.localized_at)",
         "_denominator_invertible(ring.localized_at, value.denominator)",
     ),
-    # M_p and N_p share one digit sum of bound - p: top - p on the q side,
-    # -(p - bottom) on the qp side
+    # vanishing q and qp chains terminate; only a vanishing model of the
+    # grid shows it
     "formula_oracle_equivalence": (
-        dyadic, "_exponents", "(support.bound - p).bit_count()",
-        "(support.bound - p - 1).bit_count()",
+        dyadic, "_oracle_table", "zero = -a0 // b if a0 % b == 0 else None", "zero = -a0 // b"
     ),
     "criterion_boundary_exponent": (
         dyadic, "_exponents", "(support.bound - p).bit_count()",
         "(support.bound + 1 - p).bit_count()",
     ),
-    "unbounded_violation_rejected": (dyadic, "_criterion", "/ (2 * n * m)", "/ (n * m)"),
-    # p - bottom + 1 on the qp side
+    # M_p and N_p share one digit sum of bound - p: p - bottom + 1 on the
+    # qp side
     "mirror_identity_corrected": (
         dyadic, "_exponents", "(support.bound - p).bit_count()",
         "(support.bound - p - 1).bit_count()",
@@ -117,6 +116,11 @@ RETIRED = {
     "dual_roundtrip_to_maximal": (
         borelweil, "hom_lattice", "s[p] + 1 == s[q]", "s[p] == s[q]",
         "minimal_maximal_hom_rank_one",
+    ),
+    # it asked the oracle for index 0 of six vanishing models, which the
+    # oracle grid's vanishing models cover window by window
+    "unbounded_violation_rejected": (
+        dyadic, "_criterion", "/ (2 * n * m)", "/ (n * m)", "formula_oracle_equivalence"
     ),
 }
 
@@ -174,3 +178,11 @@ def test_mutation_fails_the_check(monkeypatch, name):
 def test_retired_mutation_fails_a_remaining_check(monkeypatch, name):
     *fault, remaining = RETIRED[name]
     _assert_fails(monkeypatch, remaining, *fault)
+
+
+def test_oracle_check_report_fault_fails_the_oracle_check(monkeypatch):
+    # every nonzero `lattice --oracle` document would read "oracle_agrees": false
+    _assert_fails(
+        monkeypatch, "formula_oracle_equivalence", dyadic, "oracle_check_report",
+        "table[p - lo] == value", "table[p - lo] != value",
+    )
