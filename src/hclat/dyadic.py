@@ -20,10 +20,10 @@ progression (a0 + b*t)/d.  The least e that makes 2^e times every prefix
 product integral is the largest 2-adic exponent of a prefix denominator:
 a running maximum of the prefix sums of 1 - v2(a_t), found for every
 chain of a window by one sweep of the progression, so a window of
-indices costs O(window + depth) integer valuations.  That one 2-adic
-sweep is all a model needs, because d is 1 or 2 wherever a chain exists
-(_oracle_table says why).  The transverse multipliers have integer
-slopes, so one point of their grid decides them all.
+indices costs O(window + ORACLE_DEPTH) integer valuations.  That one
+2-adic sweep is all a model needs: d is 1 or 2 wherever a chain exists,
+and no transverse multiplier can refuse an index the chains accept
+(_oracle_table says why).
 """
 
 from __future__ import annotations
@@ -162,15 +162,6 @@ def _primary_multiplier(variant, n, m, eps, mu, p, s) -> Fraction:
     return mu / 2 - n * (s - p - eps)
 
 
-def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
-    """Coefficient on the transverse chain (F-powers for q, E-powers else)."""
-    if variant == "q":
-        return mu / 2 + n * m * (s - t - p - eps)
-    if variant == "qp":
-        return mu / 2 + n * m * (s - t + p + eps)
-    return mu / 2 + n * (s - t + p + eps)
-
-
 def _valuation(x: int) -> int:
     """Exponent of 2 in the nonzero integer x."""
     return (x & -x).bit_length() - 1
@@ -221,7 +212,7 @@ def _chain_maxima(a0: int, b: int, chains: list, cap) -> list:
         j += 1
 
 
-def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
+def _oracle_table(variant, n, m, eps, mu, lo: int, hi: int) -> list:
     """What oracle_min_exponent answers at each index lo..hi of validated
     parameters: the least exponent, or the message of its NoExtensionError.
 
@@ -235,18 +226,10 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
     its denominator, for the prefix sums S of 1 - v2(a_t), so one sweep of
     the progression (_chain_maxima) serves the whole window; for d = 1
     every exponent is 0.  q and qp chains must reach the progression's zero
-    within depth; qpp chains stop there or at depth, with at most
-    2^_EXPONENT_CAP to spend.  The transverse multipliers move by +-nm (q,
-    qp) or +-n (qpp) per step of s or t, integers, so every point of the
-    transverse grid has the residue of (s, t) = (0, 0), and that one point
-    is tested, affine in p over one common denominator.  A qpp chain at a
-    negative depth is empty and tests nothing.  At a depth of 65 or more
-    that test refuses no index that the chains do not refuse already: a q
-    or qp chain terminates only on a nonzero model, whose transverse
-    multiplier is an integer, and the qpp models with a half-integer one,
-    those of odd mu, have odd numerators all along their chains, so they
-    pass the 2^_EXPONENT_CAP cap first.  So at ORACLE_DEPTH its faults are
-    equivalent on every path of the CLI and of verify.
+    within ORACLE_DEPTH; qpp chains stop there or at ORACLE_DEPTH, with at
+    most 2^_EXPONENT_CAP to spend.  No transverse multiplier needs a test:
+    a q or qp chain terminates only on a nonzero model, whose transverse
+    multiplier is an integer, and a qpp model of odd mu fails the cap first.
     """
     qpp = variant == "qpp"
     d, (a0, a1) = over_common_denominator(
@@ -259,52 +242,38 @@ def _oracle_table(variant, n, m, eps, mu, depth: int, lo: int, hi: int) -> list:
     ends = []
     for p in indices:
         t = sign * p
-        if zero is not None and t <= zero < t + depth:
+        if zero is not None and t <= zero < t + ORACLE_DEPTH:
             ends.append(zero)
         else:
-            ends.append(t + max(depth, 0) if qpp else None)
+            ends.append(t + ORACLE_DEPTH if qpp else None)
     chains = [(sign * p, end) for p, end in zip(indices, ends) if end is not None]
     if d == 1 or not chains:
         exponents = [0] * len(chains)
     else:
         exponents = _chain_maxima(a0, b, chains, _EXPONENT_CAP if qpp else None)
-    den, (c0, c1) = over_common_denominator(
-        *(_secondary_multiplier(variant, n, m, eps, mu, p, 0, 0) for p in (0, 1))
-    )
-    never = f"no extension: the chain never terminates within depth {depth}"
+    never = f"no extension: the chain never terminates within depth {ORACLE_DEPTH}"
+    odd = "no extension: every tested exponent fails (odd mu)"
     answers, found = [], iter(exponents)
-    for p, end in zip(indices, ends):
-        if end is None:
-            answers.append(never)
-            continue
-        e = next(found)
-        x = c0 + (c1 - c0) * p
-        if e is None:
-            answers.append("no extension: every tested exponent fails (odd mu)")
-        elif depth >= 0 and x % den:
-            answers.append(
-                f"no extension: transverse multiplier {Fraction(x, den)} at "
-                "(s=0, t=0) is not an integer"
-            )
-        else:
-            answers.append(e)
+    for end in ends:
+        e = never if end is None else next(found)
+        answers.append(odd if e is None else e)
     return answers if sign > 0 else answers[::-1]
 
 
-def oracle_min_exponent(
-    variant: str, p: int, n: int, m: int, eps, mu, depth: int = ORACLE_DEPTH
-) -> int:
+def oracle_min_exponent(variant: str, p: int, n: int, m: int, eps, mu) -> int:
     """Least e >= 0 such that phi(1) = 2^e extends integrally, by iteration.
 
     Reads the recurrence in integers, from the _oracle_table of this one
     index.  For q and qp the chain must terminate (hit a zero coefficient)
-    within depth, else there is no extension at all; for qpp nothing need
-    terminate, and integrality must hold along the whole walked chain with
-    at most 2^_EXPONENT_CAP to spend.  Raises NoExtensionError when the
-    module over Z vanishes.
+    within ORACLE_DEPTH steps, else there is no extension at all; for qpp
+    nothing need terminate, and integrality must hold along the chain's
+    first ORACLE_DEPTH steps with at most 2^_EXPONENT_CAP to spend.  No
+    transverse multiplier is tested: at ORACLE_DEPTH none refuses an index
+    that the chain accepts.  Raises NoExtensionError when the module over Z
+    vanishes.
     """
     eps, mu = _validate(variant, n, m, eps, mu)
-    answer = _oracle_table(variant, n, m, eps, mu, depth, p, p)[0]
+    answer = _oracle_table(variant, n, m, eps, mu, p, p)[0]
     if isinstance(answer, str):
         raise NoExtensionError(answer)
     return answer
@@ -352,7 +321,7 @@ def integral_model(variant: str, n: int, m: int, eps, mu, window) -> LatticeRepo
     )
 
 
-def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> bool:
+def oracle_check_report(report: LatticeReport) -> bool:
     """Re-derive every reported exponent with the brute-force oracle, from
     one table of the window, and check that no other index of the window
     extends (for a vanishing model, no index at all).  An exponent outside
@@ -363,7 +332,7 @@ def oracle_check_report(report: LatticeReport, depth: int = ORACLE_DEPTH) -> boo
     outside = [p for p in report.exponents if not lo <= p <= hi]
     if outside:
         raise ValueError(f"exponent index {outside[0]} lies outside the window {lo}..{hi}")
-    table = _oracle_table(report.variant, report.n, report.m, eps, mu, depth, lo, hi)
+    table = _oracle_table(report.variant, report.n, report.m, eps, mu, lo, hi)
     if not report.nonzero:
         return all(isinstance(answer, str) for answer in table)
     return all(table[p - lo] == value for p, value in report.exponents.items()) and all(

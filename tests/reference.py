@@ -51,7 +51,9 @@ differential tests.
   (``oracle_check_report`` reads one per report, ``oracle_min_exponent``
   one of its own index); ``walk_oracle`` here walks each index's chain on its
   own, keeping the prefix product reduced with gcds (``_least_exponent``),
-  and checks the transverse grid of that index alone.
+  and checks the transverse grid of that index alone, with the transverse
+  multipliers of ``_secondary_multiplier``, which the library no longer
+  tests (at ``ORACLE_DEPTH`` none refuses an index the chains accept).
 - Tables row by row.  ``cli.render_table`` takes the width of each
   column with one ``max`` over that column and applies one format string
   per row; ``render_table_rows`` here takes each width by indexing every
@@ -78,9 +80,9 @@ from hclat import borelweil, pbw
 from hclat.borelweil import RowLattice
 from hclat.dyadic import (
     _EXPONENT_CAP,
+    ORACLE_DEPTH,
     NoExtensionError,
     _primary_multiplier,
-    _secondary_multiplier,
     _validate,
 )
 from hclat.scalars import Laurent, over_common_denominator
@@ -541,6 +543,15 @@ def _least_exponent(chain, d: int, cap):
     return worst.bit_length() - 1
 
 
+def _secondary_multiplier(variant, n, m, eps, mu, p, s, t) -> Fraction:
+    """Coefficient on the transverse chain (F-powers for q, E-powers else)."""
+    if variant == "q":
+        return mu / 2 + n * m * (s - t - p - eps)
+    if variant == "qp":
+        return mu / 2 + n * m * (s - t + p + eps)
+    return mu / 2 + n * (s - t + p + eps)
+
+
 def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
     """The transverse multipliers of index p on the grid s, t <= min(width, 4),
     in integers over one common denominator."""
@@ -560,21 +571,21 @@ def _check_secondary(variant, n, m, eps, mu, p, width) -> None:
                 )
 
 
-def walk_oracle(variant, p, n, m, eps, mu, depth) -> int:
+def walk_oracle(variant, p, n, m, eps, mu) -> int:
     """``dyadic.oracle_min_exponent`` by one walk of index p's own chain."""
     eps, mu = _validate(variant, n, m, eps, mu)
-    chain, d = _chain(variant, n, m, eps, mu, p, depth)
+    chain, d = _chain(variant, n, m, eps, mu, p, ORACLE_DEPTH)
     if 0 in chain:
         chain = chain[: chain.index(0)]
     elif variant != "qpp":
         raise NoExtensionError(
-            f"no extension: the chain never terminates within depth {depth}"
+            f"no extension: the chain never terminates within depth {ORACLE_DEPTH}"
         )
     qpp = variant == "qpp"
     e = _least_exponent(chain, d, _EXPONENT_CAP if qpp else None)
     if qpp and e is None:
         raise NoExtensionError("no extension: every tested exponent fails (odd mu)")
-    _check_secondary(variant, n, m, eps, mu, p, min(depth, 32) if qpp else len(chain))
+    _check_secondary(variant, n, m, eps, mu, p, 4 if qpp else len(chain))
     if e is None:
         raise NoExtensionError(
             "no extension: a prefix product has a denominator with an odd factor"

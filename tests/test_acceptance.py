@@ -81,10 +81,9 @@ def _residues(n):
 
 def test_criterion_2_lattice_formula_vs_oracle():
     with criterion(2, "lattice formula vs oracle", budget=60):
-        # the oracle walk budget: chains on this grid terminate within ten
-        # steps when an extension exists, and a violating mu keeps every
-        # coefficient nonzero at any depth, so 512 steps witness both sides
-        depth = 512
+        # the oracle walks ORACLE_DEPTH steps: chains on this grid terminate
+        # within ten steps when an extension exists, and a violating mu keeps
+        # every coefficient nonzero at any depth
         for n in (1, 2, 3):
             for m in (1, 2, 3):
                 for eps in _residues(n):
@@ -97,9 +96,7 @@ def test_criterion_2_lattice_formula_vs_oracle():
                             ok = dyadic.nonvanishing(variant, n, m, eps, mu)
                             if not ok:
                                 try:
-                                    dyadic.oracle_min_exponent(
-                                        variant, 0, n, m, eps, mu, depth=depth
-                                    )
+                                    dyadic.oracle_min_exponent(variant, 0, n, m, eps, mu)
                                     raise AssertionError(
                                         f"oracle accepted violating "
                                         f"{variant}({n},{m},{eps},{mu})"
@@ -115,9 +112,7 @@ def test_criterion_2_lattice_formula_vs_oracle():
                             else:
                                 ps = range(-4, 5)
                             for p in ps:
-                                want = dyadic.oracle_min_exponent(
-                                    variant, p, n, m, eps, mu, depth=depth
-                                )
+                                want = dyadic.oracle_min_exponent(variant, p, n, m, eps, mu)
                                 got = exponent(p, n, m, eps, mu) if exponent else 0
                                 assert got == want, (
                                     f"{variant}({n},{m},{eps},{mu}) at p={p}: "

@@ -102,7 +102,7 @@ def test_qpp_oracle_is_zero_for_even_mu():
         for eps in residues(n):
             for mu in range(-8, 9, 2):
                 for p in range(-3, 4):
-                    assert oracle_min_exponent("qpp", p, n, m, eps, mu, depth=200) == 0
+                    assert oracle_min_exponent("qpp", p, n, m, eps, mu) == 0
 
 
 def test_oracle_rejects_violating_parameters():
@@ -117,7 +117,7 @@ def test_oracle_rejects_violating_parameters():
     for variant, n, m, eps, mu in bad:
         assert not nonvanishing(variant, n, m, eps, mu)
         with pytest.raises(NoExtensionError):
-            oracle_min_exponent(variant, 0, n, m, eps, mu, depth=512)
+            oracle_min_exponent(variant, 0, n, m, eps, mu)
 
 
 def test_random_spot_checks_match_oracle():
@@ -276,8 +276,8 @@ def test_oracle_check_report_refuses_an_extension_outside_the_support(monkeypatc
     assert oracle_check_report(report)
     table = dyadic._oracle_table
 
-    def extends_at_zero(variant, n, m, eps, mu, depth, lo, hi):
-        answers = table(variant, n, m, eps, mu, depth, lo, hi)
+    def extends_at_zero(variant, n, m, eps, mu, lo, hi):
+        answers = table(variant, n, m, eps, mu, lo, hi)
         answers[0 - lo] = 0
         return answers
 
@@ -288,7 +288,7 @@ def test_oracle_check_report_refuses_an_extension_outside_the_support(monkeypatc
 def test_oracle_check_report_vanishing_params():
     report = integral_model("qp", 2, 1, Fraction(1, 2), 1, (-3, 3))
     assert not report.nonzero
-    assert oracle_check_report(report, depth=256)
+    assert oracle_check_report(report)
 
 
 def test_oracle_check_report_probes_the_whole_vanishing_window():
@@ -326,7 +326,7 @@ def reference_N(p, n, m, eps, mu):
     )
 
 
-def reference_oracle(variant, p, n, m, eps, mu, depth):
+def reference_oracle(variant, p, n, m, eps, mu):
     """The recurrence walked with Fractions, one walk per tried exponent."""
     eps, mu = Fraction(eps), Fraction(mu)
     nonvanishing(variant, n, m, eps, mu)  # the same parameter validation
@@ -334,23 +334,23 @@ def reference_oracle(variant, p, n, m, eps, mu, depth):
     def step(s):
         return dyadic._primary_multiplier(variant, n, m, eps, mu, p, s)
 
-    def secondary(width):
-        for s in range(min(width, 4) + 1):
-            for t in range(min(width, 4) + 1):
-                d = dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+    def secondary():
+        for s in range(5):
+            for t in range(5):
+                d = reference._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
                 if d.denominator != 1:
                     raise NoExtensionError("transverse multiplier")
 
     if variant in ("q", "qp"):
         chain = []
-        for s in range(depth):
+        for s in range(ORACLE_DEPTH):
             c = step(s)
             if c == 0:
                 break
             chain.append(c)
         else:
             raise NoExtensionError("never terminates")
-        secondary(len(chain))
+        secondary()
         for e in range(65):
             value = Fraction(2) ** e
             for c in chain:
@@ -362,7 +362,7 @@ def reference_oracle(variant, p, n, m, eps, mu, depth):
         raise RuntimeError("exponent exceeds the search cap")
     for e in range(65):
         value, ok = Fraction(2) ** e, True
-        for s in range(depth):
+        for s in range(ORACLE_DEPTH):
             c = step(s)
             if c == 0:
                 break
@@ -371,7 +371,7 @@ def reference_oracle(variant, p, n, m, eps, mu, depth):
                 ok = False
                 break
         if ok:
-            secondary(min(depth, 32))
+            secondary()
             return e
     raise NoExtensionError("every tested exponent fails")
 
@@ -397,28 +397,33 @@ def random_parameters(rng, variant):
 
 def test_oracle_matches_fraction_reference_off_grid():
     # seeded, off the fixed grids: n, m <= 3, mu in [-40, 40] odd and even,
-    # vanishing models, and indices near, beyond and far from the boundary
-    # against a random depth (chains longer than it never terminate)
+    # vanishing models, and indices near the boundary, or about ORACLE_DEPTH
+    # steps from it on either side (a chain longer than that never
+    # terminates).  Every draw is checked against the integer walk; a
+    # full-depth Fraction walk costs tens of milliseconds, so only the first
+    # draw of each kind (variant, nonzero, parity of mu, outcome) is checked
+    # against it too
     rng = random.Random(20261018)
     seen = set()
-    for _ in range(500):
+    for _ in range(300):
         variant = rng.choice(("q", "qp", "qpp"))
         n, m, eps, mu = random_parameters(rng, variant)
-        depth = rng.randint(1, 100)
         if variant == "qpp":
             anchor = -eps - Fraction(mu, 2 * n)  # where the chain starts at zero
         elif variant == "q":
             anchor = -Fraction(mu, 2 * n * m) - eps
         else:
             anchor = Fraction(mu, 2 * n * m) - eps
-        p = int(anchor) + rng.choice(
-            (rng.randint(-6, 6), rng.randint(-depth - 3, depth + 3))
-        )
-        args = (variant, p, n, m, eps, mu, depth)
+        far = rng.choice((-1, 1)) * (ORACLE_DEPTH + rng.randint(-3, 3))
+        p = int(anchor) + rng.choice((rng.randint(-6, 6), far))
+        args = (variant, p, n, m, eps, mu)
         got = outcome(oracle_min_exponent, *args)
-        assert got == outcome(reference_oracle, *args), args
-        seen.add((variant, nonvanishing(variant, n, m, eps, mu), mu % 2,
-                  got if isinstance(got, type) else int))
+        assert got == outcome(reference.walk_oracle, *args), args
+        kind = (variant, nonvanishing(variant, n, m, eps, mu), mu % 2,
+                got if isinstance(got, type) else int)
+        if kind not in seen:
+            assert got == outcome(reference_oracle, *args), args
+            seen.add(kind)
     # every variant met both kinds of model, odd and even mu, and both outcomes
     for variant in ("q", "qp", "qpp"):
         for nonzero in (True, False):
@@ -468,7 +473,7 @@ def test_oracle_walk_keeps_its_integers_small(monkeypatch):
     ]
     want = [exponent_M(-4000, 1, 1, 0, 0), exponent_N(4000, 3, 2, Fraction(1, 3), 16)]
     monkeypatch.setattr(reference, "gcd", spy)
-    assert [reference.walk_oracle(*walk, ORACLE_DEPTH) for walk in walks] == [0] + want
+    assert [reference.walk_oracle(*walk) for walk in walks] == [0] + want
     assert 0 < widest[0] <= 64
 
 
@@ -488,7 +493,7 @@ def test_oracle_calls_nothing_from_the_formula_route(monkeypatch):
     assert oracle_min_exponent("qpp", -2, 1, 2, 0, 4) == 0
     with pytest.raises(NoExtensionError):
         oracle_min_exponent("qpp", 0, 1, 2, 0, 3)
-    assert all(oracle_check_report(report, depth=256) for report in reports)
+    assert all(oracle_check_report(report) for report in reports)
 
 
 # the coefficient of the principal series each oracle chain reads at step s
@@ -516,22 +521,21 @@ def test_oracle_chains_are_principal_series_coefficients():
         assert dyadic._primary_multiplier(variant, n, m, eps, mu, p, s) == (
             module.coefficient(*primary(p, s))
         ), case
-        assert dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t) == (
+        assert reference._secondary_multiplier(variant, n, m, eps, mu, p, s, t) == (
             module.coefficient(*transverse(p, s, t))
         ), case
 
 
 def test_oracle_depth_bounds_the_chain():
-    # the q chain from p = top - k stops after k steps: within depth k + 1
-    # but not within depth k
-    assert oracle_min_exponent("q", -5, 1, 1, 0, 0, depth=6) == 2
-    with pytest.raises(NoExtensionError, match="depth 5"):
-        oracle_min_exponent("q", -5, 1, 1, 0, 0, depth=5)
-    assert oracle_min_exponent("q", 1 - ORACLE_DEPTH, 1, 1, 0, 0) == bin(
-        ORACLE_DEPTH - 1
-    ).count("1")
-    with pytest.raises(NoExtensionError, match="never terminates"):
-        oracle_min_exponent("q", -ORACLE_DEPTH, 1, 1, 0, 0)
+    # the q chain from p = top - k stops after k steps, and the qp chain from
+    # p = bottom + k likewise: within ORACLE_DEPTH steps for k < ORACLE_DEPTH
+    # only
+    far = ORACLE_DEPTH - 1
+    assert oracle_min_exponent("q", -far, 1, 1, 0, 0) == bin(far).count("1")
+    assert oracle_min_exponent("qp", far, 1, 1, 0, 0) == bin(far).count("1")
+    for variant, p in (("q", -ORACLE_DEPTH), ("qp", ORACLE_DEPTH)):
+        with pytest.raises(NoExtensionError, match=f"never terminates within depth {ORACLE_DEPTH}"):
+            oracle_min_exponent(variant, p, 1, 1, 0, 0)
 
 
 def test_window_sweep_matches_per_index_partial_sums():
@@ -653,13 +657,12 @@ def oracle_anchor(variant, n, m, eps, mu):
 
 def test_window_sweep_matches_per_index_walk():
     # seeded: every variant, eps = k/n and m with n, m <= 3, vanishing and
-    # nonzero models, depths from -1 to ORACLE_DEPTH (64 and 65 straddle the
-    # qpp cap), and windows across the support boundary or across the
-    # index whose chain stops terminating within depth; every index gets the
-    # walk's exponent, or its exception message
+    # nonzero models, and windows across the support boundary or across the
+    # index whose chain stops terminating within ORACLE_DEPTH; every index
+    # gets the walk's exponent, or its exception message
     rng = random.Random(20261019)
     seen = set()
-    for case in range(300):
+    for case in range(150):
         variant = ("q", "qp", "qpp")[case % 3]
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         eps = Fraction(rng.randrange(n), n)
@@ -667,45 +670,44 @@ def test_window_sweep_matches_per_index_walk():
         if case % 2:
             mus = [mu for mu in mus if nonvanishing(variant, n, m, eps, mu)]
         mu = rng.choice(mus)
-        depth = rng.choice(
-            (-1, 0, 1, 2, 64, 65, rng.randint(1, 80), rng.randint(1, ORACLE_DEPTH), ORACLE_DEPTH)
-        )
         edge = oracle_anchor(variant, n, m, eps, mu)
-        edge += rng.choice((0, 0, -depth if variant == "q" else depth))
+        edge += rng.choice((0, 0, -ORACLE_DEPTH if variant == "q" else ORACLE_DEPTH))
         lo = edge - rng.randint(0, 10)
         hi = edge + rng.randint(0, 10)
-        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), depth, lo, hi)
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), lo, hi)
         walks = [
-            answer(reference.walk_oracle, variant, p, n, m, eps, mu, depth)
-            for p in range(lo, hi + 1)
+            answer(reference.walk_oracle, variant, p, n, m, eps, mu) for p in range(lo, hi + 1)
         ]
-        assert table == walks, (variant, n, m, eps, mu, depth, lo, hi)
+        assert table == walks, (variant, n, m, eps, mu, lo, hi)
         for entry in table:
             seen.add((variant, entry if isinstance(entry, str) else int))
     outcomes = {
         variant: {a if a is int else a.split(":")[1].split()[0] for v, a in seen if v == variant}
         for variant in ("q", "qp", "qpp")
     }
-    # "the chain never terminates", "every tested exponent fails" and
+    # "the chain never terminates" and "every tested exponent fails", never
     # "transverse multiplier": a q or qp chain terminates only on a nonzero
-    # model, whose transverse multipliers are integers, and no model has an
-    # odd prime in its denominator
+    # model, whose transverse multipliers are integers, a qpp model of odd mu
+    # fails the cap first, and no model has an odd prime in its denominator
     assert outcomes["q"] == outcomes["qp"] == {int, "the"}
-    assert outcomes["qpp"] == {int, "every", "transverse"}
+    assert outcomes["qpp"] == {int, "every"}
 
 
 def test_direct_calls_agree_with_the_window_table():
-    # a direct call builds the table of its one index
-    for variant, n, m, eps, mu, depth in (
-        ("q", 2, 3, Fraction(1, 2), 18, 40),
-        ("qp", 3, 1, Fraction(2, 3), -16, 4096),
-        ("qpp", 1, 2, 0, 5, 70),
-        ("qpp", 2, 1, Fraction(1, 2), 6, 300),
+    # a direct call builds the table of its one index, near the anchor or
+    # about ORACLE_DEPTH steps from it
+    for variant, n, m, eps, mu, shift in (
+        ("q", 2, 3, Fraction(1, 2), 18, 0),
+        ("q", 1, 1, 0, 0, -ORACLE_DEPTH),
+        ("qp", 3, 1, Fraction(2, 3), -16, 0),
+        ("qp", 3, 2, Fraction(1, 3), 16, ORACLE_DEPTH),
+        ("qpp", 1, 2, 0, 5, 0),
+        ("qpp", 2, 1, Fraction(1, 2), 6, ORACLE_DEPTH),
     ):
-        lo = oracle_anchor(variant, n, m, eps, mu) - 6
-        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), depth, lo, lo + 12)
+        lo = oracle_anchor(variant, n, m, eps, mu) + shift - 6
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), lo, lo + 12)
         for p, entry in zip(range(lo, lo + 13), table):
-            assert answer(oracle_min_exponent, variant, p, n, m, eps, mu, depth) == entry
+            assert answer(oracle_min_exponent, variant, p, n, m, eps, mu) == entry
 
 
 def test_oracle_check_report_builds_one_table(monkeypatch):
@@ -718,7 +720,7 @@ def test_oracle_check_report_builds_one_table(monkeypatch):
     assert oracle_check_report(report)
     assert len(builds) == 1 and calls == []
     report = integral_model("q", 2, 1, Fraction(1, 2), 0, (-4, 4))
-    assert oracle_check_report(report, depth=300)
+    assert oracle_check_report(report)
     assert len(builds) == 2 and calls == []
 
 
@@ -745,22 +747,24 @@ def test_qpp_oracle_reads_n_only():
         for eps in residues(n):
             for mu in range(-6, 7):
                 for m in (1, 2, 3, 5):
-                    depth = rng.choice((0, 1, 40, 64, 65, ORACLE_DEPTH))
                     lo = oracle_anchor("qpp", n, m, eps, mu) - rng.randint(0, 6)
-                    args = (eps, Fraction(mu), depth, lo, lo + rng.randint(0, 8))
+                    lo += rng.choice((0, ORACLE_DEPTH))
+                    args = (eps, Fraction(mu), lo, lo + rng.randint(0, 8))
                     assert dyadic._oracle_table("qpp", n, m, *args) == dyadic._oracle_table(
                         "qpp", n, 2 * n, *args
-                    ), (n, m, eps, mu, depth, lo)
+                    ), (n, m, eps, mu, lo)
 
 
 def test_models_reach_only_dyadic_progressions_and_integer_transverse_slopes():
-    # the two facts the oracle's one 2-adic sweep and one transverse point
-    # rest on, read off the multipliers rather than through the oracle: a
-    # chain terminates only where the progression has an integer zero, so
-    # only on a nonzero q or qp model, whose progression has d = 2, and
-    # every qpp progression has the denominator of mu/2; the transverse
-    # multipliers move by nm (q, qp) or n (qpp) per step of s, and back by
-    # as much per step of t
+    # the facts that the oracle's one 2-adic sweep and its lack of a
+    # transverse test rest on, read off the multipliers rather than through
+    # the oracle: a chain terminates only where the progression has an
+    # integer zero, so only on a nonzero q or qp model, whose progression has
+    # d = 2 and whose transverse multipliers are integers; a qpp progression
+    # and its transverse multipliers have the denominator of mu/2, and for
+    # odd mu every numerator of the progression is odd, so the 2^64 cap
+    # refuses the chain first.  The transverse multipliers move by nm (q,
+    # qp) or n (qpp) per step of s, and back by as much per step of t
     rng = random.Random(38)
     for _ in range(3000):
         variant = rng.choice(dyadic.VARIANTS)
@@ -771,21 +775,50 @@ def test_models_reach_only_dyadic_progressions_and_integer_transverse_slopes():
         d, (a0, a1) = over_common_denominator(
             *(dyadic._primary_multiplier(variant, n, m, eps, mu, 0, t) for t in (0, 1))
         )
-        if variant == "qpp":
-            assert d == (mu / 2).denominator, case
-        elif nonvanishing(variant, n, m, eps, mu):
-            assert d == 2, case
-        else:
-            assert a0 % (a1 - a0) != 0, case
         p = rng.randint(-50, 50)
         den, (c, c_s, c_t) = over_common_denominator(
             *(
-                dyadic._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
+                reference._secondary_multiplier(variant, n, m, eps, mu, p, s, t)
                 for s, t in ((0, 0), (1, 0), (0, 1))
             )
         )
         slope = n if variant == "qpp" else n * m
         assert c_s - c == slope * den and c_t - c == -slope * den, (*case, p)
+        if variant == "qpp":
+            assert d == den == (mu / 2).denominator, case
+            assert d == 1 or (a0 % 2 == 1 and (a1 - a0) % 2 == 0), case
+        elif nonvanishing(variant, n, m, eps, mu):
+            assert d == 2 and den == 1, (*case, p)
+        else:
+            assert a0 % (a1 - a0) != 0, case
+
+
+def test_walk_never_refuses_an_index_on_its_transverse_grid():
+    # the premise of the table's missing transverse test, at ORACLE_DEPTH:
+    # for every variant, n, m <= 4 and residue eps, and a seeded nonzero and
+    # vanishing mu each, the per-index walk refuses no index of a window
+    # across the boundary (or the qpp anchor) on its transverse grid, which
+    # it tests at every index whose chain it accepts
+    rng = random.Random(40)
+    outcomes = {variant: set() for variant in dyadic.VARIANTS}
+    for variant in dyadic.VARIANTS:
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for eps in residues(n):
+                    for nonzero in (True, False):
+                        mus = [
+                            mu for mu in range(-60, 61)
+                            if nonvanishing(variant, n, m, eps, mu) == nonzero
+                        ]
+                        mu = rng.choice(mus)
+                        edge = oracle_anchor(variant, n, m, eps, mu)
+                        for p in range(edge - 3, edge + 4):
+                            walk = answer(reference.walk_oracle, variant, p, n, m, eps, mu)
+                            assert "transverse" not in str(walk), (variant, n, m, eps, mu, p)
+                            outcomes[variant].add(walk if isinstance(walk, str) else int)
+    never = f"no extension: the chain never terminates within depth {ORACLE_DEPTH}"
+    assert outcomes["q"] == outcomes["qp"] == {int, never}
+    assert outcomes["qpp"] == {int, "no extension: every tested exponent fails (odd mu)"}
 
 
 def test_chain_maxima_match_the_gcd_walk_on_model_denominators():
@@ -826,14 +859,14 @@ def test_limit_windows_match_the_formulas():
     ):
         report = integral_model(variant, n, m, eps, mu, window)
         assert len(report.exponents) == 2001
-        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), ORACLE_DEPTH, *window)
+        table = dyadic._oracle_table(variant, n, m, eps, Fraction(mu), *window)
         formula = exponent_M if variant == "q" else exponent_N
         for p, value in zip(range(window[0], window[1] + 1), table):
             want = 0 if variant == "qpp" else formula(p, n, m, eps, mu)
             assert value == want == report.exponents[p], (variant, p)
         assert oracle_check_report(report)
     # one past the reach: the farthest chain no longer terminates
-    table = dyadic._oracle_table("q", 1, 1, 0, Fraction(0), ORACLE_DEPTH, -4096, -4095)
+    table = dyadic._oracle_table("q", 1, 1, 0, Fraction(0), -4096, -4095)
     assert table == [
         "no extension: the chain never terminates within depth 4096",
         bin(4095).count("1"),
