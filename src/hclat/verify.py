@@ -357,18 +357,26 @@ def _dyadic_grid(nmax: int = 3, mu_range: int = 10):
 
 def _formula_oracle_equivalence():
     # every model, vanishing ones too, as `lattice --oracle` checks it: a
-    # nonzero q or qp model on its boundary +- 6, the others on -3..3
+    # nonzero q or qp model on its boundary +- 6 and on the one index next
+    # to the boundary inside the support, a qpp model on -3..3 and on 0, and
+    # a vanishing q or qp model, whose oracle builds no chain, on -3..3
     for variant in dyadic.VARIANTS:
         for n, m, eps, mu in _dyadic_grid(nmax=2, mu_range=8):
             report = dyadic.integral_model(variant, n, m, eps, mu, (-3, 3))
-            if report.support is not None and report.support.kind != "all":
+            if variant == "qpp":
+                windows = [(-3, 3), (0, 0)]
+            elif report.nonzero:
                 edge = report.support.bound
-                report = dyadic.integral_model(variant, n, m, eps, mu, (edge - 6, edge + 6))
-            lo, hi = report.window
-            yield (
-                dyadic.oracle_check_report(report),
-                f"{variant}({n},{m},{eps},{mu}) on {lo}..{hi}",
-            )
+                inner = edge - 1 if variant == "q" else edge + 1
+                windows = [(edge - 6, edge + 6), (inner, inner)]
+            else:
+                windows = [(-3, 3)]
+            for lo, hi in windows:
+                report = dyadic.integral_model(variant, n, m, eps, mu, (lo, hi))
+                yield (
+                    dyadic.oracle_check_report(report),
+                    f"{variant}({n},{m},{eps},{mu}) on {lo}..{hi}",
+                )
 
 
 def _criterion_boundary_exponent():

@@ -7,7 +7,9 @@ edited function is compiled in its own module's globals, keeping its file
 and line numbers, and patched in at that binding alone.  The check, run by
 itself, must then yield a failing case, not raise: a check that no fault
 can fail is evidence of nothing.  For the two documented findings the
-fault makes the mismatch vanish, so they read ``fail`` too.
+fault makes the mismatch vanish, so they read ``fail`` too.  The faults in
+``RAISING`` make their check raise instead, which ``verify`` reports as a
+failing check that names the raising frame.
 """
 
 import __future__
@@ -124,6 +126,20 @@ RETIRED = {
     ),
 }
 
+# faults that make a check raise: both make `lattice --oracle` raise
+# IndexError, the q table on a window that ends inside the support, and
+# _chain_maxima on one index of a qpp model of odd mu
+RAISING = {
+    "oracle_table_drops_the_top_index": (
+        "formula_oracle_equivalence", dyadic, "_oracle_table",
+        "range(lo, hi + 1)", "range(lo, hi - 1)",
+    ),
+    "chain_maxima_drops_the_open_chain": (
+        "formula_oracle_equivalence", dyadic, "_chain_maxima",
+        "bases[0][0] < k_close", "bases[0][0] <= k_close",
+    ),
+}
+
 CHECKS = {check.__name__.lstrip("_"): check for suite in verify.CHECKS.values() for check in suite}
 
 
@@ -159,6 +175,7 @@ def test_every_check_has_one_mutation():
     assert all(owner is not verify for owner, *_ in MUTATIONS.values())
     assert not set(RETIRED) & set(CHECKS)
     assert all(row[-1] in CHECKS for row in RETIRED.values())
+    assert all(row[0] in CHECKS for row in RAISING.values())
 
 
 def _assert_fails(monkeypatch, name, owner, attr, old, new):
@@ -178,6 +195,14 @@ def test_mutation_fails_the_check(monkeypatch, name):
 def test_retired_mutation_fails_a_remaining_check(monkeypatch, name):
     *fault, remaining = RETIRED[name]
     _assert_fails(monkeypatch, remaining, *fault)
+
+
+@pytest.mark.parametrize("fault", RAISING)
+def test_raising_mutation_fails_the_check(monkeypatch, fault):
+    name, owner, attr, old, new = RAISING[fault]
+    monkeypatch.setattr(owner, attr, _mutant(getattr(owner, attr), old, new))
+    status, detail = verify._outcome(CHECKS[name])
+    assert status == "fail" and detail.startswith("IndexError: "), detail
 
 
 def test_oracle_check_report_fault_fails_the_oracle_check(monkeypatch):
